@@ -78,13 +78,16 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional, Union
+from typing import Any, Callable, Dict, List, Optional, Union
 
 from ..apps import ALL_APPS, get_app
 from ..cluster import MACHINES, get_machine
 from ..dynprof import POLICIES
 from ..faults import CANNED_PLANS, FaultPlan, canned_plan
+from ..obs.trace import DEFAULT_CAPACITY as DEFAULT_TRACE_CAPACITY
 from ..runner import SweepError, SweepPoint, SweepRunner, default_cache_dir
+from ..runner.collect import (Collector, MetricsCollector, OrderCollector,
+                             SampleCollector, TraceCollector)
 from .fig7 import FIG7_PANELS, fig7_shape_report, run_fig7
 from .fig8 import IA32_PROC_COUNTS, IBM_PROC_COUNTS, run_fig8a, run_fig8b, run_fig8c
 from .fig9 import run_fig9
@@ -192,9 +195,8 @@ def run_experiment(
         # so every cell is executed fresh with the sampler on.
         from .overhead import run_overhead_timeline
 
-        interval = None
-        if runner is not None and runner.obs_sample:
-            interval = runner.obs_sample
+        sampler = _collector(runner, SampleCollector)
+        interval = sampler.interval if sampler is not None else None
         out.append(run_overhead_timeline(
             n_cpus=4 if quick else 8, scale=scale, seed=seed,
             interval=interval,
@@ -234,9 +236,8 @@ def _add_runner_args(parser: argparse.ArgumentParser) -> None:
                         metavar="SEC",
                         help="sample the metrics registry every SEC "
                              "simulated seconds into per-metric time "
-                             "series (riding the --obs document and "
-                             "runner.timeseries); figure outputs are "
-                             "unaffected")
+                             "series (riding the --obs document); figure "
+                             "outputs are unaffected")
     parser.add_argument("--trace", metavar="DIR", default=None,
                         help="collect a causal trace per computed point and "
                              "write one <label>.trace.json each into DIR "
@@ -246,11 +247,11 @@ def _add_runner_args(parser: argparse.ArgumentParser) -> None:
                         default="fine",
                         help="trace detail: 'fine' includes per-function "
                              "spans, 'coarse' subsystem events only")
-    parser.add_argument("--trace-capacity", type=int, default=None,
-                        metavar="N",
+    parser.add_argument("--trace-capacity", type=int,
+                        default=DEFAULT_TRACE_CAPACITY, metavar="N",
                         help="per-track trace ring-buffer bound in events "
-                             "(default 65536; evictions are counted, not "
-                             "silent)")
+                             f"(default {DEFAULT_TRACE_CAPACITY}; evictions "
+                             "are counted, not silent)")
     parser.add_argument("--trace-compact", action="store_true",
                         help="fold repeated event subsequences when a trace "
                              "ring fills instead of dropping immediately "
@@ -312,37 +313,21 @@ def _load_replay_logs(path: str) -> dict:
     return logs
 
 
-def _write_order_logs(
-    args: argparse.Namespace, runner: SweepRunner, quiet: bool = False
-) -> List[str]:
-    """Write one ``<label>.order`` file per recorded point into
-    ``--record DIR``; returns the paths written."""
-    if not getattr(args, "record", None):
-        return []
-    import base64 as _base64
-    import os as _os
-
-    try:
-        _os.makedirs(args.record, exist_ok=True)
-    except OSError as exc:
-        print(f"repro-experiments: cannot write order logs "
-              f"{args.record}: {exc}", file=sys.stderr)
-        raise SystemExit(1)
-    paths: List[str] = []
-    for label in sorted(runner.order_logs):
-        path = _os.path.join(args.record, f"{_safe_label(label)}.order")
-        try:
-            with open(path, "wb") as fh:
-                fh.write(_base64.b64decode(runner.order_logs[label]))
-        except OSError as exc:
-            print(f"repro-experiments: cannot write order log {path}: {exc}",
-                  file=sys.stderr)
-            raise SystemExit(1)
-        paths.append(path)
-    if not quiet:
-        print(f"wrote {len(paths)} order log(s) to {args.record}",
-              file=sys.stderr)
-    return paths
+def _collectors(args: argparse.Namespace) -> List[Collector]:
+    """The collectors the observation flags (``--obs``, ``--trace``,
+    ``--obs-sample``, ``--record``) ask for."""
+    collectors: List[Collector] = []
+    if args.obs:
+        collectors.append(MetricsCollector())
+    if getattr(args, "trace", None):
+        collectors.append(TraceCollector(detail=args.trace_detail,
+                                         capacity=args.trace_capacity,
+                                         compact=args.trace_compact))
+    if args.obs_sample:
+        collectors.append(SampleCollector(args.obs_sample))
+    if args.record:
+        collectors.append(OrderCollector())
+    return collectors
 
 
 def _build_runner(args: argparse.Namespace) -> SweepRunner:
@@ -355,31 +340,19 @@ def _build_runner(args: argparse.Namespace) -> SweepRunner:
                                    fallback_dir=args.cache_dir)
     else:
         cache = args.cache_dir or default_cache_dir()
-    kwargs = {}
-    if args.trace_capacity is not None:
-        kwargs["trace_capacity"] = args.trace_capacity
-    if getattr(args, "obs_sample", None) is not None and args.obs_sample <= 0:
+    if args.obs_sample is not None and args.obs_sample <= 0:
         raise SystemExit("repro-experiments: --obs-sample must be > 0")
-    record = getattr(args, "record", None)
-    replay = getattr(args, "replay", None)
-    if record and replay:
+    if args.record and args.replay:
         raise SystemExit(
             "repro-experiments: --record and --replay are mutually exclusive")
-    if replay:
-        kwargs["replay_logs"] = _load_replay_logs(replay)
     runner = SweepRunner(
         jobs=args.jobs,
         cache=cache,
         timeout=args.timeout,
         telemetry=sys.stderr if args.progress else None,
-        collect_obs=bool(args.obs),
-        collect_trace=bool(args.trace),
-        trace_detail=args.trace_detail,
-        trace_compact=bool(args.trace_compact),
         executor=args.backend,
-        obs_sample=getattr(args, "obs_sample", None),
-        record_order=bool(record),
-        **kwargs,
+        collectors=_collectors(args),
+        replay_logs=_load_replay_logs(args.replay) if args.replay else None,
     )
     if args.backend:
         # Resolve eagerly: a bad spec should fail before any work runs,
@@ -394,6 +367,12 @@ def _build_runner(args: argparse.Namespace) -> SweepRunner:
                   f"repro-experiments worker --connect {backend.address}",
                   file=sys.stderr)
     return runner
+
+
+def _collector(runner: Optional[SweepRunner], cls: type) -> Any:
+    """The runner's collector of type ``cls``, or None."""
+    collectors = runner.collectors if runner is not None else ()
+    return next((c for c in collectors if isinstance(c, cls)), None)
 
 
 def _close_runner(runner: SweepRunner) -> None:
@@ -445,7 +424,8 @@ def _write_obs_document(
     stdout.  With ``--obs-sample`` the document also carries the
     per-point sampled series under ``"timeseries"``.
     """
-    if not args.obs:
+    metrics = _collector(runner, MetricsCollector)
+    if metrics is None:
         return None
     import json as _json
 
@@ -453,11 +433,12 @@ def _write_obs_document(
 
     doc = {
         "version": __version__,
-        "obs": runner.obs.snapshot(),
+        "obs": metrics.registry.snapshot(),
         "telemetry": runner.telemetry.summary(),
     }
-    if runner.timeseries:
-        doc["timeseries"] = runner.timeseries
+    sampler = _collector(runner, SampleCollector)
+    if sampler is not None and sampler.docs:
+        doc["timeseries"] = sampler.docs
     with _open_text_output(args.obs, "obs document") as fh:
         _json.dump(doc, fh, indent=2)
         fh.write("\n")
@@ -473,39 +454,83 @@ def _safe_label(label: str) -> str:
     return _re.sub(r"[^A-Za-z0-9._=-]+", "_", label)
 
 
-def _write_trace_documents(
-    args: argparse.Namespace, runner: SweepRunner, quiet: bool = False
+def _write_label_files(
+    directory: str, docs: Dict[str, Any], suffix: str, what: str,
+    note: str, dump: Callable[[Any, str], None], quiet: bool,
 ) -> List[str]:
-    """Write one ``<label>.trace.json`` per computed point into
-    ``--trace DIR``; returns the paths written.  ``DIR`` may be ``-``:
-    traces then stream to stdout as JSON lines
-    (``{"label": ..., "trace": {...}}``) for piping."""
-    if not args.trace:
-        return []
-    import json as _json
+    """Write one ``<label><suffix>`` file per document into
+    ``directory`` (``dump(doc, path)`` writes one); returns the paths
+    written."""
     import os as _os
 
-    if args.trace == "-":
-        for label in sorted(runner.traces):
-            sys.stdout.write(_json.dumps(
-                {"label": label, "trace": runner.traces[label]}) + "\n")
-        return ["-"] if runner.traces else []
     try:
-        _os.makedirs(args.trace, exist_ok=True)
+        _os.makedirs(directory, exist_ok=True)
     except OSError as exc:
-        print(f"repro-experiments: cannot write trace documents "
-              f"{args.trace}: {exc}", file=sys.stderr)
+        print(f"repro-experiments: cannot write {what}s {directory}: {exc}",
+              file=sys.stderr)
         raise SystemExit(1)
     paths: List[str] = []
-    for label in sorted(runner.traces):
-        path = _os.path.join(args.trace, f"{_safe_label(label)}.trace.json")
-        with _open_text_output(path, "trace document") as fh:
-            _json.dump(runner.traces[label], fh, indent=1)
-            fh.write("\n")
+    for label in sorted(docs):
+        path = _os.path.join(directory, f"{_safe_label(label)}{suffix}")
+        try:
+            dump(docs[label], path)
+        except OSError as exc:
+            print(f"repro-experiments: cannot write {what} {path}: {exc}",
+                  file=sys.stderr)
+            raise SystemExit(1)
         paths.append(path)
     if not quiet:
-        print(f"wrote {len(paths)} trace(s) to {args.trace}", file=sys.stderr)
+        print(f"wrote {len(paths)} {note} to {directory}", file=sys.stderr)
     return paths
+
+
+def _write_outputs(
+    args: argparse.Namespace, runner: SweepRunner, quiet: bool = False
+) -> Dict[str, Any]:
+    """Write the side documents the observation flags asked for; returns
+    the JSON document's ``outputs`` map.
+
+    ``--trace DIR`` gets one ``<label>.trace.json`` per computed point
+    (``-`` streams ``{"label": ..., "trace": {...}}`` JSON lines to
+    stdout instead) and ``--record DIR`` one ``<label>.order`` each.
+    """
+    import base64 as _base64
+    import json as _json
+
+    def dump_trace(doc: Any, path: str) -> None:
+        with open(path, "w", encoding="utf-8") as fh:
+            _json.dump(doc, fh, indent=1)
+            fh.write("\n")
+
+    def dump_order_log(doc: str, path: str) -> None:
+        with open(path, "wb") as fh:
+            fh.write(_base64.b64decode(doc))
+
+    outputs: Dict[str, Any] = {}
+    obs_path = _write_obs_document(args, runner, quiet=quiet)
+    if obs_path:
+        outputs["obs"] = obs_path
+    tracer = _collector(runner, TraceCollector)
+    if tracer is not None and args.trace == "-":
+        for label in sorted(tracer.docs):
+            sys.stdout.write(_json.dumps(
+                {"label": label, "trace": tracer.docs[label]}) + "\n")
+        if tracer.docs:
+            outputs["traces"] = ["-"]
+    elif tracer is not None:
+        paths = _write_label_files(
+            args.trace, tracer.docs, ".trace.json", "trace document",
+            "trace(s)", dump_trace, quiet)
+        if paths:
+            outputs["traces"] = paths
+    recorder = _collector(runner, OrderCollector)
+    if recorder is not None:
+        paths = _write_label_files(
+            args.record, recorder.docs, ".order", "order log",
+            "order log(s)", dump_order_log, quiet)
+        if paths:
+            outputs["order_logs"] = paths
+    return outputs
 
 
 # -- the `sweep` subcommand -----------------------------------------------------
@@ -574,9 +599,7 @@ def sweep_main(argv: List[str]) -> int:
         _close_runner(runner)
     ordered = [results[p] for p in points]
 
-    obs_path = _write_obs_document(args, runner, quiet=args.json)
-    trace_paths = _write_trace_documents(args, runner, quiet=args.json)
-    order_paths = _write_order_logs(args, runner, quiet=args.json)
+    outputs = _write_outputs(args, runner, quiet=args.json)
     for r in ordered:
         if r.status == "diverged" and r.divergence is not None:
             print(f"sweep: {r.point.label}: diverged from its replay log "
@@ -602,13 +625,6 @@ def sweep_main(argv: List[str]) -> int:
             ],
             "telemetry": runner.telemetry.summary(),
         }
-        outputs = {}
-        if obs_path:
-            outputs["obs"] = obs_path
-        if trace_paths:
-            outputs["traces"] = trace_paths
-        if order_paths:
-            outputs["order_logs"] = order_paths
         if outputs:
             doc["outputs"] = outputs
         print(_json.dumps(doc, indent=2))
@@ -804,7 +820,6 @@ def trace_main(argv: List[str]) -> int:
         return trace_compact_main(argv[1:])
     from ..obs.analysis import render_trace_summary
     from ..obs.export import save_trace_svg, write_chrome_trace
-    from ..obs.trace import DEFAULT_CAPACITY
     from ..runner.worker import execute_point
 
     parser = argparse.ArgumentParser(
@@ -829,9 +844,10 @@ def trace_main(argv: List[str]) -> int:
                         help="machine preset (default power3-sp)")
     parser.add_argument("--detail", choices=("fine", "coarse"),
                         default="fine", help="trace detail level")
-    parser.add_argument("--capacity", type=int, default=DEFAULT_CAPACITY,
-                        metavar="N", help="per-track ring-buffer bound "
-                                          f"(default {DEFAULT_CAPACITY})")
+    parser.add_argument("--capacity", type=int,
+                        default=DEFAULT_TRACE_CAPACITY, metavar="N",
+                        help="per-track ring-buffer bound "
+                             f"(default {DEFAULT_TRACE_CAPACITY})")
     parser.add_argument("--compact", action="store_true",
                         help="fold repeated event subsequences when a ring "
                              "fills instead of dropping immediately")
@@ -862,16 +878,15 @@ def trace_main(argv: List[str]) -> int:
         args.app, args.policy, args.cpus,
         scale=args.scale, machine=get_machine(args.machine), seed=args.seed,
     )
-    envelope = execute_point(point, collect_trace=True,
-                             trace_detail=args.detail,
-                             trace_capacity=args.capacity,
-                             trace_compact=args.compact)
+    tracer = TraceCollector(detail=args.detail, capacity=args.capacity,
+                            compact=args.compact)
+    envelope = execute_point(point, collectors=[tracer])
     if envelope["status"] != "ok":
         print(f"repro-experiments trace: {point.label}: "
               f"{envelope.get('error', envelope['status'])}",
               file=sys.stderr)
         return 1
-    doc = envelope["trace"]
+    doc = envelope["attachments"][tracer.name]
     elapsed = envelope["payload"].get("time")
 
     if args.vgv or args.vgvz:
@@ -1022,13 +1037,12 @@ def chaos_main(argv: List[str]) -> int:
     # No cache: the whole purpose is to exercise the recovery paths,
     # and --check-determinism needs two real executions.
     runs = 2 if args.check_determinism else 1
+    collectors = _collectors(args)
     envelopes = [
-        execute_point(point, collect_obs=bool(args.obs),
-                      obs_sample=args.obs_sample,
-                      record_order=bool(args.record),
-                      replay_log=replay_blob)
+        execute_point(point, collectors=collectors, replay_log=replay_blob)
         for _ in range(runs)
     ]
+    attachments = envelopes[0].get("attachments", {})
     for envelope in envelopes:
         if envelope["status"] == "diverged":
             divergence = envelope.get("divergence") or {}
@@ -1057,7 +1071,7 @@ def chaos_main(argv: List[str]) -> int:
 
         try:
             with open(args.record, "wb") as fh:
-                fh.write(_base64.b64decode(envelopes[0]["order_log"]))
+                fh.write(_base64.b64decode(attachments[OrderCollector.name]))
         except OSError as exc:
             print(f"repro-experiments chaos: cannot write order log "
                   f"{args.record}: {exc}", file=sys.stderr)
@@ -1082,10 +1096,11 @@ def chaos_main(argv: List[str]) -> int:
         obs_doc = {
             "version": __version__,
             "point": point.canonical(),
-            "obs": envelopes[0].get("obs", {}),
+            "obs": attachments.get(MetricsCollector.name, {}),
         }
-        if envelopes[0].get("timeseries"):
-            obs_doc["timeseries"] = {point.label: envelopes[0]["timeseries"]}
+        if attachments.get(SampleCollector.name):
+            obs_doc["timeseries"] = {
+                point.label: attachments[SampleCollector.name]}
         with _open_text_output(args.obs, "obs document") as fh:
             _json.dump(obs_doc, fh, indent=2)
             fh.write("\n")
@@ -1220,21 +1235,12 @@ def main(argv: Optional[List[str]] = None) -> int:
             _render_items(items, args, json_items, csv_chunks)
     finally:
         _close_runner(runner)
-    obs_path = _write_obs_document(args, runner, quiet=args.json)
-    trace_paths = _write_trace_documents(args, runner, quiet=args.json)
-    order_paths = _write_order_logs(args, runner, quiet=args.json)
+    outputs = _write_outputs(args, runner, quiet=args.json)
     if args.json:
         import json as _json
 
         doc = {"results": json_items,
                "telemetry": runner.telemetry.summary()}
-        outputs = {}
-        if obs_path:
-            outputs["obs"] = obs_path
-        if trace_paths:
-            outputs["traces"] = trace_paths
-        if order_paths:
-            outputs["order_logs"] = order_paths
         if outputs:
             doc["outputs"] = outputs
         print(_json.dumps(doc, indent=2))

@@ -189,12 +189,12 @@ class OverheadTimeline:
                 f"@{self.interval:g}s>")
 
 
-def _snapshot_overhead(envelope: Dict[str, Any]) -> float:
+def _snapshot_overhead(attachments: Dict[str, Any]) -> float:
     """End-of-run instrumentation seconds from the envelope's obs
     snapshot + probe profile — the truth the curve must telescope to."""
-    ts = envelope.get("timeseries", {})
+    ts = attachments.get("timeseries", {})
     total = sum(row["overhead"] for row in ts.get("probes", {}).values())
-    spans = envelope.get("obs", {}).get("spans", {})
+    spans = attachments.get("obs", {}).get("spans", {})
     for name in ("vt.flush", "dynprof.patch"):
         agg = spans.get(name)
         if agg:
@@ -215,10 +215,12 @@ def run_overhead_timeline(
     timeline figure.  ``interval`` defaults to
     :data:`~repro.obs.timeseries.DEFAULT_INTERVAL` simulated seconds.
     """
+    from ..runner.collect import MetricsCollector, SampleCollector
     from ..runner.worker import execute_point
 
     if interval is None:
         interval = DEFAULT_INTERVAL
+    collectors = [MetricsCollector(), SampleCollector(interval)]
     fig = OverheadTimeline(interval=interval, scale=scale, seed=seed)
     for app_name in apps:
         app = get_app(app_name)
@@ -230,14 +232,14 @@ def run_overhead_timeline(
                 app.name, policy, cpus,
                 scale=scale, machine=machine, seed=seed,
             )
-            envelope = execute_point(point, collect_obs=True,
-                                     obs_sample=interval)
+            envelope = execute_point(point, collectors=collectors)
             if envelope["status"] != "ok":
                 raise RuntimeError(
                     f"overhead-timeline: {point.label}: "
                     f"{envelope.get('error', envelope['status'])}"
                 )
-            ts = envelope["timeseries"]
+            attachments = envelope["attachments"]
+            ts = attachments["timeseries"]
             times, cumulative = overhead_series(ts)
             dropped = sum(
                 s.get("dropped", 0)
@@ -248,7 +250,7 @@ def run_overhead_timeline(
             fig.add_cell(
                 app=app.name, policy=policy, n_cpus=cpus,
                 times=times, cumulative=cumulative,
-                snapshot_overhead=_snapshot_overhead(envelope),
+                snapshot_overhead=_snapshot_overhead(attachments),
                 program_time=float(envelope["payload"].get("time") or 0.0),
                 samples=int(ts.get("samples", 0)),
                 dropped=dropped,

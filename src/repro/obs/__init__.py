@@ -20,7 +20,7 @@ Enabling is explicit and capture-at-construction::
     obs.disable()
 
 The sweep runner exposes the same mechanism per point
-(``SweepRunner(collect_obs=True)``), and the CLI as
+(``SweepRunner(collectors=[MetricsCollector()])``), and the CLI as
 ``repro-experiments ... --obs metrics.json``.  Observation never
 perturbs the simulation: no costs, no RNG draws, no events — figure
 outputs are bit-identical with it on or off (pinned by tests).
@@ -28,7 +28,7 @@ outputs are bit-identical with it on or off (pinned by tests).
 :mod:`repro.obs.trace` is the causal sibling of the metrics registry:
 per-(rank, thread) event tracks with spans, instants and flow edges in
 bounded ring buffers, behind the same enable/NULL-backend discipline
-(``trace.tracing()`` / ``SweepRunner(collect_trace=True)`` / the CLI's
+(``trace.tracing()`` / a ``TraceCollector`` on the runner / the CLI's
 ``--trace DIR``).  :mod:`repro.obs.export` turns a trace document into
 Chrome trace-event JSON (Perfetto-loadable) or a static SVG timeline;
 :mod:`repro.obs.analysis` extracts per-track utilization, the critical

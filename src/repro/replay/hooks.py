@@ -140,6 +140,10 @@ class OrderRecorder:
             self._obs.inc("replay.recorded_decisions", len(self.log.decisions))
             self._obs.inc("replay.recordings")
 
+    def snapshot(self) -> str:
+        """The log as base64 RRLG bytes (the envelope attachment)."""
+        return self.log.to_b64()
+
     def __repr__(self) -> str:
         return f"<OrderRecorder {len(self.log)} decision(s)>"
 

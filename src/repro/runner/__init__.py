@@ -8,11 +8,21 @@ timeouts, and streams JSON-lines telemetry.  Determinism of the
 underlying simulation makes the parallel path bit-identical to the
 serial one and makes cached results valid forever.
 
+Measurement rides along through :mod:`repro.runner.collect`: each
+collector observes computed points and merges their attachments.
+
 See ``docs/runner.md`` for the cache-key anatomy, the worker model and
 the failure semantics.
 """
 
 from .cache import ResultCache, default_cache_dir, point_key
+from .collect import (
+    Collector,
+    MetricsCollector,
+    OrderCollector,
+    SampleCollector,
+    TraceCollector,
+)
 from .point import SweepPoint
 from .retry import RetryPolicy
 from .runner import PointResult, SweepError, SweepRunner, default_jobs
@@ -32,4 +42,9 @@ __all__ = [
     "default_jobs",
     "execute_point",
     "read_telemetry",
+    "Collector",
+    "MetricsCollector",
+    "TraceCollector",
+    "SampleCollector",
+    "OrderCollector",
 ]

@@ -1,0 +1,192 @@
+"""Per-point attachments — one protocol for every measurement side channel.
+
+A :class:`Collector` observes a sweep point while it runs and hands
+the runner a JSON-safe *attachment* that rides the worker envelope
+(``envelope["attachments"][collector.name]``), never the cached
+payload.  The protocol has three parts:
+
+* :meth:`Collector.open` — worker side: a context manager that installs
+  the collector's sink for one point and yields a handle whose
+  ``snapshot()`` is the attachment;
+* :meth:`Collector.merge` — runner side: folds one point's attachment
+  into the collector's sweep-wide result;
+* :attr:`Collector.name` / :attr:`Collector.params` — the JSON form the
+  socket ``spec`` frame carries (:func:`to_wire` / :func:`from_wire`).
+
+Sinks are entered in a fixed order (:attr:`Collector.rank`, lowest
+outermost): the metrics registry first, the order recorder last.  On
+exit the recorder's ``flush_obs`` and the sampler's terminal sample
+write into the live registry, so the registry must still be installed
+when the inner sinks close.
+
+Only configuration crosses a process boundary: pickling a collector
+rebuilds it from its params, so sweep-wide results merged so far never
+travel to pool workers.
+"""
+
+from __future__ import annotations
+
+import contextlib
+from typing import Any, ContextManager, Dict, Iterable, Iterator, List
+
+from .. import obs
+from ..obs import timeseries as obs_timeseries
+from ..obs import trace as obs_trace
+from ..replay import hooks as replay_hooks
+from .point import SweepPoint
+
+__all__ = [
+    "Collector",
+    "MetricsCollector",
+    "TraceCollector",
+    "SampleCollector",
+    "OrderCollector",
+    "COLLECTORS",
+    "to_wire",
+    "from_wire",
+]
+
+
+def _rebuild(cls: type, params: Dict[str, Any]) -> "Collector":
+    return cls(**params)
+
+
+class Collector:
+    """Base class; subclasses set ``name``/``rank`` and implement
+    :meth:`open` and :meth:`merge`."""
+
+    name = "?"
+    #: Entry order: lower ranks are entered first (outermost).
+    rank = 0
+
+    @property
+    def params(self) -> Dict[str, Any]:
+        """Constructor keyword arguments, JSON-safe."""
+        return {}
+
+    def open(self, point: SweepPoint) -> ContextManager[Any]:
+        raise NotImplementedError
+
+    def merge(self, label: str, doc: Any) -> None:
+        raise NotImplementedError
+
+    def __reduce__(self) -> Any:
+        return (_rebuild, (type(self), self.params))
+
+
+class _PerLabel(Collector):
+    """A collector whose sweep-wide result is one document per label."""
+
+    def __init__(self) -> None:
+        #: label -> attachment, for computed points only (cached points
+        #: ran no simulation to observe).
+        self.docs: Dict[str, Any] = {}
+
+    def merge(self, label: str, doc: Any) -> None:
+        self.docs[label] = doc
+
+
+class MetricsCollector(Collector):
+    """:mod:`repro.obs` counters, gauges, histograms and spans, merged
+    across points into :attr:`registry`."""
+
+    name = "obs"
+    rank = 0
+
+    def __init__(self) -> None:
+        self.registry = obs.MetricsRegistry()
+
+    def open(self, point: SweepPoint) -> ContextManager[Any]:
+        return obs.collecting()
+
+    def merge(self, label: str, doc: Any) -> None:
+        self.registry.merge_snapshot(doc)
+
+
+class TraceCollector(_PerLabel):
+    """A :mod:`repro.obs.trace` causal trace per point."""
+
+    name = "trace"
+    rank = 1
+
+    def __init__(self, detail: str = "fine",
+                 capacity: int = obs_trace.DEFAULT_CAPACITY,
+                 compact: bool = False) -> None:
+        super().__init__()
+        self.detail = detail
+        self.capacity = capacity
+        self.compact = compact
+
+    @property
+    def params(self) -> Dict[str, Any]:
+        return {"detail": self.detail, "capacity": self.capacity,
+                "compact": self.compact}
+
+    def open(self, point: SweepPoint) -> ContextManager[Any]:
+        return obs_trace.tracing(detail=self.detail, capacity=self.capacity,
+                                 compact=self.compact)
+
+
+class SampleCollector(_PerLabel):
+    """A :mod:`repro.obs.timeseries` series document per point, sampled
+    every ``interval`` simulated seconds."""
+
+    name = "timeseries"
+    rank = 2
+
+    def __init__(self, interval: float) -> None:
+        if interval <= 0:
+            raise ValueError("sampling interval must be > 0")
+        super().__init__()
+        self.interval = interval
+
+    @property
+    def params(self) -> Dict[str, Any]:
+        return {"interval": self.interval}
+
+    @contextlib.contextmanager
+    def open(self, point: SweepPoint) -> Iterator[Any]:
+        with contextlib.ExitStack() as stack:
+            if not obs.is_enabled():
+                # The sampler needs a registry to sample.
+                stack.enter_context(obs.collecting())
+            yield stack.enter_context(
+                obs_timeseries.sampling(interval=self.interval))
+
+
+class OrderCollector(_PerLabel):
+    """A :mod:`repro.replay` order log (base64 RRLG) per point."""
+
+    name = "order_log"
+    rank = 3
+
+    def open(self, point: SweepPoint) -> ContextManager[Any]:
+        # Deterministic meta only (no wall clocks): recording the same
+        # run twice must yield byte-identical logs.
+        return replay_hooks.recording(meta={
+            "format": "repro.replay",
+            "point": point.canonical(),
+            "label": point.label,
+        })
+
+
+#: Wire name -> class, for rebuilding collectors from a spec frame.
+COLLECTORS = {cls.name: cls for cls in (
+    MetricsCollector, TraceCollector, SampleCollector, OrderCollector)}
+
+
+def to_wire(collectors: Iterable[Collector]) -> List[Dict[str, Any]]:
+    """The JSON form of ``collectors`` for a socket spec frame."""
+    return [{"name": c.name, "params": c.params} for c in collectors]
+
+
+def from_wire(docs: Iterable[Dict[str, Any]]) -> List[Collector]:
+    """Rebuild collectors from :func:`to_wire` output; raises
+    ``ValueError`` on a name this build does not know."""
+    collectors = []
+    for doc in docs:
+        cls = COLLECTORS.get(doc.get("name"))
+        if cls is None:
+            raise ValueError(f"unknown collector {doc.get('name')!r}")
+        collectors.append(cls(**doc.get("params", {})))
+    return collectors

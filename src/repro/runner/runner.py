@@ -21,6 +21,9 @@ one :class:`PointResult` per distinct point:
 4. **Telemetry** — progress is emitted as JSON lines through
    :class:`~repro.runner.telemetry.SweepTelemetry` (points done /
    cached / failed, per-point sim time, final cache hit rate).
+5. **Attachments** — each :mod:`~repro.runner.collect` collector's
+   per-point document rides the envelope and is merged into the
+   collector in grid order once the sweep is done.
 
 :meth:`SweepRunner.run_grid` is the strict variant the figure harness
 uses: it raises :class:`SweepError` unless every point succeeded, and
@@ -35,10 +38,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Any, Dict, List, Optional, Sequence, Union
 
-from ..obs import MetricsRegistry
 from ..obs import get as _obs_get
-from ..obs.trace import DEFAULT_CAPACITY as DEFAULT_TRACE_CAPACITY
 from .cache import ResultCache, point_key
+from .collect import Collector, MetricsCollector
 from .point import SweepPoint
 from .retry import RetryPolicy
 from .telemetry import SweepTelemetry
@@ -111,54 +113,13 @@ class SweepRunner:
         None to disable caching.
     timeout:
         Per-point wall-clock budget in seconds (None = unlimited).
-    retries:
-        How many times a point is re-submitted after its worker
-        process crashes (the paper-prescribed default is one retry).
-        Shorthand for ``retry=RetryPolicy(max_attempts=retries + 1)``.
     retry:
-        A full :class:`RetryPolicy` (attempt budget, exponential
-        backoff, deterministic per-point jitter); overrides
-        ``retries`` when given.
+        The crash-retry :class:`RetryPolicy` (attempt budget,
+        exponential backoff, deterministic per-point jitter); the
+        default grants one retry.
     telemetry:
         A :class:`SweepTelemetry`, or a text stream to emit JSON lines
         to, or None for counters-only telemetry.
-    collect_obs:
-        When True each computed point runs under a fresh
-        :mod:`repro.obs` registry; its snapshot rides the telemetry
-        ``point`` event and is merged into :attr:`obs`.  Cached points
-        contribute nothing (no simulation ran).  Payloads — and thus
-        cache entries and figures — are unaffected.
-    collect_trace:
-        When True each computed point runs under a fresh
-        :mod:`repro.obs.trace` tracer; the per-point trace document is
-        kept in :attr:`traces` keyed by point label.  Like obs
-        snapshots, traces ride the worker envelope and never enter the
-        cached payload.
-    trace_detail / trace_capacity / trace_compact:
-        Passed through to the per-point tracer (``"fine"``/``"coarse"``,
-        the per-track ring-buffer bound, and whether a full ring folds
-        repeated event subsequences before dropping).
-    obs_sample:
-        A simulated-seconds interval; when set each computed point runs
-        under a fresh :mod:`repro.obs.timeseries` recorder sampled at
-        that interval, and the per-point series document is kept in
-        :attr:`timeseries` keyed by point label.  Rides the worker
-        envelope like obs/trace — never the cached payload, and not
-        part of the point key, so cache entries are shared between
-        sampled and unsampled sweeps.
-    record_order:
-        When True each computed point runs under a fresh
-        :mod:`repro.replay` order recorder; the serialized order log
-        (base64) is kept in :attr:`order_logs` keyed by point label.
-        Rides the worker envelope — never the cached payload — so
-        recording leaves payloads, figures and cache entries
-        byte-identical.
-    replay_logs:
-        A ``label -> base64 order log`` mapping (ignored when
-        ``record_order`` is set); a point whose label has a log is
-        *verified* against it and comes back ``"diverged"`` — with the
-        first divergent decision in :attr:`PointResult.divergence` —
-        if its decision sequence departs from the recording.
     executor:
         A :class:`repro.svc.executors.ExecutorBackend` or a spec string
         (``"serial"``, ``"process[:N]"``, ``"socket:HOST:PORT"``).
@@ -166,6 +127,19 @@ class SweepRunner:
         behaviour from ``jobs``.  The ``cache`` parameter likewise
         accepts any :class:`repro.svc.backends.CacheBackend` — memory,
         sqlite, http — in place of a directory path.
+    collectors:
+        :class:`~repro.runner.collect.Collector` objects that observe
+        every computed point.  Their per-point attachments ride the worker
+        envelope — never the cached payload, so cache entries and
+        figures are unaffected — and are merged into each collector,
+        in grid order, when :meth:`run` returns.  Cached points
+        contribute nothing (no simulation ran).
+    replay_logs:
+        A ``label -> base64 order log`` mapping; a point whose label has
+        a log is *verified* against it and comes back ``"diverged"`` —
+        with the first divergent decision in
+        :attr:`PointResult.divergence` — if its decision sequence
+        departs from the recording.
     """
 
     def __init__(
@@ -173,17 +147,10 @@ class SweepRunner:
         jobs: int = 1,
         cache: Union[ResultCache, str, Path, None] = None,
         timeout: Optional[float] = None,
-        retries: int = 1,
         retry: Optional[RetryPolicy] = None,
         telemetry: Union[SweepTelemetry, IO[str], None] = None,
-        collect_obs: bool = False,
-        collect_trace: bool = False,
-        trace_detail: str = "fine",
-        trace_capacity: int = DEFAULT_TRACE_CAPACITY,
-        trace_compact: bool = False,
         executor: Any = None,
-        obs_sample: Optional[float] = None,
-        record_order: bool = False,
+        collectors: Sequence[Collector] = (),
         replay_logs: Optional[Dict[str, str]] = None,
     ) -> None:
         if jobs < 0:
@@ -196,40 +163,14 @@ class SweepRunner:
         self.cache = cache
         self.executor = executor
         self.timeout = timeout
-        if retry is None:
-            retry = RetryPolicy(max_attempts=max(0, retries) + 1)
-        self.retry = retry
+        self.retry = retry if retry is not None else RetryPolicy()
         if telemetry is None or isinstance(telemetry, SweepTelemetry):
             self.telemetry = telemetry or SweepTelemetry()
         else:
             self.telemetry = SweepTelemetry(stream=telemetry)
-        self.collect_obs = collect_obs
-        self.collect_trace = collect_trace
-        self.trace_detail = trace_detail
-        self.trace_capacity = trace_capacity
-        self.trace_compact = trace_compact
-        if obs_sample is not None and obs_sample <= 0:
-            raise ValueError("obs_sample interval must be > 0")
-        self.obs_sample = obs_sample
-        self.record_order = record_order
+        self.collectors = list(collectors)
         self.replay_logs = dict(replay_logs) if replay_logs else {}
         self._obs = _obs_get()
-        #: Simulator metrics merged across every computed point.
-        self.obs = MetricsRegistry()
-        #: Per-point trace documents (label -> trace dict), computed
-        #: points only — cached points ran no simulation to trace.
-        self.traces: Dict[str, Dict[str, Any]] = {}
-        #: Per-point sampled time-series documents (label -> snapshot),
-        #: computed points only, populated when ``obs_sample`` is set.
-        self.timeseries: Dict[str, Dict[str, Any]] = {}
-        #: Per-point recorded order logs (label -> base64 RRLG bytes),
-        #: computed points only, populated when ``record_order`` is set.
-        self.order_logs: Dict[str, str] = {}
-
-    @property
-    def retries(self) -> int:
-        """Crash-retry budget per point (back-compat view of the policy)."""
-        return self.retry.max_attempts - 1
 
     # -- public API -----------------------------------------------------------
 
@@ -256,8 +197,19 @@ class SweepRunner:
             self._report(r)
 
         missing = [p for p in unique if p not in results]
+        attachments: Dict[SweepPoint, Dict[str, Any]] = {}
         if missing:
-            self._execute(missing, results)
+            self._execute(missing, results, attachments)
+        # Fold attachments in grid order, not completion order, so the
+        # merged documents (key order, float sums) are the same under
+        # every executor.
+        for p in unique:
+            docs = attachments.get(p)
+            if docs:
+                for collector in self.collectors:
+                    doc = docs.get(collector.name)
+                    if doc:
+                        collector.merge(p.label, doc)
         self.telemetry.corrupt_discards = (
             getattr(self.cache, "corrupt_discards", 0) - corrupt_base
         )
@@ -285,16 +237,9 @@ class SweepRunner:
 
         return ExecSpec(
             timeout=self.timeout,
-            collect_obs=self.collect_obs,
-            collect_trace=self.collect_trace,
-            trace_detail=self.trace_detail,
-            trace_capacity=self.trace_capacity,
-            trace_compact=self.trace_compact,
-            obs_sample=self.obs_sample,
-            record_order=self.record_order,
+            collectors=self.collectors,
             replay_logs=self.replay_logs,
             retry=self.retry,
-            jobs=self.jobs,
             on_retry=self._on_retry,
         )
 
@@ -331,10 +276,13 @@ class SweepRunner:
         self,
         points: List[SweepPoint],
         results: Dict[SweepPoint, PointResult],
+        attachments: Dict[SweepPoint, Dict[str, Any]],
     ) -> None:
         backend = self._resolve_executor()
         for point, envelope, attempts in backend.run(points, self._exec_spec()):
-            self._finish(point, envelope, attempts=attempts, results=results)
+            results[point] = self._finish(point, envelope, attempts)
+            if "attachments" in envelope:
+                attachments[point] = envelope["attachments"]
 
     # -- bookkeeping ----------------------------------------------------------
 
@@ -343,8 +291,7 @@ class SweepRunner:
         point: SweepPoint,
         envelope: Dict[str, Any],
         attempts: int,
-        results: Dict[SweepPoint, PointResult],
-    ) -> None:
+    ) -> PointResult:
         status = envelope.get("status", "error")
         result = PointResult(
             point=point,
@@ -372,20 +319,9 @@ class SweepRunner:
                 )
                 if self._obs.enabled:
                     self._obs.inc("runner.cache_write_errors")
-        results[point] = result
-        obs_snapshot = envelope.get("obs")
-        if obs_snapshot:
-            self.obs.merge_snapshot(obs_snapshot)
-        trace_doc = envelope.get("trace")
-        if trace_doc:
-            self.traces[point.label] = trace_doc
-        ts_doc = envelope.get("timeseries")
-        if ts_doc:
-            self.timeseries[point.label] = ts_doc
-        order_log = envelope.get("order_log")
-        if order_log:
-            self.order_logs[point.label] = order_log
-        self._report(result, obs_snapshot=obs_snapshot)
+        docs = envelope.get("attachments") or {}
+        self._report(result, obs_snapshot=docs.get(MetricsCollector.name))
+        return result
 
     def _report(
         self,

@@ -166,7 +166,7 @@ class SweepTelemetry:
             of=self.total,
         )
         if obs is not None:
-            # The point's simulator-metrics snapshot (collect_obs runs).
+            # The point's simulator-metrics snapshot (metrics collector on).
             fields["obs"] = obs
         self.emit("point", **fields)
 

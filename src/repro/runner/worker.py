@@ -29,14 +29,12 @@ import threading
 import time
 import traceback
 from dataclasses import asdict
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Sequence
 
-from .. import obs
-from ..obs import timeseries as obs_timeseries
-from ..obs import trace as obs_trace
 from ..replay import hooks as replay_hooks
 from ..replay.errors import DivergenceError
 from ..replay.orderlog import OrderLog
+from .collect import Collector
 from .point import SweepPoint
 
 __all__ = ["execute_point", "PointTimeout"]
@@ -127,40 +125,23 @@ def _selftest(point: SweepPoint) -> Dict[str, Any]:
 def execute_point(
     point: SweepPoint,
     timeout: Optional[float] = None,
-    collect_obs: bool = False,
-    collect_trace: bool = False,
-    trace_detail: str = "fine",
-    trace_capacity: int = obs_trace.DEFAULT_CAPACITY,
-    trace_compact: bool = False,
-    obs_sample: Optional[float] = None,
-    record_order: bool = False,
+    collectors: Sequence[Collector] = (),
     replay_log: Optional[str] = None,
 ) -> Dict[str, Any]:
     """Run one point under an optional wall-clock budget.
 
     Returns an envelope: ``{"status": "ok", "payload": ..., "wall_time"}``
     on success, or ``{"status": "timeout"|"error", "error": ...,
-    "wall_time"}`` otherwise.  With ``collect_obs`` the point runs under
-    a fresh :mod:`repro.obs` registry and the envelope carries its
-    snapshot under ``"obs"``; with ``collect_trace`` it runs under a
-    fresh :mod:`repro.obs.trace` tracer and the envelope carries the
-    trace document under ``"trace"`` (both partial on timeout/error) —
-    outside the cached payload, so cache entries stay identical with or
-    without observation.  ``trace_compact`` turns on ring compaction
-    (fold repeated event subsequences before dropping) in that tracer.
-    With ``obs_sample`` (a simulated-seconds interval) the point also
-    runs under a fresh :mod:`repro.obs.timeseries` recorder — a
-    registry is opened even without ``collect_obs``, since the sampler
-    needs something to sample — and the envelope carries the sampled
-    series under ``"timeseries"``.
+    "wall_time"}`` otherwise.  Each of ``collectors``
+    (:mod:`repro.runner.collect`) observes the run, entered in rank
+    order; the envelope then carries ``"attachments"``, a ``name ->
+    snapshot`` map (partial on timeout/error) outside the cached
+    payload, so cache entries stay identical with or without
+    observation.
 
-    With ``record_order`` the point runs under a fresh
-    :mod:`repro.replay` order recorder and the envelope carries the
-    serialized :class:`~repro.replay.orderlog.OrderLog` (base64) under
-    ``"order_log"`` — like obs and traces, outside the cached payload.
-    With ``replay_log`` (a base64 order log; mutually exclusive with
-    ``record_order``) the point is *verified* against the recorded
-    decision sequence: the first divergent decision yields a
+    With ``replay_log`` (a base64 order log; not combinable with an
+    order-recording collector) the point is *verified* against the
+    recorded decision sequence: the first divergent decision yields a
     ``"diverged"`` envelope with the structured report under
     ``"divergence"``.
     """
@@ -178,32 +159,13 @@ def execute_point(
 
             previous_handler = signal.signal(signal.SIGALRM, _on_alarm)
             signal.setitimer(signal.ITIMER_REAL, timeout)
-        registry: Optional[obs.MetricsRegistry] = None
-        tracer: Optional[obs_trace.Tracer] = None
-        recorder: Optional[obs_timeseries.TimeSeriesRecorder] = None
-        order_recorder: Optional[replay_hooks.OrderRecorder] = None
+        handles: Dict[str, Any] = {}
         try:
             with contextlib.ExitStack() as stack:
-                if collect_obs or obs_sample:
-                    registry = stack.enter_context(obs.collecting())
-                if collect_trace:
-                    tracer = stack.enter_context(obs_trace.tracing(
-                        capacity=trace_capacity, detail=trace_detail,
-                        compact=trace_compact,
-                    ))
-                if obs_sample:
-                    recorder = stack.enter_context(
-                        obs_timeseries.sampling(interval=obs_sample))
-                if record_order:
-                    # Deterministic meta only (no wall clocks): recording
-                    # the same run twice must yield byte-identical logs.
-                    order_recorder = stack.enter_context(
-                        replay_hooks.recording(meta={
-                            "format": "repro.replay",
-                            "point": point.canonical(),
-                            "label": point.label,
-                        }))
-                elif replay_log:
+                for collector in sorted(collectors, key=lambda c: c.rank):
+                    handles[collector.name] = stack.enter_context(
+                        collector.open(point))
+                if replay_log:
                     stack.enter_context(replay_hooks.replaying(
                         OrderLog.from_b64(replay_log)))
                 payload = _dispatch(point)
@@ -231,15 +193,11 @@ def execute_point(
                 "error": traceback.format_exc(limit=20),
                 "wall_time": time.perf_counter() - start,
             }
-        if registry is not None and collect_obs:
-            envelope["obs"] = registry.snapshot()
-        if tracer is not None:
-            envelope["trace"] = tracer.snapshot()
-        if recorder is not None:
-            envelope["timeseries"] = recorder.snapshot()
-        if order_recorder is not None:
+        if handles:
             # Partial on timeout/error — still useful for diagnosis.
-            envelope["order_log"] = order_recorder.log.to_b64()
+            envelope["attachments"] = {
+                name: handle.snapshot() for name, handle in handles.items()
+            }
         return envelope
     finally:
         if use_alarm:

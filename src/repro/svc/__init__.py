@@ -2,7 +2,7 @@
 
 The service layer generalizes the sweep runner's two hard-wired
 choices (one local process pool, one directory cache) into pluggable
-protocols and adds an async scheduler on top:
+protocols:
 
 * :mod:`repro.svc.backends` — the :class:`CacheBackend` protocol with
   directory (sharded + LRU-bounded), memory, SQLite (WAL) and HTTP
@@ -10,10 +10,6 @@ protocols and adds an async scheduler on top:
 * :mod:`repro.svc.executors` — the :class:`ExecutorBackend` protocol:
   in-process serial, process pool, and a socket server that feeds
   ``repro worker`` processes on any host;
-* :mod:`repro.svc.scheduler` — :class:`SweepScheduler`, an asyncio
-  multiplexer for many concurrent named submissions (tenants) with
-  fair round-robin dispatch, cross-tenant cache sharing, in-flight
-  dedup, per-submission deadlines and per-tenant ``svc.*`` telemetry;
 * :mod:`repro.svc.httpcache` — the ``repro serve-cache`` daemon;
 * :mod:`repro.svc.worker` — the ``repro worker`` pull client;
 * :mod:`repro.svc.wire` — length-prefixed JSON framing shared by all
@@ -42,7 +38,6 @@ from .executors import (
     make_executor_backend,
 )
 from .httpcache import CacheDaemon, serve_cache
-from .scheduler import Submission, SweepScheduler
 from .worker import fetch_stats, run_worker
 
 __all__ = [
@@ -58,8 +53,6 @@ __all__ = [
     "ProcessPoolBackend",
     "SocketWorkerBackend",
     "make_executor_backend",
-    "SweepScheduler",
-    "Submission",
     "CacheDaemon",
     "serve_cache",
     "run_worker",

@@ -90,10 +90,9 @@ def validate_entry(key: str, entry: Any) -> bool:
 
 @runtime_checkable
 class CacheBackend(Protocol):
-    """What the runner (and the scheduler, and the cache daemon) need
-    from a result store.  ``get``/``put`` mirror
-    :class:`~repro.runner.cache.ResultCache` exactly, so the directory
-    cache *is* a backend."""
+    """What the runner (and the cache daemon) need from a result store.
+    ``get``/``put`` mirror :class:`~repro.runner.cache.ResultCache`
+    exactly, so the directory cache *is* a backend."""
 
     backend_name: str
 
@@ -280,9 +279,8 @@ class DirectoryBackend(_StatsMixin, ResultCache):
 
 
 class MemoryBackend(_StatsMixin):
-    """Process-local LRU store — the zero-IO backend for tests, the
-    scheduler's default shared cache, and the cache daemon's default
-    backing store."""
+    """Process-local LRU store — the zero-IO backend for tests and the
+    cache daemon's default backing store."""
 
     backend_name = "memory"
 

@@ -7,12 +7,9 @@ that hands points to ``repro worker`` processes — on this machine or
 any other — over the length-prefixed JSON protocol in
 :mod:`repro.svc.wire`.
 
-Every backend speaks the same two calls:
-
-* :meth:`ExecutorBackend.run` — execute a batch, yielding
-  ``(point, envelope, attempts)`` as points finish (any order).
-* :meth:`ExecutorBackend.run_point` — execute one point (what the
-  asyncio :class:`~repro.svc.scheduler.SweepScheduler` dispatches).
+Every backend speaks one call, :meth:`ExecutorBackend.run`: execute a
+batch, yielding ``(point, envelope, attempts)`` as points finish (any
+order).
 
 Envelopes are exactly what :func:`repro.runner.worker.execute_point`
 returns, whichever process produced them, so figure outputs are
@@ -43,8 +40,8 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..obs import get as _obs_get
-from ..obs.trace import DEFAULT_CAPACITY as DEFAULT_TRACE_CAPACITY
 from ..runner.cache import point_key
+from ..runner.collect import Collector, to_wire
 from ..runner.point import SweepPoint
 from ..runner.retry import RetryPolicy
 from ..runner.worker import execute_point
@@ -68,49 +65,26 @@ class ExecSpec:
     """Everything a backend needs to run points on the runner's behalf."""
 
     timeout: Optional[float] = None
-    collect_obs: bool = False
-    collect_trace: bool = False
-    trace_detail: str = "fine"
-    trace_capacity: int = DEFAULT_TRACE_CAPACITY
-    trace_compact: bool = False
-    obs_sample: Optional[float] = None
-    #: Record every point's nondeterminism order log (repro.replay);
-    #: the log rides the envelope under "order_log", never the cache.
-    record_order: bool = False
+    #: What observes each point (repro.runner.collect); attachments
+    #: ride the envelope under "attachments", never the cache.
+    collectors: Sequence[Collector] = ()
     #: Per-point replay logs (label -> base64 order log); a point with
     #: a log is verified against it and may come back "diverged".
     replay_logs: Dict[str, str] = field(default_factory=dict)
     retry: RetryPolicy = field(default_factory=RetryPolicy)
-    jobs: int = 1
     #: Called as (label, key, next_attempt, delay) when a crashed point
     #: is granted another attempt — feeds retry telemetry.
     on_retry: Optional[Callable[[str, str, int, float], None]] = None
 
-    def worker_args(self) -> Tuple[Any, ...]:
-        """Positional args of :func:`execute_point` after the point
-        (the per-point ``replay_log`` — :meth:`replay_for` — follows)."""
-        return (self.timeout, self.collect_obs, self.collect_trace,
-                self.trace_detail, self.trace_capacity, self.trace_compact,
-                self.obs_sample, self.record_order)
-
-    def replay_for(self, point: SweepPoint) -> Optional[str]:
-        """The base64 order log this point replays under, if any."""
-        if self.record_order:
-            return None
-        return self.replay_logs.get(point.label)
+    def worker_args(self, point: SweepPoint) -> Tuple[Any, ...]:
+        """Positional args of :func:`execute_point` for ``point``."""
+        return (point, self.timeout, self.collectors,
+                self.replay_logs.get(point.label))
 
     def to_wire(self) -> Dict[str, Any]:
         """The JSON-safe subset a socket worker needs."""
-        return {
-            "timeout": self.timeout,
-            "collect_obs": self.collect_obs,
-            "collect_trace": self.collect_trace,
-            "trace_detail": self.trace_detail,
-            "trace_capacity": self.trace_capacity,
-            "trace_compact": self.trace_compact,
-            "obs_sample": self.obs_sample,
-            "record_order": self.record_order,
-        }
+        return {"timeout": self.timeout,
+                "collectors": to_wire(self.collectors)}
 
     def notify_retry(self, point: SweepPoint, attempts: int) -> float:
         """Report a granted retry; returns the backoff delay to apply."""
@@ -130,24 +104,14 @@ def _crashed_envelope(point: SweepPoint, attempts: int) -> Dict[str, Any]:
 
 
 class ExecutorBackend:
-    """Base class: subclasses implement :meth:`run_point`, and may
-    override :meth:`run` for smarter batching."""
+    """Base class: subclasses implement :meth:`run`."""
 
     backend_name = "?"
-
-    def concurrency(self, spec: ExecSpec) -> int:
-        """How many points this backend can usefully run at once."""
-        return 1
-
-    def run_point(self, point: SweepPoint, spec: ExecSpec) -> Tuple[Dict[str, Any], int]:
-        raise NotImplementedError
 
     def run(
         self, points: Sequence[SweepPoint], spec: ExecSpec
     ) -> Iterator[PointOutcome]:
-        for point in points:
-            envelope, attempts = self.run_point(point, spec)
-            yield (point, envelope, attempts)
+        raise NotImplementedError
 
     def close(self) -> None:
         pass
@@ -169,21 +133,20 @@ class SerialBackend(ExecutorBackend):
 
     backend_name = "serial"
 
-    def run_point(self, point: SweepPoint, spec: ExecSpec) -> Tuple[Dict[str, Any], int]:
-        return execute_point(
-            point, *spec.worker_args(), spec.replay_for(point)
-        ), 1
+    def run(
+        self, points: Sequence[SweepPoint], spec: ExecSpec
+    ) -> Iterator[PointOutcome]:
+        for point in points:
+            yield (point, execute_point(*spec.worker_args(point)), 1)
 
 
 class ProcessPoolBackend(ExecutorBackend):
     """The classic ``ProcessPoolExecutor`` fan-out.
 
-    Batch runs keep the historical *wave* semantics: a
-    ``BrokenProcessPool`` poisons every in-flight point (the culprit is
-    not identifiable from the parent), so the whole wave re-runs on a
-    fresh pool until each point's retry budget is spent.  Single-point
-    runs (the scheduler path) keep a persistent pool and retry just
-    that point.
+    Runs keep the historical *wave* semantics: a ``BrokenProcessPool``
+    poisons every in-flight point (the culprit is not identifiable from
+    the parent), so the whole wave re-runs on a fresh pool until each
+    point's retry budget is spent.
     """
 
     backend_name = "process"
@@ -192,13 +155,6 @@ class ProcessPoolBackend(ExecutorBackend):
         from ..runner.runner import default_jobs
 
         self.jobs = jobs if jobs > 0 else default_jobs()
-        self._pool: Optional[ProcessPoolExecutor] = None
-        self._pool_lock = threading.Lock()
-
-    def concurrency(self, spec: ExecSpec) -> int:
-        return self.jobs
-
-    # -- batch ----------------------------------------------------------------
 
     def run(
         self, points: Sequence[SweepPoint], spec: ExecSpec
@@ -211,8 +167,7 @@ class ProcessPoolBackend(ExecutorBackend):
                 max_workers=min(self.jobs, len(batch))
             ) as pool:
                 futures = {
-                    pool.submit(execute_point, p, *spec.worker_args(),
-                                spec.replay_for(p)): p
+                    pool.submit(execute_point, *spec.worker_args(p)): p
                     for p in batch
                 }
                 for fut in as_completed(futures):
@@ -240,47 +195,6 @@ class ProcessPoolBackend(ExecutorBackend):
                 # One sleep per crash wave: the whole wave re-runs on a
                 # fresh pool, so per-point sleeps would only serialize.
                 time.sleep(wave_delay)
-
-    # -- single point (scheduler path) ----------------------------------------
-
-    def _persistent_pool(self) -> ProcessPoolExecutor:
-        with self._pool_lock:
-            if self._pool is None:
-                self._pool = ProcessPoolExecutor(max_workers=self.jobs)
-            return self._pool
-
-    def _reset_pool(self) -> None:
-        with self._pool_lock:
-            if self._pool is not None:
-                self._pool.shutdown(wait=False, cancel_futures=True)
-                self._pool = None
-
-    def run_point(self, point: SweepPoint, spec: ExecSpec) -> Tuple[Dict[str, Any], int]:
-        attempts = 1
-        while True:
-            pool = self._persistent_pool()
-            try:
-                return pool.submit(
-                    execute_point, point, *spec.worker_args(),
-                    spec.replay_for(point)
-                ).result(), attempts
-            except BrokenProcessPool:
-                self._reset_pool()
-                if not spec.retry.should_retry(attempts):
-                    return _crashed_envelope(point, attempts), attempts
-                delay = spec.notify_retry(point, attempts)
-                attempts += 1
-                if delay > 0.0:
-                    time.sleep(delay)
-            except Exception as exc:
-                return {
-                    "status": "error",
-                    "error": f"{type(exc).__name__}: {exc}",
-                    "wall_time": 0.0,
-                }, attempts
-
-    def close(self) -> None:
-        self._reset_pool()
 
 
 # -- socket workers -------------------------------------------------------------
@@ -324,7 +238,7 @@ class SocketWorkerBackend(ExecutorBackend):
         self._listener.listen(backlog)
         self.host, self.port = self._listener.getsockname()[:2]
         self._tasks: "queue.Queue[_Task]" = queue.Queue()
-        self._spec: Optional[ExecSpec] = None
+        self._spec = ExecSpec()
         self._closing = False
         self._lock = threading.Lock()
         self._workers = 0
@@ -347,9 +261,6 @@ class SocketWorkerBackend(ExecutorBackend):
         """Currently connected workers."""
         with self._lock:
             return self._workers
-
-    def concurrency(self, spec: ExecSpec) -> int:
-        return max(1, self.workers)
 
     def wait_for_workers(self, n: int, timeout: float = 30.0) -> int:
         deadline = time.monotonic() + timeout
@@ -389,8 +300,9 @@ class SocketWorkerBackend(ExecutorBackend):
         task: Optional[_Task] = None
         try:
             hello = wire.recv_message(conn)
-            if not hello or hello.get("op") != "hello":
-                return
+            if (not hello or hello.get("op") != "hello"
+                    or hello.get("version") != wire.PROTOCOL_VERSION):
+                return  # not a worker, or one speaking another protocol
             wire.send_message(conn, {"op": "welcome"})
             while not self._closing:
                 msg = wire.recv_message(conn)
@@ -410,18 +322,16 @@ class SocketWorkerBackend(ExecutorBackend):
                 if task is None:
                     wire.send_message(conn, {"op": "shutdown"})
                     return
-                spec = self._spec
                 frame = {
                     "op": "point",
                     "point": task.point.canonical(),
-                    "spec": spec.to_wire() if spec is not None else {},
+                    "spec": self._spec.to_wire(),
                 }
-                if spec is not None:
-                    replay_blob = spec.replay_for(task.point)
-                    if replay_blob is not None:
-                        # Per-point: replay logs ride the point frame,
-                        # not the spec (each point has its own log).
-                        frame["replay_log"] = replay_blob
+                replay_blob = self._spec.replay_logs.get(task.point.label)
+                if replay_blob is not None:
+                    # Per-point: replay logs ride the point frame, not
+                    # the spec (each point has its own log).
+                    frame["replay_log"] = replay_blob
                 wire.send_message(conn, frame)
                 reply = wire.recv_message(conn)
                 if reply is None or reply.get("op") != "result":
@@ -457,12 +367,10 @@ class SocketWorkerBackend(ExecutorBackend):
 
     def _requeue_or_fail(self, task: _Task) -> None:
         spec = self._spec
-        retry = spec.retry if spec is not None else RetryPolicy()
-        if retry.should_retry(task.attempts):
-            if spec is not None:
-                delay = spec.notify_retry(task.point, task.attempts)
-                if delay > 0.0:
-                    time.sleep(delay)
+        if spec.retry.should_retry(task.attempts):
+            delay = spec.notify_retry(task.point, task.attempts)
+            if delay > 0.0:
+                time.sleep(delay)
             task.attempts += 1
             self._tasks.put(task)
         else:
@@ -482,13 +390,6 @@ class SocketWorkerBackend(ExecutorBackend):
             self._tasks.put(_Task(point, done_q))
         for _ in range(len(points)):
             yield done_q.get()
-
-    def run_point(self, point: SweepPoint, spec: ExecSpec) -> Tuple[Dict[str, Any], int]:
-        self._spec = spec
-        done_q: "queue.Queue[PointOutcome]" = queue.Queue()
-        self._tasks.put(_Task(point, done_q))
-        _point, envelope, attempts = done_q.get()
-        return envelope, attempts
 
     def close(self) -> None:
         self._closing = True

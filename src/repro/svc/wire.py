@@ -24,6 +24,7 @@ from typing import Any, BinaryIO, Dict, Optional
 __all__ = [
     "WireError",
     "MAX_FRAME",
+    "PROTOCOL_VERSION",
     "send_message",
     "recv_message",
     "write_frame",
@@ -33,6 +34,12 @@ __all__ = [
 #: Refuse frames above this size (64 MiB): a corrupt length prefix must
 #: not make a peer allocate gigabytes.
 MAX_FRAME = 64 * 1024 * 1024
+
+#: The worker protocol a ``hello`` frame must name.  Version 2 carries
+#: the point's collectors as one ``spec["collectors"]`` list; the server
+#: closes a connection that says hello in any other version, so a stale
+#: worker cannot silently drop attachments.
+PROTOCOL_VERSION = 2
 
 _HEADER = struct.Struct(">I")
 

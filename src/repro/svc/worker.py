@@ -30,11 +30,14 @@ import sys
 import time
 from typing import List, Optional
 
+from ..runner import collect
 from ..runner.point import SweepPoint
 from ..runner.worker import execute_point
 from . import wire
 
 __all__ = ["run_worker", "worker_main", "fetch_stats", "StopFlag"]
+
+_HELLO = {"op": "hello", "version": wire.PROTOCOL_VERSION}
 
 
 class StopFlag:
@@ -66,7 +69,7 @@ def fetch_stats(
     """
     sock = socket.create_connection((host, port), timeout=connect_timeout)
     try:
-        wire.send_message(sock, {"op": "hello", "version": 1})
+        wire.send_message(sock, _HELLO)
         welcome = wire.recv_message(sock)
         if not welcome or welcome.get("op") != "welcome":
             raise wire.WireError("server did not welcome us")
@@ -93,7 +96,7 @@ def _serve_connection(
     frame — a server that exits without the closing shutdown handshake
     (sweep done, process gone) must not erase work already performed.
     """
-    wire.send_message(sock, {"op": "hello", "version": 1})
+    wire.send_message(sock, _HELLO)
     welcome = wire.recv_message(sock)
     if not welcome or welcome.get("op") != "welcome":
         raise wire.WireError("server did not welcome us")
@@ -109,23 +112,17 @@ def _serve_connection(
             raise wire.WireError(f"unexpected server message {msg.get('op')!r}")
         point = SweepPoint.from_canonical(msg["point"])
         spec = msg.get("spec") or {}
+        try:
+            collectors = collect.from_wire(spec.get("collectors", []))
+        except (ValueError, TypeError, AttributeError) as exc:
+            raise wire.WireError(f"bad spec frame: {exc}") from None
         if stop is not None:
             # The point must run to completion and its envelope must
             # reach the server even if a shutdown signal lands now.
             stop.interruptible = False
         try:
-            envelope = execute_point(
-                point,
-                timeout=spec.get("timeout"),
-                collect_obs=bool(spec.get("collect_obs", False)),
-                collect_trace=bool(spec.get("collect_trace", False)),
-                trace_detail=spec.get("trace_detail", "fine"),
-                trace_capacity=int(spec.get("trace_capacity", 65536)),
-                trace_compact=bool(spec.get("trace_compact", False)),
-                obs_sample=spec.get("obs_sample"),
-                record_order=bool(spec.get("record_order", False)),
-                replay_log=msg.get("replay_log"),
-            )
+            envelope = execute_point(point, spec.get("timeout"), collectors,
+                                     msg.get("replay_log"))
             wire.send_message(sock, {"op": "result", "envelope": envelope})
         finally:
             if stop is not None:

@@ -4,7 +4,7 @@ import pytest
 
 from repro.faults import canned_plan
 from repro.obs import MetricsRegistry
-from repro.runner import SweepPoint, SweepRunner
+from repro.runner import MetricsCollector, SweepPoint, SweepRunner
 from repro.runner.worker import execute_point
 
 
@@ -16,9 +16,9 @@ def faulted_point(seed=0):
 
 
 def test_envelope_obs_carries_fault_counters():
-    envelope = execute_point(faulted_point(), collect_obs=True)
+    envelope = execute_point(faulted_point(), collectors=[MetricsCollector()])
     assert envelope["status"] == "ok"
-    counters = envelope["obs"]["counters"]
+    counters = envelope["attachments"]["obs"]["counters"]
     assert counters["faults.injected"] > 0
     assert counters["faults.daemon_crash"] > 0
     # Ranks 8..15 live on the crashed node: all eight are quarantined.
@@ -30,28 +30,32 @@ def test_envelope_obs_carries_fault_counters():
 
 def test_fault_counters_merge_across_envelopes():
     envelopes = [
-        execute_point(faulted_point(seed=s), collect_obs=True) for s in (0, 1)
+        execute_point(faulted_point(seed=s), collectors=[MetricsCollector()])
+        for s in (0, 1)
     ]
+    snapshots = [env["attachments"]["obs"] for env in envelopes]
     merged = MetricsRegistry()
-    for env in envelopes:
-        merged.merge_snapshot(env["obs"])
+    for snap in snapshots:
+        merged.merge_snapshot(snap)
     counters = merged.snapshot()["counters"]
-    per_env = [e["obs"]["counters"] for e in envelopes]
+    per_env = [snap["counters"] for snap in snapshots]
     for key in ("faults.injected", "dynprof.quarantined_ranks"):
         assert counters[key] == sum(c[key] for c in per_env)
     assert counters["dynprof.quarantined_ranks"] == 16
 
 
 def test_runner_merges_fault_counters(tmp_path):
-    runner = SweepRunner(jobs=1, cache=tmp_path / "cache", collect_obs=True)
+    metrics = MetricsCollector()
+    runner = SweepRunner(jobs=1, cache=tmp_path / "cache", collectors=[metrics])
     results = runner.run([faulted_point()])
     (result,) = results.values()
     assert result.status == "ok"
-    counters = runner.obs.snapshot()["counters"]
+    counters = metrics.registry.snapshot()["counters"]
     assert counters["faults.injected"] > 0
     assert counters["dynprof.quarantined_ranks"] == 8
     # Cached re-run simulates nothing, so nothing new merges in.
-    again = SweepRunner(jobs=1, cache=tmp_path / "cache", collect_obs=True)
-    (hit,) = again.run([faulted_point()]).values()
+    again = MetricsCollector()
+    rerun = SweepRunner(jobs=1, cache=tmp_path / "cache", collectors=[again])
+    (hit,) = rerun.run([faulted_point()]).values()
     assert hit.cached
-    assert again.obs.snapshot()["counters"] == {}
+    assert again.registry.snapshot()["counters"] == {}

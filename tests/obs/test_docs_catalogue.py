@@ -3,12 +3,12 @@ the ``obs.*`` / ``svc.*`` / ``vt.*`` metrics the source actually emits
 must stay in lockstep, both directions.
 
 Source side: every registry call site (``.inc`` / ``.gauge_set`` /
-``.gauge_max`` / ``.observe`` / ``.span`` / the scheduler's ``_count``
-wrapper) whose name literal starts with one of the guarded prefixes.
-Doc side: every `` `name` `` row of the catalogue tables with a guarded
-prefix.  Dynamic f-string segments (``{tenant}``, ``{event}``...)
-normalise to ``<>`` on both sides, so ``svc.tenant.<tenant>.points``
-in the docs matches ``svc.tenant.{tenant}.points`` in the code.
+``.gauge_max`` / ``.observe`` / ``.span``) whose name literal starts
+with one of the guarded prefixes.  Doc side: every `` `name` `` row of
+the catalogue tables with a guarded prefix.  Dynamic f-string segments
+(``{event}``...) normalise to ``<>`` on both sides, so
+``svc.cache.<backend>.<event>`` in the docs matches
+``svc.cache.{self.backend_name}.{event}`` in the code.
 """
 
 import pathlib
@@ -21,9 +21,9 @@ DOC = REPO / "docs" / "observability.md"
 GUARDED = ("obs.", "svc.", "vt.")
 
 #: Registry emission call sites with a literal (or f-string) name as
-#: the first argument.  `_count` is the scheduler's counter wrapper.
+#: the first argument.
 _EMIT = re.compile(
-    r"(?:\.inc|\.gauge_set|\.gauge_max|\.observe|\.span|_count)"
+    r"(?:\.inc|\.gauge_set|\.gauge_max|\.observe|\.span)"
     r"\(\s*f?\"([^\"]+)\""
 )
 

@@ -8,7 +8,7 @@ import pytest
 
 from repro import obs
 from repro.obs import Histogram, MetricsRegistry, NullRegistry, merge_snapshots
-from repro.runner import SweepPoint, SweepRunner
+from repro.runner import MetricsCollector, SweepPoint, SweepRunner
 from repro.runner.worker import execute_point
 from repro.simt import Environment
 
@@ -212,9 +212,9 @@ def test_environment_captures_registry_at_construction():
 
 def test_worker_envelope_carries_obs_snapshot():
     point = SweepPoint.confsync(2, reps=2)
-    envelope = execute_point(point, collect_obs=True)
+    envelope = execute_point(point, collectors=[MetricsCollector()])
     assert envelope["status"] == "ok"
-    counters = envelope["obs"]["counters"]
+    counters = envelope["attachments"]["obs"]["counters"]
     assert counters["simt.events"] > 0
     assert counters["mpi.eager_sends"] > 0
     assert counters["vt.records"] > 0
@@ -225,17 +225,18 @@ def test_worker_envelope_carries_obs_snapshot():
 def test_worker_envelope_has_no_obs_by_default():
     envelope = execute_point(SweepPoint.confsync(2, reps=2))
     assert envelope["status"] == "ok"
-    assert "obs" not in envelope
+    assert "attachments" not in envelope
 
 
 def test_runner_merges_point_snapshots_and_reports_them():
     stream = io.StringIO()
-    runner = SweepRunner(telemetry=stream, collect_obs=True)
+    metrics = MetricsCollector()
+    runner = SweepRunner(telemetry=stream, collectors=[metrics])
     points = [SweepPoint.confsync(2, reps=2), SweepPoint.confsync(4, reps=2)]
     results = runner.run(points)
     assert all(r.ok for r in results.values())
 
-    merged = runner.obs.snapshot()
+    merged = metrics.registry.snapshot()
     assert merged["counters"]["simt.events"] > 0
     assert merged["counters"]["vt.confsync_epochs"] >= 4  # 2 reps x 2 points
 
@@ -247,20 +248,22 @@ def test_runner_merges_point_snapshots_and_reports_them():
 
 def test_cached_points_contribute_no_obs(tmp_path):
     point = SweepPoint.confsync(2, reps=2)
-    first = SweepRunner(cache=tmp_path, collect_obs=True)
-    assert first.run([point])[point].ok
-    assert first.obs.snapshot()["counters"]
+    first = MetricsCollector()
+    assert SweepRunner(cache=tmp_path, collectors=[first]).run([point])[point].ok
+    assert first.registry.snapshot()["counters"]
 
-    second = SweepRunner(cache=tmp_path, collect_obs=True)
-    result = second.run([point])[point]
+    second = MetricsCollector()
+    runner = SweepRunner(cache=tmp_path, collectors=[second])
+    result = runner.run([point])[point]
     assert result.ok and result.cached
-    assert second.obs.snapshot()["counters"] == {}
+    assert second.registry.snapshot()["counters"] == {}
 
 
 def test_payloads_identical_with_and_without_obs():
     point = SweepPoint.confsync(2, reps=2)
     plain = SweepRunner().run([point])[point]
-    observed = SweepRunner(collect_obs=True).run([point])[point]
+    observed = SweepRunner(
+        collectors=[MetricsCollector()]).run([point])[point]
     assert plain.payload == observed.payload
 
 
@@ -273,11 +276,12 @@ def test_fig7_bit_identical_with_obs_and_counters_cover_subsystems():
     from repro.experiments.fig7 import run_fig7
 
     plain = run_fig7("smg98", cpu_counts=(1, 2), scale=0.02)
-    runner = SweepRunner(collect_obs=True)
+    metrics = MetricsCollector()
+    runner = SweepRunner(collectors=[metrics])
     observed = run_fig7("smg98", cpu_counts=(1, 2), scale=0.02, runner=runner)
     assert observed.to_dict() == plain.to_dict()
 
-    counters = runner.obs.snapshot()["counters"]
+    counters = metrics.registry.snapshot()["counters"]
     assert any(name.startswith("simt.") for name in counters)
     assert any(name.startswith("mpi.") for name in counters)
     assert any(name.startswith("vt.") for name in counters)

@@ -21,7 +21,7 @@ from repro.obs.export import (
     write_chrome_trace,
 )
 from repro.obs.trace import NullTracer, Tracer
-from repro.runner import SweepPoint, SweepRunner
+from repro.runner import SweepPoint, SweepRunner, TraceCollector
 from repro.runner.worker import execute_point
 
 
@@ -36,7 +36,7 @@ def _tracing_stays_off():
 
 def _traced_policy_run(policy="Dynamic", app="smg98", cpus=2, scale=0.02):
     point = SweepPoint.policy_cell(app, policy, cpus, scale=scale)
-    envelope = execute_point(point, collect_trace=True)
+    envelope = execute_point(point, collectors=[TraceCollector()])
     assert envelope["status"] == "ok", envelope.get("error")
     return envelope
 
@@ -131,7 +131,7 @@ def test_flow_edges_and_span_nesting_integrity():
     """Property test over a real traced run: every recv-side flow edge
     has exactly one matching send, and per-track spans never partially
     overlap (they nest or are disjoint)."""
-    doc = _traced_policy_run()["trace"]
+    doc = _traced_policy_run()["attachments"]["trace"]
     assert doc["dropped_events"] == 0
 
     pairs = flow_pairs(doc)
@@ -161,8 +161,8 @@ def test_flow_edges_and_span_nesting_integrity():
 
 def test_dropped_events_positive_when_capacity_exceeded():
     point = SweepPoint.policy_cell("smg98", "Full", 2, scale=0.02)
-    envelope = execute_point(point, collect_trace=True, trace_capacity=16)
-    doc = envelope["trace"]
+    envelope = execute_point(point, collectors=[TraceCollector(capacity=16)])
+    doc = envelope["attachments"]["trace"]
     assert doc["dropped_events"] > 0
     for track in doc["tracks"]:
         assert len(track["events"]) <= 16
@@ -173,34 +173,35 @@ def test_dropped_events_positive_when_capacity_exceeded():
 
 def test_worker_envelope_has_no_trace_by_default():
     envelope = execute_point(SweepPoint.confsync(2, reps=2))
-    assert "trace" not in envelope
+    assert "attachments" not in envelope
 
 
 def test_payloads_identical_with_and_without_tracing():
     point = SweepPoint.policy_cell("smg98", "Dynamic", 2, scale=0.02)
     plain = execute_point(point)
-    traced = execute_point(point, collect_trace=True)
+    traced = execute_point(point, collectors=[TraceCollector()])
     assert plain["payload"] == traced["payload"]
 
 
 def test_runner_keeps_traces_out_of_cache(tmp_path):
     point = SweepPoint.confsync(2, reps=2)
-    first = SweepRunner(cache=tmp_path, collect_trace=True)
-    assert first.run([point])[point].ok
-    assert point.label in first.traces
+    first = TraceCollector()
+    assert SweepRunner(cache=tmp_path, collectors=[first]).run([point])[point].ok
+    assert point.label in first.docs
 
     # The cache entry carries no trace, so a cache-served re-run has none.
-    second = SweepRunner(cache=tmp_path, collect_trace=True)
-    result = second.run([point])[point]
+    second = TraceCollector()
+    result = SweepRunner(cache=tmp_path, collectors=[second]).run([point])[point]
     assert result.ok and result.cached
-    assert second.traces == {}
+    assert second.docs == {}
 
 
 def test_runner_collects_confsync_epoch_events():
-    runner = SweepRunner(collect_trace=True)
+    tracer = TraceCollector()
+    runner = SweepRunner(collectors=[tracer])
     point = SweepPoint.confsync(2, reps=2)
     assert runner.run([point])[point].ok
-    doc = runner.traces[point.label]
+    doc = tracer.docs[point.label]
     names = {
         e["name"] for tr in doc["tracks"] for e in tr["events"]
     }
@@ -211,7 +212,7 @@ def test_runner_collects_confsync_epoch_events():
 
 
 def test_chrome_trace_round_trip_is_schema_valid(tmp_path):
-    doc = _traced_policy_run()["trace"]
+    doc = _traced_policy_run()["attachments"]["trace"]
     path = tmp_path / "run.chrome.json"
     write_chrome_trace(doc, str(path))
     loaded = json.loads(path.read_text(encoding="utf-8"))
@@ -240,7 +241,7 @@ def test_chrome_validator_rejects_malformed_documents():
 
 
 def test_svg_timeline_renders_tracks_and_flows():
-    doc = _traced_policy_run()["trace"]
+    doc = _traced_policy_run()["attachments"]["trace"]
     svg = trace_to_svg(doc, title="smoke")
     assert svg.startswith("<svg") and svg.endswith("</svg>")
     assert "smoke" in svg
@@ -279,7 +280,7 @@ def test_critical_path_follows_flow_edges_across_tracks():
 
 
 def test_critical_path_on_real_run_spans_multiple_ranks():
-    doc = _traced_policy_run()["trace"]
+    doc = _traced_policy_run()["attachments"]["trace"]
     cp = critical_path(doc)
     assert cp["path"] and cp["tracks_visited"] >= 2
     ts = [e["ts"] for e in cp["path"]]
@@ -292,7 +293,7 @@ def test_perturbation_report_fig8_ordering():
     shares = {}
     for policy in ("Full", "Dynamic", "None"):
         env = _traced_policy_run(policy=policy)
-        rep = perturbation_report(env["trace"],
+        rep = perturbation_report(env["attachments"]["trace"],
                                   elapsed=env["payload"]["time"])
         shares[policy] = rep["instrumented_share"]
     assert shares["None"] == 0.0
@@ -302,7 +303,7 @@ def test_perturbation_report_fig8_ordering():
 
 def test_render_trace_summary_sections():
     env = _traced_policy_run()
-    text = render_trace_summary(env["trace"], elapsed=env["payload"]["time"])
+    text = render_trace_summary(env["attachments"]["trace"], elapsed=env["payload"]["time"])
     assert "critical path:" in text
     assert "perturbation attribution" in text
     assert "instrumentation share:" in text
@@ -310,7 +311,7 @@ def test_render_trace_summary_sections():
     from repro.analysis import render_causal_trace_report
 
     assert render_causal_trace_report(
-        env["trace"], elapsed=env["payload"]["time"]
+        env["attachments"]["trace"], elapsed=env["payload"]["time"]
     ) == text
 
 
@@ -473,14 +474,14 @@ def test_tracing_context_threads_compact_through():
 
 def test_real_run_drops_less_with_ring_compaction():
     point = SweepPoint.policy_cell("smg98", "Full", 2, scale=0.05)
-    plain = execute_point(point, collect_trace=True, trace_capacity=256)
-    folding = execute_point(point, collect_trace=True, trace_capacity=256,
-                            trace_compact=True)
+    plain = execute_point(point, collectors=[TraceCollector(capacity=256)])
+    folding = execute_point(
+        point, collectors=[TraceCollector(capacity=256, compact=True)])
     assert plain["status"] == folding["status"] == "ok"
-    d_plain = plain["trace"]["dropped_events"]
-    d_fold = folding["trace"]["dropped_events"]
+    d_plain = plain["attachments"]["trace"]["dropped_events"]
+    d_fold = folding["attachments"]["trace"]["dropped_events"]
     assert d_plain > 0
     assert d_fold < d_plain
-    assert folding["trace"]["folded_events"] > 0
+    assert folding["attachments"]["trace"]["folded_events"] > 0
     # The simulation itself is untouched: identical payloads.
     assert plain["payload"] == folding["payload"]

@@ -4,7 +4,7 @@ import pytest
 
 from repro.faults import FaultPlan, FaultSpec
 from repro.replay.bisect import bisect_plan, ddmin, point_with_faults
-from repro.runner import SweepPoint
+from repro.runner import OrderCollector, SweepPoint
 from repro.runner.worker import execute_point
 
 
@@ -98,11 +98,11 @@ def test_bisect_is_deterministic():
 
 def test_bisect_diverge_mode():
     point = SweepPoint.policy_cell("sweep3d", "Dynamic", 8, scale=0.02)
-    clean = execute_point(point, record_order=True)
+    clean = execute_point(point, collectors=[OrderCollector()])
     assert clean["status"] == "ok"
     from repro.replay.orderlog import OrderLog
 
-    against = OrderLog.from_b64(clean["order_log"])
+    against = OrderLog.from_b64(clean["attachments"]["order_log"])
     result = bisect_plan(point, three_spec_plan(), mode="diverge",
                          against=against)
     spec = result.minimal.specs[0]

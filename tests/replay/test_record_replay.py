@@ -8,7 +8,12 @@ from repro.faults import canned_plan
 from repro.replay import hooks
 from repro.replay.errors import DivergenceError
 from repro.replay.orderlog import OrderLog
-from repro.runner import SweepPoint, SweepRunner
+from repro.runner import (
+    MetricsCollector,
+    OrderCollector,
+    SweepPoint,
+    SweepRunner,
+)
 from repro.runner.worker import execute_point
 
 
@@ -20,9 +25,10 @@ def faulted_point(seed=0):
 
 
 def record(point):
-    envelope = execute_point(point, record_order=True)
+    """(base64 order log, envelope) of one recorded run."""
+    envelope = execute_point(point, collectors=[OrderCollector()])
     assert envelope["status"] == "ok"
-    return envelope
+    return envelope["attachments"]["order_log"], envelope
 
 
 def test_hooks_install_restore():
@@ -43,11 +49,10 @@ def test_recording_context_restores_on_error():
 
 
 def test_recording_is_deterministic_and_rides_envelope():
-    e1, e2 = record(faulted_point()), record(faulted_point())
-    assert "order_log" in e1
+    (blob1, e1), (blob2, _e2) = record(faulted_point()), record(faulted_point())
     # Bit-identical logs for the same (point, seed).
-    assert e1["order_log"] == e2["order_log"]
-    log = OrderLog.from_b64(e1["order_log"])
+    assert blob1 == blob2
+    log = OrderLog.from_b64(blob1)
     assert len(log) > 100
     counts = log.counts()
     assert counts["event"] > 0 and counts["fault"] > 0
@@ -55,18 +60,18 @@ def test_recording_is_deterministic_and_rides_envelope():
     # Recording never perturbs the simulation.
     plain = execute_point(faulted_point())
     assert plain["payload"] == e1["payload"]
-    assert "order_log" not in plain
+    assert "attachments" not in plain
 
 
 def test_replay_of_identical_run_verifies():
-    blob = record(faulted_point())["order_log"]
+    blob, _ = record(faulted_point())
     envelope = execute_point(faulted_point(), replay_log=blob)
     assert envelope["status"] == "ok"
     assert "divergence" not in envelope
 
 
 def test_replay_of_perturbed_run_pins_first_divergence():
-    blob = record(faulted_point(seed=0))["order_log"]
+    blob, _ = record(faulted_point(seed=0))
     envelope = execute_point(faulted_point(seed=1), replay_log=blob)
     assert envelope["status"] == "diverged"
     divergence = envelope["divergence"]
@@ -103,7 +108,7 @@ def test_long_replay_raises_past_log_end():
 
 
 def test_divergence_error_round_trips_as_dict():
-    blob = record(faulted_point(seed=0))["order_log"]
+    blob, _ = record(faulted_point(seed=0))
     envelope = execute_point(faulted_point(seed=1), replay_log=blob)
     err = DivergenceError.from_dict(envelope["divergence"])
     assert err.index == envelope["divergence"]["index"]
@@ -112,32 +117,34 @@ def test_divergence_error_round_trips_as_dict():
 
 def test_runner_collects_order_logs_and_keeps_cache_clean(tmp_path):
     point = faulted_point()
+    recorder = OrderCollector()
     runner = SweepRunner(jobs=1, cache=str(tmp_path / "cache"),
-                         record_order=True)
+                         collectors=[recorder])
     results = runner.run([point])
     assert results[point].ok
-    blob = runner.order_logs[point.label]
+    blob = recorder.docs[point.label]
     OrderLog.from_bytes(base64.b64decode(blob))  # parses
     # The cached entry must not carry the log: cache entries stay
     # byte-identical with recording on or off.
     from repro.runner.cache import point_key
 
     entry = runner.cache.get(point_key(point))
-    assert "order_log" not in entry
+    assert "attachments" not in entry and "order_log" not in entry
     assert "order_log" not in entry["payload"]
     # A cached re-run executes nothing, so nothing is recorded.
+    again = OrderCollector()
     rerun = SweepRunner(jobs=1, cache=str(tmp_path / "cache"),
-                        record_order=True)
+                        collectors=[again])
     rerun_results = rerun.run([point])
     assert rerun_results[point].cached
-    assert rerun.order_logs == {}
+    assert again.docs == {}
 
 
 def test_runner_replay_flags_divergence():
     point0, point1 = faulted_point(seed=0), faulted_point(seed=1)
-    recording_runner = SweepRunner(jobs=1, record_order=True)
-    recording_runner.run([point0])
-    blob = recording_runner.order_logs[point0.label]
+    recorder = OrderCollector()
+    SweepRunner(jobs=1, collectors=[recorder]).run([point0])
+    blob = recorder.docs[point0.label]
     # Same label -> verified clean; perturbed point -> diverged.
     ok = SweepRunner(jobs=1, replay_logs={point0.label: blob})
     assert ok.run([point0])[point0].ok
@@ -149,27 +156,28 @@ def test_runner_replay_flags_divergence():
 
 def test_process_pool_records_identically():
     point = faulted_point()
-    serial = SweepRunner(jobs=1, record_order=True)
-    serial.run([point])
-    pooled = SweepRunner(jobs=2, record_order=True)
-    pooled.run([point])
-    assert serial.order_logs[point.label] == pooled.order_logs[point.label]
+    serial, pooled = OrderCollector(), OrderCollector()
+    SweepRunner(jobs=1, collectors=[serial]).run([point])
+    SweepRunner(jobs=2, collectors=[pooled]).run([point])
+    assert serial.docs[point.label] == pooled.docs[point.label]
 
 
 def test_replay_obs_counters():
     point = faulted_point()
-    inner = execute_point(point, collect_obs=True, record_order=True)
-    blob = inner["order_log"]
+    inner = execute_point(point, collectors=[MetricsCollector(),
+                                             OrderCollector()])
+    blob = inner["attachments"]["order_log"]
     n = len(OrderLog.from_b64(blob))
-    counters = inner["obs"]["counters"]
+    counters = inner["attachments"]["obs"]["counters"]
     assert counters["replay.recordings"] == 1
     assert counters["replay.recorded_decisions"] == n
-    verified = execute_point(point, collect_obs=True, replay_log=blob)
-    v = verified["obs"]["counters"]
+    verified = execute_point(point, collectors=[MetricsCollector()],
+                             replay_log=blob)
+    v = verified["attachments"]["obs"]["counters"]
     assert v["replay.verified_runs"] == 1
     assert v["replay.verified_decisions"] == n
-    diverged = execute_point(faulted_point(seed=1), collect_obs=True,
-                             replay_log=blob)
-    d = diverged["obs"]["counters"]
+    diverged = execute_point(faulted_point(seed=1),
+                             collectors=[MetricsCollector()], replay_log=blob)
+    d = diverged["attachments"]["obs"]["counters"]
     assert d["replay.divergences"] == 1
     assert "replay.verified_runs" not in d

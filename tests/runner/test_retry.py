@@ -50,11 +50,13 @@ def test_zero_backoff_fast_path():
     assert RetryPolicy(max_attempts=5).delay(4) == 0.0
 
 
-def test_runner_legacy_retries_maps_to_policy():
-    assert SweepRunner(jobs=1, retries=3).retry == RetryPolicy(max_attempts=4)
-    assert SweepRunner(jobs=1, retries=3).retries == 3
+def test_runner_retry_policy_is_the_only_budget():
+    # The default grants one retry; a policy passes through untouched.
+    assert SweepRunner(jobs=1).retry == RetryPolicy(max_attempts=2)
     custom = RetryPolicy(max_attempts=2, backoff=0.01)
     assert SweepRunner(jobs=1, retry=custom).retry is custom
+    with pytest.raises(TypeError):
+        SweepRunner(jobs=1, retries=3)
 
 
 # ----------------------------------------------------------- crash retries

@@ -153,3 +153,19 @@ def test_obs_sample_documents_identical_across_executor_backends(
     assert baseline["timeseries"]  # the sampler actually sampled
     for name, doc in docs.items():
         assert doc == baseline, f"{name} obs document diverged"
+
+
+def test_obs_document_bytes_identical_under_process_pool(tmp_path, capsys):
+    """Attachments merge in grid order, not completion order.  The
+    first point is the slowest, so the pool finishes the grid out of
+    order; the raw --obs bytes must still equal the serial run's."""
+    grid = ["sweep", "--apps", "sweep3d", "--policies", "Full",
+            "--cpus", "16,1,2", "--scale", "0.02", "--no-cache",
+            "--obs-sample", "0.5"]
+    raw = {}
+    for name, spec in (("serial", "serial"), ("process", "process:2")):
+        path = tmp_path / f"{name}.json"
+        assert main(grid + ["--backend", spec, "--obs", str(path)]) == 0
+        raw[name] = path.read_bytes()
+    capsys.readouterr()
+    assert raw["process"] == raw["serial"]

@@ -38,6 +38,12 @@ def spawn_worker(address, *extra):
     )
 
 
+def run_one(backend, point, spec):
+    """Run one point through ``backend.run``; (envelope, attempts)."""
+    ((_point, envelope, attempts),) = backend.run([point], spec)
+    return envelope, attempts
+
+
 # ------------------------------------------------------------------- wire
 
 
@@ -74,6 +80,51 @@ def test_wire_rejects_oversized_frame():
     finally:
         a.close()
         b.close()
+
+
+# --------------------------------------------------------------- protocol
+
+
+@pytest.mark.parametrize("hello", [
+    {"op": "hello", "version": 1},
+    {"op": "hello"},
+])
+def test_server_closes_other_protocol_versions(hello):
+    """A stale worker must not be fed points it would run without their
+    collectors: the server hangs up instead of welcoming it."""
+    backend = SocketWorkerBackend()
+    try:
+        with socket.create_connection((backend.host, backend.port),
+                                      timeout=10) as sock:
+            wire.send_message(sock, hello)
+            assert wire.recv_message(sock) is None
+    finally:
+        backend.close()
+
+
+def test_worker_rejects_unknown_collector_in_spec_frame():
+    from repro.svc.worker import _serve_connection
+
+    server, client = socket.socketpair()
+    try:
+        def serve():
+            assert wire.recv_message(server)["version"] == wire.PROTOCOL_VERSION
+            wire.send_message(server, {"op": "welcome"})
+            wire.recv_message(server)  # pull
+            wire.send_message(server, {
+                "op": "point",
+                "point": SweepPoint.selftest("echo", value=1).canonical(),
+                "spec": {"collectors": [{"name": "no-such", "params": {}}]},
+            })
+
+        thread = threading.Thread(target=serve, daemon=True)
+        thread.start()
+        with pytest.raises(wire.WireError, match="no-such"):
+            _serve_connection(client, None, [0])
+        thread.join(timeout=10)
+    finally:
+        server.close()
+        client.close()
 
 
 # ------------------------------------------------------------- happy path
@@ -131,7 +182,7 @@ def test_worker_crash_requeues_point_to_surviving_worker(tmp_path):
         box = {}
 
         def run():
-            box["outcome"] = backend.run_point(point, spec)
+            box["outcome"] = run_one(backend, point, spec)
 
         runner = threading.Thread(target=run, daemon=True)
         runner.start()
@@ -165,7 +216,7 @@ def test_crash_exhausts_retry_budget_to_crashed_envelope(tmp_path):
         box = {}
 
         def run():
-            box["outcome"] = backend.run_point(point, spec)
+            box["outcome"] = run_one(backend, point, spec)
 
         runner = threading.Thread(target=run, daemon=True)
         runner.start()
@@ -201,8 +252,8 @@ def test_reconnecting_worker_dials_until_server_appears():
         time.sleep(0.3)  # worker is now in its redial loop
         backend = SocketWorkerBackend("127.0.0.1", port)
         point = SweepPoint.selftest("echo", value="late-server")
-        envelope, attempts = backend.run_point(
-            point, ExecSpec(retry=RetryPolicy(max_attempts=2)))
+        envelope, attempts = run_one(
+            backend, point, ExecSpec(retry=RetryPolicy(max_attempts=2)))
         assert envelope["status"] == "ok"
         assert envelope["payload"]["echo"] == "late-server"
         assert proc.wait(timeout=15) == 0  # max-points reached, clean exit

@@ -102,7 +102,7 @@ def test_stats_frame_leaves_point_serving_undisturbed():
         box = {}
 
         def run():
-            box["outcome"] = backend.run_point(point, ExecSpec())
+            ((_point, *box["outcome"]),) = backend.run([point], ExecSpec())
 
         runner = threading.Thread(target=run, daemon=True)
         runner.start()
