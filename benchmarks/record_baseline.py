@@ -45,9 +45,9 @@ neighbours: every source of interference only ever makes a run slower,
 so the fastest observation is the closest to the machine's true speed.
 Mean/median would fold scheduler noise into the committed number.
 
-``--check`` re-measures the engine cell and the trace-compaction
-trajectory and compares against the committed ``BENCH_engine.json``
-and ``BENCH_trace.json``:
+``--check`` re-measures the engine cell (plain, sampler-on and
+recorder-on) and the trace-compaction trajectory and compares against
+the committed ``BENCH_engine.json`` and ``BENCH_trace.json``:
 
 * the event **count** must match exactly — it is a determinism check,
   any drift means the simulation itself changed;
@@ -502,8 +502,10 @@ def main(argv=None):
         description="Record or check committed performance baselines.")
     parser.add_argument(
         "--check", action="store_true",
-        help="compare a fresh measurement against BENCH_engine.json "
-             "instead of recording; exits 1 on regression")
+        help="instead of recording, re-measure and compare against the "
+             "committed baselines: the engine, sampler and recorder cells "
+             "of BENCH_engine.json and the trace-compaction cells of "
+             "BENCH_trace.json; exits 1 on regression")
     parser.add_argument(
         "--tolerance", type=float, default=DEFAULT_TOLERANCE,
         help="allowed fractional events/sec slowdown in --check mode "

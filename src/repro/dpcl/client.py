@@ -454,10 +454,6 @@ class DpclClient:
     def attached_processes(self) -> List[str]:
         return list(self._attached)
 
-    def find_functions(self, process_name: str, pattern: str) -> List[str]:
-        """Client-side symbol lookup in an attached process's structure."""
-        return [fi.name for fi in self.image_of(process_name).find_functions(pattern)]
-
     def image_of(self, process_name: str):
         """The attached process's program structure (its image handle)."""
         image = self._attached.get(process_name)

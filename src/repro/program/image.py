@@ -37,6 +37,8 @@ __all__ = [
 ENTRY = "entry"
 EXIT = "exit"
 _LOCATIONS = (ENTRY, EXIT)
+#: Characters that make a pattern a glob; anything else names one symbol.
+_GLOB_CHARS = frozenset("*?[")
 
 
 class FunctionSymbol:
@@ -79,11 +81,14 @@ class ExecutableImage:
     def __init__(self, name: str) -> None:
         self.name = name
         self.symbols: Dict[str, FunctionSymbol] = {}
+        #: Memo of :meth:`match`, cleared whenever a symbol is added.
+        self._matches: Dict[str, List[str]] = {}
 
     def add_function(self, symbol: FunctionSymbol) -> FunctionSymbol:
         if symbol.name in self.symbols:
             raise ValueError(f"duplicate symbol {symbol.name!r} in {self.name}")
         self.symbols[symbol.name] = symbol
+        self._matches.clear()
         return symbol
 
     def define(self, name: str, body: Optional[Callable] = None, **kw: Any) -> FunctionSymbol:
@@ -92,6 +97,23 @@ class ExecutableImage:
 
     def function_names(self) -> List[str]:
         return list(self.symbols)
+
+    def match(self, pattern: str) -> List[str]:
+        """Names of the symbols matching glob ``pattern``, in table order.
+
+        Every process image of this executable shares the answer, so a
+        pattern is resolved once however many ranks dynprof patches.  A
+        pattern without ``*``, ``?`` or ``[`` is an exact name and costs
+        one dict lookup.  The returned list is shared: do not mutate it.
+        """
+        names = self._matches.get(pattern)
+        if names is None:
+            if _GLOB_CHARS.isdisjoint(pattern):
+                names = [pattern] if pattern in self.symbols else []
+            else:
+                names = [n for n in self.symbols if fnmatch.fnmatchcase(n, pattern)]
+            self._matches[pattern] = names
+        return names
 
     def instrument_statically(self, names: Optional[Iterable[str]] = None) -> int:
         """The Guide-compiler analog: compile in VT entry/exit probes.
@@ -210,9 +232,7 @@ class ProcessImage:
 
     def find_functions(self, pattern: str) -> List[FunctionInstance]:
         """Glob-match function names (dynprof's insert/remove arguments)."""
-        return [
-            fi for n, fi in self.functions.items() if fnmatch.fnmatchcase(n, pattern)
-        ]
+        return [self.functions[n] for n in self.exe.match(pattern)]
 
     # -- address space ----------------------------------------------------------
 

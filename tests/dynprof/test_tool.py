@@ -1,8 +1,10 @@
 """End-to-end tests for the dynprof tool (Sections 3.3/3.4)."""
 
+import fnmatch
+
 import pytest
 
-from repro.apps import SWEEP3D, UMT98
+from repro.apps import SMG98, SWEEP3D, UMT98
 from repro.cluster import Cluster, POWER3_SP
 from repro.dynprof import DynProf, DynProfError
 from repro.jobs import MpiJob, OmpJob
@@ -132,6 +134,28 @@ def test_instrument_time_grows_with_mpi_processes():
         return tool.create_and_instrument_time
 
     assert t(8) > t(2) * 1.5
+
+
+def test_glob_resolution_does_not_scale_with_mpi_processes(monkeypatch):
+    """Simulated patch time grows with P (above); host glob work must not."""
+    real = fnmatch.fnmatchcase
+    calls = []
+
+    def counting(name, pattern):
+        calls.append(pattern)
+        return real(name, pattern)
+
+    monkeypatch.setattr(fnmatch, "fnmatchcase", counting)
+
+    def glob_calls(n):
+        calls.clear()
+        _env, job, _tool = run_session(SMG98, n, "insert hypre_SMGSolveLevel*\nstart\nquit\n")
+        assert all(image.installed_probes > 2 * 20 for image in job.images)
+        return len(calls)
+
+    at_2 = glob_calls(2)
+    assert at_2 > 0
+    assert glob_calls(8) == at_2
 
 
 def test_omp_single_image_instrumentation():

@@ -1,6 +1,10 @@
 """Tests for executable/process images, symbols, variables, patching."""
 
+import fnmatch
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.program import (
     ENTRY,
@@ -73,6 +77,54 @@ def test_find_functions_glob():
     names = sorted(fi.name for fi in pim.find_functions("solve_*"))
     assert names == ["solve_energy", "solve_pressure"]
     assert pim.find_functions("zzz*") == []
+
+
+# Symbol names over a tiny alphabet (glob metacharacters included) so
+# random patterns hit, miss and collide often.
+symbol_names = st.text(alphabet="ab_[]?*!", min_size=1, max_size=5)
+pattern_tokens = st.sampled_from(["a", "b", "_", "!", "]", "*", "?", "[abc]", "[!a]", "["])
+glob_patterns = st.lists(pattern_tokens, min_size=1, max_size=5).map("".join)
+
+
+@given(
+    names=st.lists(symbol_names, unique=True, max_size=12),
+    patterns=st.lists(glob_patterns, max_size=6),
+    picks=st.lists(st.integers(0, 11), max_size=3),
+    unknown=st.lists(st.text(alphabet="abc_", min_size=1, max_size=4), max_size=2),
+)
+def test_find_functions_matches_per_process_fnmatch(names, patterns, picks, unknown):
+    exe = ExecutableImage("app")
+    for name in names:
+        exe.define(name)
+    env = Environment()
+    images = [ProcessImage(env, exe, f"app[{rank}]") for rank in range(2)]
+    exact = [names[i] for i in picks if i < len(names)]
+    for pattern in patterns + exact + unknown:
+        for pim in images:  # the second image and call hit the shared memo
+            reference = [
+                fi for n, fi in pim.functions.items() if fnmatch.fnmatchcase(n, pattern)
+            ]
+            assert pim.find_functions(pattern) == reference
+            assert pim.find_functions(pattern) == reference
+
+
+def test_exact_name_lookup_never_calls_fnmatch(monkeypatch):
+    pim = ProcessImage(Environment(), build_exe(), "app[0]")
+    monkeypatch.setattr(fnmatch, "fnmatchcase", None)
+    assert [fi.name for fi in pim.find_functions("main")] == ["main"]
+    assert pim.find_functions("no_such_function") == []
+
+
+def test_define_after_resolution_invalidates_memo():
+    exe = build_exe()
+    assert exe.match("solve_*") == ["solve_pressure", "solve_energy"]
+    assert exe.match("late") == []
+    exe.define("solve_mass")
+    exe.define("late")
+    assert exe.match("solve_*") == ["solve_pressure", "solve_energy", "solve_mass"]
+    assert exe.match("late") == ["late"]
+    pim = ProcessImage(Environment(), exe, "app[0]")
+    assert [fi.name for fi in pim.find_functions("solve_m*")] == ["solve_mass"]
 
 
 def test_install_and_remove_probe():
