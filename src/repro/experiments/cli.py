@@ -336,8 +336,12 @@ def _build_runner(args: argparse.Namespace) -> SweepRunner:
     elif args.cache_backend:
         from ..svc import make_cache_backend
 
-        cache = make_cache_backend(args.cache_backend,
-                                   fallback_dir=args.cache_dir)
+        try:
+            cache = make_cache_backend(args.cache_backend,
+                                       fallback_dir=args.cache_dir)
+        except (ValueError, OSError) as exc:
+            raise SystemExit("repro-experiments: --cache-backend "
+                             f"{args.cache_backend}: {exc}")
     else:
         cache = args.cache_dir or default_cache_dir()
     if args.obs_sample is not None and args.obs_sample <= 0:
@@ -378,15 +382,11 @@ def _collector(runner: Optional[SweepRunner], cls: type) -> Any:
 def _close_runner(runner: SweepRunner) -> None:
     """Release service-layer resources the CLI created for this run
     (socket listeners, sqlite handles, write-behind upload queues)."""
-    from ..svc.backends import CacheBackend
     from ..svc.executors import ExecutorBackend
 
     if isinstance(runner.executor, ExecutorBackend):
         runner.executor.close()
-    # isinstance against the runtime-checkable protocol: True for the
-    # svc backends (which hold sockets/handles/queues), False for the
-    # plain ResultCache and for None.
-    if isinstance(runner.cache, CacheBackend):
+    if runner.cache is not None:
         try:
             runner.cache.close()
         except OSError:

@@ -7,12 +7,14 @@ package version.  :func:`point_key` hashes exactly those inputs
 there is no TTL and no invalidation protocol; changing any input
 changes the key.
 
-Entries are JSON files under ``<root>/<key[:2]>/<key>.json`` holding
-the key, the point's canonical description (for humans and audit), and
-the result payload.  Writes are atomic (temp file + ``os.replace``);
-a corrupted or mismatched entry is treated as a miss and discarded, so
-a damaged cache degrades to recomputation, never to a crash or a wrong
-result.
+Every store holds the same entry document (:func:`build_entry`): the
+key, the point's canonical description (for humans and audit), and the
+result payload.  :class:`ResultCache` keeps them as JSON files under
+``<root>/<key[:2]>/<key>.json``; writes are atomic (temp file +
+``os.replace``).  A corrupted or mismatched entry is treated as a miss
+and discarded, so a damaged cache degrades to recomputation, never to
+a crash or a wrong result.  :class:`CacheStore` is the base the
+memory, SQLite and HTTP stores of :mod:`repro.svc.backends` share.
 """
 
 from __future__ import annotations
@@ -27,7 +29,14 @@ from typing import Any, Dict, Iterator, Optional, Union
 from ..obs import get as _obs_get
 from .point import SweepPoint
 
-__all__ = ["point_key", "ResultCache", "default_cache_dir"]
+__all__ = [
+    "point_key",
+    "build_entry",
+    "validate_entry",
+    "CacheStore",
+    "ResultCache",
+    "default_cache_dir",
+]
 
 #: Environment variable overriding the default cache location.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
@@ -65,27 +74,94 @@ def point_key(point: SweepPoint, version: Optional[str] = None) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-class ResultCache:
-    """Directory of content-addressed sweep results."""
+def build_entry(
+    key: str,
+    point: Optional[SweepPoint],
+    payload: Any,
+    meta: Optional[Dict[str, Any]] = None,
+) -> Dict[str, Any]:
+    """The canonical entry document every cache store holds."""
+    entry: Dict[str, Any] = {
+        "key": key,
+        "version": _package_version(),
+        "point": point.canonical() if point is not None else None,
+        "payload": payload,
+    }
+    if meta:
+        entry["meta"] = meta
+    return entry
 
-    #: Backend name reported by repr/telemetry (subclasses override).
-    backend_name = "directory"
 
-    def __init__(self, root: Union[str, Path]) -> None:
-        self.root = Path(root)
-        #: Corrupt entries silently turned into misses so far — surfaced
-        #: via the ``runner.cache_corrupt_discards`` obs counter and the
+def validate_entry(key: str, entry: Any) -> bool:
+    """True iff ``entry`` is a well-formed document for ``key``."""
+    return (
+        isinstance(entry, dict)
+        and entry.get("key") == key
+        and "payload" in entry
+    )
+
+
+class CacheStore:
+    """What every result store shares: ``put`` over ``put_entry``,
+    containment over ``get``, and hit/miss/corruption counters mirrored
+    into :mod:`repro.obs` as ``svc.cache.<backend>.<event>``.  A store
+    adds ``get``, ``put_entry``, ``discard``, ``__len__`` and ``clear``
+    (the :class:`repro.svc.backends.CacheBackend` protocol)."""
+
+    #: Backend name reported by repr, ``stats()`` and obs counters.
+    backend_name = "?"
+
+    def __init__(self) -> None:
+        self.hits = 0
+        self.misses = 0
+        #: Corrupt entries turned into misses so far — surfaced via the
         #: sweep telemetry summary instead of vanishing without a trace.
         self.corrupt_discards = 0
 
-    def _path(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.json"
-
-    def _count_corrupt(self) -> None:
-        self.corrupt_discards += 1
+    def _count(self, event: str) -> None:
+        setattr(self, event, getattr(self, event) + 1)
         registry = _obs_get()
         if registry.enabled:
-            registry.inc("runner.cache_corrupt_discards")
+            registry.inc(f"svc.cache.{self.backend_name}.{event}")
+
+    def put(
+        self,
+        key: str,
+        point: Optional[SweepPoint],
+        payload: Any,
+        meta: Optional[Dict[str, Any]] = None,
+    ) -> None:
+        """Store ``payload`` for ``key``."""
+        self.put_entry(key, build_entry(key, point, payload, meta))
+
+    def __contains__(self, key: str) -> bool:
+        """True only if :meth:`get` would hit (so, like ``get``, it
+        validates and discards a corrupted entry)."""
+        return self.get(key) is not None
+
+    def stats(self) -> Dict[str, Any]:
+        return {
+            "backend": self.backend_name,
+            "hits": self.hits,
+            "misses": self.misses,
+            "corrupt_discards": self.corrupt_discards,
+        }
+
+    def close(self) -> None:  # most stores hold no live resources
+        pass
+
+
+class ResultCache(CacheStore):
+    """Directory of content-addressed sweep results."""
+
+    backend_name = "directory"
+
+    def __init__(self, root: Union[str, Path]) -> None:
+        super().__init__()
+        self.root = Path(root)
+
+    def _path(self, key: str) -> Path:
+        return self.root / key[:2] / f"{key}.json"
 
     def get(self, key: str) -> Optional[Dict[str, Any]]:
         """The stored entry for ``key``, or None on miss *or* corruption.
@@ -99,37 +175,22 @@ class ResultCache:
             with open(path, "r", encoding="utf-8") as fh:
                 entry = json.load(fh)
         except FileNotFoundError:
+            self._count("misses")
             return None
         except (OSError, ValueError, UnicodeDecodeError):
-            self._discard(path)
-            self._count_corrupt()
+            entry = None  # unreadable: as corrupt as a malformed entry
+        if not validate_entry(key, entry):
+            self._unlink(path)
+            self._count("corrupt_discards")
+            self._count("misses")
             return None
-        if (
-            not isinstance(entry, dict)
-            or entry.get("key") != key
-            or "payload" not in entry
-        ):
-            self._discard(path)
-            self._count_corrupt()
-            return None
+        self._count("hits")
         return entry
 
-    def put(
-        self,
-        key: str,
-        point: SweepPoint,
-        payload: Any,
-        meta: Optional[Dict[str, Any]] = None,
-    ) -> None:
-        """Atomically store ``payload`` for ``key``."""
-        entry = {
-            "key": key,
-            "version": _package_version(),
-            "point": point.canonical(),
-            "payload": payload,
-        }
-        if meta:
-            entry["meta"] = meta
+    def put_entry(self, key: str, entry: Dict[str, Any]) -> None:
+        """Atomically store ``entry`` verbatim (temp file + rename)."""
+        if not validate_entry(key, entry):
+            raise ValueError(f"malformed cache entry for key {key[:12]}...")
         path = self._path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(prefix=f".{key[:8]}-", suffix=".tmp",
@@ -139,11 +200,14 @@ class ResultCache:
                 json.dump(entry, fh)
             os.replace(tmp, path)
         except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
+            self._unlink(Path(tmp))
             raise
+
+    def discard(self, key: str) -> bool:
+        path = self._path(key)
+        existed = path.is_file()
+        self._unlink(path)
+        return existed
 
     def _iter_paths(self) -> Iterator[Path]:
         if not self.root.is_dir():
@@ -157,29 +221,20 @@ class ResultCache:
     def __len__(self) -> int:
         return sum(1 for _ in self._iter_paths())
 
-    def __contains__(self, key: str) -> bool:
-        """True only if :meth:`get` would hit.
-
-        A bare ``is_file()`` check would report a corrupted entry as
-        present while ``get`` discards it and returns None; containment
-        therefore validates (and, like ``get``, discards) the entry.
-        """
-        return self.get(key) is not None
-
     def clear(self) -> int:
         """Remove every entry (and stale temp files); returns how many
         entries were removed."""
         n = 0
         for path in list(self._iter_paths()):
-            self._discard(path)
+            self._unlink(path)
             n += 1
         if self.root.is_dir():
             for tmp in self.root.glob("??/.*.tmp"):
-                self._discard(tmp)
+                self._unlink(tmp)
         return n
 
     @staticmethod
-    def _discard(path: Path) -> None:
+    def _unlink(path: Path) -> None:
         try:
             path.unlink()
         except OSError:

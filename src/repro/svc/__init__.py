@@ -4,9 +4,10 @@ The service layer generalizes the sweep runner's two hard-wired
 choices (one local process pool, one directory cache) into pluggable
 protocols:
 
-* :mod:`repro.svc.backends` — the :class:`CacheBackend` protocol with
-  directory (sharded + LRU-bounded), memory, SQLite (WAL) and HTTP
-  (read-through / write-behind) implementations;
+* :mod:`repro.svc.backends` — the :class:`CacheBackend` protocol, met
+  by the runner's directory :class:`~repro.runner.cache.ResultCache`
+  and by memory, SQLite (WAL) and HTTP (read-through / write-behind)
+  stores;
 * :mod:`repro.svc.executors` — the :class:`ExecutorBackend` protocol:
   in-process serial, process pool, and a socket server that feeds
   ``repro worker`` processes on any host;
@@ -23,7 +24,6 @@ and faults established.  See ``docs/service.md``.
 
 from .backends import (
     CacheBackend,
-    DirectoryBackend,
     HttpBackend,
     MemoryBackend,
     SqliteBackend,
@@ -42,7 +42,6 @@ from .worker import fetch_stats, run_worker
 
 __all__ = [
     "CacheBackend",
-    "DirectoryBackend",
     "MemoryBackend",
     "SqliteBackend",
     "HttpBackend",

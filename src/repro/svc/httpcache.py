@@ -19,7 +19,7 @@ Routes::
 
 Keys must be 64 lowercase hex characters (a SHA-256 digest); anything
 else is a 400.  Malformed PUT bodies are rejected with 400 — the daemon
-never stores an entry :func:`~repro.svc.backends.validate_entry` would
+never stores an entry :func:`~repro.runner.cache.validate_entry` would
 later discard.
 """
 
@@ -33,7 +33,8 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, List, Optional
 
 from ..obs import prom
-from .backends import CacheBackend, MemoryBackend, make_cache_backend, validate_entry
+from ..runner.cache import validate_entry
+from .backends import CacheBackend, MemoryBackend, make_cache_backend
 
 __all__ = ["CacheDaemon", "serve_cache", "serve_cache_main", "DEFAULT_PORT"]
 
@@ -243,9 +244,12 @@ def serve_cache_main(argv: Optional[List[str]] = None) -> int:
                         help="log each request to stderr")
     args = parser.parse_args(argv)
 
-    if args.store.startswith(("http://", "https://")):
+    if args.store.startswith("http://"):
         parser.error("--store cannot itself be an http backend")
-    backend = make_cache_backend(args.store)
+    try:
+        backend = make_cache_backend(args.store)
+    except (ValueError, OSError) as exc:
+        raise SystemExit(f"repro-experiments: --store {args.store}: {exc}")
     daemon = serve_cache(args.host, args.port, backend=backend,
                          verbose=args.verbose)
     host, port = daemon.server_address[:2]

@@ -171,7 +171,7 @@ def test_corrupt_discards_are_counted(tmp_path):
     with obs.collecting() as registry:
         assert cache.get(key) is None
     assert cache.corrupt_discards == 1
-    assert registry.counters.get("runner.cache_corrupt_discards") == 1
+    assert registry.counters.get("svc.cache.directory.corrupt_discards") == 1
 
     # The mismatched-key corruption path counts too.
     cache.put(key, p, {"time": 1.0})

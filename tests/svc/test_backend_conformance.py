@@ -2,29 +2,29 @@
 
 Every :class:`CacheBackend` must behave identically from the runner's
 point of view: round-trip entries, treat corruption as a counted miss
-(never a wrong result), survive concurrent writers, evict LRU-first,
-and clear.  The suite runs against directory, memory, SQLite and HTTP
-(a live in-thread daemon) through one parametrized rig.
+(never a wrong result), survive concurrent writers, and clear.  The
+suite runs against directory (the runner's ``ResultCache``), memory,
+SQLite and HTTP (a live in-thread daemon) through one parametrized rig.
 """
 
 import hashlib
 import json
+import sqlite3
 import threading
 import time
 
 import pytest
 
 from repro.runner import ResultCache, SweepPoint, point_key
+from repro.runner.cache import build_entry, validate_entry
 from repro.svc import (
     CacheBackend,
-    DirectoryBackend,
     HttpBackend,
     MemoryBackend,
     SqliteBackend,
     make_cache_backend,
     serve_cache,
 )
-from repro.svc.backends import build_entry, validate_entry
 
 BACKENDS = ["directory", "memory", "sqlite", "http"]
 
@@ -50,7 +50,7 @@ class Rig:
 @pytest.fixture(params=BACKENDS)
 def rig(request, tmp_path):
     if request.param == "directory":
-        backend = DirectoryBackend(tmp_path / "dcache")
+        backend = ResultCache(tmp_path / "dcache")
         r = Rig(
             backend,
             corrupt=lambda key: backend._path(key).write_text(
@@ -62,7 +62,7 @@ def rig(request, tmp_path):
         r = Rig(
             backend,
             corrupt=lambda key: backend._entries.__setitem__(
-                key, (2, {"bogus": True})),
+                key, {"bogus": True}),
             corrupt_count=lambda: backend.corrupt_discards,
         )
     elif request.param == "sqlite":
@@ -94,7 +94,7 @@ def rig(request, tmp_path):
         r = Rig(
             backend,
             corrupt=lambda key: store._entries.__setitem__(
-                key, (2, {"bogus": True})),
+                key, {"bogus": True}),
             corrupt_count=lambda: store.corrupt_discards,
             teardown=teardown,
             strict_discard=False,
@@ -117,10 +117,10 @@ def test_all_backends_satisfy_protocol(rig):
     assert isinstance(rig.backend, CacheBackend)
 
 
-def test_plain_result_cache_is_not_a_backend(tmp_path):
-    # The protocol demands put_entry/discard/stats/close on top of the
-    # historical get/put surface.
-    assert not isinstance(ResultCache(tmp_path), CacheBackend)
+def test_result_cache_is_a_backend(tmp_path):
+    # The runner's directory cache is the dir: store itself, not a
+    # second class wrapping the same on-disk format.
+    assert isinstance(ResultCache(tmp_path), CacheBackend)
 
 
 # --------------------------------------------------------------- round trip
@@ -227,46 +227,19 @@ def test_concurrent_writers_all_entries_survive(rig):
         assert rig.backend.get(k)["payload"]["t"] == t
 
 
-# --------------------------------------------------------------- eviction
-
-BOUNDED = {
-    "directory": lambda tmp: DirectoryBackend(tmp / "lru", max_entries=3),
-    "memory": lambda tmp: MemoryBackend(max_entries=3),
-    "sqlite": lambda tmp: SqliteBackend(tmp / "lru.db", max_entries=3),
-}
+# --------------------------------------------------------------- overwrite
 
 
-@pytest.fixture(params=sorted(BOUNDED))
-def bounded(request, tmp_path):
-    backend = BOUNDED[request.param](tmp_path)
-    yield backend
-    backend.close()
-
-
-def test_lru_eviction_order(bounded):
-    keys = [key_for(2000 + i) for i in range(4)]
-    for i, k in enumerate(keys[:3]):
-        bounded.put_entry(k, build_entry(k, None, {"i": i}))
-        time.sleep(0.02)  # keep directory mtimes strictly ordered
-    assert bounded.get(keys[0]) is not None  # refresh: 0 is now MRU
-    time.sleep(0.02)
-    bounded.put_entry(keys[3], build_entry(keys[3], None, {"i": 3}))
-    # keys[1] was least-recently-used; it alone is gone.
-    assert bounded.get(keys[1]) is None
-    assert bounded.get(keys[0]) is not None
-    assert bounded.get(keys[2]) is not None
-    assert bounded.get(keys[3]) is not None
-    assert bounded.evictions == 1
-    assert len(bounded) == 3
-
-
-def test_overwrite_does_not_evict(bounded):
-    # Re-putting one key never pushes the store over its bound.
-    k = key_for(3000)
+def test_overwrite_does_not_evict(rig):
+    # Re-putting one key replaces it in place and leaves its neighbours.
+    keys = [key_for(3000 + i) for i in range(3)]
+    for i, k in enumerate(keys):
+        rig.backend.put_entry(k, build_entry(k, None, {"i": i}))
     for i in range(10):
-        bounded.put_entry(k, build_entry(k, None, {"i": i}))
-    assert bounded.get(k)["payload"] == {"i": 9}
-    assert bounded.evictions == 0
+        rig.backend.put_entry(keys[0], build_entry(keys[0], None, {"i": i}))
+    assert rig.backend.get(keys[0])["payload"] == {"i": 9}
+    assert rig.backend.get(keys[2])["payload"] == {"i": 2}
+    assert len(rig.backend) == 3
 
 
 # --------------------------------------------------------------- http extras
@@ -313,6 +286,34 @@ def test_http_degrades_to_fallback_when_daemon_dies(tmp_path):
     client.close()
 
 
+class _SlowStore(MemoryBackend):
+    """A daemon store whose writes take long enough to be caught
+    mid-upload."""
+
+    def put_entry(self, key, entry):
+        time.sleep(0.3)
+        super().put_entry(key, entry)
+
+
+def test_http_flush_waits_for_the_upload_in_flight():
+    # Regression: flush() polled queue.empty(), which is already true
+    # while the uploader is still sending the item it just dequeued.
+    store = _SlowStore()
+    daemon = serve_cache(port=0, backend=store)
+    daemon.serve_in_thread()
+    client = HttpBackend(f"http://127.0.0.1:{daemon.server_address[1]}",
+                         fallback=None)
+    key = key_for(4002)
+    try:
+        client.put(key, None, {"v": 1})
+        client.flush()
+        assert store.get(key)["payload"] == {"v": 1}
+    finally:
+        client.close()
+        daemon.shutdown()
+        daemon.server_close()
+
+
 def test_daemon_rejects_bad_keys_and_bodies():
     import http.client
 
@@ -354,33 +355,52 @@ def test_make_cache_backend_specs(tmp_path):
     assert make_cache_backend(None) is None
     assert isinstance(make_cache_backend("memory"), MemoryBackend)
     d = make_cache_backend(f"dir:{tmp_path / 'd'}")
-    assert isinstance(d, DirectoryBackend)
+    assert type(d) is ResultCache and d.root == tmp_path / "d"
     s = make_cache_backend(f"sqlite:{tmp_path / 'c.db'}")
     assert isinstance(s, SqliteBackend)
     s.close()
     bare = make_cache_backend(str(tmp_path / "bare"))
-    assert isinstance(bare, DirectoryBackend)
+    assert type(bare) is ResultCache
     h = make_cache_backend("http://127.0.0.1:1", fallback_dir=tmp_path / "fb")
     assert isinstance(h, HttpBackend)
-    assert isinstance(h.fallback, DirectoryBackend)
+    assert type(h.fallback) is ResultCache
     assert h.fallback.root == tmp_path / "fb"
     h.close()
+    with pytest.raises(ValueError, match="scheme 'https'"):
+        make_cache_backend("https://h:1", fallback_dir=tmp_path / "fb")
     # An existing backend instance passes through untouched.
     m = MemoryBackend()
     assert make_cache_backend(m) is m
 
 
-def test_directory_namespaces_do_not_collide(tmp_path):
-    a = DirectoryBackend(tmp_path, namespace="alice")
-    b = DirectoryBackend(tmp_path, namespace="bob")
-    key = key_for(6000)
-    a.put_entry(key, build_entry(key, None, {"who": "alice"}))
-    assert b.get(key) is None
-    b.put_entry(key, build_entry(key, None, {"who": "bob"}))
-    assert a.get(key)["payload"] == {"who": "alice"}
-    assert b.get(key)["payload"] == {"who": "bob"}
-    with pytest.raises(ValueError):
-        DirectoryBackend(tmp_path, namespace="../escape")
+def test_sqlite_opens_files_with_the_lru_columns(tmp_path):
+    # Files written while the store had LRU bounds carry NOT NULL
+    # nbytes/seq columns; they must keep hitting and accept puts.
+    path = tmp_path / "old.db"
+    old_key, new_key = key_for(8000), key_for(8001)
+    blob = json.dumps(build_entry(old_key, None, {"v": "old"}),
+                      separators=(",", ":"))
+    conn = sqlite3.connect(str(path))
+    conn.execute(
+        "CREATE TABLE IF NOT EXISTS entries ("
+        " key TEXT PRIMARY KEY,"
+        " entry TEXT NOT NULL,"
+        " nbytes INTEGER NOT NULL,"
+        " seq INTEGER NOT NULL)"
+    )
+    conn.execute("INSERT INTO entries VALUES (?, ?, ?, 1)",
+                 (old_key, blob, len(blob)))
+    conn.commit()
+    conn.close()
+    for _ in range(2):  # and opening an already-opened file again
+        store = SqliteBackend(path)
+        try:
+            assert store.get(old_key)["payload"] == {"v": "old"}
+            store.put_entry(new_key, build_entry(new_key, None, {"v": "new"}))
+            assert store.get(new_key)["payload"] == {"v": "new"}
+            assert len(store) == 2
+        finally:
+            store.close()
 
 
 def test_validate_entry():

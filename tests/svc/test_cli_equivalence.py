@@ -74,6 +74,58 @@ def test_sweep_cache_backend_rerun_fully_hits(tmp_path, capsys):
         [r["payload"] for r in first["sweep"]]
 
 
+def test_cache_dir_and_dir_backend_hit_each_other(tmp_path, capsys):
+    import json
+
+    def payloads(doc):
+        return [r["payload"] for r in doc["sweep"]]
+
+    a, b = tmp_path / "a", tmp_path / "b"
+    cold = json.loads(run_cli(capsys, "--cache-dir", str(a)))
+    warm = json.loads(run_cli(capsys, "--cache-backend", f"dir:{a}"))
+    assert cold["telemetry"]["hit_rate"] == 0.0
+    assert warm["telemetry"]["hit_rate"] == 1.0
+    assert payloads(warm) == payloads(cold)
+
+    cold = json.loads(run_cli(capsys, "--cache-backend", f"dir:{b}"))
+    warm = json.loads(run_cli(capsys, "--cache-dir", str(b)))
+    assert cold["telemetry"]["hit_rate"] == 0.0
+    assert warm["telemetry"]["hit_rate"] == 1.0
+    assert payloads(warm) == payloads(cold)
+
+
+def _unopenable(kind, tmp_path):
+    """A cache spec that cannot be opened: a scheme other than http, or
+    a SQLite file whose parent directory is a regular file."""
+    if kind == "https":
+        return "https://h:1"
+    blocker = tmp_path / "a-file"
+    blocker.write_text("", encoding="utf-8")
+    return f"sqlite:{blocker / 'x.db'}"
+
+
+@pytest.mark.parametrize("kind", ["https", "sqlite"])
+def test_bad_cache_backend_spec_is_a_one_line_error(kind, tmp_path):
+    spec = _unopenable(kind, tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(GRID + ["--cache-backend", spec])
+    message = str(exc.value.code)
+    assert message.startswith(
+        f"repro-experiments: --cache-backend {spec}: "), message
+    assert "\n" not in message
+
+
+@pytest.mark.parametrize("kind", ["https", "sqlite"])
+def test_bad_serve_cache_store_is_a_one_line_error(kind, tmp_path):
+    from repro.svc.httpcache import serve_cache_main
+
+    spec = _unopenable(kind, tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        serve_cache_main(["--port", "0", "--store", spec])
+    message = str(exc.value.code)
+    assert message.startswith(f"repro-experiments: --store {spec}: "), message
+
+
 # ------------------------------------------------------ executor backends
 
 
