@@ -280,8 +280,8 @@ def measure_trace_app(app_name, repeats=DEFAULT_REPEATS):
     """
     import io
 
-    from repro.compact import (CompactWriter, compress_trace_bytes,
-                               expand_batch_pairs)
+    from repro.compact.codec import (CompactWriter, compress_trace_bytes,
+                                     expand_batch_pairs)
     from repro.dynprof import run_policy_job
 
     app = get_app(app_name)

@@ -1,7 +1,7 @@
 """Tracing-disabled overhead benchmarks.
 
 The causal tracer's contract is that with tracing off (the default,
-the NULL_TRACER backend) every instrumented hot path pays exactly one
+the shared ``OFF`` sink) every instrumented hot path pays exactly one
 attribute check. These benchmarks pin that: the probe hot path with
 the trace guards compiled in must perform within noise of the same
 path hammering an enabled tracer's guard-only branch — and, more
@@ -31,8 +31,8 @@ def _probe_rig():
 
 
 def test_probe_hot_path_tracing_disabled(benchmark):
-    """The guarded probe path against the NULL_TRACER backend."""
-    assert not obs_trace.is_enabled()
+    """The guarded probe path against the ``OFF`` sink."""
+    assert not obs_trace.get().enabled
     pctx, vt, fi = _probe_rig()
 
     def run():

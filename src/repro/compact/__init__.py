@@ -20,19 +20,14 @@ Everything here is postmortem/off-path: the simulator's hot paths are
 untouched, nothing costs anything unless a caller explicitly compresses
 a trace or constructs a compacting tracer, and figure outputs are
 byte-identical with the whole layer unused.
+
+The package namespace re-exports only the dependency-free
+:mod:`~repro.compact.suppress` and :mod:`~repro.compact.varint`, so the
+observation and replay layers can import the varint codec at module
+level; the VGVZ codec builds on :mod:`repro.vt` and is imported as
+:mod:`repro.compact.codec`.
 """
 
-from .codec import (
-    CompactionStats,
-    CompactReader,
-    CompactWriter,
-    compress_trace,
-    compress_trace_bytes,
-    decompress_trace,
-    expand_batch_pairs,
-    measure_compact_bytes,
-    record_key,
-)
 from .suppress import DEFAULT_MAX_WINDOW, Fold, RepeatSuppressor, fold_ring
 from .varint import (
     DeltaDecoder,
@@ -44,15 +39,6 @@ from .varint import (
 )
 
 __all__ = [
-    "CompactionStats",
-    "CompactReader",
-    "CompactWriter",
-    "compress_trace",
-    "compress_trace_bytes",
-    "decompress_trace",
-    "expand_batch_pairs",
-    "measure_compact_bytes",
-    "record_key",
     "Fold",
     "RepeatSuppressor",
     "fold_ring",

@@ -505,6 +505,10 @@ class CompactReader:
                 raise ValueError("record opcode before any buffer header")
             if op == _OP_LOOP:
                 width, pos = decode_uvarint(data, pos)
+                if width == 0:
+                    # A Fold has at least one record; an empty body
+                    # would spin n times without consuming a byte.
+                    raise ValueError("corrupt VGVZ LOOP: zero-width body")
                 n, pos = decode_uvarint(data, pos)
                 keys = []
                 for _ in range(width):

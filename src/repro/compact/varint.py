@@ -138,6 +138,13 @@ class DeltaDecoder:
         z, pos = decode_uvarint(data, pos)
         delta = self._delta + unzigzag(z)
         bits = self._bits + delta
+        try:
+            value = bits_to_float(bits)
+        except struct.error:
+            # Only a corrupt stream leaves the signed 64-bit range.
+            raise ValueError(
+                f"corrupt timestamp: bit pattern {bits} is not int64"
+            ) from None
         self._bits = bits
         self._delta = delta
-        return bits_to_float(bits), pos
+        return value, pos

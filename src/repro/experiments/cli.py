@@ -697,7 +697,7 @@ def trace_compact_main(argv: List[str]) -> int:
     import json as _json
     import os as _os
 
-    from ..compact import CompactReader, compress_trace_bytes
+    from ..compact.codec import CompactReader, compress_trace_bytes
     from ..vt import load_trace, save_trace, save_trace_compact
 
     parser = argparse.ArgumentParser(
@@ -1026,10 +1026,14 @@ def chaos_main(argv: List[str]) -> int:
     if args.replay:
         import base64 as _base64
 
+        from ..replay.orderlog import OrderLog
+
         try:
             with open(args.replay, "rb") as fh:
-                replay_blob = _base64.b64encode(fh.read()).decode("ascii")
-        except OSError as exc:
+                data = fh.read()
+            OrderLog.from_bytes(data)  # a damaged log is one error line
+            replay_blob = _base64.b64encode(data).decode("ascii")
+        except (OSError, ValueError) as exc:
             print(f"repro-experiments chaos: --replay {args.replay}: {exc}",
                   file=sys.stderr)
             return 1

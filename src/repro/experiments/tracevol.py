@@ -153,11 +153,11 @@ def run_tracevol_crosscheck(
       carries aggregate records — both must match the analytic model
       to the same tolerance;
     * every row expands the trace's batch records explicitly
-      (:func:`repro.compact.expand_batch_pairs`) and reports the
+      (:func:`repro.compact.codec.expand_batch_pairs`) and reports the
       expanded stream's length, which must equal ``raw_records``
       exactly — the 2n-per-batch identity the volume model rests on.
     """
-    from ..compact import expand_batch_pairs
+    from ..compact.codec import expand_batch_pairs
     from ..dynprof import run_policy_job
     from ..obs import trace as obs_trace
     from ..program import set_batching
@@ -224,7 +224,7 @@ def run_tracevol_compression(
     ``model_bytes`` accounting; ``lossless`` is a per-app round-trip
     verification (decode equals input, record for record).
     """
-    from ..compact import compress_trace_bytes, decompress_trace
+    from ..compact.codec import compress_trace_bytes, decompress_trace
     from ..dynprof import run_policy_job
 
     rows: List[Dict[str, Any]] = []

@@ -5,19 +5,18 @@ cheap and toggleable at runtime; the same constraint applies to
 observing this simulator.  ``repro.obs`` is a process-local metrics
 registry (counters, gauges, fixed-bucket histograms) plus lightweight
 span tracing of simulator phases (MPI wire time, VT buffer flushes,
-dynprof patch windows), with a null backend so that when observation is
-disabled — the default — every instrumented hot path pays exactly one
-attribute check.
+dynprof patch windows).  When observation is off — the default — the
+current sink is the shared :data:`OFF` object (see :mod:`repro.obs.slot`)
+and every instrumented hot path pays exactly one attribute check.
 
-Enabling is explicit and capture-at-construction::
+Enabling is explicit, scoped and capture-at-construction::
 
     from repro import obs
 
-    registry = obs.enable()          # or obs.collecting() as a context
-    env = Environment()              # built under the live registry
-    ... run a simulation ...
+    with obs.collecting() as registry:
+        env = Environment()          # built under the live registry
+        ... run a simulation ...
     doc = registry.snapshot()        # JSON-safe metrics document
-    obs.disable()
 
 The sweep runner exposes the same mechanism per point
 (``SweepRunner(collectors=[MetricsCollector()])``), and the CLI as
@@ -27,7 +26,7 @@ outputs are bit-identical with it on or off (pinned by tests).
 
 :mod:`repro.obs.trace` is the causal sibling of the metrics registry:
 per-(rank, thread) event tracks with spans, instants and flow edges in
-bounded ring buffers, behind the same enable/NULL-backend discipline
+bounded ring buffers, behind the same install-slot/``OFF`` discipline
 (``trace.tracing()`` / a ``TraceCollector`` on the runner / the CLI's
 ``--trace DIR``).  :mod:`repro.obs.export` turns a trace document into
 Chrome trace-event JSON (Perfetto-loadable) or a static SVG timeline;
@@ -50,27 +49,20 @@ See ``docs/observability.md`` for the metric name catalogue and
 
 from . import prom, timeseries, trace
 from .registry import (
-    NULL,
     Histogram,
     MetricsRegistry,
-    NullRegistry,
     collecting,
-    disable,
-    enable,
     get,
-    is_enabled,
     merge_snapshots,
 )
+from .slot import OFF, Slot
 
 __all__ = [
     "MetricsRegistry",
-    "NullRegistry",
     "Histogram",
-    "NULL",
+    "OFF",
+    "Slot",
     "get",
-    "enable",
-    "disable",
-    "is_enabled",
     "collecting",
     "merge_snapshots",
     "trace",

@@ -1,4 +1,4 @@
-"""The process-local metrics registry and its null backend.
+"""The process-local metrics registry.
 
 Every instrument lives in one :class:`MetricsRegistry`:
 
@@ -15,27 +15,23 @@ Every instrument lives in one :class:`MetricsRegistry`:
 
 The registry never touches the simulation: it charges no cost, draws no
 randomness, and schedules no events, so figures are bit-identical with
-observation on or off.  When observation is off the module-level
-registry is the :data:`NULL` singleton, whose ``enabled`` attribute is
-False — hot paths guard every instrument behind that single attribute
-check and otherwise pay nothing.
+observation on or off.  When observation is off :func:`get` returns
+the shared :data:`~repro.obs.slot.OFF` sink, whose ``enabled`` attribute
+is False — hot paths guard every instrument behind that single
+attribute check and otherwise pay nothing.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, ContextManager, Dict, List, Optional, Sequence, Tuple, Union
+
+from .slot import Slot
 
 __all__ = [
     "MetricsRegistry",
-    "NullRegistry",
     "Histogram",
-    "NULL",
     "get",
-    "enable",
-    "disable",
-    "is_enabled",
     "collecting",
     "merge_snapshots",
 ]
@@ -202,99 +198,24 @@ class MetricsRegistry:
         )
 
 
-class NullRegistry:
-    """The disabled backend: same surface, every method a no-op.
+_slot = Slot()
 
-    Instrumented code holds a reference to whichever registry was
-    current when it was built and tests ``registry.enabled`` before
-    doing any work, so with observation off the entire obs layer costs
-    one attribute check per hot-path visit.
-    """
-
-    __slots__ = ()
-
-    enabled = False
-
-    def inc(self, name: str, n: Union[int, float] = 1) -> None:
-        pass
-
-    def gauge_set(self, name: str, value: float) -> None:
-        pass
-
-    def gauge_max(self, name: str, value: float) -> None:
-        pass
-
-    def observe(self, name: str, value: float, edges: Sequence[float]) -> None:
-        pass
-
-    def span(self, name: str, duration: float) -> None:
-        pass
-
-    def snapshot(self) -> Dict[str, Any]:
-        return {"counters": {}, "gauges": {}, "histograms": {}, "spans": {}}
-
-    def merge_snapshot(self, snap: Dict[str, Any]) -> None:
-        pass
-
-    def reset(self) -> None:
-        pass
-
-    def __repr__(self) -> str:
-        return "<NullRegistry (observation disabled)>"
+#: The current process-local registry (:data:`~repro.obs.slot.OFF` when
+#: observation is off).
+get = _slot.get
 
 
-#: The shared disabled backend.
-NULL = NullRegistry()
-
-#: The process-local current registry; NULL until someone enables obs.
-_active: Union[MetricsRegistry, NullRegistry] = NULL
-
-
-def get() -> Union[MetricsRegistry, NullRegistry]:
-    """The current process-local registry (the null backend when off)."""
-    return _active
-
-
-def enable(registry: Optional[MetricsRegistry] = None) -> MetricsRegistry:
-    """Install ``registry`` (or a fresh one) as the current registry.
-
-    Only objects *constructed after* this call observe into it: hot-path
-    components capture the registry once at construction time.
-    """
-    global _active
-    _active = registry if registry is not None else MetricsRegistry()
-    return _active
-
-
-def disable() -> Union[MetricsRegistry, NullRegistry]:
-    """Restore the null backend; returns the registry that was active."""
-    global _active
-    previous = _active
-    _active = NULL
-    return previous
-
-
-def is_enabled() -> bool:
-    """True when a live registry (not the null backend) is installed."""
-    return _active.enabled
-
-
-@contextmanager
 def collecting(
     registry: Optional[MetricsRegistry] = None,
-) -> Iterator[MetricsRegistry]:
+) -> ContextManager[MetricsRegistry]:
     """Run a block with a (fresh by default) registry installed.
 
-    Restores whatever was active before on exit, so a worker process
-    can observe one sweep point without leaking state into the next.
+    Only objects *constructed inside* the block observe into it: hot-path
+    components capture the registry once at construction time.  Restores
+    whatever was active before on exit, so a worker process can observe
+    one sweep point without leaking state into the next.
     """
-    global _active
-    previous = _active
-    _active = registry if registry is not None else MetricsRegistry()
-    try:
-        yield _active
-    finally:
-        _active = previous
+    return _slot.installed(registry if registry is not None else MetricsRegistry())
 
 
 def merge_snapshots(snapshots: Sequence[Dict[str, Any]]) -> Dict[str, Any]:

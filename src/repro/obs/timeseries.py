@@ -22,8 +22,8 @@ framing), so a long run's series stays small and every float
 round-trips bit-for-bit through :func:`decode_series`.
 
 The lifecycle discipline is identical to the registry and the tracer:
-the module-level recorder is the :data:`NULL_RECORDER` singleton until
-someone calls :func:`enable` (or enters :func:`sampling`), and
+the current recorder is the shared :data:`~repro.obs.slot.OFF` sink
+until a block enters :func:`sampling`, and
 :meth:`MetricsSampler.install` returns None — scheduling *nothing* —
 when sampling is off.  That is a stronger guarantee than the
 registry's: the sampler is the one observation layer that *does*
@@ -38,25 +38,19 @@ sampler's own wakeups.
 from __future__ import annotations
 
 import base64
-from contextlib import contextmanager
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import (Any, Callable, ContextManager, Dict, Iterable, Iterator,
+                    List, Optional, Tuple)
 
-# NB: repro.compact transitively imports repro.vt which imports
-# repro.obs, so the varint codec import must stay inside the functions
-# that encode/decode (the package-level import would be circular).
+from ..compact.varint import DeltaDecoder, DeltaEncoder
+from .slot import Slot
 
 __all__ = [
     "SeriesRing",
     "TimeSeriesRecorder",
-    "NullRecorder",
     "MetricsSampler",
-    "NULL_RECORDER",
     "DEFAULT_INTERVAL",
     "DEFAULT_SERIES_CAPACITY",
     "get",
-    "enable",
-    "disable",
-    "is_enabled",
     "sampling",
     "decode_series",
     "series_rows",
@@ -109,8 +103,6 @@ class SeriesRing:
 
     def to_dict(self) -> Dict[str, Any]:
         """Delta-encoded JSON-safe form (lossless; see decode_series)."""
-        from ..compact.varint import DeltaEncoder
-
         tbuf = bytearray()
         vbuf = bytearray()
         tenc = DeltaEncoder()
@@ -134,8 +126,6 @@ def decode_series(doc: Dict[str, Any]) -> Tuple[List[float], List[float]]:
     The codec is lossless: every float returned is bit-identical to the
     one sampled.
     """
-    from ..compact.varint import DeltaDecoder
-
     if doc.get("codec") != _CODEC:
         raise ValueError(f"unknown series codec {doc.get('codec')!r}")
     n = int(doc["n"])
@@ -207,89 +197,28 @@ class TimeSeriesRecorder:
                 f"{len(self.series)} series, {self.samples} samples>")
 
 
-class NullRecorder:
-    """The disabled backend: sampling off means *no sampler exists*."""
+_slot = Slot()
 
-    __slots__ = ()
-
-    enabled = False
-    interval = DEFAULT_INTERVAL
-    capacity = DEFAULT_SERIES_CAPACITY
-    samples = 0
-
-    def record(self, name: str, kind: str, t: float, value: float) -> None:
-        pass
-
-    def snapshot(self) -> Dict[str, Any]:
-        return {"version": 1, "interval": self.interval,
-                "capacity": self.capacity, "samples": 0,
-                "series": {}, "probes": {}}
-
-    def __repr__(self) -> str:
-        return "<NullRecorder (sampling disabled)>"
+#: The current process-local recorder (:data:`~repro.obs.slot.OFF` when
+#: sampling is off).
+get = _slot.get
 
 
-#: The shared disabled backend.
-NULL_RECORDER = NullRecorder()
-
-_active: Any = NULL_RECORDER
-
-
-def get() -> Any:
-    """The current process-local recorder (the null backend when off)."""
-    return _active
-
-
-def enable(
-    recorder: Optional[TimeSeriesRecorder] = None,
-    interval: float = DEFAULT_INTERVAL,
-    capacity: int = DEFAULT_SERIES_CAPACITY,
-) -> TimeSeriesRecorder:
-    """Install ``recorder`` (or a fresh one) as the current recorder.
-
-    Like the registry, capture is at construction time: only samplers
-    installed *after* this call record into it.
-    """
-    global _active
-    if recorder is None:
-        recorder = TimeSeriesRecorder(interval=interval, capacity=capacity)
-    _active = recorder
-    return recorder
-
-
-def disable() -> Any:
-    """Restore the null backend; returns the recorder that was active."""
-    global _active
-    previous = _active
-    _active = NULL_RECORDER
-    return previous
-
-
-def is_enabled() -> bool:
-    """True when a live recorder (not the null backend) is installed."""
-    return _active.enabled
-
-
-@contextmanager
 def sampling(
     recorder: Optional[TimeSeriesRecorder] = None,
     interval: float = DEFAULT_INTERVAL,
     capacity: int = DEFAULT_SERIES_CAPACITY,
-) -> Iterator[TimeSeriesRecorder]:
+) -> ContextManager[TimeSeriesRecorder]:
     """Run a block with a (fresh by default) recorder installed.
 
-    Restores whatever was active before on exit, so a worker process
-    can sample one sweep point without leaking state into the next.
+    Like the registry, capture is at construction time: only samplers
+    installed *inside* the block record into it.  Restores whatever was
+    active before on exit, so a worker process can sample one sweep
+    point without leaking state into the next.
     """
-    global _active
-    previous = _active
     if recorder is None:
         recorder = TimeSeriesRecorder(interval=interval, capacity=capacity)
-    _active = recorder
-    try:
-        yield recorder
-    finally:
-        _active = previous
+    return _slot.installed(recorder)
 
 
 class MetricsSampler:

@@ -21,13 +21,13 @@ totals, raw-record counts for the trace-volume model) are kept in
 drop-immune side tables (:attr:`Tracer.totals`, :attr:`Tracer.counts`).
 
 The lifecycle discipline is identical to the metrics registry: the
-module-level tracer is the :data:`NULL_TRACER` singleton until someone
-calls :func:`enable` (or enters :func:`tracing`); instrumented
-components capture the tracer **once at construction** and guard every
-emission behind the single ``tracer.enabled`` attribute check, so with
-tracing off the whole layer costs one attribute load per hot-path
-visit and the simulation itself is never perturbed — no costs, no RNG
-draws, no events; figure outputs are bit-identical either way.
+current tracer is the shared :data:`~repro.obs.slot.OFF` sink until a
+block enters :func:`tracing`; instrumented components capture the
+tracer **once at construction** and guard every emission behind the
+single ``tracer.enabled`` attribute check, so with tracing off the
+whole layer costs one attribute load per hot-path visit and the
+simulation itself is never perturbed — no costs, no RNG draws, no
+events; figure outputs are bit-identical either way.
 
 The ``detail`` knob selects between ``"fine"`` (everything, including
 per-function spans from the VT probe path) and ``"coarse"``
@@ -38,21 +38,17 @@ trade the paper's deactivation tables implement for real traces.
 from __future__ import annotations
 
 from collections import deque
-from contextlib import contextmanager
-from typing import Any, Deque, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Any, ContextManager, Deque, Dict, List, Optional, Tuple, Union
+
+from .slot import Slot
 
 __all__ = [
     "Tracer",
-    "NullTracer",
     "TraceEvent",
     "TrackBuffer",
-    "NULL_TRACER",
     "TOOL_PID",
     "DEFAULT_CAPACITY",
     "get",
-    "enable",
-    "disable",
-    "is_enabled",
     "tracing",
 ]
 
@@ -405,132 +401,24 @@ class Tracer:
         )
 
 
-class NullTracer:
-    """The disabled backend: same surface, every method a no-op.
+_slot = Slot()
 
-    ``fine`` is False so even the per-function fast-path guard
-    (``tracer.enabled and tracer.fine``) short-circuits on the first
-    attribute load.
-    """
-
-    __slots__ = ()
-
-    enabled = False
-    fine = False
-    detail = "off"
-    dropped_events = 0
-    folded_events = 0
-    compact = False
-
-    def track(self, pid: int, tid: int = 0,
-              name: Optional[str] = None) -> None:
-        return None
-
-    def begin(self, pid: int, tid: int, name: str, cat: str, ts: float,
-              args: Optional[Dict[str, Any]] = None) -> None:
-        pass
-
-    def end(self, pid: int, tid: int, ts: float) -> None:
-        pass
-
-    def complete(self, pid: int, tid: int, name: str, cat: str,
-                 t0: float, t1: float,
-                 args: Optional[Dict[str, Any]] = None) -> None:
-        pass
-
-    def instant(self, pid: int, tid: int, name: str, cat: str, ts: float,
-                args: Optional[Dict[str, Any]] = None) -> None:
-        pass
-
-    def new_flow(self) -> int:
-        return 0
-
-    def flow_start(self, pid: int, tid: int, flow: int, name: str, cat: str,
-                   ts: float, args: Optional[Dict[str, Any]] = None) -> None:
-        pass
-
-    def flow_end(self, pid: int, tid: int, flow: int, name: str, cat: str,
-                 ts: float, args: Optional[Dict[str, Any]] = None) -> None:
-        pass
-
-    def count(self, name: str, n: Union[int, float] = 1) -> None:
-        pass
-
-    def snapshot(self) -> Dict[str, Any]:
-        return {
-            "kind": "repro.trace",
-            "version": 1,
-            "clock": "simulated-seconds",
-            "detail": "off",
-            "capacity": 0,
-            "compact": False,
-            "dropped_events": 0,
-            "folded_events": 0,
-            "tracks": [],
-            "totals": {},
-            "counts": {},
-        }
-
-    def reset(self) -> None:
-        pass
-
-    def __repr__(self) -> str:
-        return "<NullTracer (tracing disabled)>"
+#: The current process-local tracer (:data:`~repro.obs.slot.OFF` when
+#: tracing is off).
+get = _slot.get
 
 
-#: The shared disabled backend.
-NULL_TRACER = NullTracer()
-
-#: The process-local current tracer; NULL_TRACER until tracing is enabled.
-_active: Union[Tracer, NullTracer] = NULL_TRACER
-
-
-def get() -> Union[Tracer, NullTracer]:
-    """The current process-local tracer (the null backend when off)."""
-    return _active
-
-
-def enable(tracer: Optional[Tracer] = None) -> Tracer:
-    """Install ``tracer`` (or a fresh one) as the current tracer.
-
-    As with the metrics registry, only objects *constructed after* this
-    call emit into it: hot-path components capture the tracer once at
-    construction time.
-    """
-    global _active
-    _active = tracer if tracer is not None else Tracer()
-    return _active
-
-
-def disable() -> Union[Tracer, NullTracer]:
-    """Restore the null backend; returns the tracer that was active."""
-    global _active
-    previous = _active
-    _active = NULL_TRACER
-    return previous
-
-
-def is_enabled() -> bool:
-    """True when a live tracer (not the null backend) is installed."""
-    return _active.enabled
-
-
-@contextmanager
 def tracing(tracer: Optional[Tracer] = None, *,
             capacity: int = DEFAULT_CAPACITY,
             detail: str = "fine",
-            compact: bool = False) -> Iterator[Tracer]:
+            compact: bool = False) -> ContextManager[Tracer]:
     """Run a block with a (fresh by default) tracer installed.
 
-    Restores whatever was active before on exit, so a worker process
-    can trace one sweep point without leaking state into the next.
+    As with the metrics registry, only objects *constructed inside* the
+    block emit into it.  Restores whatever was active before on exit,
+    so a worker process can trace one sweep point without leaking state
+    into the next.
     """
-    global _active
-    previous = _active
-    _active = tracer if tracer is not None else Tracer(capacity=capacity,
-                                                       detail=detail,
-                                                       compact=compact)
-    try:
-        yield _active
-    finally:
-        _active = previous
+    if tracer is None:
+        tracer = Tracer(capacity=capacity, detail=detail, compact=compact)
+    return _slot.installed(tracer)

@@ -19,14 +19,11 @@ imports this package for its record/replay plumbing.
 
 from .errors import DivergenceError
 from .hooks import (
-    NULL,
     OrderRecorder,
     ReplayController,
     get,
-    install,
     recording,
     replaying,
-    uninstall,
 )
 from .orderlog import (
     CH_DELIVER,
@@ -49,10 +46,7 @@ __all__ = [
     "CH_DELIVER",
     "CH_MATCH",
     "CH_FAULT",
-    "NULL",
     "get",
-    "install",
-    "uninstall",
     "recording",
     "replaying",
     "BisectResult",

@@ -3,10 +3,10 @@
 The engine, the MPI mailboxes and the fault injector each capture the
 current replay sink at construction (``self._replay = get()``) and
 consult only its ``enabled`` flag on the hot path, exactly like the
-metrics registry: with nothing installed they hold the :data:`NULL`
-singleton and a recorded-off run pays one attribute read per decision
-site.  Figure outputs are byte-identical with recording on or off —
-the recorder only observes.
+metrics registry: with nothing installed they hold the shared
+:data:`~repro.obs.slot.OFF` sink and a recorded-off run pays one
+attribute read per decision site.  Figure outputs are byte-identical
+with recording on or off — the recorder only observes.
 
 Two sinks exist:
 
@@ -27,7 +27,9 @@ from __future__ import annotations
 import contextlib
 from typing import Any, Dict, Iterator, Optional
 
+from ..compact.varint import float_to_bits
 from ..obs import get as _obs_get
+from ..obs.slot import Slot
 from .errors import DivergenceError
 from .orderlog import (
     CH_DELIVER,
@@ -37,14 +39,10 @@ from .orderlog import (
     CHANNEL_NAMES,
     Decision,
     OrderLog,
-    float_bits,
 )
 
 __all__ = [
-    "NULL",
     "get",
-    "install",
-    "uninstall",
     "recording",
     "replaying",
     "OrderRecorder",
@@ -60,37 +58,11 @@ def _event_key(event: Any) -> str:
     return type(event).__name__
 
 
-class _NullReplay:
-    """Recording disabled: the hot paths see only ``enabled = False``."""
+_slot = Slot()
 
-    enabled = False
-
-    def __repr__(self) -> str:
-        return "<replay disabled>"
-
-
-NULL = _NullReplay()
-
-_current: Any = NULL
-
-
-def get() -> Any:
-    """The currently installed replay sink (:data:`NULL` when off)."""
-    return _current
-
-
-def install(sink: Any) -> Any:
-    """Install ``sink`` as the current replay sink; returns the previous."""
-    global _current
-    previous = _current
-    _current = sink
-    return previous
-
-
-def uninstall(previous: Any = NULL) -> None:
-    """Restore ``previous`` (default: disable recording)."""
-    global _current
-    _current = previous
+#: The currently installed replay sink (:data:`~repro.obs.slot.OFF` when
+#: neither recording nor replaying).
+get = _slot.get
 
 
 class OrderRecorder:
@@ -128,7 +100,7 @@ class OrderRecorder:
     def on_fault(self, stream: str, draw: float, time: float) -> None:
         """The fault injector drew ``draw`` from named stream ``stream``."""
         self.log.decisions.append(
-            Decision(CH_FAULT, stream, float_bits(draw), time)
+            Decision(CH_FAULT, stream, float_to_bits(draw), time)
         )
 
     # -- bookkeeping ----------------------------------------------------------
@@ -176,7 +148,7 @@ class ReplayController:
         self._check(CH_MATCH, f"{src}>{dst}:{tag}:{context}", position, time)
 
     def on_fault(self, stream: str, draw: float, time: float) -> None:
-        self._check(CH_FAULT, stream, float_bits(draw), time)
+        self._check(CH_FAULT, stream, float_to_bits(draw), time)
 
     # -- verification ---------------------------------------------------------
 
@@ -240,11 +212,10 @@ def recording(meta: Optional[Dict[str, Any]] = None) -> Iterator[OrderRecorder]:
     Must wrap the *construction* of the simulation objects, which
     capture the sink once (the obs discipline)."""
     recorder = OrderRecorder(meta=meta)
-    previous = install(recorder)
     try:
-        yield recorder
+        with _slot.installed(recorder):
+            yield recorder
     finally:
-        uninstall(previous)
         recorder.flush_obs()
 
 
@@ -254,13 +225,8 @@ def replaying(log: OrderLog) -> Iterator[ReplayController]:
     :class:`DivergenceError` at the first divergent decision, including
     a clean run that ends with recorded decisions still pending."""
     controller = ReplayController(log)
-    previous = install(controller)
-    completed = False
-    try:
+    with _slot.installed(controller):
         yield controller
-        completed = True
-    finally:
-        uninstall(previous)
-        if completed:
-            # No exception in flight: enforce full consumption (raises).
-            controller.finish()
+    # Reached only when no exception is in flight: enforce full
+    # consumption (raises).
+    controller.finish()

@@ -31,21 +31,22 @@ Serialisation (``RRLG`` format, version 1) uses the
 varints, zigzag for the signed values and the second-order bit-pattern
 delta codec for timestamps — plus a counted trailer so a truncated
 file is detected rather than silently shortened.
-
-.. note::
-   The :mod:`repro.compact` imports are deferred to call time:
-   ``repro.compact`` transitively imports :mod:`repro.vt`, which
-   imports :mod:`repro.simt` — and the engine imports
-   :mod:`repro.replay.hooks` (which imports this module), so a
-   module-level import here would be circular.
 """
 
 from __future__ import annotations
 
 import base64
 import json
-import struct
 from typing import Any, Dict, List, NamedTuple, Optional
+
+from ..compact.varint import (
+    DeltaDecoder,
+    DeltaEncoder,
+    decode_uvarint,
+    encode_uvarint,
+    unzigzag,
+    zigzag,
+)
 
 __all__ = [
     "CH_EVENT",
@@ -69,25 +70,6 @@ FORMAT_VERSION = 1
 
 _MAGIC = b"RRLG"
 _TRAILER = b"GLRR"
-
-_PACK_D = struct.Struct("<d")
-_PACK_Q = struct.Struct("<q")
-
-
-def float_bits(value: float) -> int:
-    """Signed 64-bit integer holding ``value``'s IEEE-754 bit pattern.
-
-    Local twin of :func:`repro.compact.varint.float_to_bits` so the
-    *recording* hot path never touches the compact import chain (see
-    the module note); the lossless-round-trip property is identical.
-    """
-    return _PACK_Q.unpack(_PACK_D.pack(value))[0]
-
-
-def bits_float(bits: int) -> float:
-    """Inverse of :func:`float_bits`."""
-    return _PACK_D.unpack(_PACK_Q.pack(bits))[0]
-
 
 class Decision(NamedTuple):
     """One recorded nondeterminism decision."""
@@ -152,8 +134,6 @@ class OrderLog:
     # -- serialisation --------------------------------------------------------
 
     def to_bytes(self) -> bytes:
-        from ..compact.varint import DeltaEncoder, encode_uvarint, zigzag
-
         out = bytearray()
         out += _MAGIC
         encode_uvarint(FORMAT_VERSION, out)
@@ -186,8 +166,6 @@ class OrderLog:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "OrderLog":
-        from ..compact.varint import DeltaDecoder, decode_uvarint, unzigzag
-
         if data[:4] != _MAGIC:
             raise ValueError("not an RRLG order log (bad magic)")
         pos = 4

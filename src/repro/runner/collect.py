@@ -147,7 +147,7 @@ class SampleCollector(_PerLabel):
     @contextlib.contextmanager
     def open(self, point: SweepPoint) -> Iterator[Any]:
         with contextlib.ExitStack() as stack:
-            if not obs.is_enabled():
+            if not obs.get().enabled:
                 # The sampler needs a registry to sample.
                 stack.enter_context(obs.collecting())
             yield stack.enter_context(

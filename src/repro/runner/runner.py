@@ -244,23 +244,11 @@ class SweepRunner:
         )
 
     def _resolve_executor(self):
-        """The executor backend this sweep runs on.
+        """The executor backend this sweep runs on (see
+        :func:`~repro.svc.executors.make_executor_backend`; imported
+        lazily — :mod:`repro.svc` builds on this module)."""
+        from ..svc.executors import make_executor_backend
 
-        ``executor=None`` reproduces the historical behaviour exactly:
-        ``jobs == 1`` runs in-process and serial, more jobs fan out
-        over a process pool with wave-retry crash semantics.  A spec
-        string or a :class:`~repro.svc.executors.ExecutorBackend`
-        overrides that.  (Imported lazily — :mod:`repro.svc` builds on
-        this module.)
-        """
-        from ..svc.executors import (
-            ProcessPoolBackend,
-            SerialBackend,
-            make_executor_backend,
-        )
-
-        if self.executor is None:
-            return SerialBackend() if self.jobs == 1 else ProcessPoolBackend(self.jobs)
         backend = make_executor_backend(self.executor, jobs=self.jobs)
         self.executor = backend  # keep the instance (socket listeners etc.)
         return backend

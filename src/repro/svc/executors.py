@@ -408,13 +408,16 @@ class SocketWorkerBackend(ExecutorBackend):
 def make_executor_backend(
     spec: Union[str, ExecutorBackend, None],
     jobs: int = 1,
-) -> Optional[ExecutorBackend]:
+) -> ExecutorBackend:
     """Build a backend from a CLI spec string (see module docstring).
 
-    ``None`` returns None — the runner then picks serial or process
-    pool from its ``jobs`` argument, exactly as before.
+    ``None`` derives the backend from ``jobs``: ``jobs == 1`` runs
+    in-process and serial, more jobs fan out over a process pool with
+    wave-retry crash semantics.
     """
-    if spec is None or isinstance(spec, ExecutorBackend):
+    if spec is None:
+        return SerialBackend() if jobs == 1 else ProcessPoolBackend(jobs)
+    if isinstance(spec, ExecutorBackend):
         return spec
     text = str(spec)
     if text == "serial":

@@ -91,7 +91,7 @@ class ThreadTraceBuffer:
         cache = self._compact_cache
         if cache is not None and cache[0] == len(self.records):
             return cache[1]
-        from ..compact import measure_compact_bytes
+        from ..compact.codec import measure_compact_bytes
 
         size = measure_compact_bytes(self.records)
         self._compact_cache = (len(self.records), size)

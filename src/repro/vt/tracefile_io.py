@@ -42,7 +42,7 @@ from .records import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..compact import CompactionStats
+    from ..compact.codec import CompactionStats
 
 __all__ = ["save_trace", "load_trace", "save_trace_compact",
            "load_trace_compact"]
@@ -144,11 +144,11 @@ def save_trace_compact(trace: TraceFile, path: str,
 
     Streams buffer by buffer through the repeat suppressor (``suppress=
     False`` disables folding but keeps the delta/varint framing) and
-    returns the :class:`~repro.compact.CompactionStats` accounting —
+    returns the :class:`~repro.compact.codec.CompactionStats` accounting —
     raw records, compact bytes, and the ratio against the analytic
     ``records x record_bytes`` volume model.
     """
-    from ..compact import compress_trace
+    from ..compact.codec import compress_trace
 
     with open(path, "wb") as fh:
         return compress_trace(trace, fh, suppress=suppress)
@@ -161,6 +161,6 @@ def load_trace_compact(path: str) -> TraceFile:
     object/record counts, so truncation raises instead of silently
     shortening the trace.
     """
-    from ..compact import CompactReader
+    from ..compact.codec import CompactReader
 
     return CompactReader.from_file(path).read_trace()

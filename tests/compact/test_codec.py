@@ -8,10 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.compact import (
+from repro.compact.codec import (
     CompactReader,
     CompactWriter,
-    compress_trace,
     compress_trace_bytes,
     decompress_trace,
     expand_batch_pairs,
@@ -190,6 +189,18 @@ def test_reader_rejects_truncation():
     # Cutting the stream loses the END trailer (or corrupts its counts).
     with pytest.raises(ValueError):
         decompress_trace(data[: len(data) // 2])
+
+
+def test_reader_rejects_zero_width_loop():
+    # The writer never emits an empty LOOP body; decoding one would spin
+    # n times without consuming a byte (n = 10**12 hangs the reader).
+    data = (b"VGVZ\x01" + b"\x00\x00" + b"\x18"  # header: app "", 24 B
+            + b"\x01\x00\x00"                      # BUF process 0, thread 0
+            + b"\x20\x00\x03"                      # LOOP width 0, n 3
+            + b"\x00\x00\x00")                     # END 0 objects, 0 raw
+    assert len(data) == 17
+    with pytest.raises(ValueError, match="zero-width"):
+        list(CompactReader(data).iter_records())
 
 
 def test_trailer_count_mismatch_detected():

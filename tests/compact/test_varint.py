@@ -134,3 +134,12 @@ def test_periodic_stream_costs_one_byte_after_warmup():
 def test_delta_roundtrip_property(values):
     decoded, _ = delta_roundtrip(values)
     assert [float_to_bits(v) for v in decoded] == [float_to_bits(v) for v in values]
+
+
+def test_delta_decoder_rejects_out_of_int64_bit_pattern():
+    # A corrupt stream can step the bit pattern out of int64; that must
+    # surface as the decoders' ValueError, not struct.error.
+    out = bytearray()
+    encode_uvarint(zigzag(2**64), out)
+    with pytest.raises(ValueError, match="corrupt timestamp"):
+        DeltaDecoder().decode(bytes(out), 0)

@@ -10,7 +10,7 @@ histogram bucket alignment is enforced, sampler on or off."""
 import pytest
 
 from repro import obs
-from repro.obs import MetricsRegistry
+from repro.obs import OFF, MetricsRegistry
 from repro.obs import timeseries
 from repro.obs.timeseries import MetricsSampler, decode_series
 from repro.simt import Environment
@@ -18,10 +18,9 @@ from repro.simt import Environment
 
 @pytest.fixture(autouse=True)
 def _layers_stay_off():
-    assert not obs.is_enabled() and not timeseries.is_enabled()
+    assert obs.get() is OFF and timeseries.get() is OFF
     yield
-    obs.disable()
-    timeseries.disable()
+    assert obs.get() is OFF and timeseries.get() is OFF
 
 
 def _sampled_run(increments, depth, interval=0.5):

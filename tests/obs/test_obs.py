@@ -7,7 +7,7 @@ import json
 import pytest
 
 from repro import obs
-from repro.obs import Histogram, MetricsRegistry, NullRegistry, merge_snapshots
+from repro.obs import OFF, Histogram, MetricsRegistry, merge_snapshots
 from repro.runner import MetricsCollector, SweepPoint, SweepRunner
 from repro.runner.worker import execute_point
 from repro.simt import Environment
@@ -16,10 +16,9 @@ from repro.simt import Environment
 @pytest.fixture(autouse=True)
 def _obs_stays_off():
     """Every test must leave the process-local registry disabled."""
-    assert not obs.is_enabled()
+    assert obs.get() is OFF
     yield
-    obs.disable()
-    assert not obs.is_enabled()
+    assert obs.get() is OFF
 
 
 # -------------------------------------------------------------- the registry
@@ -143,36 +142,37 @@ def test_merge_snapshots_helper_and_reset():
     b.inc("n", 9)
     assert merge_snapshots([a.snapshot(), b.snapshot()])["counters"]["n"] == 10
     a.reset()
-    assert a.snapshot() == NullRegistry().snapshot()
+    assert a.snapshot() == MetricsRegistry().snapshot()
 
 
 def test_null_registry_is_inert():
-    null = obs.NULL
-    assert isinstance(null, NullRegistry) and not null.enabled
-    null.inc("x")
-    null.gauge_set("x", 1)
-    null.gauge_max("x", 1)
-    null.observe("x", 1, edges=(1,))
-    null.span("x", 1)
-    null.merge_snapshot({"counters": {"x": 1}})
-    null.reset()
-    assert null.snapshot() == {
-        "counters": {}, "gauges": {}, "histograms": {}, "spans": {}
-    }
+    """Off is the one shared OFF sink: flags only, so an instrument call
+    that skipped its ``enabled`` guard fails loudly."""
+    from repro.obs import timeseries, trace
+    from repro.replay import hooks
+
+    assert obs.get() is trace.get() is timeseries.get() is hooks.get() is OFF
+    assert not OFF.enabled and not OFF.fine
+    for method in ("inc", "gauge_max", "span", "snapshot", "complete",
+                   "record", "on_event"):
+        with pytest.raises(AttributeError):
+            getattr(OFF, method)
 
 
-def test_enable_disable_and_collecting_restore():
-    assert obs.get() is obs.NULL
-    reg = obs.enable()
-    assert obs.is_enabled() and obs.get() is reg
-    assert obs.disable() is reg and obs.get() is obs.NULL
-
+def test_collecting_restores_previous_registry():
     with obs.collecting() as inner:
         assert obs.get() is inner and inner.enabled
         with obs.collecting() as nested:
             assert obs.get() is nested
         assert obs.get() is inner
-    assert obs.get() is obs.NULL
+    assert obs.get() is OFF
+
+    mine = MetricsRegistry()
+    with pytest.raises(RuntimeError):
+        with obs.collecting(mine) as reg:
+            assert reg is mine and obs.get() is mine
+            raise RuntimeError("boom")
+    assert obs.get() is OFF
 
 
 # ----------------------------------------------------- engine instrumentation
@@ -219,7 +219,7 @@ def test_worker_envelope_carries_obs_snapshot():
     assert counters["mpi.eager_sends"] > 0
     assert counters["vt.records"] > 0
     # Collection must not leak a live registry into the worker process.
-    assert not obs.is_enabled()
+    assert obs.get() is OFF
 
 
 def test_worker_envelope_has_no_obs_by_default():
@@ -321,4 +321,4 @@ def test_render_obs_report_lists_collected_metrics():
     assert "mpi.wire" in text and "spans" in text
     assert "mpi.msg_bytes" in text
 
-    assert "(no metrics collected)" in render_obs_report(obs.NULL.snapshot())
+    assert "(no metrics collected)" in render_obs_report(MetricsRegistry().snapshot())

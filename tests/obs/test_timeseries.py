@@ -6,10 +6,9 @@ import math
 import pytest
 
 from repro import obs
-from repro.obs import timeseries
+from repro.obs import OFF, timeseries
 from repro.obs.timeseries import (
     MetricsSampler,
-    NULL_RECORDER,
     SeriesRing,
     TimeSeriesRecorder,
     decode_series,
@@ -22,10 +21,9 @@ from repro.simt import Environment
 
 @pytest.fixture(autouse=True)
 def _sampling_stays_off():
-    assert not timeseries.is_enabled()
+    assert timeseries.get() is OFF
     yield
-    timeseries.disable()
-    assert not timeseries.is_enabled()
+    assert timeseries.get() is OFF
 
 
 # ------------------------------------------------------------------ the ring
@@ -96,20 +94,20 @@ def test_recorder_validates_parameters():
 
 def test_null_recorder_is_the_default_and_inert():
     rec = timeseries.get()
-    assert rec is NULL_RECORDER
-    assert not rec.enabled
-    rec.record("counter:x", "delta", 1.0, 1.0)  # no-op, no error
-    assert rec.snapshot()["series"] == {}
+    assert rec is OFF and not rec.enabled
+    # Off records nothing: a sampler that skipped its guard fails loudly.
+    with pytest.raises(AttributeError):
+        rec.record("counter:x", "delta", 1.0, 1.0)
 
 
 def test_sampling_context_restores_previous_recorder():
     with timeseries.sampling(interval=0.1) as rec:
         assert timeseries.get() is rec
-        assert timeseries.is_enabled()
+        assert rec.enabled
         with timeseries.sampling(interval=0.2) as inner:
             assert timeseries.get() is inner
         assert timeseries.get() is rec
-    assert timeseries.get() is NULL_RECORDER
+    assert timeseries.get() is OFF
 
 
 def test_install_returns_none_and_schedules_nothing_when_disabled():

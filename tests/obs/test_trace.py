@@ -20,7 +20,8 @@ from repro.obs.export import (
     validate_chrome_trace,
     write_chrome_trace,
 )
-from repro.obs.trace import NullTracer, Tracer
+from repro.obs import OFF
+from repro.obs.trace import Tracer
 from repro.runner import SweepPoint, SweepRunner, TraceCollector
 from repro.runner.worker import execute_point
 
@@ -28,10 +29,9 @@ from repro.runner.worker import execute_point
 @pytest.fixture(autouse=True)
 def _tracing_stays_off():
     """Every test must leave the process-local tracer disabled."""
-    assert not obs_trace.is_enabled()
+    assert obs_trace.get() is OFF
     yield
-    obs_trace.disable()
-    assert not obs_trace.is_enabled()
+    assert obs_trace.get() is OFF
 
 
 def _traced_policy_run(policy="Dynamic", app="smg98", cpus=2, scale=0.02):
@@ -102,26 +102,20 @@ def test_detail_knob_and_null_tracer():
     with pytest.raises(ValueError):
         Tracer(detail="loud")
 
-    null = NullTracer()
+    # Tracing off: both halves of the per-function guard short-circuit.
+    null = obs_trace.get()
     assert not null.enabled and not null.fine
-    null.begin(0, 0, "x", "app", 0.0)
-    null.end(0, 0, 1.0)
-    null.count("n")
-    assert null.new_flow() == 0
-    assert null.snapshot()["tracks"] == []
 
 
-def test_enable_disable_and_tracing_context_restore():
-    assert isinstance(obs_trace.get(), NullTracer)
-    live = obs_trace.enable()
-    assert obs_trace.get() is live and obs_trace.is_enabled()
-    assert obs_trace.disable() is live
-    assert not obs_trace.is_enabled()
-
-    with obs_trace.tracing(capacity=32, detail="coarse") as t:
-        assert obs_trace.get() is t
-        assert t.capacity == 32 and not t.fine
-    assert not obs_trace.is_enabled()
+def test_tracing_context_restore():
+    live = Tracer()
+    with obs_trace.tracing(live) as t:
+        assert t is live and obs_trace.get() is live
+        with obs_trace.tracing(capacity=32, detail="coarse") as inner:
+            assert obs_trace.get() is inner
+            assert inner.capacity == 32 and not inner.fine
+        assert obs_trace.get() is live
+    assert obs_trace.get() is OFF
 
 
 # ------------------------------------------------- flow / span integrity
@@ -460,8 +454,6 @@ def test_snapshot_reports_compaction_state():
     assert doc["folded_events"] == doc["tracks"][0]["folded"] > 0
     plain = Tracer().snapshot()
     assert plain["compact"] is False and plain["folded_events"] == 0
-    null = NullTracer().snapshot()
-    assert null["compact"] is False and null["folded_events"] == 0
 
 
 def test_tracing_context_threads_compact_through():

@@ -5,6 +5,7 @@ import base64
 import pytest
 
 from repro.faults import canned_plan
+from repro.obs import OFF
 from repro.replay import hooks
 from repro.replay.errors import DivergenceError
 from repro.replay.orderlog import OrderLog
@@ -32,12 +33,13 @@ def record(point):
 
 
 def test_hooks_install_restore():
-    assert hooks.get() is hooks.NULL
-    recorder = hooks.OrderRecorder()
-    previous = hooks.install(recorder)
-    assert hooks.get() is recorder
-    hooks.uninstall(previous)
-    assert hooks.get() is hooks.NULL
+    assert hooks.get() is OFF
+    with hooks.recording() as recorder:
+        assert hooks.get() is recorder
+        with hooks.replaying(OrderLog()) as controller:
+            assert hooks.get() is controller
+        assert hooks.get() is recorder
+    assert hooks.get() is OFF
 
 
 def test_recording_context_restores_on_error():
@@ -45,7 +47,7 @@ def test_recording_context_restores_on_error():
         with hooks.recording():
             assert hooks.get().enabled
             raise RuntimeError("boom")
-    assert hooks.get() is hooks.NULL
+    assert hooks.get() is OFF
 
 
 def test_recording_is_deterministic_and_rides_envelope():

@@ -5,8 +5,9 @@ import os
 
 import pytest
 
+from repro.compact.varint import encode_uvarint, zigzag
 from repro.experiments.cli import chaos_main, main, sweep_main
-from repro.replay.orderlog import OrderLog
+from repro.replay.orderlog import CH_EVENT, OrderLog
 
 ARGS = ["--cpus", "16", "--scale", "0.02"]
 
@@ -228,3 +229,27 @@ def test_load_replay_logs_rejects_corrupt_file(tmp_path):
     bad.write_bytes(b"RRLG but not really")
     with pytest.raises(SystemExit, match="order.log"):
         sweep_main([*SWEEP, "--replay", str(bad)])
+
+
+def test_corrupt_timestamp_is_a_one_line_error(tmp_path, capsys):
+    log = OrderLog(meta={"label": "bad"})
+    log.append(CH_EVENT, "P:rank0", 0, 0.0)
+    data = log.to_bytes()
+    # The one timestamp (0.0, a single zero byte) sits just before the
+    # trailer (count 1, b"GLRR"); step its bit pattern past int64.
+    assert data[-6] == 0
+    stamp = bytearray()
+    encode_uvarint(zigzag(2**64), stamp)
+    bad = tmp_path / "bad.order"
+    bad.write_bytes(data[:-6] + bytes(stamp) + data[-5:])
+
+    assert main(["replay", "verify", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("repro-experiments replay: ")
+    assert "corrupt timestamp" in err and "Traceback" not in err
+    with pytest.raises(SystemExit, match="corrupt timestamp"):
+        sweep_main([*SWEEP, "--replay", str(bad)])
+    assert chaos_main([*ARGS, "--replay", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("repro-experiments chaos: --replay ")
+    assert "corrupt timestamp" in err and "Traceback" not in err

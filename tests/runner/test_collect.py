@@ -65,4 +65,4 @@ def test_sampler_alone_opens_a_private_registry():
     assert envelope["status"] == "ok"
     assert set(envelope["attachments"]) == {"timeseries"}
     assert envelope["attachments"]["timeseries"]["samples"] > 0
-    assert not obs.is_enabled()
+    assert obs.get() is obs.OFF
