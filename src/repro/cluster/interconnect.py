@@ -11,12 +11,32 @@ switch; DESIGN.md records this simplification.
 
 from __future__ import annotations
 
+from typing import Callable, Dict, Iterator, Optional, Tuple
+
+import numpy as np
 
 from ..simt import Channel, Environment, RandomStreams
 from .machine import MachineSpec
 from .node import Node
 
 __all__ = ["Interconnect"]
+
+#: One link-table entry: (latency, bandwidth, next jitter draw or None).
+_Link = Tuple[float, float, Optional[Callable[[], float]]]
+
+#: Jitter draws fetched per numpy call on one link stream.
+_JITTER_BATCH = 64
+
+
+def _exponential_draws(gen: np.random.Generator, mean: float) -> Iterator[float]:
+    """Endless ``gen.exponential(mean)`` draws, fetched a batch at a time.
+
+    numpy fills a batch with the same values, in the same order, as
+    one-at-a-time calls, and a scalar call costs several times a
+    batched draw.  Only this link's entry consumes the stream.
+    """
+    while True:
+        yield from gen.exponential(mean, size=_JITTER_BATCH).tolist()
 
 
 class Interconnect:
@@ -31,6 +51,8 @@ class Interconnect:
         self.env = env
         self.spec = spec
         self.rng = rng.child("net")
+        #: Per-(src node, dst node) link constants, built on first use.
+        self._links: Dict[Tuple[int, int], _Link] = {}
         #: Count of messages sent (diagnostics).
         self.messages_sent = 0
         #: Total payload bytes moved (diagnostics).
@@ -49,13 +71,31 @@ class Interconnect:
         """
         if nbytes < 0:
             raise ValueError("negative message size")
-        intra = src.index == dst.index
-        base = self.spec.message_time(nbytes, intra_node=intra)
-        if self.spec.net_jitter > 0.0 and not intra:
-            stream = f"link.{src.index}.{dst.index}"
-            factor = 1.0 + self.rng.get(stream).exponential(self.spec.net_jitter)
-            base *= factor
-        return base
+        return self.link_time(src.index, dst.index, nbytes)
+
+    def link_time(self, src: int, dst: int, nbytes: int) -> float:
+        """:meth:`transfer_time` between node indices, for a size the
+        caller has already validated (the MPI transport's hot path)."""
+        link = self._links.get((src, dst))
+        if link is None:
+            link = self._links[(src, dst)] = self._link(src, dst)
+        latency, bandwidth, jitter = link
+        if jitter is None:
+            return latency + nbytes / bandwidth
+        return (latency + nbytes / bandwidth) * (1.0 + jitter())
+
+    def _link(self, src: int, dst: int) -> _Link:
+        """One node pair's entry.  Inter-node links draw multiplicative
+        jitter from their own ``link.{src}.{dst}`` stream; shared memory
+        has none."""
+        spec = self.spec
+        if src == dst:
+            return spec.shm_latency, spec.shm_bandwidth, None
+        jitter = None
+        if spec.net_jitter > 0.0:
+            stream = self.rng.get(f"link.{src}.{dst}")
+            jitter = _exponential_draws(stream, spec.net_jitter).__next__
+        return spec.net_latency, spec.net_bandwidth, jitter
 
     def deliver(
         self,

@@ -60,6 +60,8 @@ class Task:
         self._pending = 0.0
         self._gate = Gate(env, open_=True, name=f"{name}.suspend")
         self._gate.on_park = lambda _gate, _n: self._notify_stop_watchers()
+        #: Outstanding suspend requests; the gate is closed exactly while
+        #: this is nonzero, so hot paths test it instead of the gate.
         self._suspend_requests = 0
         self._blocked_depth = 0
         self._stop_watchers: List[Event] = []
@@ -157,13 +159,22 @@ class Task:
         quantum = self.spec.compute_quantum
         env = self.env
         while self._pending > 0.0:
-            if not self._gate.is_open:
+            if self._suspend_requests:
                 yield from self._park()
-            dt = self._pending if quantum <= 0 else min(self._pending, quantum)
+            dt = self._pending
+            if 0 < quantum < dt:
+                dt = quantum
             self._pending -= dt
             yield Timeout(env, dt)
-        if not self._gate.is_open:
+        if self._suspend_requests:
             yield from self._park()
+
+    @property
+    def settled(self) -> bool:
+        """True when :meth:`flush` and :meth:`checkpoint` would return at
+        once: no pending compute and no suspend request.  Hot callers
+        test this instead of entering them."""
+        return self._pending <= 0.0 and not self._suspend_requests
 
     def compute(self, dt: float) -> Generator:
         """Charge and immediately flush ``dt`` seconds of compute."""
@@ -176,7 +187,7 @@ class Task:
         Called by blocking operations (MPI recv, barriers) after they
         complete, so a task suspended while blocked does not run on.
         """
-        if not self._gate.is_open:
+        if self._suspend_requests:
             yield from self._park()
 
     def blocked_wait(self, event: Event) -> Generator:
@@ -193,7 +204,8 @@ class Task:
             value = yield event
         finally:
             self._blocked_depth -= 1
-        yield from self.checkpoint()
+        if self._suspend_requests:  # inlined checkpoint()
+            yield from self._park()
         return value
 
     def _park(self) -> Generator:

@@ -9,7 +9,8 @@ familiarity.
 Collectives are implemented on top of the simulated point-to-point layer
 with the classic algorithms (dissemination barrier, binomial-tree
 bcast/reduce/gather), so their latency scales O(log P) with real message
-traffic — this is what gives VT_confsync its Figure 8 scaling.  Internal
+traffic — this is what gives VT_confsync its Figure 8 scaling.  User
+and collective messages share one send/receive core; internal
 collective traffic uses a separate match context and is not logged by
 the VT wrapper (only the collective itself is, as with real PMPI).
 """
@@ -17,23 +18,19 @@ the VT wrapper (only the collective itself is, as with real PMPI).
 from __future__ import annotations
 
 import operator
-from typing import TYPE_CHECKING, Any, Callable, Generator, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, Generator, Iterator, List, Optional
 
+from ..simt import Timeout
 from .messages import ANY_SOURCE, ANY_TAG, COLL, P2P, Status
 from .request import Request
 from .util import payload_size
 
 if TYPE_CHECKING:  # pragma: no cover
+    from ..cluster import Task
+    from ..program import ProgramContext
     from .runtime import MpiWorld
 
 __all__ = ["Communicator"]
-
-
-def _log2_ceil(n: int) -> int:
-    bits = 0
-    while (1 << bits) < n:
-        bits += 1
-    return bits
 
 
 class Communicator:
@@ -43,11 +40,24 @@ class Communicator:
     and experiments never split communicators.
     """
 
-    def __init__(self, world: "MpiWorld", rank: int) -> None:
+    def __init__(self, world: "MpiWorld", rank: int, task: "Task", pctx: "ProgramContext",
+                 context: str = P2P) -> None:
         self.world = world
         self.rank = rank
         self.size = world.n_ranks
+        #: Match context of this communicator's messages.
+        self.context = context
         self._coll_seq = 0
+        self._task = task
+        self._pctx = pctx
+        self._env = world.env
+        self._transport = world.transport
+        self._mailbox = world.transport.mailboxes[rank]
+        self._overhead = world.spec.mpi_overhead
+        self._eager_limit = world.spec.eager_limit
+        #: Collective traffic goes through a shadow communicator: the same
+        #: rank on the separate COLL match context.
+        self._coll = self if context == COLL else Communicator(world, rank, task, pctx, COLL)
 
     # mpi4py-style accessors.
     def Get_rank(self) -> int:
@@ -58,72 +68,89 @@ class Communicator:
 
     # -- plumbing ------------------------------------------------------------
 
-    @property
-    def _pctx(self):
-        return self.world.rank_contexts[self.rank].pctx
-
-    @property
-    def _task(self):
-        return self.world.rank_contexts[self.rank].task
-
-    @property
-    def _spec(self):
-        return self.world.spec
-
-    @property
-    def _wrapper(self):
-        return self.world.wrappers[self.rank]
-
     def _check_peer(self, peer: int, what: str) -> None:
         if not 0 <= peer < self.size:
             raise ValueError(f"{what} rank {peer} out of range [0, {self.size})")
+
+    def _log_send(self, dest: int, tag: int, nbytes: int) -> None:
+        wrapper = self.world.wrappers[self.rank]
+        if wrapper is not None:
+            wrapper.on_send(self._pctx, dest, tag, nbytes)
+
+    def _log_recv(self, envelope) -> None:
+        wrapper = self.world.wrappers[self.rank]
+        if wrapper is not None:
+            wrapper.on_recv(self._pctx, envelope.src, envelope.tag, envelope.size)
+
+    # -- the send/receive core ---------------------------------------------------
+    #
+    # Shared by user point-to-point calls and collective traffic.  Callers
+    # validate peers and sizes, charge the send overhead and do any VT
+    # logging; the core only moves the message.  flush() and
+    # blocked_wait() end with a checkpoint, so another is needed only
+    # after a rendezvous transfer has yielded.
+
+    def _send(self, obj: Any, dest: int, tag: int, nbytes: int) -> Generator:
+        """Flush, put the message on the wire, checkpoint."""
+        task = self._task
+        if not task.settled:
+            yield from task.flush()
+        if nbytes <= self._eager_limit:
+            self._transport.send_eager(self.rank, dest, tag, self.context, obj, nbytes)
+            return
+        handshake = self._transport.send_rendezvous(self.rank, dest, tag, self.context, obj, nbytes)
+        transfer = yield from task.blocked_wait(handshake)
+        yield Timeout(self._env, transfer)
+        if not task.settled:
+            yield from task.checkpoint()
+
+    def _recv(self, source: int, tag: int) -> Generator:
+        """Post, blocked wait, rendezvous transfer, checkpoint, charge;
+        returns the matched envelope."""
+        task = self._task
+        if not task.settled:
+            yield from task.flush()
+        envelope = yield from task.blocked_wait(self._mailbox.post_recv(source, tag, self.context))
+        if envelope.rendezvous:
+            yield from self._pull(envelope)
+            if not task.settled:
+                yield from task.checkpoint()
+        task.charge(self._overhead)
+        return envelope
+
+    def _pull(self, envelope) -> Generator:
+        """Rendezvous: release the matched sender and move the payload."""
+        transfer = self._transport.payload_transfer_time(envelope.src, self.rank, envelope.size)
+        envelope.handshake.succeed(transfer)
+        yield Timeout(self._env, transfer)
 
     # -- point-to-point ---------------------------------------------------------
 
     def send(self, obj: Any, dest: int, tag: int = 0, size: Optional[int] = None) -> Generator:
         """Blocking standard-mode send."""
-        yield from self._send(obj, dest, tag, size, context=P2P, log=True)
-
-    def _send(self, obj: Any, dest: int, tag: int, size: Optional[int], context: str, log: bool) -> Generator:
         self._check_peer(dest, "destination")
-        task = self._task
-        nbytes = payload_size(obj) if size is None else int(size)
-        task.charge(self._spec.mpi_overhead)
-        if log:
-            wrapper = self._wrapper
-            if wrapper is not None:
-                wrapper.on_send(self._pctx, dest, tag, nbytes)
-        yield from task.flush()
-        transport = self.world.transport
-        if nbytes <= self._spec.eager_limit:
-            transport.send_eager(self.rank, dest, tag, context, obj, nbytes)
-        else:
-            handshake = transport.send_rendezvous(self.rank, dest, tag, context, obj, nbytes)
-            transfer = yield from task.blocked_wait(handshake)
-            yield self.world.env.timeout(transfer)
-        yield from task.checkpoint()
+        nbytes = _nbytes(obj, size)
+        self._task.charge(self._overhead)
+        self._log_send(dest, tag, nbytes)
+        yield from self._send(obj, dest, tag, nbytes)
 
     def isend(self, obj: Any, dest: int, tag: int = 0, size: Optional[int] = None) -> Request:
         """Nonblocking send; completion via the returned Request."""
         self._check_peer(dest, "destination")
-        task = self._task
-        nbytes = payload_size(obj) if size is None else int(size)
-        task.charge(self._spec.mpi_overhead)
-        wrapper = self._wrapper
-        if wrapper is not None:
-            wrapper.on_send(self._pctx, dest, tag, nbytes)
-        transport = self.world.transport
-        if nbytes <= self._spec.eager_limit:
+        nbytes = _nbytes(obj, size)
+        self._task.charge(self._overhead)
+        self._log_send(dest, tag, nbytes)
+        transport = self._transport
+        if nbytes <= self._eager_limit:
             # Eager sends buffer immediately: already complete.
-            done = self.world.env.event()
+            done = self._env.event()
             done.succeed(None)
-            transport.send_eager(self.rank, dest, tag, P2P, obj, nbytes)
+            transport.send_eager(self.rank, dest, tag, self.context, obj, nbytes)
             return Request(self, done, "isend")
-        handshake = transport.send_rendezvous(self.rank, dest, tag, P2P, obj, nbytes)
+        handshake = transport.send_rendezvous(self.rank, dest, tag, self.context, obj, nbytes)
 
         def finish(transfer: float) -> Generator:
-            yield self.world.env.timeout(transfer)
-            return None
+            yield Timeout(self._env, transfer)
 
         return Request(self, handshake, "isend", finisher=finish)
 
@@ -134,27 +161,10 @@ class Communicator:
         status: Optional[Status] = None,
     ) -> Generator:
         """Blocking receive; returns the payload object."""
-        return (yield from self._recv(source, tag, status, context=P2P, log=True))
-
-    def _recv(self, source: int, tag: int, status: Optional[Status], context: str, log: bool) -> Generator:
         if source != ANY_SOURCE:
             self._check_peer(source, "source")
-        task = self._task
-        yield from task.flush()
-        mailbox = self.world.transport.mailboxes[self.rank]
-        envelope = yield from task.blocked_wait(mailbox.post_recv(source, tag, context))
-        if envelope.rendezvous:
-            transfer = self.world.transport.payload_transfer_time(
-                envelope.src, self.rank, envelope.size
-            )
-            envelope.handshake.succeed(transfer)
-            yield self.world.env.timeout(transfer)
-        yield from task.checkpoint()
-        task.charge(self._spec.mpi_overhead)
-        if log:
-            wrapper = self._wrapper
-            if wrapper is not None:
-                wrapper.on_recv(self._pctx, envelope.src, envelope.tag, envelope.size)
+        envelope = yield from self._recv(source, tag)
+        self._log_recv(envelope)
         if status is not None:
             status.source = envelope.src
             status.tag = envelope.tag
@@ -165,20 +175,13 @@ class Communicator:
         """Nonblocking receive."""
         if source != ANY_SOURCE:
             self._check_peer(source, "source")
-        mailbox = self.world.transport.mailboxes[self.rank]
-        event = mailbox.post_recv(source, tag, P2P)
+        event = self._mailbox.post_recv(source, tag, self.context)
 
         def finish(envelope) -> Generator:
             if envelope.rendezvous:
-                transfer = self.world.transport.payload_transfer_time(
-                    envelope.src, self.rank, envelope.size
-                )
-                envelope.handshake.succeed(transfer)
-                yield self.world.env.timeout(transfer)
-            self._task.charge(self._spec.mpi_overhead)
-            wrapper = self._wrapper
-            if wrapper is not None:
-                wrapper.on_recv(self._pctx, envelope.src, envelope.tag, envelope.size)
+                yield from self._pull(envelope)
+            self._task.charge(self._overhead)
+            self._log_recv(envelope)
             return envelope.payload
 
         return Request(self, event, "irecv", finisher=finish)
@@ -199,27 +202,21 @@ class Communicator:
 
     def iprobe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> bool:
         """True if a matching message is waiting (MPI_Iprobe)."""
-        mailbox = self.world.transport.mailboxes[self.rank]
-        return mailbox.probe(source, tag, P2P) is not None
+        return self._mailbox.probe(source, tag, self.context) is not None
 
     # -- collective internals -----------------------------------------------------
-
-    def _ctag(self, round_: int) -> int:
-        """Tag for an internal collective message of the current op."""
-        return self._coll_seq * 64 + round_
-
-    def _csend(self, obj: Any, dest: int, round_: int, size: Optional[int] = None) -> Generator:
-        yield from self._send(obj, dest, self._ctag(round_), size, context=COLL, log=False)
-
-    def _crecv(self, source: int, round_: int) -> Generator:
-        return (yield from self._recv(source, self._ctag(round_), None, context=COLL, log=False))
+    #
+    # Internal messages use the core through ``_coll``, tagged
+    # ``_coll_seq * 64 + round``.  Their peers are computed mod P and
+    # roots are checked once per call, so they skip the per-message
+    # peer check, the VT wrapper and (given ``size``) payload sizing.
 
     def _coll_begin(self) -> float:
         self._coll_seq += 1
         return self._task.now
 
     def _coll_end(self, op: str, t_start: float) -> None:
-        wrapper = self._wrapper
+        wrapper = self.world.wrappers[self.rank]
         if wrapper is not None:
             wrapper.on_collective(self._pctx, op, self.size, t_start)
 
@@ -227,37 +224,46 @@ class Communicator:
 
     def barrier(self) -> Generator:
         """Dissemination barrier: ceil(log2 P) rounds of shifted exchange."""
-        t0 = self._coll_begin()
-        yield from self._dissemination()
-        self._coll_end("MPI_Barrier", t0)
+        return self._dissemination("MPI_Barrier")
 
-    def _dissemination(self) -> Generator:
+    def _dissemination(self, op: Optional[str] = None) -> Generator:
+        """The barrier algorithm; ``op`` names the collective VT logs
+        (None for the implicit syncs of MPI_Init and MPI_Finalize)."""
+        if op is not None:
+            t0 = self._coll_begin()
         P = self.size
+        task = self._task
         if P > 1:
-            for k in range(_log2_ceil(P)):
+            coll = self._coll
+            rank = self.rank
+            base = self._coll_seq * 64
+            for k in range((P - 1).bit_length()):  # ceil(log2 P) rounds
                 dist = 1 << k
-                yield from self._csend(0, (self.rank + dist) % P, k, size=4)
-                yield from self._crecv((self.rank - dist) % P, k)
-        yield from self._task.checkpoint()
+                task.charge(self._overhead)
+                yield from coll._send(0, (rank + dist) % P, base + k, 4)
+                yield from coll._recv((rank - dist) % P, base + k)
+        if not task.settled:
+            yield from task.checkpoint()
+        if op is not None:
+            self._coll_end(op, t0)
 
     def bcast(self, obj: Any, root: int = 0, size: Optional[int] = None) -> Generator:
         """Binomial-tree broadcast; returns the root's object on all ranks."""
         self._check_peer(root, "root")
+        if size is not None:
+            size = _nbytes(obj, size)
         t0 = self._coll_begin()
         P = self.size
+        coll = self._coll
+        tag = self._coll_seq * 64
         vrank = (self.rank - root) % P
         if vrank != 0:
             parent = _clear_highest_bit(vrank)
-            obj = yield from self._crecv((parent + root) % P, 0)
-        j = 0
-        while True:
-            bit = 1 << j
-            if bit > vrank:
-                child = vrank + bit
-                if child >= P:
-                    break
-                yield from self._csend(obj, (child + root) % P, 0, size=size)
-            j += 1
+            obj = (yield from coll._recv((parent + root) % P, tag)).payload
+        for child in _children(vrank, P):
+            nbytes = payload_size(obj) if size is None else size
+            self._task.charge(self._overhead)
+            yield from coll._send(obj, (child + root) % P, tag, nbytes)
         self._coll_end("MPI_Bcast", t0)
         return obj
 
@@ -271,21 +277,17 @@ class Communicator:
         self._check_peer(root, "root")
         t0 = self._coll_begin()
         P = self.size
+        coll = self._coll
+        tag = self._coll_seq * 64
         vrank = (self.rank - root) % P
         partial = obj
-        j = 0
-        while True:
-            bit = 1 << j
-            if bit > vrank:
-                child = vrank + bit
-                if child >= P:
-                    break
-                contribution = yield from self._crecv((child + root) % P, 0)
-                partial = op(partial, contribution)
-            j += 1
+        for child in _children(vrank, P):
+            contribution = (yield from coll._recv((child + root) % P, tag)).payload
+            partial = op(partial, contribution)
         if vrank != 0:
             parent = _clear_highest_bit(vrank)
-            yield from self._csend(partial, (parent + root) % P, 0)
+            self._task.charge(self._overhead)
+            yield from coll._send(partial, (parent + root) % P, tag, payload_size(partial))
             self._coll_end("MPI_Reduce", t0)
             return None
         self._coll_end("MPI_Reduce", t0)
@@ -302,27 +304,25 @@ class Communicator:
     def gather(self, obj: Any, root: int = 0, size: Optional[int] = None) -> Generator:
         """Binomial gather; root returns [value_0, ..., value_{P-1}]."""
         self._check_peer(root, "root")
+        if size is not None:
+            size = _nbytes(obj, size)
         t0 = self._coll_begin()
         P = self.size
+        coll = self._coll
+        tag = self._coll_seq * 64
         vrank = (self.rank - root) % P
-        collected = {vrank: obj}
-        j = 0
-        while True:
-            bit = 1 << j
-            if bit > vrank:
-                child = vrank + bit
-                if child >= P:
-                    break
-                part = yield from self._crecv((child + root) % P, 0)
-                collected.update(part)
-            j += 1
+        collected = {self.rank: obj}
+        for child in _children(vrank, P):
+            collected.update((yield from coll._recv((child + root) % P, tag)).payload)
         if vrank != 0:
             parent = _clear_highest_bit(vrank)
-            yield from self._csend(collected, (parent + root) % P, 0, size=size)
+            nbytes = payload_size(collected) if size is None else size
+            self._task.charge(self._overhead)
+            yield from coll._send(collected, (parent + root) % P, tag, nbytes)
             self._coll_end("MPI_Gather", t0)
             return None
         self._coll_end("MPI_Gather", t0)
-        return [collected[v] for v in range(P)]
+        return [collected[r] for r in range(P)]
 
     def allgather(self, obj: Any) -> Generator:
         """Gather to 0 + broadcast of the assembled list."""
@@ -336,6 +336,8 @@ class Communicator:
         """Flat-tree scatter; each rank returns its element of root's list."""
         self._check_peer(root, "root")
         t0 = self._coll_begin()
+        coll = self._coll
+        tag = self._coll_seq * 64
         if self.rank == root:
             if objs is None or len(objs) != self.size:
                 raise ValueError(
@@ -344,9 +346,10 @@ class Communicator:
             mine = objs[root]
             for dest in range(self.size):
                 if dest != root:
-                    yield from self._csend(objs[dest], dest, 0)
+                    self._task.charge(self._overhead)
+                    yield from coll._send(objs[dest], dest, tag, payload_size(objs[dest]))
         else:
-            mine = yield from self._crecv(root, 0)
+            mine = (yield from coll._recv(root, tag)).payload
         self._coll_end("MPI_Scatter", t0)
         return mine
 
@@ -356,6 +359,8 @@ class Communicator:
             raise ValueError(f"alltoall needs a list of exactly {self.size} items")
         t0 = self._coll_begin()
         P = self.size
+        coll = self._coll
+        base = self._coll_seq * 64
         result: List[Any] = [None] * P
         result[self.rank] = objs[self.rank]
         for k in range(1, P):
@@ -363,11 +368,13 @@ class Communicator:
             src = (self.rank - k) % P
             # Ordered exchange avoids rendezvous deadlock on large payloads.
             if self.rank < dest:
-                yield from self._csend(objs[dest], dest, k)
-                result[src] = yield from self._crecv(src, k)
+                self._task.charge(self._overhead)
+                yield from coll._send(objs[dest], dest, base + k, payload_size(objs[dest]))
+                result[src] = (yield from coll._recv(src, base + k)).payload
             else:
-                result[src] = yield from self._crecv(src, k)
-                yield from self._csend(objs[dest], dest, k)
+                result[src] = (yield from coll._recv(src, base + k)).payload
+                self._task.charge(self._overhead)
+                yield from coll._send(objs[dest], dest, base + k, payload_size(objs[dest]))
         self._coll_end("MPI_Alltoall", t0)
         return result
 
@@ -375,9 +382,24 @@ class Communicator:
         return f"<Communicator rank={self.rank}/{self.size}>"
 
 
-def _clear_highest_bit(v: int) -> int:
-    """Parent of ``v`` in a binomial tree rooted at 0."""
-    bit = 1
-    while bit <= v:
+def _nbytes(obj: Any, size: Optional[int]) -> int:
+    """Wire size of a message: ``size`` when given, else estimated.
+
+    Rejects a negative size before the caller charges, logs or counts."""
+    nbytes = payload_size(obj) if size is None else int(size)
+    if nbytes < 0:
+        raise ValueError(f"negative message size {nbytes}")
+    return nbytes
+
+
+def _children(vrank: int, P: int) -> Iterator[int]:
+    """Children of ``vrank`` in a binomial tree rooted at 0, nearest first."""
+    bit = 1 << vrank.bit_length()
+    while vrank + bit < P:
+        yield vrank + bit
         bit <<= 1
-    return v - (bit >> 1)
+
+
+def _clear_highest_bit(v: int) -> int:
+    """Parent of ``v`` (> 0) in a binomial tree rooted at 0."""
+    return v - (1 << (v.bit_length() - 1))

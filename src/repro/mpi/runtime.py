@@ -36,7 +36,7 @@ class RankContext:
         self.rank = rank
         self.task = task
         self.pctx = pctx
-        self.comm = Communicator(world, rank)
+        self.comm = Communicator(world, rank, task, pctx)
         self.initialized = False
         self.finalized = False
 

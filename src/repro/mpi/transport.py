@@ -21,25 +21,13 @@ from ..cluster import Cluster, Node
 from ..obs import get as _obs_get
 from ..obs.trace import get as _trace_get
 from ..replay.hooks import get as _replay_get
-from ..simt import Environment, Event
+from ..simt import Environment, Event, Timeout
 from .messages import Envelope
 
 __all__ = ["Mailbox", "Transport"]
 
 #: Histogram bucket upper bounds for on-wire message sizes (bytes).
 MSG_SIZE_EDGES = (64, 256, 1024, 4096, 16384, 65536, 262144, 1048576, 4194304)
-
-
-class _PostedRecv:
-    """A receive waiting for a matching envelope."""
-
-    __slots__ = ("source", "tag", "context", "event")
-
-    def __init__(self, source: int, tag: int, context: str, event: Event) -> None:
-        self.source = source
-        self.tag = tag
-        self.context = context
-        self.event = event
 
 
 class Mailbox:
@@ -49,7 +37,8 @@ class Mailbox:
         self.env = env
         self.rank = rank
         self._unexpected: Deque[Envelope] = deque()
-        self._posted: Deque[_PostedRecv] = deque()
+        #: Receives waiting for a match: (source, tag, context, event).
+        self._posted: Deque[Tuple[int, int, str, Event]] = deque()
         self._obs = _obs_get()
         self._trace = _trace_get()
         self._replay = _replay_get()
@@ -57,6 +46,10 @@ class Mailbox:
     @property
     def unexpected_count(self) -> int:
         return len(self._unexpected)
+
+    def arrive(self, wire: Timeout) -> None:
+        """Wire-timeout callback: the timeout's value is the envelope."""
+        self.deliver(wire._value)
 
     def deliver(self, envelope: Envelope) -> None:
         """An envelope has arrived on the wire."""
@@ -70,10 +63,10 @@ class Mailbox:
                 args={"src": envelope.src, "tag": envelope.tag,
                       "bytes": envelope.size},
             )
-        for position, posted in enumerate(self._posted):
-            if envelope.matches(posted.source, posted.tag, posted.context):
-                self._posted.remove(posted)
-                posted.event.succeed(envelope)
+        for position, (source, tag, context, event) in enumerate(self._posted):
+            if envelope.matches(source, tag, context):
+                del self._posted[position]
+                event.succeed(envelope)
                 if self._obs.enabled:
                     self._obs.inc("mpi.matched_posted")
                 if self._replay.enabled:
@@ -97,7 +90,7 @@ class Mailbox:
         event = Event(self.env)
         for position, envelope in enumerate(self._unexpected):
             if envelope.matches(source, tag, context):
-                self._unexpected.remove(envelope)
+                del self._unexpected[position]
                 event.succeed(envelope)
                 if self._obs.enabled:
                     self._obs.inc("mpi.matched_unexpected")
@@ -107,7 +100,7 @@ class Mailbox:
                         envelope.context, position, self.env.now,
                     )
                 return event
-        self._posted.append(_PostedRecv(source, tag, context, event))
+        self._posted.append((source, tag, context, event))
         return event
 
     def probe(self, source: int, tag: int, context: str) -> Optional[Envelope]:
@@ -134,9 +127,9 @@ class Mailbox:
         Returns True if the receive was withdrawn; False if it already
         completed (the caller owns the envelope) or was never ours.
         """
-        for posted in self._posted:
-            if posted.event is event:
-                self._posted.remove(posted)
+        for position, posted in enumerate(self._posted):
+            if posted[3] is event:
+                del self._posted[position]
                 if self._obs.enabled:
                     self._obs.inc("mpi.cancelled_recvs")
                 return True
@@ -163,8 +156,11 @@ class Transport:
     def __init__(self, env: Environment, cluster: Cluster, rank_nodes: List[Node]) -> None:
         self.env = env
         self.cluster = cluster
+        self.interconnect = cluster.interconnect
         self.spec = cluster.spec
         self.rank_nodes = rank_nodes
+        #: Node index of each rank: the interconnect's link-table key.
+        self._node_of = [node.index for node in rank_nodes]
         self.mailboxes: List[Mailbox] = [Mailbox(env, r) for r in range(len(rank_nodes))]
         #: Per-flow last-arrival clamp: (src, dst, context) -> time.
         self._last_arrival: Dict[Tuple[int, int, str], float] = {}
@@ -174,59 +170,12 @@ class Transport:
         self._obs = _obs_get()
         self._trace = _trace_get()
 
-    def n_ranks(self) -> int:
-        return len(self.rank_nodes)
-
-    def _wire_time(self, src: int, dst: int, nbytes: int) -> float:
-        return self.cluster.interconnect.transfer_time(
-            self.rank_nodes[src], self.rank_nodes[dst], nbytes
-        )
-
-    def _arrival(self, src: int, dst: int, context: str, delay: float) -> float:
-        """Wire arrival time with the non-overtaking clamp applied."""
-        t = self.env.now + delay
-        key = (src, dst, context)
-        prev = self._last_arrival.get(key, 0.0)
-        if t < prev:
-            t = prev
-            if self._obs.enabled:
-                self._obs.inc("mpi.clamp_activations")
-        self._last_arrival[key] = t
-        return t
-
-    def _schedule_delivery(self, envelope: Envelope, at: float) -> None:
-        # Always route through the event queue, even at zero wire time: a
-        # synchronous deliver() here would let this envelope match ahead
-        # of same-timestamp events that are already queued, breaking the
-        # FIFO ordering the queue's sequence counter exists to guarantee.
-        delay = at - self.env.now
-        if delay < 0.0:  # pragma: no cover - _arrival never goes backwards
-            delay = 0.0
-        mailbox = self.mailboxes[envelope.dst]
-        if self._obs.enabled:
-            self._obs.span("mpi.wire", delay)
-        timeout = self.env.timeout(delay)
-        timeout.callbacks.append(lambda _ev: mailbox.deliver(envelope))
-
     # -- send paths --------------------------------------------------------------
 
     def send_eager(self, src: int, dst: int, tag: int, context: str, payload: object, size: int) -> None:
         """Fire-and-forget small-message send; the sender does not block."""
         self.eager_sends += 1
-        if self._obs.enabled:
-            self._obs.inc("mpi.eager_sends")
-            self._obs.inc("mpi.wire_bytes", size)
-            self._obs.observe("mpi.msg_bytes", size, MSG_SIZE_EDGES)
-        envelope = Envelope(src, dst, tag, context, payload, size, self.env.now)
-        if self._trace.enabled:
-            envelope.flow = self._trace.new_flow()
-            self._trace.flow_start(
-                src, 0, envelope.flow, "mpi.send", "mpi", self.env.now,
-                args={"dst": dst, "tag": tag, "bytes": size,
-                      "proto": "eager", "ctx": context},
-            )
-        arrival = self._arrival(src, dst, context, self._wire_time(src, dst, size))
-        self._schedule_delivery(envelope, arrival)
+        self._launch(Envelope(src, dst, tag, context, payload, size, self.env.now), size)
 
     def send_rendezvous(self, src: int, dst: int, tag: int, context: str, payload: object, size: int) -> Event:
         """Large-message send: returns the handshake event.
@@ -238,29 +187,66 @@ class Transport:
         the payload transfer time to complete the send.
         """
         self.rendezvous_sends += 1
-        if self._obs.enabled:
-            # 64 B of RTS control traffic now; the payload bytes are
-            # committed to the wire as part of the same send.
-            self._obs.inc("mpi.rendezvous_sends")
-            self._obs.inc("mpi.wire_bytes", 64 + size)
-            self._obs.observe("mpi.msg_bytes", size, MSG_SIZE_EDGES)
         handshake = Event(self.env)
         envelope = Envelope(
             src, dst, tag, context, payload, size, self.env.now,
             rendezvous=True, handshake=handshake,
         )
-        if self._trace.enabled:
-            envelope.flow = self._trace.new_flow()
-            self._trace.flow_start(
-                src, 0, envelope.flow, "mpi.send", "mpi", self.env.now,
-                args={"dst": dst, "tag": tag, "bytes": size,
-                      "proto": "rendezvous", "ctx": context},
-            )
         # The RTS control message is small.
-        arrival = self._arrival(src, dst, context, self._wire_time(src, dst, 64))
-        self._schedule_delivery(envelope, arrival)
+        self._launch(envelope, 64)
         return handshake
+
+    def _launch(self, envelope: Envelope, wire_bytes: int) -> None:
+        """Put ``wire_bytes`` of ``envelope`` on the wire.
+
+        The arrival is clamped to be non-decreasing per (src, dst,
+        context) flow, and always goes through the event queue, even at
+        zero wire time: a synchronous deliver() here would let this
+        envelope match ahead of same-timestamp events that are already
+        queued, breaking the FIFO order the queue guarantees.
+        """
+        src = envelope.src
+        dst = envelope.dst
+        now = envelope.sent_at
+        at = now + self.interconnect.link_time(self._node_of[src], self._node_of[dst], wire_bytes)
+        key = (src, dst, envelope.context)
+        prev = self._last_arrival.get(key, 0.0)
+        clamped = at < prev
+        if clamped:
+            at = prev
+        self._last_arrival[key] = at
+        delay = at - now
+        if self._obs.enabled or self._trace.enabled:
+            self._observe(envelope, wire_bytes, delay, clamped)
+        Timeout(self.env, delay, envelope).callbacks.append(self.mailboxes[dst].arrive)
+
+    def _observe(self, envelope: Envelope, wire_bytes: int, delay: float, clamped: bool) -> None:
+        """Metrics and the causal-trace send edge of one launched message."""
+        size = envelope.size
+        obs = self._obs
+        if obs.enabled:
+            if envelope.rendezvous:
+                # 64 B of RTS control traffic now; the payload bytes are
+                # committed to the wire as part of the same send.
+                obs.inc("mpi.rendezvous_sends")
+                obs.inc("mpi.wire_bytes", wire_bytes + size)
+            else:
+                obs.inc("mpi.eager_sends")
+                obs.inc("mpi.wire_bytes", size)
+            obs.observe("mpi.msg_bytes", size, MSG_SIZE_EDGES)
+            if clamped:
+                obs.inc("mpi.clamp_activations")
+            obs.span("mpi.wire", delay)
+        trace = self._trace
+        if trace.enabled:
+            envelope.flow = trace.new_flow()
+            trace.flow_start(
+                envelope.src, 0, envelope.flow, "mpi.send", "mpi", self.env.now,
+                args={"dst": envelope.dst, "tag": envelope.tag, "bytes": size,
+                      "proto": "rendezvous" if envelope.rendezvous else "eager",
+                      "ctx": envelope.context},
+            )
 
     def payload_transfer_time(self, src: int, dst: int, size: int) -> float:
         """Bulk-transfer time of a rendezvous payload."""
-        return self._wire_time(src, dst, size)
+        return self.interconnect.link_time(self._node_of[src], self._node_of[dst], size)

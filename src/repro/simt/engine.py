@@ -118,8 +118,8 @@ class Environment:
 
     def schedule(self, event: Event, delay: float = 0.0, priority: int = NORMAL) -> None:
         """Put a triggered event on the queue ``delay`` seconds from now."""
-        if delay < 0:
-            raise ValueError(f"negative delay {delay}")
+        if not delay >= 0:  # also rejects NaN
+            raise ValueError(f"invalid delay {delay}")
         key = (self._now + delay, priority)
         bucket = self._buckets.get(key)
         if bucket is None:
@@ -243,16 +243,16 @@ class Environment:
             stop_event.callbacks.append(lambda _ev: None)
         else:
             stop_time = float(until)
-            if stop_time < self._now:
+            if not stop_time >= self._now:  # also rejects NaN
                 raise ValueError(
-                    f"until={stop_time} is in the past (now={self._now})"
+                    f"until={stop_time} is not a time at or after now={self._now}"
                 )
 
         # The hot loop.  Equivalent to ``while queue: step()`` but with
         # the per-event costs hoisted: observation/tracing enablement is
         # captured once per run() call, whole same-key buckets drain
         # without re-consulting the heap, and per-event counters
-        # accumulate in locals that are flushed per batch.
+        # accumulate in locals that are flushed when the run ends.
         buckets = self._buckets
         keyheap = self._keyheap
         obs = self._obs
@@ -267,8 +267,6 @@ class Environment:
         try:
             try:
                 while self._live:
-                    if stop_event is not None and stop_event.callbacks is None:
-                        break
                     key = keyheap[0]
                     bucket = buckets[key]
                     # Purge cancelled events parked at the front.
@@ -290,42 +288,41 @@ class Environment:
                     # positions); a new *smaller* key can only be same-
                     # time/lower-priority and shows up as a changed heap
                     # head, which we check after every event.
-                    n = 0
-                    try:
-                        while bucket:
-                            event = bucket.popleft()
-                            if event._cancelled:
-                                continue
-                            self._live -= 1
-                            n += 1
-                            if rep_on:
-                                rep.on_event(event, when, key[1])
-                            callbacks, event.callbacks = event.callbacks, None
-                            if callbacks:
-                                for callback in callbacks:
-                                    callback(event)
-                            if self._crash is not None:
-                                proc, exc = self._crash
-                                self._crash = None
-                                raise SimtError(
-                                    f"unobserved process {proc.name!r} crashed "
-                                    f"at t={self._now}"
-                                ) from exc
-                            if stop_event is not None and stop_event.callbacks is None:
-                                break
-                            if keyheap[0] is not key:
-                                break
-                    finally:
-                        if n:
-                            self.events_processed += n
-                            total += n
+                    while bucket:
+                        event = bucket.popleft()
+                        if event._cancelled:
+                            continue
+                        self._live -= 1
+                        total += 1
+                        if rep_on:
+                            rep.on_event(event, when, key[1])
+                        callbacks, event.callbacks = event.callbacks, None
+                        if callbacks:
+                            for callback in callbacks:
+                                callback(event)
+                        if self._crash is not None:
+                            proc, exc = self._crash
+                            self._crash = None
+                            raise SimtError(
+                                f"unobserved process {proc.name!r} crashed "
+                                f"at t={self._now}"
+                            ) from exc
+                        if stop_event is not None and stop_event.callbacks is None:
+                            break
+                        if keyheap[0] is not key:
+                            break
                     if not bucket and keyheap[0] is key:
                         heappop(keyheap)
                         del buckets[key]
+                    # The awaited event was processed (it was pending
+                    # on entry, so this never skips a first iteration).
+                    if stop_event is not None and stop_event.callbacks is None:
+                        break
                 else:
                     drained = True
             finally:
                 if total:
+                    self.events_processed += total
                     if obs_on:
                         obs.inc("simt.events", total)
                         obs.gauge_max("simt.queue_depth_hwm", hwm)

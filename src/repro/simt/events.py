@@ -14,6 +14,8 @@ time, so two runs of the same program produce identical event orderings.
 
 from __future__ import annotations
 
+from collections import deque
+from heapq import heappush
 from typing import TYPE_CHECKING, Any, Callable, Generator, Iterable, List, Optional
 
 from .errors import DeadProcessError, EventRescheduleError, Interrupt, StopSimulation
@@ -151,17 +153,24 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
-        if delay < 0:
-            raise ValueError(f"negative delay {delay}")
-        # Inlined Event.__init__: timeouts are the single most common
-        # event on the hot path, and they are born triggered.
+        if not delay >= 0:  # also rejects NaN
+            raise ValueError(f"invalid delay {delay}")
+        # Inlined Event.__init__ and Environment.schedule: timeouts are
+        # the single most common event on the hot path, and they are
+        # born triggered.
         self.env = env
         self.callbacks = []
         self._cancelled = False
         self.delay = delay
         self._ok = True
         self._value = value
-        env.schedule(self, delay=delay)
+        key = (env._now + delay, NORMAL)
+        bucket = env._buckets.get(key)
+        if bucket is None:
+            env._buckets[key] = bucket = deque()
+            heappush(env._keyheap, key)
+        bucket.append(self)
+        env._live += 1
 
     def __repr__(self) -> str:
         return f"<Timeout delay={self.delay} at 0x{id(self):x}>"

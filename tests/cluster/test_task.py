@@ -42,6 +42,25 @@ def test_flush_converts_pending_to_engine_time():
     assert task.pending == 0.0
 
 
+def test_settled_exactly_when_flush_and_checkpoint_are_no_ops():
+    """Hot paths skip flush()/checkpoint() on ``settled``: it must turn
+    False on pending compute and on an outstanding suspend request."""
+    env = Environment()
+    task, _ = make_task(env)
+    assert task.settled
+    task.charge(0.5)
+    assert not task.settled
+    env.run(until=env.process(task.flush()))
+    assert task.settled
+    task.request_suspend()
+    task.request_suspend()
+    task.resume()
+    # Nothing pending, but one request is still outstanding.
+    assert task.pending == 0.0 and not task.settled
+    task.resume()
+    assert task.settled
+
+
 def test_compute_is_charge_plus_flush():
     env = Environment()
     task, _ = make_task(env)

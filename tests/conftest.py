@@ -13,6 +13,8 @@ dependency for the same reason).
 import faulthandler
 import os
 
+import pytest
+
 #: Whole-session ceiling, not per-test: generous enough for the slowest
 #: CI matrix leg, small enough to beat the job-level cancel.
 SUITE_TIMEOUT_S = float(os.environ.get("REPRO_SUITE_TIMEOUT", "1200"))
@@ -25,3 +27,14 @@ def pytest_configure(config):
 
 def pytest_unconfigure(config):
     faulthandler.cancel_dump_traceback_later()
+
+
+def pytest_collection_modifyitems(config, items):
+    """Paper-scale digest checks take tens of seconds, so they run only
+    when selected by marker (``-m paper_digest``); tier-1 stays fast."""
+    if "paper_digest" in (config.getoption("markexpr") or ""):
+        return
+    skip = pytest.mark.skip(reason="paper-scale digests; select with -m paper_digest")
+    for item in items:
+        if "paper_digest" in item.keywords:
+            item.add_marker(skip)

@@ -224,17 +224,18 @@ def test_wait_all_completes_in_order():
 
 
 def test_zero_wire_time_delivery_goes_through_event_queue():
-    """Regression: ``_schedule_delivery`` used to call ``deliver()``
+    """Regression: the transport used to call ``deliver()``
     synchronously when the wire time was zero, letting the envelope jump
     ahead of same-timestamp events already on the queue."""
     from repro.cluster import Cluster, POWER3_SP
     from repro.mpi.messages import P2P
     from repro.mpi.transport import Transport
     from repro.simt import Environment
-    from repro.mpi import Envelope
 
     env = Environment()
-    cluster = Cluster(env, POWER3_SP.with_overrides(net_jitter=0.0, os_noise=0.0))
+    cluster = Cluster(
+        env, POWER3_SP.with_overrides(net_jitter=0.0, os_noise=0.0, shm_latency=0.0)
+    )
     node = cluster.node(0)
     transport = Transport(env, cluster, [node, node])
 
@@ -250,8 +251,7 @@ def test_zero_wire_time_delivery_goes_through_event_queue():
         real_deliver(envelope)
 
     mailbox.deliver = recording_deliver
-    envelope = Envelope(0, 1, 0, P2P, b"x", 0, env.now)
-    transport._schedule_delivery(envelope, at=env.now)  # zero delay
+    transport.send_eager(0, 1, 0, P2P, b"x", 0)  # zero wire time
 
     after = env.timeout(0.0)
     after.callbacks.append(lambda _ev: order.append("after"))

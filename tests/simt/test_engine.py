@@ -32,6 +32,25 @@ def test_negative_timeout_rejected():
         env.timeout(-1)
 
 
+def test_nan_delays_and_until_rejected():
+    """NaN compares False with everything, so a ``delay < 0`` guard let
+    it through: the NaN timeout ran first with ``now == nan`` and the
+    clock then went back for the next event; ``run(until=nan)`` silently
+    ignored ``until``."""
+    nan = float("nan")
+    env = Environment()
+    with pytest.raises(ValueError):
+        env.timeout(nan)
+    with pytest.raises(ValueError):
+        env.schedule(env.event(), delay=nan)
+    with pytest.raises(ValueError):
+        env.run(until=nan)
+    # Nothing was queued by the rejected calls: the clock stays sane.
+    env.timeout(1.0)
+    env.run()
+    assert env.now == 1.0 and env.events_processed == 1
+
+
 def test_run_until_time_stops_clock_exactly():
     env = Environment()
 
