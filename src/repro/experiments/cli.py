@@ -54,9 +54,10 @@ point's *order log* — the sequence of nondeterminism-relevant
 decisions — as one ``<label>.order`` file each (``chaos --record
 FILE`` records its single point); figure outputs stay byte-identical
 with or without recording.  ``--replay PATH`` (a ``.order`` file or a
-directory of them) verifies matching points against their recordings,
-reporting the first divergent decision instead of silently different
-numbers.  The ``replay`` subcommand works from logs alone: ``replay
+directory of them) re-runs matching points, bypassing the cache, and
+verifies them against their recordings, reporting the first divergent
+decision instead of silently different numbers; a replay that matches
+no point fails too.  The ``replay`` subcommand works from logs alone: ``replay
 verify LOG`` re-runs and checks the point a log describes, and
 ``replay bisect`` delta-debugs a failing fault plan to a 1-minimal
 interesting subset.
@@ -77,6 +78,11 @@ pool + directory cache.
 from __future__ import annotations
 
 import argparse
+import base64
+import contextlib
+import json
+import os
+import re
 import sys
 from typing import Any, Callable, Dict, List, Optional, Union
 
@@ -85,9 +91,10 @@ from ..cluster import MACHINES, get_machine
 from ..dynprof import POLICIES
 from ..faults import CANNED_PLANS, FaultPlan, canned_plan
 from ..obs.trace import DEFAULT_CAPACITY as DEFAULT_TRACE_CAPACITY
+from ..replay.orderlog import OrderLog
 from ..runner import SweepError, SweepPoint, SweepRunner, default_cache_dir
 from ..runner.collect import (Collector, MetricsCollector, OrderCollector,
-                             SampleCollector, TraceCollector)
+                             ReplayCollector, SampleCollector, TraceCollector)
 from .fig7 import FIG7_PANELS, fig7_shape_report, run_fig7
 from .fig8 import IA32_PROC_COUNTS, IBM_PROC_COUNTS, run_fig8a, run_fig8b, run_fig8c
 from .fig9 import run_fig9
@@ -263,11 +270,12 @@ def _add_runner_args(parser: argparse.ArgumentParser) -> None:
                              "each into DIR (repro.replay; figure outputs "
                              "are unaffected)")
     parser.add_argument("--replay", metavar="PATH", default=None,
-                        help="verify computed points against recorded order "
-                             "logs (PATH: one .order file or a directory of "
-                             "them, matched by point label); divergence "
-                             "fails the point with a first-divergence "
-                             "report")
+                        help="re-run points against recorded order logs "
+                             "(PATH: one .order file or a directory of "
+                             "them, matched by point label; the cache is "
+                             "not used); divergence fails the point with a "
+                             "first-divergence report, and a replay that "
+                             "verifies no log fails the run")
     parser.add_argument("--backend", metavar="SPEC", default=None,
                         help="executor backend: serial, process[:N], or "
                              "socket:HOST:PORT (remote `worker` processes "
@@ -278,44 +286,47 @@ def _add_runner_args(parser: argparse.ArgumentParser) -> None:
                              "overrides --cache-dir")
 
 
-def _load_replay_logs(path: str) -> dict:
+def _load_replay_logs(path: str) -> Dict[str, str]:
     """Load recorded order logs from one ``.order`` file or a directory
     of them; returns a ``label -> base64 log`` mapping keyed by each
-    log's recorded point label."""
-    import base64 as _base64
-    import os as _os
-
-    from ..replay.orderlog import OrderLog
-
-    if _os.path.isdir(path):
-        files = [_os.path.join(path, entry)
-                 for entry in sorted(_os.listdir(path))
+    log's recorded point label.  Raises ``ValueError`` naming the
+    offending file."""
+    if os.path.isdir(path):
+        files = [os.path.join(path, entry)
+                 for entry in sorted(os.listdir(path))
                  if entry.endswith(".order")]
         if not files:
-            raise SystemExit(
-                f"repro-experiments: --replay {path}: no .order files")
+            raise ValueError(f"--replay {path}: no .order files")
     else:
         files = [path]
-    logs: dict = {}
+    logs: Dict[str, str] = {}
     for file in files:
         try:
             with open(file, "rb") as fh:
                 data = fh.read()
             log = OrderLog.from_bytes(data)
         except (OSError, ValueError) as exc:
-            raise SystemExit(f"repro-experiments: --replay {file}: {exc}")
+            raise ValueError(f"--replay {file}: {exc}") from None
         label = (log.meta or {}).get("label")
         if not label:
-            raise SystemExit(
-                f"repro-experiments: --replay {file}: log metadata carries "
-                "no point label")
-        logs[label] = _base64.b64encode(data).decode("ascii")
+            raise ValueError(
+                f"--replay {file}: log metadata carries no point label")
+        logs[label] = base64.b64encode(data).decode("ascii")
     return logs
 
 
-def _collectors(args: argparse.Namespace) -> List[Collector]:
+def _collectors(
+    args: argparse.Namespace, parser: argparse.ArgumentParser
+) -> List[Collector]:
     """The collectors the observation flags (``--obs``, ``--trace``,
-    ``--obs-sample``, ``--record``) ask for."""
+    ``--obs-sample``, ``--record``, ``--replay``) ask for.
+
+    Conflicting flags are usage errors; an unreadable replay log raises
+    ``ValueError``."""
+    if args.obs_sample is not None and args.obs_sample <= 0:
+        parser.error("--obs-sample must be > 0")
+    if args.record and args.replay:
+        parser.error("--record and --replay are mutually exclusive")
     collectors: List[Collector] = []
     if args.obs:
         collectors.append(MetricsCollector())
@@ -327,11 +338,39 @@ def _collectors(args: argparse.Namespace) -> List[Collector]:
         collectors.append(SampleCollector(args.obs_sample))
     if args.record:
         collectors.append(OrderCollector())
+    if args.replay:
+        collectors.append(ReplayCollector(_load_replay_logs(args.replay)))
     return collectors
 
 
-def _build_runner(args: argparse.Namespace) -> SweepRunner:
-    if args.no_cache:
+def _print_divergence(divergence: Dict[str, Any], file: Any = None) -> None:
+    """Where a replayed run first departed from its log, then the
+    recorded and the actual decision."""
+    print(f"  first divergence: decision #{divergence.get('index')} "
+          f"(t={divergence.get('sim_time')}, "
+          f"channel={divergence.get('channel')})", file=file)
+    for side in ("expected", "actual"):
+        print(f"    {side + ':':<10}"
+              f"{json.dumps(divergence.get(side), sort_keys=True)}", file=file)
+
+
+def _nothing_verified(prog: str, path: str, n_logs: int) -> int:
+    """Fail a ``--replay`` run that matched none of its logs."""
+    print(f"{prog}: --replay {path}: no computed point matched any of "
+          f"the {n_logs} loaded log(s); nothing was verified",
+          file=sys.stderr)
+    return 1
+
+
+def _build_runner(
+    args: argparse.Namespace, parser: argparse.ArgumentParser
+) -> SweepRunner:
+    try:
+        collectors = _collectors(args, parser)
+    except ValueError as exc:
+        raise SystemExit(f"repro-experiments: {exc}")
+    if args.no_cache or args.replay:
+        # A point served from the cache runs nothing to verify.
         cache = None
     elif args.cache_backend:
         from ..svc import make_cache_backend
@@ -344,19 +383,13 @@ def _build_runner(args: argparse.Namespace) -> SweepRunner:
                              f"{args.cache_backend}: {exc}")
     else:
         cache = args.cache_dir or default_cache_dir()
-    if args.obs_sample is not None and args.obs_sample <= 0:
-        raise SystemExit("repro-experiments: --obs-sample must be > 0")
-    if args.record and args.replay:
-        raise SystemExit(
-            "repro-experiments: --record and --replay are mutually exclusive")
     runner = SweepRunner(
         jobs=args.jobs,
         cache=cache,
         timeout=args.timeout,
         telemetry=sys.stderr if args.progress else None,
         executor=args.backend,
-        collectors=_collectors(args),
-        replay_logs=_load_replay_logs(args.replay) if args.replay else None,
+        collectors=collectors,
     )
     if args.backend:
         # Resolve eagerly: a bad spec should fail before any work runs,
@@ -377,6 +410,17 @@ def _collector(runner: Optional[SweepRunner], cls: type) -> Any:
     """The runner's collector of type ``cls``, or None."""
     collectors = runner.collectors if runner is not None else ()
     return next((c for c in collectors if isinstance(c, cls)), None)
+
+
+def _replay_matched_nothing(args: argparse.Namespace,
+                            runner: SweepRunner) -> bool:
+    """Whether ``--replay`` loaded logs but verified none of them (a
+    grid whose labels match no log); reports it on stderr."""
+    replay = _collector(runner, ReplayCollector)
+    if replay is None or replay.docs:
+        return False
+    _nothing_verified("repro-experiments", args.replay, len(replay.logs))
+    return True
 
 
 def _close_runner(runner: SweepRunner) -> None:
@@ -401,10 +445,9 @@ def _open_text_output(path: str, what: str):
 
         repro-experiments: cannot write <what> <path>: <reason>
     """
-    import contextlib as _contextlib
 
     if path == "-":
-        return _contextlib.nullcontext(sys.stdout)
+        return contextlib.nullcontext(sys.stdout)
     try:
         return open(path, "w", encoding="utf-8")
     except OSError as exc:
@@ -427,7 +470,6 @@ def _write_obs_document(
     metrics = _collector(runner, MetricsCollector)
     if metrics is None:
         return None
-    import json as _json
 
     from .. import __version__
 
@@ -440,7 +482,7 @@ def _write_obs_document(
     if sampler is not None and sampler.docs:
         doc["timeseries"] = sampler.docs
     with _open_text_output(args.obs, "obs document") as fh:
-        _json.dump(doc, fh, indent=2)
+        json.dump(doc, fh, indent=2)
         fh.write("\n")
     if not quiet and args.obs != "-":
         print(f"wrote obs metrics to {args.obs}", file=sys.stderr)
@@ -449,9 +491,7 @@ def _write_obs_document(
 
 def _safe_label(label: str) -> str:
     """A point label flattened into a filesystem-safe file stem."""
-    import re as _re
-
-    return _re.sub(r"[^A-Za-z0-9._=-]+", "_", label)
+    return re.sub(r"[^A-Za-z0-9._=-]+", "_", label)
 
 
 def _write_label_files(
@@ -461,17 +501,15 @@ def _write_label_files(
     """Write one ``<label><suffix>`` file per document into
     ``directory`` (``dump(doc, path)`` writes one); returns the paths
     written."""
-    import os as _os
-
     try:
-        _os.makedirs(directory, exist_ok=True)
+        os.makedirs(directory, exist_ok=True)
     except OSError as exc:
         print(f"repro-experiments: cannot write {what}s {directory}: {exc}",
               file=sys.stderr)
         raise SystemExit(1)
     paths: List[str] = []
     for label in sorted(docs):
-        path = _os.path.join(directory, f"{_safe_label(label)}{suffix}")
+        path = os.path.join(directory, f"{_safe_label(label)}{suffix}")
         try:
             dump(docs[label], path)
         except OSError as exc:
@@ -494,17 +532,15 @@ def _write_outputs(
     (``-`` streams ``{"label": ..., "trace": {...}}`` JSON lines to
     stdout instead) and ``--record DIR`` one ``<label>.order`` each.
     """
-    import base64 as _base64
-    import json as _json
 
     def dump_trace(doc: Any, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            _json.dump(doc, fh, indent=1)
+            json.dump(doc, fh, indent=1)
             fh.write("\n")
 
     def dump_order_log(doc: str, path: str) -> None:
         with open(path, "wb") as fh:
-            fh.write(_base64.b64decode(doc))
+            fh.write(base64.b64decode(doc))
 
     outputs: Dict[str, Any] = {}
     obs_path = _write_obs_document(args, runner, quiet=quiet)
@@ -513,7 +549,7 @@ def _write_outputs(
     tracer = _collector(runner, TraceCollector)
     if tracer is not None and args.trace == "-":
         for label in sorted(tracer.docs):
-            sys.stdout.write(_json.dumps(
+            sys.stdout.write(json.dumps(
                 {"label": label, "trace": tracer.docs[label]}) + "\n")
         if tracer.docs:
             outputs["traces"] = ["-"]
@@ -592,7 +628,7 @@ def sweep_main(argv: List[str]) -> int:
         print("sweep: empty grid", file=sys.stderr)
         return 2
 
-    runner = _build_runner(args)
+    runner = _build_runner(args, parser)
     try:
         results = runner.run(points)
     finally:
@@ -609,8 +645,6 @@ def sweep_main(argv: List[str]) -> int:
                   file=sys.stderr)
 
     if args.json:
-        import json as _json
-
         doc = {
             "sweep": [
                 {
@@ -627,7 +661,7 @@ def sweep_main(argv: List[str]) -> int:
         }
         if outputs:
             doc["outputs"] = outputs
-        print(_json.dumps(doc, indent=2))
+        print(json.dumps(doc, indent=2))
     else:
         print(f"{'app':<9s} {'policy':<9s} {'cpus':>4s} {'status':>8s} "
               f"{'cached':>6s} {'time(s)':>10s}")
@@ -640,6 +674,8 @@ def sweep_main(argv: List[str]) -> int:
         s = runner.telemetry.summary()
         print(f"({s['ok']}/{s['total']} ok, {s['cached']} cached, "
               f"{s['failed']} failed, hit rate {s['hit_rate']:.0%})")
+    if _replay_matched_nothing(args, runner):
+        return 1
     return 0 if all(r.ok for r in ordered) else 1
 
 
@@ -678,14 +714,12 @@ def _load_fault_plan(
 
 def _compact_inputs(paths: List[str], suffixes: tuple) -> List[str]:
     """Expand files/directories into trace files with given suffixes."""
-    import os as _os
-
     found: List[str] = []
     for path in paths:
-        if _os.path.isdir(path):
-            for entry in sorted(_os.listdir(path)):
+        if os.path.isdir(path):
+            for entry in sorted(os.listdir(path)):
                 if entry.endswith(suffixes):
-                    found.append(_os.path.join(path, entry))
+                    found.append(os.path.join(path, entry))
         else:
             found.append(path)
     return found
@@ -694,8 +728,6 @@ def _compact_inputs(paths: List[str], suffixes: tuple) -> List[str]:
 def trace_compact_main(argv: List[str]) -> int:
     """``repro-experiments trace compact`` — compress, decompress or
     inspect on-disk trace files (VGVTRACE text <-> VGVZ binary)."""
-    import json as _json
-    import os as _os
 
     from ..compact.codec import CompactReader, compress_trace_bytes
     from ..vt import load_trace, save_trace, save_trace_compact
@@ -736,15 +768,15 @@ def trace_compact_main(argv: List[str]) -> int:
         return 2
 
     def _out_path(src: str, new_suffix: str) -> str:
-        stem = _os.path.basename(src)
+        stem = os.path.basename(src)
         for sfx in text_suffixes + (".vgvz",):
             if stem.endswith(sfx):
                 stem = stem[: -len(sfx)]
                 break
-        directory = args.out_dir or _os.path.dirname(src) or "."
+        directory = args.out_dir or os.path.dirname(src) or "."
         if args.out_dir:
-            _os.makedirs(args.out_dir, exist_ok=True)
-        return _os.path.join(directory, stem + new_suffix)
+            os.makedirs(args.out_dir, exist_ok=True)
+        return os.path.join(directory, stem + new_suffix)
 
     rows: List[dict] = []
     for src in inputs:
@@ -755,7 +787,7 @@ def trace_compact_main(argv: List[str]) -> int:
                 stats = save_trace_compact(trace, dst,
                                            suppress=not args.no_suppress)
                 row = {"file": src, "out": dst, **stats.to_dict(),
-                       "text_bytes": _os.path.getsize(src)}
+                       "text_bytes": os.path.getsize(src)}
             elif args.action == "decompress":
                 reader = CompactReader.from_file(src)
                 trace = reader.read_trace()
@@ -764,12 +796,12 @@ def trace_compact_main(argv: List[str]) -> int:
                 row = {"file": src, "out": dst,
                        "raw_records": trace.raw_record_count,
                        "model_bytes": trace.size_bytes,
-                       "compact_bytes": _os.path.getsize(src)}
+                       "compact_bytes": os.path.getsize(src)}
             else:
                 if src.endswith(".vgvz"):
                     reader = CompactReader.from_file(src)
                     trace = reader.read_trace()
-                    compact_size = _os.path.getsize(src)
+                    compact_size = os.path.getsize(src)
                 else:
                     trace = load_trace(src)
                     data, _stats = compress_trace_bytes(
@@ -793,7 +825,7 @@ def trace_compact_main(argv: List[str]) -> int:
         rows.append(row)
 
     if args.json:
-        print(_json.dumps({"action": args.action, "files": rows}, indent=2))
+        print(json.dumps({"action": args.action, "files": rows}, indent=2))
         return 0
     for row in rows:
         parts = [row["file"]]
@@ -911,10 +943,8 @@ def trace_main(argv: List[str]) -> int:
                   f"volume model)", file=sys.stderr)
 
     if args.out:
-        import json as _json
-
         with _open_text_output(args.out, "trace document") as fh:
-            _json.dump(doc, fh, indent=1)
+            json.dump(doc, fh, indent=1)
             fh.write("\n")
         if args.out != "-":
             print(f"wrote trace document to {args.out}", file=sys.stderr)
@@ -938,19 +968,8 @@ def trace_main(argv: List[str]) -> int:
 # -- the `chaos` subcommand -----------------------------------------------------
 
 
-def chaos_main(argv: List[str]) -> int:
-    """``repro-experiments chaos`` — run one simulated point under a
-    fault-injection plan and report the recovery outcome (quarantined
-    ranks, coverage, injected-fault counts)."""
-    from ..runner.worker import execute_point
-
-    parser = argparse.ArgumentParser(
-        prog="repro-experiments chaos",
-        description="Run one (app, policy/instrument, CPUs) point under "
-                    "a deterministic fault-injection plan; the tool "
-                    "degrades gracefully (quarantine + partial coverage) "
-                    "instead of failing.",
-    )
+def _add_point_args(parser: argparse.ArgumentParser) -> None:
+    """The one-point options of ``chaos`` and ``replay bisect``."""
     parser.add_argument("--kind", choices=("instrument", "policy"),
                         default="instrument",
                         help="point kind: 'instrument' = a Figure 9 cell "
@@ -970,6 +989,42 @@ def chaos_main(argv: List[str]) -> int:
     parser.add_argument("--machine", choices=sorted(MACHINES),
                         default="power3-sp",
                         help="machine preset (default power3-sp)")
+
+
+def _point_from_args(
+    args: argparse.Namespace, parser: argparse.ArgumentParser,
+    faults: Optional[FaultPlan] = None,
+) -> SweepPoint:
+    """The point :func:`_add_point_args` describes, under ``faults``."""
+    try:
+        get_app(args.app)
+    except KeyError as exc:
+        parser.error(str(exc))
+    if args.policy not in POLICIES:
+        parser.error(f"unknown policy {args.policy!r}; known: "
+                     f"{','.join(POLICIES)}")
+    common = dict(scale=args.scale, machine=get_machine(args.machine),
+                  seed=args.seed, faults=faults)
+    if args.kind == "policy":
+        return SweepPoint.policy_cell(args.app, args.policy, args.cpus,
+                                      **common)
+    return SweepPoint.instrument(args.app, args.cpus, **common)
+
+
+def chaos_main(argv: List[str]) -> int:
+    """``repro-experiments chaos`` — run one simulated point under a
+    fault-injection plan and report the recovery outcome (quarantined
+    ranks, coverage, injected-fault counts)."""
+    from ..runner.worker import execute_point
+
+    parser = argparse.ArgumentParser(
+        prog="repro-experiments chaos",
+        description="Run one (app, policy/instrument, CPUs) point under "
+                    "a deterministic fault-injection plan; the tool "
+                    "degrades gracefully (quarantine + partial coverage) "
+                    "instead of failing.",
+    )
+    _add_point_args(parser)
     parser.add_argument("--check-determinism", action="store_true",
                         help="run the point twice and fail unless both "
                              "payloads are bit-identical")
@@ -994,75 +1049,35 @@ def chaos_main(argv: List[str]) -> int:
                              "report")
     _add_faults_args(parser)
     args = parser.parse_args(argv)
-    if args.obs_sample is not None and args.obs_sample <= 0:
-        parser.error("--obs-sample must be > 0")
-    if args.record and args.replay:
-        parser.error("--record and --replay are mutually exclusive")
-
     try:
-        get_app(args.app)
-    except KeyError as exc:
-        parser.error(str(exc))
-    if args.policy not in POLICIES:
-        parser.error(f"unknown policy {args.policy!r}; known: "
-                     f"{','.join(POLICIES)}")
+        collectors = _collectors(args, parser)
+    except ValueError as exc:
+        print(f"repro-experiments chaos: {exc}", file=sys.stderr)
+        return 1
+
     plan = _load_fault_plan(args, parser)
     if plan is None:
         plan = canned_plan("daemon-crash-attach")
+    point = _point_from_args(args, parser, faults=plan)
 
-    machine = get_machine(args.machine)
-    if args.kind == "policy":
-        point = SweepPoint.policy_cell(
-            args.app, args.policy, args.cpus,
-            scale=args.scale, machine=machine, seed=args.seed, faults=plan,
-        )
-    else:
-        point = SweepPoint.instrument(
-            args.app, args.cpus,
-            scale=args.scale, machine=machine, seed=args.seed, faults=plan,
-        )
-
-    replay_blob = None
-    if args.replay:
-        import base64 as _base64
-
-        from ..replay.orderlog import OrderLog
-
-        try:
-            with open(args.replay, "rb") as fh:
-                data = fh.read()
-            OrderLog.from_bytes(data)  # a damaged log is one error line
-            replay_blob = _base64.b64encode(data).decode("ascii")
-        except (OSError, ValueError) as exc:
-            print(f"repro-experiments chaos: --replay {args.replay}: {exc}",
-                  file=sys.stderr)
-            return 1
+    replay = next((c for c in collectors if isinstance(c, ReplayCollector)),
+                  None)
+    if replay is not None and point.label not in replay.logs:
+        return _nothing_verified("repro-experiments chaos", args.replay,
+                                 len(replay.logs))
 
     # No cache: the whole purpose is to exercise the recovery paths,
     # and --check-determinism needs two real executions.
     runs = 2 if args.check_determinism else 1
-    collectors = _collectors(args)
     envelopes = [
-        execute_point(point, collectors=collectors, replay_log=replay_blob)
-        for _ in range(runs)
+        execute_point(point, collectors=collectors) for _ in range(runs)
     ]
     attachments = envelopes[0].get("attachments", {})
     for envelope in envelopes:
         if envelope["status"] == "diverged":
-            divergence = envelope.get("divergence") or {}
-            print(f"chaos: {point.label}: DIVERGED from {args.replay} "
-                  f"at decision #{divergence.get('index')} "
-                  f"(t={divergence.get('sim_time')}, "
-                  f"channel={divergence.get('channel')})",
+            print(f"chaos: {point.label}: DIVERGED from {args.replay}",
                   file=sys.stderr)
-            import json as _json
-
-            print(f"  expected: "
-                  f"{_json.dumps(divergence.get('expected'), sort_keys=True)}",
-                  file=sys.stderr)
-            print(f"  actual:   "
-                  f"{_json.dumps(divergence.get('actual'), sort_keys=True)}",
-                  file=sys.stderr)
+            _print_divergence(envelope["divergence"], file=sys.stderr)
             return 1
         if envelope["status"] != "ok":
             print(f"repro-experiments chaos: {point.label}: "
@@ -1071,11 +1086,9 @@ def chaos_main(argv: List[str]) -> int:
             return 1
 
     if args.record:
-        import base64 as _base64
-
         try:
             with open(args.record, "wb") as fh:
-                fh.write(_base64.b64decode(attachments[OrderCollector.name]))
+                fh.write(base64.b64decode(attachments[OrderCollector.name]))
         except OSError as exc:
             print(f"repro-experiments chaos: cannot write order log "
                   f"{args.record}: {exc}", file=sys.stderr)
@@ -1083,11 +1096,9 @@ def chaos_main(argv: List[str]) -> int:
         if not args.json:
             print(f"wrote order log to {args.record}", file=sys.stderr)
 
-    import json as _json
-
     payloads = [e["payload"] for e in envelopes]
     if args.check_determinism:
-        blobs = [_json.dumps(p, sort_keys=True) for p in payloads]
+        blobs = [json.dumps(p, sort_keys=True) for p in payloads]
         if blobs[0] != blobs[1]:
             print("chaos: NON-DETERMINISTIC: two runs of "
                   f"{point.label} under the same plan and seed differ",
@@ -1106,7 +1117,7 @@ def chaos_main(argv: List[str]) -> int:
             obs_doc["timeseries"] = {
                 point.label: attachments[SampleCollector.name]}
         with _open_text_output(args.obs, "obs document") as fh:
-            _json.dump(obs_doc, fh, indent=2)
+            json.dump(obs_doc, fh, indent=2)
             fh.write("\n")
         if not args.json and args.obs != "-":
             print(f"wrote obs metrics to {args.obs}", file=sys.stderr)
@@ -1121,7 +1132,7 @@ def chaos_main(argv: List[str]) -> int:
         }
         if args.check_determinism:
             doc["deterministic"] = True
-        print(_json.dumps(doc, indent=2))
+        print(json.dumps(doc, indent=2))
         return 0
 
     print(f"chaos: {point.label} under plan "
@@ -1225,7 +1236,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error("--jobs must be >= 0")
     fault_plan = _load_fault_plan(args, parser)
 
-    runner = _build_runner(args)
+    runner = _build_runner(args, parser)
     json_items: List[dict] = []
     csv_chunks: List[str] = []
     try:
@@ -1241,19 +1252,17 @@ def main(argv: Optional[List[str]] = None) -> int:
         _close_runner(runner)
     outputs = _write_outputs(args, runner, quiet=args.json)
     if args.json:
-        import json as _json
-
         doc = {"results": json_items,
                "telemetry": runner.telemetry.summary()}
         if outputs:
             doc["outputs"] = outputs
-        print(_json.dumps(doc, indent=2))
+        print(json.dumps(doc, indent=2))
     if args.csv and csv_chunks:
         with open(args.csv, "w", encoding="utf-8") as fh:
             fh.write("\n".join(csv_chunks))
         if not args.json:
             print(f"wrote CSV to {args.csv}", file=sys.stderr)
-    return 0
+    return 1 if _replay_matched_nothing(args, runner) else 0
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -30,23 +30,14 @@ import json
 import sys
 from typing import List, Optional
 
-from ..apps import ALL_APPS, get_app
-from ..cluster import MACHINES, get_machine
-from ..dynprof import POLICIES
 from ..replay.orderlog import OrderLog
+from ..runner.collect import ReplayCollector
 from ..runner.point import SweepPoint
+from ..runner.worker import execute_point
+from .cli import (_add_faults_args, _add_point_args, _load_fault_plan,
+                  _point_from_args, _print_divergence)
 
 __all__ = ["replay_main", "verify_main", "bisect_main"]
-
-
-def _print_divergence(divergence: dict) -> None:
-    expected = divergence.get("expected")
-    actual = divergence.get("actual")
-    print(f"  first divergence: decision #{divergence.get('index')} "
-          f"(t={divergence.get('sim_time')}, "
-          f"channel={divergence.get('channel')})")
-    print(f"    expected: {json.dumps(expected, sort_keys=True)}")
-    print(f"    actual:   {json.dumps(actual, sort_keys=True)}")
 
 
 def verify_main(argv: List[str]) -> int:
@@ -65,9 +56,6 @@ def verify_main(argv: List[str]) -> int:
     parser.add_argument("--json", action="store_true",
                         help="print the verdict as a JSON document")
     args = parser.parse_args(argv)
-
-    from ..runner.worker import execute_point
-
     try:
         log = OrderLog.load(args.log)
     except (OSError, ValueError) as exc:
@@ -82,8 +70,9 @@ def verify_main(argv: List[str]) -> int:
         return 1
     point = SweepPoint.from_canonical(point_doc)
 
-    envelope = execute_point(point, timeout=args.timeout,
-                             replay_log=log.to_b64())
+    envelope = execute_point(
+        point, timeout=args.timeout,
+        collectors=[ReplayCollector({point.label: log.to_b64()})])
     verified = envelope["status"] == "ok"
     if args.json:
         doc = {
@@ -111,8 +100,6 @@ def verify_main(argv: List[str]) -> int:
 
 def bisect_main(argv: List[str]) -> int:
     """``repro-experiments replay bisect`` — minimize a fault plan."""
-    from .cli import _add_faults_args, _load_fault_plan
-
     parser = argparse.ArgumentParser(
         prog="repro-experiments replay bisect",
         description="Delta-debug a fault plan (ddmin) down to a 1-minimal "
@@ -121,22 +108,7 @@ def bisect_main(argv: List[str]) -> int:
                     "diverges from a clean recording (--mode diverge "
                     "--against LOG).",
     )
-    parser.add_argument("--kind", choices=("instrument", "policy"),
-                        default="instrument",
-                        help="point kind (default instrument, as in chaos)")
-    parser.add_argument("--app", default="sweep3d",
-                        help=f"application (one of {','.join(ALL_APPS)}; "
-                             "default sweep3d)")
-    parser.add_argument("--policy", default="Dynamic",
-                        help="instrumentation policy for --kind policy")
-    parser.add_argument("--cpus", type=int, default=32,
-                        help="process count (default 32)")
-    parser.add_argument("--scale", type=float, default=0.02,
-                        help="workload scale factor (default 0.02)")
-    parser.add_argument("--seed", type=int, default=0, help="simulation seed")
-    parser.add_argument("--machine", choices=sorted(MACHINES),
-                        default="power3-sp",
-                        help="machine preset (default power3-sp)")
+    _add_point_args(parser)
     parser.add_argument("--mode", choices=("effect", "fail", "diverge"),
                         default="effect",
                         help="what makes a sub-plan interesting "
@@ -152,13 +124,7 @@ def bisect_main(argv: List[str]) -> int:
 
     from ..replay import bisect_plan
 
-    try:
-        get_app(args.app)
-    except KeyError as exc:
-        parser.error(str(exc))
-    if args.policy not in POLICIES:
-        parser.error(f"unknown policy {args.policy!r}; known: "
-                     f"{','.join(POLICIES)}")
+    point = _point_from_args(args, parser)
     plan = _load_fault_plan(args, parser)
     if plan is None:
         parser.error("replay bisect needs a plan: --faults FILE or --plan NAME")
@@ -175,18 +141,6 @@ def bisect_main(argv: List[str]) -> int:
             parser.error(f"--against {args.against}: {exc}")
     elif args.against:
         parser.error("--against only applies to --mode diverge")
-
-    machine = get_machine(args.machine)
-    if args.kind == "policy":
-        point = SweepPoint.policy_cell(
-            args.app, args.policy, args.cpus,
-            scale=args.scale, machine=machine, seed=args.seed,
-        )
-    else:
-        point = SweepPoint.instrument(
-            args.app, args.cpus,
-            scale=args.scale, machine=machine, seed=args.seed,
-        )
 
     try:
         result = bisect_plan(point, plan, mode=args.mode, against=against,

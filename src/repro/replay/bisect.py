@@ -27,10 +27,6 @@ Three built-in predicates (``mode``):
     spec perturbed the partial order?).  Requires ``against`` — an
     :class:`~repro.replay.orderlog.OrderLog` recorded from the
     fault-free run of the same point.
-
-:func:`repro.runner.worker.execute_point` is imported lazily — the
-worker imports this package for its record/replay plumbing, so a
-module-level import the other way would be circular.
 """
 
 from __future__ import annotations
@@ -41,7 +37,9 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from ..faults.plan import FaultPlan, FaultSpec
+from ..runner.collect import ReplayCollector
 from ..runner.point import SweepPoint, _faults_params
+from ..runner.worker import execute_point
 from .orderlog import OrderLog
 
 __all__ = ["BisectResult", "bisect_plan", "ddmin", "point_with_faults"]
@@ -125,12 +123,11 @@ def bisect_plan(
     ``effect``/``diverge`` mode, when the *empty* plan already is (the
     baseline itself fails the oracle).
     """
-    from ..runner.worker import execute_point
-
     if mode not in ("effect", "fail", "diverge"):
         raise ValueError(f"unknown bisect mode {mode!r}")
     if mode == "diverge" and against is None:
         raise ValueError("diverge mode needs a recorded clean order log")
+    against_log = against.to_b64() if against is not None else None
 
     tests = [0]
     history: List[Dict[str, Any]] = []
@@ -141,10 +138,11 @@ def bisect_plan(
         sub_plan = FaultPlan(specs=tuple(subset))
         sub_point = point_with_faults(point, sub_plan)
         tests[0] += 1
+        collectors = []
         if mode == "diverge":
-            return execute_point(sub_point, timeout=timeout,
-                                 replay_log=against.to_b64())
-        return execute_point(sub_point, timeout=timeout)
+            collectors.append(ReplayCollector({sub_point.label: against_log}))
+        return execute_point(sub_point, timeout=timeout,
+                             collectors=collectors)
 
     baseline_blob: Optional[str] = None
     baseline_keys: Optional[frozenset] = None

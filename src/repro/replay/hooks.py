@@ -201,6 +201,10 @@ class ReplayController:
             self._obs.inc("replay.verified_decisions", self.cursor)
             self._obs.inc("replay.verified_runs")
 
+    def snapshot(self) -> Dict[str, int]:
+        """Decisions verified so far (the envelope attachment)."""
+        return {"decisions": self.cursor}
+
     def __repr__(self) -> str:
         return f"<ReplayController {self.cursor}/{len(self.log)}>"
 

@@ -20,6 +20,7 @@ from .collect import (
     Collector,
     MetricsCollector,
     OrderCollector,
+    ReplayCollector,
     SampleCollector,
     TraceCollector,
 )
@@ -47,4 +48,5 @@ __all__ = [
     "TraceCollector",
     "SampleCollector",
     "OrderCollector",
+    "ReplayCollector",
 ]

@@ -14,25 +14,27 @@ payload.  The protocol has three parts:
   socket ``spec`` frame carries (:func:`to_wire` / :func:`from_wire`).
 
 Sinks are entered in a fixed order (:attr:`Collector.rank`, lowest
-outermost): the metrics registry first, the order recorder last.  On
-exit the recorder's ``flush_obs`` and the sampler's terminal sample
-write into the live registry, so the registry must still be installed
-when the inner sinks close.
+outermost): the metrics registry first, the order recorder and the
+replay controller last.  On exit the recorder's ``flush_obs`` and the
+sampler's terminal sample write into the live registry, so the
+registry must still be installed when the inner sinks close.
 
 Only configuration crosses a process boundary: pickling a collector
 rebuilds it from its params, so sweep-wide results merged so far never
-travel to pool workers.
+travel to pool workers, and :func:`for_point` first trims each one to
+what a single point needs (one replay log, not the sweep's).
 """
 
 from __future__ import annotations
 
 import contextlib
-from typing import Any, ContextManager, Dict, Iterable, Iterator, List
+from typing import Any, ContextManager, Dict, Iterable, Iterator, List, Optional
 
 from .. import obs
 from ..obs import timeseries as obs_timeseries
 from ..obs import trace as obs_trace
 from ..replay import hooks as replay_hooks
+from ..replay.orderlog import OrderLog
 from .point import SweepPoint
 
 __all__ = [
@@ -41,7 +43,9 @@ __all__ = [
     "TraceCollector",
     "SampleCollector",
     "OrderCollector",
+    "ReplayCollector",
     "COLLECTORS",
+    "for_point",
     "to_wire",
     "from_wire",
 ]
@@ -63,6 +67,11 @@ class Collector:
     def params(self) -> Dict[str, Any]:
         """Constructor keyword arguments, JSON-safe."""
         return {}
+
+    def for_point(self, point: SweepPoint) -> Optional["Collector"]:
+        """The collector to ship with ``point``, or None to leave the
+        point unobserved.  Most collectors observe every point alike."""
+        return self
 
     def open(self, point: SweepPoint) -> ContextManager[Any]:
         raise NotImplementedError
@@ -170,9 +179,41 @@ class OrderCollector(_PerLabel):
         })
 
 
+class ReplayCollector(_PerLabel):
+    """Verifies each point whose label has a log in ``logs`` (base64
+    RRLG) against it; a departure makes the point ``"diverged"``.
+    :attr:`docs` holds ``{"decisions": n}`` per label checked."""
+
+    name = "replay"
+    rank = 4
+
+    def __init__(self, logs: Dict[str, str]) -> None:
+        super().__init__()
+        self.logs = dict(logs)
+
+    @property
+    def params(self) -> Dict[str, Any]:
+        return {"logs": self.logs}
+
+    def for_point(self, point: SweepPoint) -> Optional[Collector]:
+        log = self.logs.get(point.label)
+        return None if log is None else ReplayCollector({point.label: log})
+
+    def open(self, point: SweepPoint) -> ContextManager[Any]:
+        return replay_hooks.replaying(OrderLog.from_b64(self.logs[point.label]))
+
+
 #: Wire name -> class, for rebuilding collectors from a spec frame.
 COLLECTORS = {cls.name: cls for cls in (
-    MetricsCollector, TraceCollector, SampleCollector, OrderCollector)}
+    MetricsCollector, TraceCollector, SampleCollector, OrderCollector,
+    ReplayCollector)}
+
+
+def for_point(collectors: Iterable[Collector],
+              point: SweepPoint) -> List[Collector]:
+    """The collectors that observe ``point``, each trimmed to it."""
+    trimmed = (c.for_point(point) for c in collectors)
+    return [c for c in trimmed if c is not None]
 
 
 def to_wire(collectors: Iterable[Collector]) -> List[Dict[str, Any]]:

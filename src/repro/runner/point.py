@@ -148,12 +148,16 @@ class SweepPoint:
 
     @property
     def label(self) -> str:
-        """Short human-readable identity, used in telemetry events."""
+        """Short human-readable identity, used in telemetry events and
+        to key per-point side documents; names the machine unless it is
+        the default ``power3-sp``, so grids on two machines never clash."""
         parts = [self.kind]
         if self.app:
             parts.append(self.app)
         if self.policy:
             parts.append(self.policy)
+        if self.machine.name != POWER3_SP.name:
+            parts.append(self.machine.name)
         flags = ",".join(f"{k}={v}" for k, v in self.params)
         tail = f"@{self.procs}"
         if flags:

@@ -133,13 +133,11 @@ class SweepRunner:
         envelope — never the cached payload, so cache entries and
         figures are unaffected — and are merged into each collector,
         in grid order, when :meth:`run` returns.  Cached points
-        contribute nothing (no simulation ran).
-    replay_logs:
-        A ``label -> base64 order log`` mapping; a point whose label has
-        a log is *verified* against it and comes back ``"diverged"`` —
-        with the first divergent decision in
-        :attr:`PointResult.divergence` — if its decision sequence
-        departs from the recording.
+        contribute nothing (no simulation ran).  A
+        :class:`~repro.runner.collect.ReplayCollector` makes a point
+        whose run departs from its recorded order log come back
+        ``"diverged"``, with the first divergent decision in
+        :attr:`PointResult.divergence`.
     """
 
     def __init__(
@@ -151,7 +149,6 @@ class SweepRunner:
         telemetry: Union[SweepTelemetry, IO[str], None] = None,
         executor: Any = None,
         collectors: Sequence[Collector] = (),
-        replay_logs: Optional[Dict[str, str]] = None,
     ) -> None:
         if jobs < 0:
             raise ValueError("jobs must be >= 0")
@@ -169,7 +166,6 @@ class SweepRunner:
         else:
             self.telemetry = SweepTelemetry(stream=telemetry)
         self.collectors = list(collectors)
-        self.replay_logs = dict(replay_logs) if replay_logs else {}
         self._obs = _obs_get()
 
     # -- public API -----------------------------------------------------------
@@ -238,7 +234,6 @@ class SweepRunner:
         return ExecSpec(
             timeout=self.timeout,
             collectors=self.collectors,
-            replay_logs=self.replay_logs,
             retry=self.retry,
             on_retry=self._on_retry,
         )

@@ -31,9 +31,7 @@ import traceback
 from dataclasses import asdict
 from typing import Any, Dict, Optional, Sequence
 
-from ..replay import hooks as replay_hooks
 from ..replay.errors import DivergenceError
-from ..replay.orderlog import OrderLog
 from .collect import Collector
 from .point import SweepPoint
 
@@ -126,7 +124,6 @@ def execute_point(
     point: SweepPoint,
     timeout: Optional[float] = None,
     collectors: Sequence[Collector] = (),
-    replay_log: Optional[str] = None,
 ) -> Dict[str, Any]:
     """Run one point under an optional wall-clock budget.
 
@@ -137,13 +134,9 @@ def execute_point(
     order; the envelope then carries ``"attachments"``, a ``name ->
     snapshot`` map (partial on timeout/error) outside the cached
     payload, so cache entries stay identical with or without
-    observation.
-
-    With ``replay_log`` (a base64 order log; not combinable with an
-    order-recording collector) the point is *verified* against the
-    recorded decision sequence: the first divergent decision yields a
-    ``"diverged"`` envelope with the structured report under
-    ``"divergence"``.
+    observation.  A :class:`~repro.runner.collect.ReplayCollector`
+    whose log departs from the run yields a ``"diverged"`` envelope
+    with the structured report under ``"divergence"``.
     """
     start = time.perf_counter()
     use_alarm = (
@@ -165,9 +158,6 @@ def execute_point(
                 for collector in sorted(collectors, key=lambda c: c.rank):
                     handles[collector.name] = stack.enter_context(
                         collector.open(point))
-                if replay_log:
-                    stack.enter_context(replay_hooks.replaying(
-                        OrderLog.from_b64(replay_log)))
                 payload = _dispatch(point)
             envelope = {
                 "status": "ok",

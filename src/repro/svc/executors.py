@@ -41,7 +41,7 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tupl
 
 from ..obs import get as _obs_get
 from ..runner.cache import point_key
-from ..runner.collect import Collector, to_wire
+from ..runner.collect import Collector, for_point, to_wire
 from ..runner.point import SweepPoint
 from ..runner.retry import RetryPolicy
 from ..runner.worker import execute_point
@@ -68,9 +68,6 @@ class ExecSpec:
     #: What observes each point (repro.runner.collect); attachments
     #: ride the envelope under "attachments", never the cache.
     collectors: Sequence[Collector] = ()
-    #: Per-point replay logs (label -> base64 order log); a point with
-    #: a log is verified against it and may come back "diverged".
-    replay_logs: Dict[str, str] = field(default_factory=dict)
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     #: Called as (label, key, next_attempt, delay) when a crashed point
     #: is granted another attempt — feeds retry telemetry.
@@ -78,13 +75,12 @@ class ExecSpec:
 
     def worker_args(self, point: SweepPoint) -> Tuple[Any, ...]:
         """Positional args of :func:`execute_point` for ``point``."""
-        return (point, self.timeout, self.collectors,
-                self.replay_logs.get(point.label))
+        return (point, self.timeout, for_point(self.collectors, point))
 
-    def to_wire(self) -> Dict[str, Any]:
-        """The JSON-safe subset a socket worker needs."""
+    def to_wire(self, point: SweepPoint) -> Dict[str, Any]:
+        """The JSON-safe subset a socket worker needs for ``point``."""
         return {"timeout": self.timeout,
-                "collectors": to_wire(self.collectors)}
+                "collectors": to_wire(for_point(self.collectors, point))}
 
     def notify_retry(self, point: SweepPoint, attempts: int) -> float:
         """Report a granted retry; returns the backoff delay to apply."""
@@ -322,17 +318,11 @@ class SocketWorkerBackend(ExecutorBackend):
                 if task is None:
                     wire.send_message(conn, {"op": "shutdown"})
                     return
-                frame = {
+                wire.send_message(conn, {
                     "op": "point",
                     "point": task.point.canonical(),
-                    "spec": self._spec.to_wire(),
-                }
-                replay_blob = self._spec.replay_logs.get(task.point.label)
-                if replay_blob is not None:
-                    # Per-point: replay logs ride the point frame, not
-                    # the spec (each point has its own log).
-                    frame["replay_log"] = replay_blob
-                wire.send_message(conn, frame)
+                    "spec": self._spec.to_wire(task.point),
+                })
                 reply = wire.recv_message(conn)
                 if reply is None or reply.get("op") != "result":
                     raise wire.WireError("worker vanished mid-point")

@@ -35,11 +35,11 @@ __all__ = [
 #: not make a peer allocate gigabytes.
 MAX_FRAME = 64 * 1024 * 1024
 
-#: The worker protocol a ``hello`` frame must name.  Version 2 carries
-#: the point's collectors as one ``spec["collectors"]`` list; the server
-#: closes a connection that says hello in any other version, so a stale
-#: worker cannot silently drop attachments.
-PROTOCOL_VERSION = 2
+#: The worker protocol a ``hello`` frame must name.  Version 3 carries
+#: every collector of a point, its replay log included, in one per-point
+#: ``spec["collectors"]`` list; the server closes a connection that says
+#: hello in any other version, so a stale worker cannot skip a collector.
+PROTOCOL_VERSION = 3
 
 _HEADER = struct.Struct(">I")
 

@@ -121,8 +121,7 @@ def _serve_connection(
             # reach the server even if a shutdown signal lands now.
             stop.interruptible = False
         try:
-            envelope = execute_point(point, spec.get("timeout"), collectors,
-                                     msg.get("replay_log"))
+            envelope = execute_point(point, spec.get("timeout"), collectors)
             wire.send_message(sock, {"op": "result", "envelope": envelope})
         finally:
             if stop is not None:

@@ -12,6 +12,7 @@ from repro.replay.orderlog import OrderLog
 from repro.runner import (
     MetricsCollector,
     OrderCollector,
+    ReplayCollector,
     SweepPoint,
     SweepRunner,
 )
@@ -23,6 +24,11 @@ def faulted_point(seed=0):
         "sweep3d", "Dynamic", 8, scale=0.02, seed=seed,
         faults=canned_plan("daemon-crash-attach"),
     )
+
+
+def replay(point, blob):
+    """A collector verifying ``point`` against the log ``blob``."""
+    return ReplayCollector({point.label: blob})
 
 
 def record(point):
@@ -67,14 +73,16 @@ def test_recording_is_deterministic_and_rides_envelope():
 
 def test_replay_of_identical_run_verifies():
     blob, _ = record(faulted_point())
-    envelope = execute_point(faulted_point(), replay_log=blob)
+    envelope = execute_point(faulted_point(),
+                             collectors=[replay(faulted_point(), blob)])
     assert envelope["status"] == "ok"
     assert "divergence" not in envelope
 
 
 def test_replay_of_perturbed_run_pins_first_divergence():
     blob, _ = record(faulted_point(seed=0))
-    envelope = execute_point(faulted_point(seed=1), replay_log=blob)
+    envelope = execute_point(faulted_point(seed=1),
+                             collectors=[replay(faulted_point(1), blob)])
     assert envelope["status"] == "diverged"
     divergence = envelope["divergence"]
     # The report identifies the first divergent decision precisely, and
@@ -87,7 +95,8 @@ def test_replay_of_perturbed_run_pins_first_divergence():
     assert divergence["actual"]["key"] == "loss.0.0"
     assert divergence["actual"]["value"] != divergence["expected"]["value"]
     # Deterministic: the same perturbed replay diverges identically.
-    again = execute_point(faulted_point(seed=1), replay_log=blob)
+    again = execute_point(faulted_point(seed=1),
+                          collectors=[replay(faulted_point(1), blob)])
     assert again["divergence"] == divergence
 
 
@@ -111,7 +120,8 @@ def test_long_replay_raises_past_log_end():
 
 def test_divergence_error_round_trips_as_dict():
     blob, _ = record(faulted_point(seed=0))
-    envelope = execute_point(faulted_point(seed=1), replay_log=blob)
+    envelope = execute_point(faulted_point(seed=1),
+                             collectors=[replay(faulted_point(1), blob)])
     err = DivergenceError.from_dict(envelope["divergence"])
     assert err.index == envelope["divergence"]["index"]
     assert "diverged at decision #" in str(err)
@@ -148,9 +158,9 @@ def test_runner_replay_flags_divergence():
     SweepRunner(jobs=1, collectors=[recorder]).run([point0])
     blob = recorder.docs[point0.label]
     # Same label -> verified clean; perturbed point -> diverged.
-    ok = SweepRunner(jobs=1, replay_logs={point0.label: blob})
+    ok = SweepRunner(jobs=1, collectors=[replay(point0, blob)])
     assert ok.run([point0])[point0].ok
-    bad = SweepRunner(jobs=1, replay_logs={point1.label: blob})
+    bad = SweepRunner(jobs=1, collectors=[replay(point1, blob)])
     result = bad.run([point1])[point1]
     assert result.status == "diverged"
     assert result.divergence["index"] == 4
@@ -173,13 +183,14 @@ def test_replay_obs_counters():
     counters = inner["attachments"]["obs"]["counters"]
     assert counters["replay.recordings"] == 1
     assert counters["replay.recorded_decisions"] == n
-    verified = execute_point(point, collectors=[MetricsCollector()],
-                             replay_log=blob)
+    verified = execute_point(point, collectors=[MetricsCollector(),
+                                                replay(point, blob)])
     v = verified["attachments"]["obs"]["counters"]
     assert v["replay.verified_runs"] == 1
     assert v["replay.verified_decisions"] == n
     diverged = execute_point(faulted_point(seed=1),
-                             collectors=[MetricsCollector()], replay_log=blob)
+                             collectors=[MetricsCollector(),
+                                         replay(faulted_point(1), blob)])
     d = diverged["attachments"]["obs"]["counters"]
     assert d["replay.divergences"] == 1
     assert "replay.verified_runs" not in d

@@ -253,3 +253,52 @@ def test_corrupt_timestamp_is_a_one_line_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("repro-experiments chaos: --replay ")
     assert "corrupt timestamp" in err and "Traceback" not in err
+
+
+def test_fig8_record_replay_round_trip_covers_both_machines(tmp_path, capsys):
+    """fig8a (power3-sp) and fig8c (ia32-linux) share CPU counts; their
+    points must not share labels, or logs overwrite each other and the
+    replay checks one machine's run against the other's log."""
+    logs = str(tmp_path / "logs")
+    assert main(["fig8", "--quick", "--no-cache", "--record", logs]) == 0
+    recorded = capsys.readouterr().out
+    assert len([f for f in os.listdir(logs) if f.endswith(".order")]) == 22
+    assert main(["fig8", "--quick", "--no-cache", "--replay", logs]) == 0
+    assert capsys.readouterr().out == recorded
+
+
+def test_replay_never_reads_the_cache(tmp_path, capsys):
+    """A warm cache must not turn a divergent replay into a pass."""
+    logs = str(tmp_path / "logs")
+    cache = ["--cache-dir", str(tmp_path / "cache")]
+    plain = [a for a in SWEEP if a != "--no-cache"]
+    assert sweep_main([*SWEEP, "--seed", "3", "--record", logs]) == 0
+    assert sweep_main([*plain, *cache]) == 0  # warm the cache at seed 0
+    capsys.readouterr()
+    assert sweep_main([*plain, *cache, "--replay", logs]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["sweep"][0]["status"] == "diverged"
+    assert doc["sweep"][0]["cached"] is False
+
+
+def test_replay_that_matches_no_point_fails(tmp_path, capsys):
+    logs = str(tmp_path / "logs")
+    assert sweep_main([*SWEEP, "--record", logs]) == 0
+    capsys.readouterr()
+    other = [*SWEEP[:SWEEP.index("--cpus") + 1], "2",
+             *SWEEP[SWEEP.index("--cpus") + 2:]]
+    assert sweep_main([*other, "--replay", logs]) == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["sweep"][0]["status"] == "ok"
+    assert "1 loaded log(s)" in captured.err
+    assert "nothing was verified" in captured.err
+
+
+def test_chaos_replay_of_another_points_log_fails(tmp_path, capsys):
+    path = record_chaos(tmp_path)
+    capsys.readouterr()
+    assert chaos_main(["--cpus", "8", "--scale", "0.02",
+                       "--replay", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("repro-experiments chaos: --replay ")
+    assert "1 loaded log(s)" in err

@@ -8,6 +8,7 @@ from repro import obs
 from repro.runner import (
     MetricsCollector,
     OrderCollector,
+    ReplayCollector,
     SampleCollector,
     SweepPoint,
     TraceCollector,
@@ -20,10 +21,11 @@ POINT = SweepPoint.policy_cell("sweep3d", "Dynamic", 4, scale=0.02)
 
 def test_wire_form_round_trips_every_builtin_collector():
     collectors = [MetricsCollector(), TraceCollector("coarse", 128, True),
-                  SampleCollector(0.25), OrderCollector()]
+                  SampleCollector(0.25), OrderCollector(),
+                  ReplayCollector({"a@1": "UlJMRw=="})]
     docs = to_wire(collectors)
     assert [d["name"] for d in docs] == ["obs", "trace", "timeseries",
-                                         "order_log"]
+                                         "order_log", "replay"]
     rebuilt = from_wire(docs)
     assert [type(c) for c in rebuilt] == [type(c) for c in collectors]
     assert [c.params for c in rebuilt] == [c.params for c in collectors]

@@ -127,3 +127,15 @@ def test_cached_payloads_equal_computed_payloads(tmp_path):
     fresh = SweepRunner(jobs=1, cache=tmp_path).run_grid(points)
     cached = SweepRunner(jobs=1, cache=tmp_path).run_grid(points)
     assert fresh == cached
+
+
+def test_label_names_the_machine_unless_it_is_the_default():
+    from repro.cluster import IA32_LINUX
+
+    ibm = SweepPoint.confsync(4)
+    ia32 = SweepPoint.confsync(4, machine=IA32_LINUX)
+    assert ibm.label == "confsync@4[change=False,reps=16,stats=False]"
+    assert ia32.label == \
+        "confsync:ia32-linux@4[change=False,reps=16,stats=False]"
+    cell = SweepPoint.instrument("sweep3d", 8, machine=IA32_LINUX)
+    assert cell.label == "instrument:sweep3d:ia32-linux@8"

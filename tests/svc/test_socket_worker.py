@@ -87,6 +87,7 @@ def test_wire_rejects_oversized_frame():
 
 @pytest.mark.parametrize("hello", [
     {"op": "hello", "version": 1},
+    {"op": "hello", "version": 2},
     {"op": "hello"},
 ])
 def test_server_closes_other_protocol_versions(hello):
