@@ -12,6 +12,8 @@ every iteration.  This package removes the redundancy *losslessly*:
 * :mod:`repro.compact.varint` — LEB128/zigzag integer framing and a
   second-order IEEE-754 bit-pattern delta codec for timestamps (hot
   loops cost ~1 byte per timestamp after warm-up);
+* :mod:`repro.compact.container` — the sealed container under VGVZ and
+  RRLG, and the one :class:`DecodeError` every decoder raises;
 * :mod:`repro.compact.codec` — the VGVZ binary on-disk format with a
   streaming writer/reader pair and a strict round-trip guarantee:
   ``decompress(compress(stream)) == stream``, record for record.
@@ -22,14 +24,15 @@ a trace or constructs a compacting tracer, and figure outputs are
 byte-identical with the whole layer unused.
 
 The package namespace re-exports only the dependency-free
-:mod:`~repro.compact.suppress` and :mod:`~repro.compact.varint`, so the
-observation and replay layers can import the varint codec at module
-level; the VGVZ codec builds on :mod:`repro.vt` and is imported as
-:mod:`repro.compact.codec`.
+:mod:`~repro.compact.suppress`, :mod:`~repro.compact.varint` and
+:class:`DecodeError`, so the observation and replay layers can import
+the varint codec and the container at module level; the VGVZ codec
+builds on :mod:`repro.vt` and is imported as :mod:`repro.compact.codec`.
 """
 
 from .suppress import DEFAULT_MAX_WINDOW, Fold, RepeatSuppressor, fold_ring
 from .varint import (
+    DecodeError,
     DeltaDecoder,
     DeltaEncoder,
     decode_uvarint,
@@ -43,6 +46,7 @@ __all__ = [
     "RepeatSuppressor",
     "fold_ring",
     "DEFAULT_MAX_WINDOW",
+    "DecodeError",
     "DeltaEncoder",
     "DeltaDecoder",
     "encode_uvarint",

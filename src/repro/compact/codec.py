@@ -1,10 +1,10 @@
 """The compact binary trace codec: VGVZ streaming writer/reader.
 
-This is the on-disk half of the compaction layer.  A VGVZ stream is::
+This is the on-disk half of the compaction layer.  A VGVZ stream is
+one sealed :mod:`repro.compact.container` stream::
 
-    b"VGVZ" <version byte>
-    <string app_name> <uvarint record_bytes>          # header
-    ops:
+    b"VGVZ" 0x02 <string app_name> <uvarint record_bytes>
+    ops, up to the 4-byte CRC-32 seal:
       0x02 FUNC   <uvarint fid> <string name>
       0x01 BUF    <uvarint process> <uvarint thread>  # opens a buffer
       0x10 ENTER  <uvarint fid> <ts>
@@ -15,7 +15,6 @@ This is the on-disk half of the compaction layer.  A VGVZ stream is::
       0x15 MARKER <string name> <ts> <ts>
       0x20 LOOP   <uvarint w> <uvarint n> <w structural descriptors>
                   <n * sum(floats per descriptor) ts, iteration-major>
-      0x00 END    <uvarint record objects> <uvarint raw records>
 
 ``<ts>`` is one timestamp framed by the per-buffer second-order
 bit-pattern delta encoder (:mod:`repro.compact.varint`); ``<string>``
@@ -28,8 +27,8 @@ record stream exactly, record for record, bit for bit.
 
 The writer is streaming (bounded memory: the suppressor's window) and
 so is the reader (:meth:`CompactReader.iter_records` decodes record by
-record).  The END trailer carries object and raw-record counts so
-truncation or corruption is detected rather than silently tolerated.
+record).  The seal turns truncation or any damaged byte into a
+:class:`~repro.compact.container.DecodeError` before a field is read.
 """
 
 from __future__ import annotations
@@ -47,15 +46,9 @@ from ..vt.records import (
     MsgRecord,
     TraceRecord,
 )
+from .container import DecodeError, Reader, Writer
 from .suppress import DEFAULT_MAX_WINDOW, Fold, RepeatSuppressor
-from .varint import (
-    DeltaDecoder,
-    DeltaEncoder,
-    decode_uvarint,
-    encode_uvarint,
-    unzigzag,
-    zigzag,
-)
+from .varint import DeltaDecoder, DeltaEncoder, encode_uvarint, zigzag
 
 __all__ = [
     "CompactionStats",
@@ -72,9 +65,8 @@ __all__ = [
 ]
 
 MAGIC = b"VGVZ"
-VERSION = 1
+VERSION = 2
 
-_OP_END = 0x00
 _OP_BUF = 0x01
 _OP_FUNC = 0x02
 _OP_ENTER = 0x10
@@ -194,26 +186,6 @@ class CompactionStats:
         )
 
 
-class _StringTable:
-    """Per-file string interning (encode side)."""
-
-    __slots__ = ("_ids",)
-
-    def __init__(self) -> None:
-        self._ids: Dict[str, int] = {}
-
-    def encode(self, s: str, out: bytearray) -> None:
-        sid = self._ids.get(s)
-        if sid is not None:
-            encode_uvarint(sid + 1, out)
-            return
-        encode_uvarint(0, out)
-        data = s.encode("utf-8")
-        encode_uvarint(len(data), out)
-        out += data
-        self._ids[s] = len(self._ids)
-
-
 class CompactWriter:
     """Streaming VGVZ encoder.
 
@@ -236,7 +208,7 @@ class CompactWriter:
         strict_time: bool = False,
     ) -> None:
         self._fh = fh
-        self._strings = _StringTable()
+        self._w = Writer(MAGIC, VERSION)
         self._suppress = suppress
         self._max_window = max_window
         self._strict_time = strict_time
@@ -246,26 +218,25 @@ class CompactWriter:
         self._in_buffer = False
         self._closed = False
         self.stats = CompactionStats(record_bytes)
-        out = bytearray(MAGIC)
-        out.append(VERSION)
-        self._strings.encode(app_name, out)
-        encode_uvarint(record_bytes, out)
-        self._emit(out)
+        self._w.string(app_name)
+        encode_uvarint(record_bytes, self._w.out)
+        self._emit(self._w.take())
 
     # -- plumbing -----------------------------------------------------------------
 
-    def _emit(self, data: bytearray) -> None:
+    def _emit(self, data: bytes) -> None:
         self.stats.compact_bytes += len(data)
-        self._fh.write(bytes(data))
+        self._fh.write(data)
 
     # -- the writing interface ----------------------------------------------------
 
     def write_function(self, fid: int, name: str) -> None:
         """Register one function-table entry (fid -> name)."""
-        out = bytearray((_OP_FUNC,))
+        out = self._w.out
+        out.append(_OP_FUNC)
         encode_uvarint(fid, out)
-        self._strings.encode(name, out)
-        self._emit(out)
+        self._w.string(name)
+        self._emit(self._w.take())
 
     def begin_buffer(self, process: int, thread: int) -> None:
         """Open the (process, thread) buffer; records follow."""
@@ -278,10 +249,11 @@ class CompactWriter:
             self._suppressor = RepeatSuppressor(
                 record_key, time=lambda r: r.time, max_window=self._max_window,
             )
-        out = bytearray((_OP_BUF,))
+        out = self._w.out
+        out.append(_OP_BUF)
         encode_uvarint(process, out)
         encode_uvarint(thread, out)
-        self._emit(out)
+        self._emit(self._w.take())
 
     def write(self, rec: TraceRecord) -> None:
         """Append one record to the open buffer."""
@@ -317,21 +289,18 @@ class CompactWriter:
         self._deltas = None
 
     def close(self) -> CompactionStats:
-        """Write the END trailer; returns the accumulated stats."""
+        """Write the seal; returns the accumulated stats."""
         if self._in_buffer:
             self.end_buffer()
         if not self._closed:
-            out = bytearray((_OP_END,))
-            encode_uvarint(self.stats.record_objects, out)
-            encode_uvarint(self.stats.raw_records, out)
-            self._emit(out)
+            self._emit(self._w.seal())
             self._closed = True
         return self.stats
 
     # -- encoding -----------------------------------------------------------------
 
     def _encode_element(self, element: Union[TraceRecord, Fold]) -> None:
-        out = bytearray()
+        out = self._w.out
         if isinstance(element, Fold):
             out.append(_OP_LOOP)
             encode_uvarint(element.width, out)
@@ -345,7 +314,7 @@ class CompactWriter:
         else:
             self._encode_structure(element, out)
             self._deltas.encode_many(_record_floats(element), out)
-        self._emit(out)
+        self._emit(self._w.take())
 
     def _encode_structure(self, rec: TraceRecord, out: bytearray) -> None:
         cls = rec.__class__
@@ -364,11 +333,11 @@ class CompactWriter:
             encode_uvarint(rec.size, out)
         elif cls is CollectiveRecord:
             out.append(_OP_COLL)
-            self._strings.encode(rec.op, out)
+            self._w.string(rec.op)
             encode_uvarint(rec.comm_size, out)
         elif cls is MarkerRecord:
             out.append(_OP_MARKER)
-            self._strings.encode(rec.name, out)
+            self._w.string(rec.name)
         else:
             raise TypeError(f"unknown record type {cls.__name__}")
 
@@ -379,21 +348,15 @@ class CompactReader:
     ``iter_records()`` yields ``(process, thread, record)`` lazily, in
     stream order, expanding LOOP groups back into their constituent
     records; :meth:`read_trace` materialises a full
-    :class:`~repro.vt.buffer.TraceFile`.
+    :class:`~repro.vt.buffer.TraceFile`.  Any damaged byte raises
+    :class:`~repro.compact.container.DecodeError` before a record is
+    yielded.
     """
 
     def __init__(self, data: bytes) -> None:
-        if len(data) < 5 or data[:4] != MAGIC:
-            raise ValueError("not a VGVZ stream")
-        if data[4] != VERSION:
-            raise ValueError(f"unsupported VGVZ version {data[4]}")
         self._data = data
-        self._strings: List[str] = []
-        pos = 5
-        self.app_name, pos = self._decode_string(pos)
-        self.record_bytes, pos = decode_uvarint(data, pos)
-        self._body_start = pos
         self.functions: Dict[int, str] = {}
+        self._open()
 
     @classmethod
     def from_file(cls, path: str) -> "CompactReader":
@@ -403,137 +366,79 @@ class CompactReader:
 
     # -- decoding primitives ------------------------------------------------------
 
-    def _decode_string(self, pos: int) -> Tuple[str, int]:
-        sid, pos = decode_uvarint(self._data, pos)
-        if sid:
-            try:
-                return self._strings[sid - 1], pos
-            except IndexError:
-                raise ValueError(f"bad string reference {sid}") from None
-        length, pos = decode_uvarint(self._data, pos)
-        if len(self._data) < pos + length:
-            raise ValueError("truncated string")
-        s = self._data[pos:pos + length].decode("utf-8")
-        self._strings.append(s)
-        return s, pos + length
-
-    def _decode_structure(self, pos: int) -> Tuple[Tuple[Any, ...], int]:
-        """One structural descriptor -> (key tuple, new position)."""
-        data = self._data
-        op = data[pos]
-        pos += 1
-        if op in (_OP_ENTER, _OP_LEAVE):
-            fid, pos = decode_uvarint(data, pos)
-            return (op, fid), pos
-        if op == _OP_BATCH:
-            fid, pos = decode_uvarint(data, pos)
-            n, pos = decode_uvarint(data, pos)
-            return (op, fid, n), pos
-        if op == _OP_MSG:
-            kind = "send" if data[pos] == 0 else "recv"
-            pos += 1
-            peer, pos = decode_uvarint(data, pos)
-            tag, pos = decode_uvarint(data, pos)
-            size, pos = decode_uvarint(data, pos)
-            return (op, kind, unzigzag(peer), unzigzag(tag), size), pos
-        if op == _OP_COLL:
-            name, pos = self._decode_string(pos)
-            comm_size, pos = decode_uvarint(data, pos)
-            return (op, name, comm_size), pos
-        if op == _OP_MARKER:
-            name, pos = self._decode_string(pos)
-            return (op, name), pos
-        raise ValueError(f"unknown record opcode {op:#x}")
+    def _open(self) -> Reader:
+        """A cursor past the header (whose fields it sets)."""
+        r = Reader(self._data, MAGIC, VERSION, "VGVZ trace")
+        self.app_name = r.string()
+        self.record_bytes = r.uvarint()
+        return r
 
     @staticmethod
-    def _build(key: Tuple[Any, ...], floats: List[float]) -> TraceRecord:
-        op = key[0]
-        if op == _OP_ENTER:
-            return EnterRecord(key[1], floats[0])
-        if op == _OP_LEAVE:
-            return LeaveRecord(key[1], floats[0])
+    def _decode_structure(r: Reader, op: int) -> Tuple[Any, ...]:
+        """The key tuple of one structural descriptor opened by ``op``."""
+        if op == _OP_ENTER or op == _OP_LEAVE:
+            return (op, r.uvarint())
         if op == _OP_BATCH:
-            return BatchPairRecord(key[1], key[2], floats[0], floats[1], floats[2])
+            return (op, r.uvarint(), r.uvarint())
         if op == _OP_MSG:
-            return MsgRecord(key[1], key[2], key[3], key[4], floats[0])
+            kind = "send" if r.byte() == 0 else "recv"
+            return (op, kind, r.svarint(), r.svarint(), r.uvarint())
         if op == _OP_COLL:
-            return CollectiveRecord(key[1], key[2], floats[0], floats[1])
+            return (op, r.string(), r.uvarint())
         if op == _OP_MARKER:
-            return MarkerRecord(key[1], floats[0], floats[1])
-        raise ValueError(f"unknown record opcode {op:#x}")
+            return (op, r.string())
+        raise DecodeError(f"unknown record opcode {op:#x}")
 
-    _N_FLOATS = {_OP_ENTER: 1, _OP_LEAVE: 1, _OP_BATCH: 3,
-                 _OP_MSG: 1, _OP_COLL: 2, _OP_MARKER: 2}
+    @staticmethod
+    def _build(key: Tuple[Any, ...], r: Reader, deltas: DeltaDecoder) -> TraceRecord:
+        """The record ``key`` describes, its timestamps read from ``r``."""
+        op = key[0]
+        t = r.float(deltas)
+        if op == _OP_ENTER:
+            return EnterRecord(key[1], t)
+        if op == _OP_LEAVE:
+            return LeaveRecord(key[1], t)
+        if op == _OP_MSG:
+            return MsgRecord(key[1], key[2], key[3], key[4], t)
+        t2 = r.float(deltas)
+        if op == _OP_BATCH:
+            return BatchPairRecord(key[1], key[2], t, t2, r.float(deltas))
+        if op == _OP_COLL:
+            return CollectiveRecord(key[1], key[2], t, t2)
+        return MarkerRecord(key[1], t, t2)  # the last op _decode_structure admits
 
     # -- the reading interface ----------------------------------------------------
 
     def iter_records(self) -> Iterator[Tuple[int, int, TraceRecord]]:
         """Yield ``(process, thread, record)`` in stream order."""
-        data = self._data
-        pos = self._body_start
+        r = self._open()
         process = thread = -1
         deltas: Optional[DeltaDecoder] = None
-        objects = 0
-        raw = 0
-        while True:
-            try:
-                op = data[pos]
-            except IndexError:
-                raise ValueError("truncated VGVZ stream (no END trailer)") from None
-            pos += 1
-            if op == _OP_END:
-                want_objects, pos = decode_uvarint(data, pos)
-                want_raw, pos = decode_uvarint(data, pos)
-                if want_objects != objects or want_raw != raw:
-                    raise ValueError(
-                        f"VGVZ trailer mismatch: decoded {objects} objects / "
-                        f"{raw} raw records, trailer says {want_objects} / "
-                        f"{want_raw}"
-                    )
-                return
+        while not r.end():
+            op = r.byte()
             if op == _OP_FUNC:
-                fid, pos = decode_uvarint(data, pos)
-                name, pos = self._decode_string(pos)
-                self.functions[fid] = name
-                continue
-            if op == _OP_BUF:
-                process, pos = decode_uvarint(data, pos)
-                thread, pos = decode_uvarint(data, pos)
+                fid = r.uvarint()
+                self.functions[fid] = r.string()
+            elif op == _OP_BUF:
+                process = r.uvarint()
+                thread = r.uvarint()
                 deltas = DeltaDecoder()
-                continue
-            if deltas is None:
-                raise ValueError("record opcode before any buffer header")
-            if op == _OP_LOOP:
-                width, pos = decode_uvarint(data, pos)
+            elif deltas is None:
+                raise DecodeError("record opcode before any buffer header")
+            elif op == _OP_LOOP:
+                width = r.uvarint()
                 if width == 0:
                     # A Fold has at least one record; an empty body
                     # would spin n times without consuming a byte.
-                    raise ValueError("corrupt VGVZ LOOP: zero-width body")
-                n, pos = decode_uvarint(data, pos)
-                keys = []
-                for _ in range(width):
-                    key, pos = self._decode_structure(pos)
-                    keys.append(key)
+                    raise DecodeError("corrupt VGVZ LOOP: zero-width body")
+                n = r.uvarint()
+                keys = [self._decode_structure(r, r.byte()) for _ in range(width)]
                 for _ in range(n):
                     for key in keys:
-                        floats = []
-                        for _ in range(self._N_FLOATS[key[0]]):
-                            value, pos = deltas.decode(data, pos)
-                            floats.append(value)
-                        rec = self._build(key, floats)
-                        objects += 1
-                        raw += rec.record_count()
-                        yield process, thread, rec
-                continue
-            key, pos = self._decode_structure(pos - 1)
-            floats = []
-            for _ in range(self._N_FLOATS[key[0]]):
-                value, pos = deltas.decode(data, pos)
-                floats.append(value)
-            rec = self._build(key, floats)
-            objects += 1
-            raw += rec.record_count()
-            yield process, thread, rec
+                        yield process, thread, self._build(key, r, deltas)
+            else:
+                yield process, thread, self._build(
+                    self._decode_structure(r, op), r, deltas)
 
     def read_trace(self) -> TraceFile:
         """Materialise the whole stream as a :class:`TraceFile`."""
@@ -595,18 +500,17 @@ def decompress_trace(source: Union[bytes, BinaryIO]) -> TraceFile:
 
 def measure_compact_bytes(records: List[TraceRecord],
                           max_window: int = DEFAULT_MAX_WINDOW) -> int:
-    """Compact size of one record list (no header/table overhead).
+    """Compact size of one record list (no header/table/seal overhead).
 
     This is the per-buffer accounting hook
     :attr:`~repro.vt.buffer.ThreadTraceBuffer.compact_bytes` uses: the
     bytes the buffer's records cost inside a VGVZ stream, excluding the
-    file header and function table so per-rank numbers add up.
+    file header, function table and seal so per-rank numbers add up.
     """
-    fh = io.BytesIO()
-    writer = CompactWriter(fh, max_window=max_window)
+    writer = CompactWriter(io.BytesIO(), max_window=max_window)
     header = writer.stats.compact_bytes
     writer.begin_buffer(0, 0)
     for rec in records:
         writer.write(rec)
-    stats = writer.close()
-    return stats.compact_bytes - header
+    writer.end_buffer()
+    return writer.stats.compact_bytes - header

@@ -31,6 +31,7 @@ import struct
 from typing import List, Tuple
 
 __all__ = [
+    "DecodeError",
     "encode_uvarint",
     "decode_uvarint",
     "zigzag",
@@ -43,6 +44,10 @@ __all__ = [
 
 _PACK_D = struct.Struct("<d")
 _PACK_Q = struct.Struct("<q")
+
+
+class DecodeError(ValueError):
+    """Truncated, damaged or foreign bytes (see :mod:`.container`)."""
 
 
 def encode_uvarint(value: int, out: bytearray) -> None:
@@ -67,7 +72,7 @@ def decode_uvarint(data: bytes, pos: int) -> Tuple[int, int]:
         try:
             byte = data[pos]
         except IndexError:
-            raise ValueError("truncated varint") from None
+            raise DecodeError("truncated varint") from None
         pos += 1
         result |= (byte & 0x7F) << shift
         if not byte & 0x80:
@@ -142,7 +147,7 @@ class DeltaDecoder:
             value = bits_to_float(bits)
         except struct.error:
             # Only a corrupt stream leaves the signed 64-bit range.
-            raise ValueError(
+            raise DecodeError(
                 f"corrupt timestamp: bit pattern {bits} is not int64"
             ) from None
         self._bits = bits

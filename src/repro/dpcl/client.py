@@ -318,29 +318,6 @@ class DpclClient:
             reason=info.get("reason", ack.error),
         )
 
-    def _collect_acks(self, req_id: int, expected: int) -> Generator:
-        """Back-compat shim: gather ``expected`` acks already in flight
-        (used by tests that drive the wire directly)."""
-        acks: List[Ack] = []
-        while len(acks) < expected:
-            msg = yield self.inbox.get()
-            if isinstance(msg, CallbackMsg):
-                self._callbacks.put(msg)
-                continue
-            if not isinstance(msg, Ack):
-                raise TypeError(f"client got unexpected message {msg!r}")
-            if msg.req_id != req_id:
-                if msg.req_id < req_id:
-                    self._note_stale_ack()
-                    continue
-                raise DpclError(
-                    f"out-of-order ack: got req {msg.req_id}, expected {req_id}"
-                )
-            if not msg.ok:
-                raise self._failure_error(msg, "request")
-            acks.append(msg)
-        return acks
-
     # -- connection management ------------------------------------------------------
 
     def connect(self, process_locations: Dict[str, Node], tolerant: bool = False) -> Generator:
@@ -499,9 +476,10 @@ class DpclClient:
     ) -> Generator:
         """Install probes: (process, function, where, snippet) tuples.
 
-        Returns the installed :class:`ProbeHandle` s.  Work is fanned out
-        per node and proceeds in parallel across daemons.  Any failed
-        probe raises :class:`DpclRequestError` naming the probe.
+        Returns the installed :class:`ProbeHandle` s, aligned with
+        ``probes``.  Work is fanned out per node and proceeds in parallel
+        across daemons.  Any failed probe raises :class:`DpclRequestError`
+        naming the probe.
         """
         req_id, reply_to, reply_node = self._new_request_fields()
         by_node = self._build_install_requests(
@@ -514,9 +492,10 @@ class DpclClient:
             for node, inbox, req, _indices in by_node.values()
         ]
         acks = yield from self._transact(sends, req_id, "InstallProbeReq")
-        handles: List[Any] = []
+        handles: List[Any] = [None] * len(probes)
         for ack in acks:
-            for status, value in ack.payload:
+            indices = by_node[ack.node_index][3]
+            for index, (status, value) in zip(indices, ack.payload):
                 if status != "ok":
                     raise DpclRequestError(
                         f"daemon on node {ack.node_index}: probe install "
@@ -527,7 +506,7 @@ class DpclClient:
                         process=value.get("process", ""),
                         reason=value.get("reason", ""),
                     )
-                handles.append(value)
+                handles[index] = value
         return handles
 
     def install_probes_tolerant(

@@ -78,7 +78,6 @@ pool + directory cache.
 from __future__ import annotations
 
 import argparse
-import base64
 import contextlib
 import json
 import os
@@ -88,6 +87,7 @@ from typing import Any, Callable, Dict, List, Optional, Union
 
 from ..apps import ALL_APPS, get_app
 from ..cluster import MACHINES, get_machine
+from ..compact.container import from_ascii, to_ascii
 from ..dynprof import POLICIES
 from ..faults import CANNED_PLANS, FaultPlan, canned_plan
 from ..obs.trace import DEFAULT_CAPACITY as DEFAULT_TRACE_CAPACITY
@@ -307,11 +307,11 @@ def _load_replay_logs(path: str) -> Dict[str, str]:
             log = OrderLog.from_bytes(data)
         except (OSError, ValueError) as exc:
             raise ValueError(f"--replay {file}: {exc}") from None
-        label = (log.meta or {}).get("label")
+        label = log.meta.get("label")
         if not label:
             raise ValueError(
                 f"--replay {file}: log metadata carries no point label")
-        logs[label] = base64.b64encode(data).decode("ascii")
+        logs[label] = to_ascii(data)
     return logs
 
 
@@ -540,7 +540,7 @@ def _write_outputs(
 
     def dump_order_log(doc: str, path: str) -> None:
         with open(path, "wb") as fh:
-            fh.write(base64.b64decode(doc))
+            fh.write(from_ascii(doc))
 
     outputs: Dict[str, Any] = {}
     obs_path = _write_obs_document(args, runner, quiet=quiet)
@@ -1088,7 +1088,7 @@ def chaos_main(argv: List[str]) -> int:
     if args.record:
         try:
             with open(args.record, "wb") as fh:
-                fh.write(base64.b64decode(attachments[OrderCollector.name]))
+                fh.write(from_ascii(attachments[OrderCollector.name]))
         except OSError as exc:
             print(f"repro-experiments chaos: cannot write order log "
                   f"{args.record}: {exc}", file=sys.stderr)

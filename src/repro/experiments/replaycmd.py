@@ -62,7 +62,7 @@ def verify_main(argv: List[str]) -> int:
         print(f"repro-experiments replay: {args.log}: {exc}",
               file=sys.stderr)
         return 1
-    point_doc = (log.meta or {}).get("point")
+    point_doc = log.meta.get("point")
     if not point_doc:
         print(f"repro-experiments replay: {args.log}: log metadata carries "
               "no point description; cannot rebuild the run",

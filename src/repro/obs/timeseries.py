@@ -37,10 +37,10 @@ sampler's own wakeups.
 
 from __future__ import annotations
 
-import base64
 from typing import (Any, Callable, ContextManager, Dict, Iterable, Iterator,
                     List, Optional, Tuple)
 
+from ..compact.container import DecodeError, from_ascii, to_ascii
 from ..compact.varint import DeltaDecoder, DeltaEncoder
 from .slot import Slot
 
@@ -115,8 +115,8 @@ class SeriesRing:
             "dropped": self.dropped,
             "total": self.total,
             "codec": _CODEC,
-            "t": base64.b64encode(bytes(tbuf)).decode("ascii"),
-            "v": base64.b64encode(bytes(vbuf)).decode("ascii"),
+            "t": to_ascii(tbuf),
+            "v": to_ascii(vbuf),
         }
 
 
@@ -124,22 +124,23 @@ def decode_series(doc: Dict[str, Any]) -> Tuple[List[float], List[float]]:
     """Decode one series dict back to ``(times, values)`` lists.
 
     The codec is lossless: every float returned is bit-identical to the
-    one sampled.
+    one sampled.  A damaged blob raises
+    :class:`~repro.compact.container.DecodeError`.
     """
     if doc.get("codec") != _CODEC:
-        raise ValueError(f"unknown series codec {doc.get('codec')!r}")
+        raise DecodeError(f"unknown series codec {doc.get('codec')!r}")
     n = int(doc["n"])
     times: List[float] = []
     values: List[float] = []
     for raw, out in ((doc["t"], times), (doc["v"], values)):
-        data = base64.b64decode(raw)
+        data = from_ascii(raw)
         dec = DeltaDecoder()
         pos = 0
         for _ in range(n):
             value, pos = dec.decode(data, pos)
             out.append(value)
         if pos != len(data):
-            raise ValueError("trailing bytes after series payload")
+            raise DecodeError("trailing bytes after series payload")
     return times, values
 
 

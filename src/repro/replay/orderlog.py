@@ -26,27 +26,22 @@ Each decision is a 4-tuple:
 ``time``
     Simulated time of the decision.
 
-Serialisation (``RRLG`` format, version 1) uses the
-:mod:`repro.compact.varint` primitives — string-interned keys, LEB128
-varints, zigzag for the signed values and the second-order bit-pattern
-delta codec for timestamps — plus a counted trailer so a truncated
-file is detected rather than silently shortened.
+Serialisation (``RRLG`` format, version 2) is one sealed
+:mod:`repro.compact.container` stream: ``b"RRLG" 0x02``, the meta
+object's canonical JSON as a string, then per decision ``<channel
+byte> <string key> <zigzag value> <ts>`` up to the CRC-32 seal.  A
+truncated or damaged log raises
+:class:`~repro.compact.container.DecodeError`, never decodes into a
+different run's decisions.
 """
 
 from __future__ import annotations
 
-import base64
 import json
 from typing import Any, Dict, List, NamedTuple, Optional
 
-from ..compact.varint import (
-    DeltaDecoder,
-    DeltaEncoder,
-    decode_uvarint,
-    encode_uvarint,
-    unzigzag,
-    zigzag,
-)
+from ..compact.container import DecodeError, Reader, Writer, from_ascii, to_ascii
+from ..compact.varint import DeltaDecoder, DeltaEncoder, encode_uvarint, zigzag
 
 __all__ = [
     "CH_EVENT",
@@ -66,10 +61,9 @@ CH_FAULT = 3
 
 CHANNEL_NAMES = ("event", "deliver", "match", "fault")
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 _MAGIC = b"RRLG"
-_TRAILER = b"GLRR"
 
 class Decision(NamedTuple):
     """One recorded nondeterminism decision."""
@@ -134,83 +128,44 @@ class OrderLog:
     # -- serialisation --------------------------------------------------------
 
     def to_bytes(self) -> bytes:
-        out = bytearray()
-        out += _MAGIC
-        encode_uvarint(FORMAT_VERSION, out)
-        meta_blob = json.dumps(
-            self.meta, sort_keys=True, separators=(",", ":")
-        ).encode("utf-8")
-        encode_uvarint(len(meta_blob), out)
-        out += meta_blob
-        # String table, first-appearance order.
-        table: Dict[str, int] = {}
-        for d in self.decisions:
-            if d.key not in table:
-                table[d.key] = len(table)
-        encode_uvarint(len(table), out)
-        for key in table:
-            blob = key.encode("utf-8")
-            encode_uvarint(len(blob), out)
-            out += blob
-        encode_uvarint(len(self.decisions), out)
+        w = Writer(_MAGIC, FORMAT_VERSION)
+        w.string(json.dumps(self.meta, sort_keys=True, separators=(",", ":")))
+        out = w.out
         times = DeltaEncoder()
         for d in self.decisions:
-            encode_uvarint(d.channel, out)
-            encode_uvarint(table[d.key], out)
+            out.append(d.channel)
+            w.string(d.key)
             encode_uvarint(zigzag(d.value), out)
             times.encode(d.time, out)
-        # Counted trailer: a truncated log fails loudly, not shortly.
-        encode_uvarint(len(self.decisions), out)
-        out += _TRAILER
-        return bytes(out)
+        return w.seal()
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "OrderLog":
-        if data[:4] != _MAGIC:
-            raise ValueError("not an RRLG order log (bad magic)")
-        pos = 4
+        r = Reader(data, _MAGIC, FORMAT_VERSION, "RRLG order log")
+        blob = r.string()
         try:
-            version, pos = decode_uvarint(data, pos)
-            if version != FORMAT_VERSION:
-                raise ValueError(f"unsupported order-log version {version}")
-            meta_len, pos = decode_uvarint(data, pos)
-            meta = json.loads(data[pos:pos + meta_len].decode("utf-8"))
-            pos += meta_len
-            n_keys, pos = decode_uvarint(data, pos)
-            table: List[str] = []
-            for _ in range(n_keys):
-                blob_len, pos = decode_uvarint(data, pos)
-                table.append(data[pos:pos + blob_len].decode("utf-8"))
-                pos += blob_len
-            n, pos = decode_uvarint(data, pos)
-            times = DeltaDecoder()
-            decisions: List[Decision] = []
-            for _ in range(n):
-                channel, pos = decode_uvarint(data, pos)
-                key_idx, pos = decode_uvarint(data, pos)
-                z, pos = decode_uvarint(data, pos)
-                t, pos = times.decode(data, pos)
-                decisions.append(
-                    Decision(channel, table[key_idx], unzigzag(z), t)
-                )
-            trailer_n, pos = decode_uvarint(data, pos)
-        except (ValueError, IndexError) as exc:
-            if isinstance(exc, ValueError) and "order-log" in str(exc):
-                raise
-            raise ValueError(f"truncated or corrupt order log: {exc}") from None
-        if trailer_n != n or data[pos:pos + 4] != _TRAILER:
-            raise ValueError(
-                "truncated or corrupt order log (trailer mismatch)"
-            )
+            meta = json.loads(blob)
+        except (ValueError, RecursionError) as exc:
+            raise DecodeError(f"order-log meta is not JSON: {exc}") from None
+        if not isinstance(meta, dict):
+            raise DecodeError("order-log meta is not a JSON object")
+        times = DeltaDecoder()
+        decisions: List[Decision] = []
+        while not r.end():
+            channel = r.byte()
+            if channel >= len(CHANNEL_NAMES):
+                raise DecodeError(f"unknown order-log channel {channel}")
+            decisions.append(
+                Decision(channel, r.string(), r.svarint(), r.float(times)))
         return cls(meta=meta, decisions=decisions)
 
     def to_b64(self) -> str:
         """ASCII form for riding JSON worker envelopes and wire frames."""
-        return base64.b64encode(self.to_bytes()).decode("ascii")
+        return to_ascii(self.to_bytes())
 
     @classmethod
     def from_b64(cls, text: str) -> "OrderLog":
-        return cls.from_bytes(base64.b64decode(text.encode("ascii")))
+        return cls.from_bytes(from_ascii(text))
 
     def save(self, path: str) -> None:
         with open(path, "wb") as fh:

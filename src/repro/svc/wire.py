@@ -62,7 +62,8 @@ def _encode(message: Dict[str, Any]) -> bytes:
 def _decode(data: bytes) -> Dict[str, Any]:
     try:
         message = json.loads(data.decode("utf-8"))
-    except (ValueError, UnicodeDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # RecursionError: a frame nested deeper than the parser's stack.
         raise WireError(f"undecodable frame: {exc}") from exc
     if not isinstance(message, dict):
         raise WireError(f"frame is not a JSON object: {type(message).__name__}")

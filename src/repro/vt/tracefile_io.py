@@ -157,9 +157,9 @@ def save_trace_compact(trace: TraceFile, path: str,
 def load_trace_compact(path: str) -> TraceFile:
     """Read a VGVZ file written by :func:`save_trace_compact`.
 
-    The decode is record-streaming and verifies the END trailer's
-    object/record counts, so truncation raises instead of silently
-    shortening the trace.
+    The decode is record-streaming and checks the stream's CRC-32 seal
+    first, so truncation or a damaged byte raises instead of silently
+    changing the trace.
     """
     from ..compact.codec import CompactReader
 

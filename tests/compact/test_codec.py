@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.compact.codec import (
+    MAGIC,
+    VERSION,
     CompactReader,
     CompactWriter,
     compress_trace_bytes,
@@ -17,6 +19,7 @@ from repro.compact.codec import (
     measure_compact_bytes,
     record_key,
 )
+from repro.compact.container import DecodeError, Writer
 from repro.compact.varint import float_to_bits
 from repro.vt import (
     BatchPairRecord,
@@ -177,40 +180,41 @@ def test_writer_protocol_misuse_raises():
 
 
 def test_reader_rejects_bad_magic_and_version():
-    with pytest.raises(ValueError, match="not a VGVZ"):
+    with pytest.raises(DecodeError, match="not a VGVZ"):
         CompactReader(b"NOPE\x01rest")
     good, _ = compress_trace_bytes(build_trace())
-    with pytest.raises(ValueError, match="version"):
+    with pytest.raises(DecodeError, match="version"):
         CompactReader(good[:4] + bytes([99]) + good[5:])
 
 
 def test_reader_rejects_truncation():
     data, _ = compress_trace_bytes(build_trace())
-    # Cutting the stream loses the END trailer (or corrupts its counts).
-    with pytest.raises(ValueError):
+    # Cutting the stream breaks the seal.
+    with pytest.raises(DecodeError, match="checksum"):
         decompress_trace(data[: len(data) // 2])
 
 
 def test_reader_rejects_zero_width_loop():
     # The writer never emits an empty LOOP body; decoding one would spin
     # n times without consuming a byte (n = 10**12 hangs the reader).
-    data = (b"VGVZ\x01" + b"\x00\x00" + b"\x18"  # header: app "", 24 B
-            + b"\x01\x00\x00"                      # BUF process 0, thread 0
-            + b"\x20\x00\x03"                      # LOOP width 0, n 3
-            + b"\x00\x00\x00")                     # END 0 objects, 0 raw
-    assert len(data) == 17
-    with pytest.raises(ValueError, match="zero-width"):
+    # Correctly sealed, so the LOOP guard and not the seal refuses it.
+    w = Writer(MAGIC, VERSION)
+    w.string("")                  # header: app ""
+    w.out += b"\x18"              # record_bytes 24
+    w.out += b"\x01\x00\x00"      # BUF process 0, thread 0
+    w.out += b"\x20\x00\x03"      # LOOP width 0, n 3
+    data = w.seal()
+    assert len(data) == 18
+    with pytest.raises(DecodeError, match="zero-width"):
         list(CompactReader(data).iter_records())
 
 
-def test_trailer_count_mismatch_detected():
-    data, stats = compress_trace_bytes(build_trace())
-    # The trailer is END + uvarint(objects) + uvarint(raw): bump the
-    # object count byte and the decode must refuse.
-    trailer_at = data.rindex(b"\x00", 0, len(data))
+@pytest.mark.parametrize("where", ("payload", "seal"))
+def test_checksum_mismatch_detected(where):
+    data, _stats = compress_trace_bytes(build_trace())
     corrupt = bytearray(data)
-    corrupt[trailer_at + 1] ^= 0x01
-    with pytest.raises(ValueError, match="trailer"):
+    corrupt[len(data) // 2 if where == "payload" else -1] ^= 0x01
+    with pytest.raises(DecodeError, match="checksum mismatch"):
         decompress_trace(bytes(corrupt))
 
 
@@ -238,7 +242,7 @@ def test_measure_compact_bytes_excludes_file_overhead():
         records.append(LeaveRecord(1, k + 0.5))
     size = measure_compact_bytes(records)
     assert 0 < size < 200 * 24  # far below the analytic model
-    assert measure_compact_bytes([]) < 16  # just buffer framing + trailer
+    assert measure_compact_bytes([]) < 16  # just buffer framing
 
 
 def test_iter_records_is_streaming_and_tagged():
@@ -249,7 +253,7 @@ def test_iter_records_is_streaming_and_tagged():
     assert sum(1 for _p, _t, _r in seen) == 11
 
 
-GOLDEN_SHA256 = "9da77b29778e13b1bf694b4e1af1853036652725a76e0b4112eb28fdbe0944d9"
+GOLDEN_SHA256 = "7dd1956ef9daa3f7377ad7af19f93b0d4dd27cf60e6f55c5df31ff6a49f6075a"
 
 
 def test_golden_compressed_digest():
@@ -260,6 +264,7 @@ def test_golden_compressed_digest():
     digest — silent format drift would break archived traces.
     """
     data, stats = compress_trace_bytes(build_trace())
+    assert data[:5] == b"VGVZ\x02"
     assert hashlib.sha256(data).hexdigest() == GOLDEN_SHA256
     assert stats.raw_records == 210  # 10 singles + 2x100 batch
 

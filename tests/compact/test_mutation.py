@@ -1,12 +1,14 @@
-"""Seeded mutation test of the three varint-framed binary decoders.
+"""Seeded mutation tests of the binary decoders.
 
-VGVZ traces, RRLG order logs and time-series snapshots all come back
-from disk or the wire, so a damaged copy must fail with the decoders'
-one documented error (``ValueError``) or decode to *something* — never
-escape as another exception type, and never hang.
+VGVZ traces, RRLG order logs, time-series snapshots and socket frames
+all come back from disk or the wire.  A damaged copy must fail with its
+decoder's typed error (``DecodeError``, or ``WireError`` for frames) or
+decode to *something*: never escape as another exception type, and
+never hang.  The two sealed container formats promise more: every
+mutant that differs from the original fails.
 """
 
-import base64
+import io
 
 import pytest
 
@@ -14,8 +16,10 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from repro.compact.codec import CompactReader, compress_trace_bytes
+from repro.compact.container import DecodeError, from_ascii, to_ascii
 from repro.obs.timeseries import SeriesRing, decode_series
 from repro.replay.orderlog import CH_DELIVER, CH_EVENT, CH_FAULT, OrderLog
+from repro.svc.wire import WireError, read_frame, write_frame
 from repro.vt import ThreadTraceBuffer, TraceFile
 
 
@@ -53,9 +57,18 @@ def _series_doc():
     return ring.to_dict()
 
 
+def _frame_bytes():
+    fh = io.BytesIO()
+    write_frame(fh, {"op": "result", "label": "mutant", "attempt": 1,
+                     "envelope": {"status": "ok", "payload": [1.5, -2, None],
+                                  "attachments": {"order": "UlJMRw=="}}})
+    return fh.getvalue()
+
+
 VGVZ = _vgvz_bytes()
 RRLG = _rrlg_bytes()
 SERIES = _series_doc()
+FRAME = _frame_bytes()
 
 
 def _decode_vgvz(data):
@@ -63,13 +76,19 @@ def _decode_vgvz(data):
 
 
 def _decode_series_t(data):
-    decode_series(dict(SERIES, t=base64.b64encode(data).decode("ascii")))
+    decode_series(dict(SERIES, t=to_ascii(data)))
 
 
+def _decode_frame(data):
+    assert isinstance(read_frame(io.BytesIO(data)), dict)
+
+
+#: format -> (original bytes, decoder, its typed error)
 DECODERS = {
-    "vgvz": (VGVZ, _decode_vgvz),
-    "rrlg": (RRLG, OrderLog.from_bytes),
-    "series": (base64.b64decode(SERIES["t"]), _decode_series_t),
+    "vgvz": (VGVZ, _decode_vgvz, DecodeError),
+    "rrlg": (RRLG, OrderLog.from_bytes, DecodeError),
+    "series": (from_ascii(SERIES["t"]), _decode_series_t, DecodeError),
+    "wire": (FRAME, _decode_frame, WireError),
 }
 
 #: (kind, position, parameter); the position wraps modulo the length.
@@ -78,6 +97,7 @@ _MUTATION = st.one_of(
     st.tuples(st.just("replace"), st.integers(0, 4095), st.integers(0, 255)),
     st.tuples(st.just("cut"), st.integers(0, 4095), st.integers(1, 16)),
     st.tuples(st.just("ff_run"), st.integers(0, 4095), st.integers(1, 24)),
+    st.tuples(st.just("dup"), st.integers(0, 4095), st.integers(1, 16)),
 )
 
 
@@ -91,20 +111,50 @@ def mutate(data, mutations):
             buf[i] = param
         elif kind == "cut":
             del buf[i:i + param]
-        elif kind == "ff_run":
+        elif kind == "ff_run":  # an oversized varint
             buf[i:i] = b"\xff" * param
+        elif kind == "dup":  # a repeated section
+            buf[i:i] = buf[i:i + param]
     return bytes(buf)
 
 
-@pytest.mark.parametrize("fmt", sorted(DECODERS))
+#: Per-example wall budget; a decode of these inputs takes milliseconds.
+_BOUNDED = settings(max_examples=500, deadline=1000)
+
+
+@pytest.mark.parametrize("fmt", ("rrlg", "series", "vgvz"))
 @seed(20031)
-@settings(max_examples=500, deadline=None)
+@_BOUNDED
 @given(mutations=st.lists(_MUTATION, min_size=1, max_size=3))
 def test_mutants_raise_value_error_or_decode(fmt, mutations):
-    data, decode = DECODERS[fmt]
+    data, decode, error = DECODERS[fmt]
     decode(data)  # the unmutated stream decodes
-    mutant = mutate(data, mutations)
     try:
-        decode(mutant)
-    except ValueError:
+        decode(mutate(data, mutations))
+    except error:
         pass
+
+
+@seed(20031)
+@_BOUNDED
+@given(mutations=st.lists(_MUTATION, min_size=1, max_size=3))
+def test_mutated_frames_raise_wire_error_or_decode(mutations):
+    data, decode, error = DECODERS["wire"]
+    decode(data)
+    try:
+        decode(mutate(data, mutations))
+    except error:
+        pass
+
+
+@pytest.mark.parametrize("fmt", ("rrlg", "vgvz"))
+@seed(20031)
+@settings(max_examples=1000, deadline=1000)
+@given(mutations=st.lists(_MUTATION, min_size=1, max_size=3))
+def test_sealed_mutants_always_raise_decode_error(fmt, mutations):
+    data, decode, _error = DECODERS[fmt]
+    mutant = mutate(data, mutations)
+    if mutant == data:
+        return
+    with pytest.raises(DecodeError):
+        decode(mutant)

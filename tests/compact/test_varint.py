@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.compact import (
+    DecodeError,
     DeltaDecoder,
     DeltaEncoder,
     decode_uvarint,
@@ -47,7 +48,7 @@ def test_uvarint_rejects_negative():
 def test_uvarint_truncated_raises():
     out = bytearray()
     encode_uvarint(300, out)
-    with pytest.raises(ValueError, match="truncated"):
+    with pytest.raises(DecodeError, match="truncated"):
         decode_uvarint(bytes(out[:-1]), 0)
 
 
@@ -138,8 +139,8 @@ def test_delta_roundtrip_property(values):
 
 def test_delta_decoder_rejects_out_of_int64_bit_pattern():
     # A corrupt stream can step the bit pattern out of int64; that must
-    # surface as the decoders' ValueError, not struct.error.
+    # surface as the decoders' DecodeError, not struct.error.
     out = bytearray()
     encode_uvarint(zigzag(2**64), out)
-    with pytest.raises(ValueError, match="corrupt timestamp"):
+    with pytest.raises(DecodeError, match="corrupt timestamp"):
         DeltaDecoder().decode(bytes(out), 0)

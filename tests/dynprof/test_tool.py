@@ -212,3 +212,14 @@ def test_probe_inventory_reflects_tool_view():
     for per_proc in inventory.values():
         # entry + exit handles per function.
         assert per_proc == {"sweep": 2, "inner": 2}
+
+
+def test_handles_belong_to_their_process_on_uneven_nodes():
+    # 12 ranks on 8-CPU nodes put 8 + 4 per node: the lighter daemon
+    # acks first, yet each handle must land under its own process.
+    env, job, tool = run_session(SWEEP3D, 12, "insert-file targets.txt\nstart\n",
+                                 scale=0.02)
+    assert tool._handles
+    for (pname, fname), handles in tool._handles.items():
+        for handle in handles:
+            assert (handle.image_name, handle.function) == (pname, fname)

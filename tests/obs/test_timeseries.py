@@ -6,6 +6,7 @@ import math
 import pytest
 
 from repro import obs
+from repro.compact.container import DecodeError
 from repro.obs import OFF, timeseries
 from repro.obs.timeseries import (
     MetricsSampler,
@@ -62,6 +63,15 @@ def test_decode_rejects_unknown_codec_and_trailing_bytes():
     with pytest.raises(ValueError, match="trailing"):
         # Claiming fewer samples than were encoded leaves bytes behind.
         decode_series({**doc, "n": 0})
+
+
+def test_decode_rejects_non_base64_characters():
+    ring = SeriesRing("delta", capacity=4)
+    for i in range(4):
+        ring.append(0.25 * i, 1.0)
+    doc = ring.to_dict()
+    with pytest.raises(DecodeError, match="base64"):
+        decode_series({**doc, "t": doc["t"][:4] + "*" + doc["t"][4:]})
 
 
 def test_recorder_snapshot_round_trips_through_rows():

@@ -2,12 +2,15 @@
 
 import json
 import os
+import zlib
 
 import pytest
 
 from repro.compact.varint import encode_uvarint, zigzag
 from repro.experiments.cli import chaos_main, main, sweep_main
 from repro.replay.orderlog import CH_EVENT, OrderLog
+
+from .test_orderlog import V1_LOG
 
 ARGS = ["--cpus", "16", "--scale", "0.02"]
 
@@ -234,14 +237,16 @@ def test_load_replay_logs_rejects_corrupt_file(tmp_path):
 def test_corrupt_timestamp_is_a_one_line_error(tmp_path, capsys):
     log = OrderLog(meta={"label": "bad"})
     log.append(CH_EVENT, "P:rank0", 0, 0.0)
-    data = log.to_bytes()
+    body = log.to_bytes()[:-4]
     # The one timestamp (0.0, a single zero byte) sits just before the
-    # trailer (count 1, b"GLRR"); step its bit pattern past int64.
-    assert data[-6] == 0
+    # 4-byte seal; step its bit pattern past int64 and reseal, so the
+    # timestamp guard and not the seal refuses the log.
+    assert body[-1] == 0
     stamp = bytearray()
     encode_uvarint(zigzag(2**64), stamp)
+    body = body[:-1] + bytes(stamp)
     bad = tmp_path / "bad.order"
-    bad.write_bytes(data[:-6] + bytes(stamp) + data[-5:])
+    bad.write_bytes(body + zlib.crc32(body).to_bytes(4, "little"))
 
     assert main(["replay", "verify", str(bad)]) == 1
     err = capsys.readouterr().err
@@ -253,6 +258,40 @@ def test_corrupt_timestamp_is_a_one_line_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("repro-experiments chaos: --replay ")
     assert "corrupt timestamp" in err and "Traceback" not in err
+
+
+def _flipped_log():
+    log = OrderLog(meta={"label": "bad"})
+    for i in range(8):
+        log.append(CH_EVENT, f"P:rank{i}", 0, 0.5 * i)
+    data = bytearray(log.to_bytes())
+    data[len(data) // 2] ^= 0x10
+    return bytes(data)
+
+
+BAD_LOGS = {
+    "v1": lambda: V1_LOG,
+    "meta-list": lambda: OrderLog(meta=[1]).to_bytes(),
+    "bit-flip": _flipped_log,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BAD_LOGS))
+def test_bad_log_is_a_one_line_error_on_every_surface(tmp_path, capsys, kind):
+    bad = tmp_path / "bad.order"
+    bad.write_bytes(BAD_LOGS[kind]())
+    assert main(["replay", "verify", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""  # never a DIVERGED verdict
+    assert captured.err.startswith("repro-experiments replay: ")
+    assert captured.err.count("\n") == 1
+    with pytest.raises(SystemExit, match="--replay .*bad.order: ") as exc:
+        sweep_main([*SWEEP, "--replay", str(bad)])
+    assert "\n" not in str(exc.value)
+    assert chaos_main([*ARGS, "--replay", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("repro-experiments chaos: --replay ")
+    assert err.count("\n") == 1
 
 
 def test_fig8_record_replay_round_trip_covers_both_machines(tmp_path, capsys):

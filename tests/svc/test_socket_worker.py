@@ -5,6 +5,7 @@ The crash tests run real ``repro.svc.worker`` subprocesses: the
 process, never the test process.
 """
 
+import io
 import os
 import socket
 import subprocess
@@ -69,6 +70,14 @@ def test_wire_mid_frame_cut_raises():
             wire.recv_message(b)
     finally:
         b.close()
+
+
+def test_wire_deeply_nested_frame_is_a_wire_error():
+    # Deeper than the JSON parser's recursion limit: must not escape as
+    # a RecursionError that kills the connection thread.
+    body = b"[" * 200000
+    with pytest.raises(wire.WireError, match="undecodable"):
+        wire.read_frame(io.BytesIO(len(body).to_bytes(4, "big") + body))
 
 
 def test_wire_rejects_oversized_frame():
