@@ -14,6 +14,7 @@ from .client import (
     DpclRequestError,
     RequestPolicy,
     ensure_super_daemons,
+    raise_failures,
 )
 from .daemon import CommDaemon, DaemonHost, SuperDaemon
 from .messages import Ack, CallbackMsg
@@ -25,6 +26,7 @@ __all__ = [
     "DaemonUnreachableError",
     "RequestPolicy",
     "ensure_super_daemons",
+    "raise_failures",
     "SuperDaemon",
     "CommDaemon",
     "DaemonHost",

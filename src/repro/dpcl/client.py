@@ -11,19 +11,27 @@ charged client-side and serially, which is what makes instrumentation
 time grow with the number of MPI processes in Figure 9.
 
 Robustness: every request goes through :meth:`DpclClient._transact`,
-which (under a non-default :class:`RequestPolicy`) bounds each wait
-with a timeout, resends to un-acked nodes with exponential backoff, and
-raises :class:`DaemonUnreachableError` naming the dead nodes once the
-retry budget is spent.  The default policy takes the exact pre-faults
-path — no timers, no extra events — so fault-free runs stay
-bit-identical.
+which gathers the whole wave and returns its failures as data: refused
+acks, plus — under a non-default :class:`RequestPolicy`, which bounds
+each wait with a timeout and resends to un-acked nodes with exponential
+backoff — a synthetic ``"unreachable"`` ack for every node still silent
+once the retry budget is spent.  The requests a tool can survive losing
+part of (``connect``, ``attach``, ``install_probes``, ``resume``)
+return their partial result beside the failures; every other request
+passes them to :func:`raise_failures`, which raises
+:class:`DpclRequestError` for a refusal and
+:class:`DaemonUnreachableError` for silence.  The default policy takes
+the exact pre-faults path — no timers, no extra events — so fault-free
+runs stay bit-identical.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import count
-from typing import TYPE_CHECKING, Any, Dict, Generator, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Any, Callable, Dict, Generator, List, Optional, Sequence, Tuple, Union,
+)
 
 from ..cluster import Cluster, Node
 from ..obs import get as _obs_get
@@ -53,11 +61,17 @@ __all__ = [
     "DpclRequestError",
     "DaemonUnreachableError",
     "RequestPolicy",
+    "UNREACHABLE",
     "ensure_super_daemons",
+    "raise_failures",
 ]
 
 #: Sentinel returned by the bounded inbox wait when the timer fires.
 _TIMED_OUT = object()
+
+#: ``reason`` of the synthetic failed ack standing in for a daemon still
+#: silent after the retry budget.
+UNREACHABLE = "unreachable"
 
 
 class DpclError(RuntimeError):
@@ -97,6 +111,37 @@ class DaemonUnreachableError(DpclError):
         super().__init__(
             f"no ack from daemon(s) on node(s) {list(self.nodes)} "
             f"after {attempts} attempt(s) of {request}"
+        )
+
+
+#: What a request returns beside its result: failed acks keyed by node
+#: index, or (from :meth:`DpclClient.install_probes`) per-probe dicts.
+Failures = Union[Dict[int, Ack], List[Dict[str, Any]]]
+
+
+def raise_failures(failures: Failures) -> None:
+    """Raise the structured error for a request's failures, if any.
+
+    A refusal raises :class:`DpclRequestError` for the first refused
+    node or probe; otherwise silence raises
+    :class:`DaemonUnreachableError` naming every silent node.
+    """
+    if isinstance(failures, dict):
+        failures = [dict(ack.error_info, error=ack.error) for ack in failures.values()]
+    for info in failures:
+        if info["reason"] != UNREACHABLE:
+            raise DpclRequestError(
+                f"daemon on node {info['node']}: {info['error']}",
+                node_index=info["node"],
+                request=info["request"],
+                process=info.get("process", ""),
+                reason=info["reason"],
+            )
+    if failures:
+        first = failures[0]
+        raise DaemonUnreachableError(
+            sorted({info["node"] for info in failures}),
+            first["request"], first["attempts"],
         )
 
 
@@ -222,22 +267,17 @@ class DpclClient:
             return get_ev.value
         return _TIMED_OUT
 
-    def _transact(
-        self,
-        sends: Sequence[Tuple[Node, Channel, Any, int]],
-        req_id: int,
-        request: str,
-        tolerant: bool = False,
-    ) -> Generator:
-        """Send one request wave and gather one ack per node.
+    def _transact(self, sends: Sequence[Tuple[Node, Channel, Any, int]]) -> Generator:
+        """Send one request wave and gather the whole wave's answers.
 
-        Returns acks in arrival order.  Under a timeout policy, un-acked
-        nodes get resend waves with exponential backoff; nodes still
-        silent after the budget raise :class:`DaemonUnreachableError` —
-        or, when ``tolerant``, come back as synthetic failed acks so the
-        caller can degrade instead of die.  Returns ``acks`` when
-        strict, ``(acks, failures)`` keyed by node index when tolerant.
+        Returns ``(acks, failures)``: the ok acks in arrival order, and
+        the failed ones keyed by node index.  Under a timeout policy,
+        un-acked nodes get resend waves with exponential backoff; each
+        node still silent after the budget gets a synthetic failed ack
+        whose ``error_info["reason"]`` is ``"unreachable"``.
         """
+        req_id = sends[0][2].req_id
+        request = type(sends[0][2]).__name__
         pending: Dict[int, Tuple[Node, Channel, Any, int]] = {
             node.index: (node, inbox, msg, nbytes)
             for node, inbox, msg, nbytes in sends
@@ -274,27 +314,23 @@ class DpclClient:
                     continue  # duplicate from a resend race
                 seen.add(msg.node_index)
                 pending.pop(msg.node_index, None)
-                if not msg.ok:
-                    failures[msg.node_index] = msg
-                    if not tolerant:
-                        raise self._failure_error(msg, request)
-                else:
+                if msg.ok:
                     acks.append(msg)
+                else:
+                    failures[msg.node_index] = msg
             if not pending:
-                return (acks, failures) if tolerant else acks
+                return acks, failures
             if attempt > self.policy.max_retries:
-                if tolerant:
-                    for idx in sorted(pending):
-                        failures[idx] = Ack(
-                            req_id, idx, ok=False,
-                            error=f"daemon unreachable for {request}",
-                            error_info={"node": idx, "request": request,
-                                        "reason": "unreachable"},
-                        )
-                    if self._obs.enabled:
-                        self._obs.inc("dpcl.unreachable", len(pending))
-                    return acks, failures
-                raise DaemonUnreachableError(list(pending), request, attempt)
+                for idx in sorted(pending):
+                    failures[idx] = Ack(
+                        req_id, idx, ok=False,
+                        error=f"daemon unreachable for {request}",
+                        error_info={"node": idx, "request": request,
+                                    "reason": UNREACHABLE, "attempts": attempt},
+                    )
+                if self._obs.enabled:
+                    self._obs.inc("dpcl.unreachable", len(pending))
+                return acks, failures
             self.retries += 1
             if self._obs.enabled:
                 self._obs.inc("dpcl.retries")
@@ -302,37 +338,61 @@ class DpclClient:
                 yield self.env.timeout(backoff)
             backoff *= self.policy.backoff_multiplier
 
+    def _fan_out(
+        self,
+        processes: Sequence[str],
+        build: Callable[[Tuple[int, Channel, Node], List[int]], Any],
+        nbytes: Callable[[Any], int] = lambda req: 256,
+    ) -> Generator:
+        """One request wave to the daemons hosting ``processes``.
+
+        ``build(head, positions)`` makes one node's request from the
+        request head ``(req_id, reply_to, reply_node)`` and the positions
+        in ``processes`` that node serves.  Returns ``(acks, failures,
+        positions)`` with ``positions`` keyed by node index.
+        """
+        groups: Dict[int, Tuple[Node, Channel, List[int]]] = {}
+        for position, name in enumerate(processes):
+            node, inbox = self._daemon_inbox_for(name)
+            group = groups.get(node.index)
+            if group is None:
+                group = groups[node.index] = (node, inbox, [])
+            group[2].append(position)
+        if not groups:
+            return [], {}, {}
+        head = self._new_request_fields()
+        sends = []
+        for node, inbox, positions in groups.values():
+            req = build(head, positions)
+            sends.append((node, inbox, req, nbytes(req)))
+        acks, failures = yield from self._transact(sends)
+        return acks, failures, {idx: group[2] for idx, group in groups.items()}
+
+    def _per_process(self, names: List[str], request: type, **fields: Any) -> Generator:
+        """Fan a ``process_names`` request out over ``names``."""
+        return self._fan_out(names, lambda head, positions: request(
+            *head, process_names=[names[i] for i in positions], **fields
+        ))
+
     def _note_stale_ack(self) -> None:
         self.stale_acks += 1
         if self._obs.enabled:
             self._obs.inc("dpcl.stale_acks")
 
-    @staticmethod
-    def _failure_error(ack: Ack, request: str) -> DpclRequestError:
-        info = ack.error_info or {}
-        return DpclRequestError(
-            f"daemon on node {ack.node_index}: {ack.error}",
-            node_index=ack.node_index,
-            request=info.get("request", request),
-            process=info.get("process", ""),
-            reason=info.get("reason", ack.error),
-        )
-
     # -- connection management ------------------------------------------------------
 
-    def connect(self, process_locations: Dict[str, Node], tolerant: bool = False) -> Generator:
+    def connect(self, process_locations: Dict[str, Node]) -> Generator:
         """Connect to the super daemons of every node hosting a target.
 
         ``process_locations`` maps process name -> node.  After connect,
-        the client can attach to those processes.  When ``tolerant``,
-        unreachable nodes are skipped and returned as a failure map
-        instead of raising.
+        the client can attach to those processes.  Returns ``(acks,
+        failures)``; a failed node stays unconnected.
         """
         self._process_nodes.update(process_locations)
         nodes = {n.index: n for n in process_locations.values()}
         new_nodes = [n for idx, n in nodes.items() if idx not in self._daemon_inboxes]
         if not new_nodes:
-            return ([], {}) if tolerant else []
+            return [], {}
         ensure_super_daemons(self.env, self.cluster, new_nodes, self.host)
         req_id, reply_to, reply_node = self._new_request_fields()
         sends = [
@@ -340,15 +400,14 @@ class DpclClient:
              ConnectReq(req_id, reply_to, reply_node, user=self.user), 256)
             for node in new_nodes
         ]
-        result = yield from self._transact(sends, req_id, "ConnectReq", tolerant=tolerant)
-        acks, failures = result if tolerant else (result, {})
+        acks, failures = yield from self._transact(sends)
         for ack in acks:
             self._daemon_inboxes[ack.node_index] = ack.payload
             # Route callbacks from this node's daemon to us.
             daemon = self._find_daemon(ack.node_index)
             if daemon is not None:
                 daemon.set_callback_client(self.inbox, self.node)
-        return (acks, failures) if tolerant else acks
+        return acks, failures
 
     def _find_daemon(self, node_index: int) -> Optional[CommDaemon]:
         node = self.cluster.node(node_index)
@@ -371,45 +430,20 @@ class DpclClient:
         node = self._process_nodes.get(process_name)
         return node is not None and node.index in self._daemon_inboxes
 
-    def _group_by_node(self, names: Sequence[str]) -> Dict[int, Tuple[Node, Channel, List[str]]]:
-        groups: Dict[int, Tuple[Node, Channel, List[str]]] = {}
-        for name in names:
-            node, inbox = self._daemon_inbox_for(name)
-            entry = groups.get(node.index)
-            if entry is None:
-                groups[node.index] = (node, inbox, [name])
-            else:
-                entry[2].append(name)
-        return groups
-
     # -- attach / structure navigation -------------------------------------------------
 
-    def attach(self, process_names: Sequence[str], tolerant: bool = False) -> Generator:
+    def attach(self, process_names: Sequence[str]) -> Generator:
         """Attach to targets and walk their program structure client-side.
 
-        When ``tolerant``, nodes whose daemon refuses or never answers
-        are skipped; returns ``(attached_names, failures)`` keyed by
-        node index instead of raising.
+        Returns ``(attached_names, failures)``: processes on a node whose
+        daemon refused or never answered are skipped.
         """
-        groups = self._group_by_node(process_names)
-        req_id, reply_to, reply_node = self._new_request_fields()
-        sends = [
-            (node, inbox,
-             AttachReq(req_id, reply_to, reply_node, process_names=names), 256)
-            for node, inbox, names in groups.values()
+        names = list(process_names)
+        _acks, failures, _positions = yield from self._per_process(names, AttachReq)
+        names_ok = [
+            name for name in names
+            if self._process_nodes[name].index not in failures
         ]
-        failures: Dict[int, Ack] = {}
-        if tolerant:
-            _acks, failures = yield from self._transact(
-                sends, req_id, "AttachReq", tolerant=True
-            )
-            names_ok = [
-                name for name in process_names
-                if self._process_nodes[name].index not in failures
-            ]
-        else:
-            yield from self._transact(sends, req_id, "AttachReq")
-            names_ok = list(process_names)
         # Client-side program-structure download per process (serial).
         for name in names_ok:
             target = self.host.lookup(name)
@@ -425,7 +459,7 @@ class DpclClient:
                 + n_symbols * self.spec.dpcl_client_per_symbol_cost
             )
             self._attached[name] = image
-        return (names_ok, failures) if tolerant else names_ok
+        return names_ok, failures
 
     @property
     def attached_processes(self) -> List[str]:
@@ -440,34 +474,6 @@ class DpclClient:
 
     # -- probe management -----------------------------------------------------------------
 
-    def _build_install_requests(
-        self,
-        probes: Sequence[Tuple[str, str, str, "Snippet"]],
-        register_names: Sequence[Tuple[str, str]],
-        activate: bool,
-        req_id: int,
-        reply_to: Channel,
-        reply_node: Node,
-    ) -> Dict[int, Tuple[Node, Channel, InstallProbeReq, List[int]]]:
-        """Group probes per node; the trailing list maps each node's
-        probe slots back to indices into the caller's ``probes``."""
-        by_node: Dict[int, Tuple[Node, Channel, InstallProbeReq, List[int]]] = {}
-        for index, probe in enumerate(probes):
-            node, inbox = self._daemon_inbox_for(probe[0])
-            entry = by_node.get(node.index)
-            if entry is None:
-                req = InstallProbeReq(req_id, reply_to, reply_node, activate=activate)
-                by_node[node.index] = (node, inbox, req, [])
-                entry = by_node[node.index]
-            entry[2].probes.append(tuple(probe))
-            entry[3].append(index)
-        for process_name, fname in register_names:
-            node, _inbox = self._daemon_inbox_for(process_name)
-            entry = by_node.get(node.index)
-            if entry is not None:
-                entry[2].register_names.append((process_name, fname))
-        return by_node
-
     def install_probes(
         self,
         probes: Sequence[Tuple[str, str, str, "Snippet"]],
@@ -476,120 +482,71 @@ class DpclClient:
     ) -> Generator:
         """Install probes: (process, function, where, snippet) tuples.
 
-        Returns the installed :class:`ProbeHandle` s, aligned with
-        ``probes``.  Work is fanned out per node and proceeds in parallel
-        across daemons.  Any failed probe raises :class:`DpclRequestError`
-        naming the probe.
+        Work is fanned out per node and proceeds in parallel across
+        daemons.  Returns ``(handles, failures)``: the installed
+        :class:`ProbeHandle` s aligned with ``probes`` (None where a
+        probe could not be installed), and one dict per failed probe:
+        process, function, node, request, reason, and the ``error`` text
+        :func:`raise_failures` reports.
         """
-        req_id, reply_to, reply_node = self._new_request_fields()
-        by_node = self._build_install_requests(
-            probes, register_names, activate, req_id, reply_to, reply_node
-        )
-        if not by_node:
-            return []
-        sends = [
-            (node, inbox, req, 512 + 64 * len(req.probes))
-            for node, inbox, req, _indices in by_node.values()
-        ]
-        acks = yield from self._transact(sends, req_id, "InstallProbeReq")
-        handles: List[Any] = [None] * len(probes)
-        for ack in acks:
-            indices = by_node[ack.node_index][3]
-            for index, (status, value) in zip(indices, ack.payload):
-                if status != "ok":
-                    raise DpclRequestError(
-                        f"daemon on node {ack.node_index}: probe install "
-                        f"failed for {value.get('function')!r} in "
-                        f"{value.get('process')!r}: {value.get('reason')}",
-                        node_index=ack.node_index,
-                        request="InstallProbeReq",
-                        process=value.get("process", ""),
-                        reason=value.get("reason", ""),
-                    )
-                handles[index] = value
-        return handles
+        registrations: Dict[int, List[Tuple[str, str]]] = {}
+        for process_name, fname in register_names:
+            node, _inbox = self._daemon_inbox_for(process_name)
+            registrations.setdefault(node.index, []).append((process_name, fname))
 
-    def install_probes_tolerant(
-        self,
-        probes: Sequence[Tuple[str, str, str, "Snippet"]],
-        register_names: Sequence[Tuple[str, str]] = (),
-        activate: bool = True,
-    ) -> Generator:
-        """Like :meth:`install_probes`, but degrades instead of raising.
+        def build(head, positions):
+            node = self._process_nodes[probes[positions[0]][0]]
+            return InstallProbeReq(
+                *head, probes=[tuple(probes[i]) for i in positions],
+                register_names=registrations.get(node.index, []),
+                activate=activate,
+            )
 
-        Returns ``(results, failures)``: ``results`` is aligned with the
-        input ``probes`` (a handle, or None where that probe could not
-        be installed); ``failures`` is a list of dicts describing each
-        failed slot (process, function, node, reason).
-        """
-        req_id, reply_to, reply_node = self._new_request_fields()
-        by_node = self._build_install_requests(
-            probes, register_names, activate, req_id, reply_to, reply_node
+        acks, node_failures, positions = yield from self._fan_out(
+            [probe[0] for probe in probes], build,
+            nbytes=lambda req: 512 + 64 * len(req.probes),
         )
-        if not by_node:
-            return [], []
-        sends = [
-            (node, inbox, req, 512 + 64 * len(req.probes))
-            for node, inbox, req, _indices in by_node.values()
-        ]
-        acks, node_failures = yield from self._transact(
-            sends, req_id, "InstallProbeReq", tolerant=True
-        )
-        results: List[Optional[Any]] = [None] * len(probes)
+        handles: List[Optional[Any]] = [None] * len(probes)
         failures: List[Dict[str, Any]] = []
         for ack in acks:
-            _node, _inbox, req, indices = by_node[ack.node_index]
-            for slot, (status, value) in enumerate(ack.payload):
-                index = indices[slot]
+            for index, (status, value) in zip(positions[ack.node_index], ack.payload):
                 if status == "ok":
-                    results[index] = value
+                    handles[index] = value
                 else:
-                    failures.append(dict(value, node=ack.node_index))
+                    failures.append(dict(
+                        value, node=ack.node_index, request="InstallProbeReq",
+                        error=f"probe install failed for {value['function']!r} "
+                              f"in {value['process']!r}: {value['reason']}",
+                    ))
         for node_index, ack in node_failures.items():
-            _node, _inbox, req, indices = by_node[node_index]
-            info = ack.error_info or {}
-            reason = info.get("reason", ack.error)
-            for slot, index in enumerate(indices):
-                process, function = req.probes[slot][0], req.probes[slot][1]
-                failures.append({
-                    "process": process, "function": function,
-                    "node": node_index, "reason": reason,
-                })
-        return results, failures
+            for index in positions[node_index]:
+                failures.append(dict(
+                    ack.error_info, process=probes[index][0],
+                    function=probes[index][1], error=ack.error,
+                ))
+        return handles, failures
 
     def remove_probes(self, handles: Sequence["ProbeHandle"]) -> Generator:
         """Remove installed probes; returns the number removed."""
-        by_node: Dict[int, Tuple[Node, Channel, RemoveProbeReq]] = {}
-        req_id, reply_to, reply_node = self._new_request_fields()
-        for handle in handles:
-            node, inbox = self._daemon_inbox_for(handle.image_name)
-            entry = by_node.get(node.index)
-            if entry is None:
-                req = RemoveProbeReq(req_id, reply_to, reply_node)
-                by_node[node.index] = (node, inbox, req)
-                entry = by_node[node.index]
-            entry[2].handles.append(handle)
-        if not by_node:
-            return 0
-        sends = [(node, inbox, req, 256) for node, inbox, req in by_node.values()]
-        acks = yield from self._transact(sends, req_id, "RemoveProbeReq")
+        handles = list(handles)
+        acks, failures, _positions = yield from self._fan_out(
+            [handle.image_name for handle in handles],
+            lambda head, positions: RemoveProbeReq(
+                *head, handles=[handles[i] for i in positions]
+            ),
+        )
+        raise_failures(failures)
         return sum(ack.payload for ack in acks)
 
     def set_probes_active(self, handles: Sequence["ProbeHandle"], active: bool) -> Generator:
-        by_node: Dict[int, Tuple[Node, Channel, ActivateProbeReq]] = {}
-        req_id, reply_to, reply_node = self._new_request_fields()
-        for handle in handles:
-            node, inbox = self._daemon_inbox_for(handle.image_name)
-            entry = by_node.get(node.index)
-            if entry is None:
-                req = ActivateProbeReq(req_id, reply_to, reply_node, active=active)
-                by_node[node.index] = (node, inbox, req)
-                entry = by_node[node.index]
-            entry[2].handles.append(handle)
-        if not by_node:
-            return 0
-        sends = [(node, inbox, req, 256) for node, inbox, req in by_node.values()]
-        acks = yield from self._transact(sends, req_id, "ActivateProbeReq")
+        handles = list(handles)
+        acks, failures, _positions = yield from self._fan_out(
+            [handle.image_name for handle in handles],
+            lambda head, positions: ActivateProbeReq(
+                *head, handles=[handles[i] for i in positions], active=active
+            ),
+        )
+        raise_failures(failures)
         return sum(ack.payload for ack in acks)
 
     # -- execution control ---------------------------------------------------------------------
@@ -597,45 +554,29 @@ class DpclClient:
     def suspend(self, process_names: Optional[Sequence[str]] = None, blocking: bool = True) -> Generator:
         """Suspend targets (all attached by default)."""
         names = list(process_names) if process_names is not None else self.attached_processes
-        groups = self._group_by_node(names)
-        req_id, reply_to, reply_node = self._new_request_fields()
-        sends = [
-            (node, inbox,
-             SuspendReq(req_id, reply_to, reply_node, process_names=group_names,
-                        blocking=blocking), 256)
-            for node, inbox, group_names in groups.values()
-        ]
-        yield from self._transact(sends, req_id, "SuspendReq")
+        _acks, failures, _positions = yield from self._per_process(
+            names, SuspendReq, blocking=blocking
+        )
+        raise_failures(failures)
         return len(names)
 
-    def resume(self, process_names: Optional[Sequence[str]] = None, tolerant: bool = False) -> Generator:
+    def resume(self, process_names: Optional[Sequence[str]] = None) -> Generator:
+        """Resume targets (all attached by default); returns ``(n_resumed,
+        failures)``."""
         names = list(process_names) if process_names is not None else self.attached_processes
-        groups = self._group_by_node(names)
-        req_id, reply_to, reply_node = self._new_request_fields()
-        sends = [
-            (node, inbox,
-             ResumeReq(req_id, reply_to, reply_node, process_names=group_names), 256)
-            for node, inbox, group_names in groups.values()
-        ]
-        result = yield from self._transact(sends, req_id, "ResumeReq", tolerant=tolerant)
-        if tolerant:
-            _acks, failures = result
-            n_resumed = len(names) - sum(
-                len(groups[idx][2]) for idx in failures if idx in groups
-            )
-            return n_resumed, failures
-        return len(names)
+        _acks, failures, positions = yield from self._per_process(names, ResumeReq)
+        n_resumed = len(names) - sum(len(positions[idx]) for idx in failures)
+        return n_resumed, failures
 
     def set_variable(self, process_name: str, variable: str, value: Any = 1) -> Generator:
         """Write a variable in one target (releases DYNVT_spin waits)."""
-        node, inbox = self._daemon_inbox_for(process_name)
-        req_id, reply_to, reply_node = self._new_request_fields()
-        sends = [
-            (node, inbox,
-             SetVariableReq(req_id, reply_to, reply_node, process_name=process_name,
-                            variable=variable, value=value), 256)
-        ]
-        yield from self._transact(sends, req_id, "SetVariableReq")
+        _acks, failures, _positions = yield from self._fan_out(
+            [process_name],
+            lambda head, _positions: SetVariableReq(
+                *head, process_name=process_name, variable=variable, value=value
+            ),
+        )
+        raise_failures(failures)
 
     def execute_snippet(self, process_name: str, snippet: "Snippet") -> Generator:
         """One-shot inferior call in a stopped target; returns its value.
@@ -644,14 +585,13 @@ class DpclClient:
         address space immediately instead of installing it at a probe
         point — how tools run VT_funcdef-style registration calls.
         """
-        node, inbox = self._daemon_inbox_for(process_name)
-        req_id, reply_to, reply_node = self._new_request_fields()
-        sends = [
-            (node, inbox,
-             ExecuteSnippetReq(req_id, reply_to, reply_node,
-                               process_name=process_name, snippet=snippet), 256)
-        ]
-        acks = yield from self._transact(sends, req_id, "ExecuteSnippetReq")
+        acks, failures, _positions = yield from self._fan_out(
+            [process_name],
+            lambda head, _positions: ExecuteSnippetReq(
+                *head, process_name=process_name, snippet=snippet
+            ),
+        )
+        raise_failures(failures)
         return acks[0].payload
 
     def detach(self) -> Generator:
@@ -665,7 +605,8 @@ class DpclClient:
              DetachReq(req_id, reply_to, reply_node), 256)
             for idx, inbox in nodes.items()
         ]
-        acks = yield from self._transact(sends, req_id, "DetachReq")
+        acks, failures = yield from self._transact(sends)
+        raise_failures(failures)
         self._attached.clear()
         return sum(a.payload for a in acks)
 

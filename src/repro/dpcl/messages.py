@@ -125,7 +125,9 @@ class Ack:
     ok: bool = True
     error: str = ""
     #: Structured failure context ({"node", "request", "process",
-    #: "reason"}) when ``ok`` is False; None on success.
+    #: "reason"}; the client's synthetic "unreachable" ack carries
+    #: "attempts" instead of "process") when ``ok`` is False; None on
+    #: success.
     error_info: Optional[dict] = None
 
 

@@ -14,7 +14,8 @@ MPI_Init**, immediately upon loading the application, with:
 
 For OpenMP applications the Guide compiler plants ``VT_init`` at the top
 of main — guaranteed single-threaded — so the patched code needs only
-the callback and the spin, no barriers.
+the callback and the spin, no barriers.  MPI applications under fault
+injection get that barrier-free variant too (see :func:`vt_init_bootstrap`).
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ __all__ = [
     "SPIN_VARIABLE",
     "INIT_CALLBACK_TAG",
     "mpi_init_bootstrap",
-    "degraded_mpi_bootstrap",
     "vt_init_bootstrap",
     "bootstrap_anchor",
 ]
@@ -48,28 +48,22 @@ def mpi_init_bootstrap() -> Snippet:
     ])
 
 
-def degraded_mpi_bootstrap() -> Snippet:
-    """Barrier-free MPI bootstrap used when a fault plan is armed.
-
-    Quarantining a rank while the survivors run the two-barrier Figure 6
-    bootstrap would hang MPI_Barrier (B+2 barrier calls on survivors vs
-    B on the quarantined rank).  Under fault injection *every* rank gets
-    this barrier-free variant, so partial probe coverage can never turn
-    into a collective mismatch.  The cost is the re-synchronisation the
-    second barrier provided: released ranks enter main computation with
-    whatever skew the per-rank spin releases had.
-    """
-    return Sequence([
-        CallFunc("DPCL_callback", [Const(INIT_CALLBACK_TAG)]),
-        SpinWait(SPIN_VARIABLE),
-    ])
-
-
 def vt_init_bootstrap() -> Snippet:
-    """The snippet patched into the exit of VT_init (OpenMP apps).
+    """The barrier-free bootstrap: the callback and the spin only.
 
-    No barriers: VT_init runs in a guaranteed single-threaded region at
-    the beginning of main.
+    It serves two cases:
+
+    * OpenMP apps, at the exit of VT_init — VT_init runs in a guaranteed
+      single-threaded region at the beginning of main, so there is
+      nothing to synchronise.
+    * MPI apps under fault injection, at the exit of MPI_Init.
+      Quarantining a rank while the survivors run the two-barrier
+      Figure 6 bootstrap would hang MPI_Barrier (B+2 barrier calls on
+      survivors vs B on the quarantined rank), so *every* rank gets this
+      variant and partial probe coverage can never turn into a
+      collective mismatch.  The cost is the re-synchronisation the
+      second barrier provided: released ranks enter main computation
+      with whatever skew the per-rank spin releases had.
     """
     return Sequence([
         CallFunc("DPCL_callback", [Const(INIT_CALLBACK_TAG)]),

@@ -27,8 +27,9 @@ from __future__ import annotations
 
 from typing import Dict, Generator, List, Optional, Sequence, Tuple, Union
 
-from ..cluster import Cluster, Node, Task
-from ..dpcl import DpclClient, DpclError, RequestPolicy
+from ..cluster import Cluster, Task
+from ..dpcl import DpclClient, DpclError, RequestPolicy, raise_failures
+from ..dpcl.client import Failures
 from ..jobs import MpiJob, OmpJob
 from ..obs import get as _obs_get
 from ..obs.trace import TOOL_PID, get as _trace_get
@@ -39,7 +40,6 @@ from .bootstrap import (
     INIT_CALLBACK_TAG,
     SPIN_VARIABLE,
     bootstrap_anchor,
-    degraded_mpi_bootstrap,
     mpi_init_bootstrap,
     vt_init_bootstrap,
 )
@@ -86,11 +86,8 @@ class DynProf:
         cluster: Cluster,
         job: Union[MpiJob, OmpJob],
         *,
-        user: str = "user",
-        tool_node: Optional[Node] = None,
         file_contents: Optional[Dict[str, str]] = None,
         attach: bool = False,
-        policy: Optional[RequestPolicy] = None,
     ) -> None:
         if not attach and not job.start_suspended:
             raise DynProfError(
@@ -104,7 +101,7 @@ class DynProf:
         self.job = job
         self.kind = "omp" if isinstance(job, OmpJob) else "mpi"
         self.spec = cluster.spec
-        node = tool_node if tool_node is not None else cluster.node(0)
+        node = cluster.node(0)
         #: The tool runs on an interactive node and needs no compute core.
         self.task = Task(env, node, f"dynprof:{job.exe.name}", self.spec, bind_core=False)
         #: Degraded operation: armed whenever a fault injector is bound
@@ -112,10 +109,8 @@ class DynProf:
         #: goes barrier-free, and un-instrumentable ranks are
         #: quarantined instead of killing the session.
         self.degraded = getattr(cluster, "faults", None) is not None
-        if policy is None and self.degraded:
-            policy = DEGRADED_POLICY
-        self.client = DpclClient(env, cluster, node, job.daemon_host, user=user,
-                                 policy=policy)
+        self.client = DpclClient(env, cluster, node, job.daemon_host,
+                                 policy=DEGRADED_POLICY if self.degraded else None)
         self.timefile = Timefile()
         self.output: List[str] = []
         #: process name -> reason it was excluded from instrumentation.
@@ -167,6 +162,27 @@ class DynProf:
         for task in self.job.tasks:
             if task.node.index == node_index:
                 self._quarantine(task.name, reason)
+
+    def _settle(self, failures: Failures, reason: str = "") -> None:
+        """Settle what a request failed on.
+
+        A strict session raises the request's structured error.  A
+        degraded one carries on with the partial result and, given a
+        ``reason`` (formatted with each failure's ``error`` and
+        ``reason``), quarantines the ranks the request lost.
+        """
+        if not failures:
+            return
+        if not self.degraded:
+            raise_failures(failures)
+        if not reason:
+            return
+        if isinstance(failures, dict):
+            for idx, ack in sorted(failures.items()):
+                self._quarantine_node(idx, reason.format(**ack.error_info, error=ack.error))
+        else:
+            for failure in failures:
+                self._quarantine(failure["process"], reason.format(**failure))
 
     def _controllable(self) -> List[str]:
         """Attached ranks the tool may still send requests about."""
@@ -261,51 +277,23 @@ class DynProf:
         self.job.start()  # suspended at first instruction
         tf.end("create", self._now())
 
-        tf.begin("connect", self._now())
-        locations = {t.name: t.node for t in self.job.tasks}
-        if self.degraded:
-            _acks, failures = yield from self.client.connect(locations, tolerant=True)
-            for idx in sorted(failures):
-                self._quarantine_node(idx, "daemon unreachable at connect")
-        else:
-            yield from self.client.connect(locations)
-        tf.end("connect", self._now())
-
-        tf.begin("attach", self._now(), detail=f"{n_procs} processes")
-        if self.degraded:
-            _names, failures = yield from self.client.attach(
-                self.active_processes, tolerant=True
-            )
-            for idx, ack in sorted(failures.items()):
-                self._quarantine_node(idx, f"attach failed: {ack.error}")
-        else:
-            yield from self.client.attach(self.process_names)
-        tf.end("attach", self._now())
+        yield from self._connect_and_attach()
 
         # The bootstrap goes in immediately upon loading (Section 3.4).
         tf.begin("bootstrap", self._now())
-        anchor = bootstrap_anchor(self.kind)
-        if self.kind != "mpi":
-            snippet_factory = vt_init_bootstrap
-        elif self.degraded:
-            # Barrier-free: a partially-bootstrapped job must not have a
-            # barrier-count mismatch between ranks (see bootstrap.py).
-            snippet_factory = degraded_mpi_bootstrap
-        else:
+        # Barrier-free under faults: a partially-bootstrapped job must not
+        # have a barrier-count mismatch between ranks (see bootstrap.py).
+        if self.kind == "mpi" and not self.degraded:
             snippet_factory = mpi_init_bootstrap
+        else:
+            snippet_factory = vt_init_bootstrap
+        anchor = bootstrap_anchor(self.kind)
         probes = [
             (name, anchor, EXIT, snippet_factory())
             for name in self.active_processes
         ]
-        if self.degraded:
-            _results, failures = yield from self.client.install_probes_tolerant(probes)
-            for failure in failures:
-                self._quarantine(
-                    failure["process"],
-                    f"bootstrap install failed: {failure['reason']}",
-                )
-        else:
-            yield from self.client.install_probes(probes)
+        _handles, failures = yield from self.client.install_probes(probes)
+        self._settle(failures, "bootstrap install failed: {reason}")
         tf.end("bootstrap", self._now())
         self.state = "spawned"
         self._emit(f"spawned {self.job.exe.name} x{n_procs} (suspended)")
@@ -329,12 +317,7 @@ class DynProf:
         if self.kind == "omp" and self.job.proc is None:
             raise DynProfError("cannot attach: the target job is not running")
         tf = self.timefile
-        tf.begin("connect", self._now())
-        yield from self.client.connect({t.name: t.node for t in self.job.tasks})
-        tf.end("connect", self._now())
-        tf.begin("attach", self._now(), detail=f"{len(self.job.tasks)} processes")
-        yield from self.client.attach(self.process_names)
-        tf.end("attach", self._now())
+        yield from self._connect_and_attach()
         # Defer until the target's instrumentation library is up.
         tf.begin("await-init", self._now())
         while not self._target_initialized():
@@ -342,6 +325,20 @@ class DynProf:
         tf.end("await-init", self._now())
         self.state = "running"
         self._emit(f"attached to running {self.job.exe.name}")
+
+    def _connect_and_attach(self) -> Generator:
+        """Connect to every target's daemon and attach to the targets."""
+        tf = self.timefile
+        tf.begin("connect", self._now())
+        _acks, failures = yield from self.client.connect(
+            {t.name: t.node for t in self.job.tasks}
+        )
+        self._settle(failures, "daemon unreachable at connect")
+        tf.end("connect", self._now())
+        tf.begin("attach", self._now(), detail=f"{len(self.job.tasks)} processes")
+        _names, failures = yield from self.client.attach(self.active_processes)
+        self._settle(failures, "attach failed: {error}")
+        tf.end("attach", self._now())
 
     def _target_initialized(self) -> bool:
         if self.kind == "mpi":
@@ -407,24 +404,9 @@ class DynProf:
             if insert:
                 yield from self._install_into_all(list(insert))
             if remove:
-                handles = []
-                for pname in self.process_names:
-                    image = self.client.image_of(pname)
-                    for glob in remove:
-                        for fi in image.find_functions(glob):
-                            handles.extend(self._handles.pop((pname, fi.name), []))
-                if handles:
-                    n = yield from self.client.remove_probes(handles)
-                    if self._obs.enabled:
-                        self._obs.inc("dynprof.probe_removes", n)
-                    if self._trace.enabled:
-                        self._trace.instant(
-                            TOOL_PID, 0, "probe.remove", "dynprof",
-                            self._now(), args={"probes": n},
-                        )
-                    self._emit(f"removed {n} probes")
+                yield from self._remove_from_all(remove)
         finally:
-            yield from self.client.resume(self._controllable())
+            yield from self._resume_controllable()
             done.succeed()
         tf.end("safe-point-patch", self._now())
         if self._obs.enabled:
@@ -498,37 +480,26 @@ class DynProf:
             raise DynProfError(f"start in state {self.state}")
         tf = self.timefile
         tf.begin("start", self._now())
-        if self.degraded:
-            _n, failures = yield from self.client.resume(
-                self.active_processes, tolerant=True
-            )
-            for idx in sorted(failures):
-                self._quarantine_node(idx, "daemon unreachable at start")
-            # Ranks DPCL cannot reach are released through the launcher
-            # so the application (and its collectives) can still run.
-            for name in list(self.quarantined):
-                self._direct_release(name)
-        else:
-            yield from self.client.resume(self.process_names)
+        _n, failures = yield from self.client.resume(self.active_processes)
+        self._settle(failures, "daemon unreachable at start")
+        # Ranks DPCL cannot reach are released through the launcher so
+        # the application (and its collectives) can still run.
+        for name in list(self.quarantined):
+            self._direct_release(name)
         tf.end("start", self._now())
 
         # Ranks run MPI_Init, barrier, call back, and spin.
         tf.begin("init-callbacks", self._now())
-        if self.degraded:
-            expected = list(self.active_processes)
-            msgs = yield from self.client.wait_callback(
-                tag=INIT_CALLBACK_TAG, n=len(expected),
-                timeout=CALLBACK_TIMEOUT,
-            )
-            heard = {m.process_name for m in msgs}
-            for name in expected:
-                if name not in heard:
-                    self._quarantine(name, "no init callback (lost or daemon dead)")
-                    self._direct_release(name)
-        else:
-            yield from self.client.wait_callback(
-                tag=INIT_CALLBACK_TAG, n=len(self.process_names)
-            )
+        expected = self.active_processes
+        msgs = yield from self.client.wait_callback(
+            tag=INIT_CALLBACK_TAG, n=len(expected),
+            timeout=CALLBACK_TIMEOUT if self.degraded else None,
+        )
+        heard = {m.process_name for m in msgs}
+        for name in expected:
+            if name not in heard:
+                self._quarantine(name, "no init callback (lost or daemon dead)")
+                self._direct_release(name)
         tf.end("init-callbacks", self._now())
 
         # Install everything queued while the ranks are captive in the spin.
@@ -541,14 +512,13 @@ class DynProf:
         # Release the spins; the second barrier re-synchronises the ranks.
         tf.begin("release", self._now())
         for name in self.active_processes:
-            if self.degraded:
-                try:
-                    yield from self.client.set_variable(name, SPIN_VARIABLE, 1)
-                except DpclError as exc:
-                    self._quarantine(name, f"spin release failed: {exc}")
-                    self._direct_release(name)
-            else:
+            try:
                 yield from self.client.set_variable(name, SPIN_VARIABLE, 1)
+            except DpclError as exc:
+                if not self.degraded:
+                    raise
+                self._quarantine(name, f"spin release failed: {exc}")
+                self._direct_release(name)
         tf.end("release", self._now())
 
         self.create_and_instrument_time = self._now()
@@ -567,13 +537,12 @@ class DynProf:
 
     def _cmd_quit(self, command: Command) -> Generator:
         # Detach; all active instrumentation stays in the application.
-        if self.degraded:
-            try:
-                yield from self.client.detach()
-            except DpclError as exc:
-                self._emit(f"warning: detach incomplete: {exc}")
-        else:
+        try:
             yield from self.client.detach()
+        except DpclError as exc:
+            if not self.degraded:
+                raise
+            self._emit(f"warning: detach incomplete: {exc}")
         self.state = "detached"
         self._emit("detached")
 
@@ -604,30 +573,24 @@ class DynProf:
         if not probes:
             return
         t_install0 = self._now()
-        if self.degraded:
-            results, failures = yield from self.client.install_probes_tolerant(
-                probes, register_names=registrations
-            )
-            handles = [h for h in results if h is not None]
-            for (pname, fname, _where, _snippet), handle in zip(probes, results):
-                if handle is not None:
-                    self._handles.setdefault((pname, fname), []).append(handle)
-            if failures:
-                self._emit(
-                    f"warning: {len(failures)} probe install(s) failed: "
-                    + "; ".join(
-                        f"{f['process']}:{f['function']} ({f['reason']})"
-                        for f in failures[:4]
-                    )
-                )
-                if self._obs.enabled:
-                    self._obs.inc("dynprof.probe_install_failures", len(failures))
-        else:
-            handles = yield from self.client.install_probes(
-                probes, register_names=registrations
-            )
-            for (pname, fname, _where, _snippet), handle in zip(probes, handles):
+        results, failures = yield from self.client.install_probes(
+            probes, register_names=registrations
+        )
+        self._settle(failures)
+        handles = [h for h in results if h is not None]
+        for (pname, fname, _where, _snippet), handle in zip(probes, results):
+            if handle is not None:
                 self._handles.setdefault((pname, fname), []).append(handle)
+        if failures:
+            self._emit(
+                f"warning: {len(failures)} probe install(s) failed: "
+                + "; ".join(
+                    f"{f['process']}:{f['function']} ({f['reason']})"
+                    for f in failures[:4]
+                )
+            )
+            if self._obs.enabled:
+                self._obs.inc("dynprof.probe_install_failures", len(failures))
         if self._obs.enabled:
             self._obs.inc("dynprof.probe_inserts", len(handles))
         if self._trace.enabled:
@@ -653,6 +616,37 @@ class DynProf:
             )
         self._emit(f"installed {len(handles)} probes")
 
+    def _remove_from_all(self, names: Sequence[str]) -> Generator:
+        """Remove this tool's probes on functions matching ``names`` from
+        every rank it still controls."""
+        handles = []
+        for pname in self._controllable():
+            image = self.client.image_of(pname)
+            for glob in names:
+                for fi in image.find_functions(glob):
+                    handles.extend(self._handles.pop((pname, fi.name), []))
+        if not handles:
+            return
+        n = yield from self.client.remove_probes(handles)
+        if self._obs.enabled:
+            self._obs.inc("dynprof.probe_removes", n)
+        if self._trace.enabled:
+            self._trace.instant(
+                TOOL_PID, 0, "probe.remove", "dynprof",
+                self._now(), args={"probes": n},
+            )
+        self._emit(f"removed {n} probes")
+
+    def _resume_controllable(self) -> Generator:
+        """Resume after a mid-run patch.  Ranks whose daemon was lost in
+        the meantime are quarantined and released through the launcher."""
+        names = self._controllable()
+        _n, failures = yield from self.client.resume(names)
+        self._settle(failures, "daemon unreachable at resume")
+        for name in names:
+            if name in self.quarantined:
+                self._direct_release(name)
+
     def _suspend_patch_resume(self, install: Sequence[str], remove: Sequence[str]) -> Generator:
         """Mid-run modification: stop-all, patch, continue-all.
 
@@ -675,26 +669,11 @@ class DynProf:
                 tf.end("instrument", self._now())
             if remove:
                 tf.begin("remove", self._now(), detail=f"{len(remove)} globs")
-                handles = []
-                for pname in self.process_names:
-                    image = self.client.image_of(pname)
-                    for glob in remove:
-                        for fi in image.find_functions(glob):
-                            handles.extend(self._handles.pop((pname, fi.name), []))
-                if handles:
-                    n = yield from self.client.remove_probes(handles)
-                    if self._obs.enabled:
-                        self._obs.inc("dynprof.probe_removes", n)
-                    if self._trace.enabled:
-                        self._trace.instant(
-                            TOOL_PID, 0, "probe.remove", "dynprof",
-                            self._now(), args={"probes": n},
-                        )
-                    self._emit(f"removed {n} probes")
+                yield from self._remove_from_all(remove)
                 tf.end("remove", self._now())
         finally:
             tf.begin("resume", self._now())
-            yield from self.client.resume(self._controllable())
+            yield from self._resume_controllable()
             tf.end("resume", self._now())
             if self._obs.enabled:
                 self._obs.inc("dynprof.suspend_patches")

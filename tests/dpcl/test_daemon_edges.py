@@ -58,10 +58,11 @@ def test_activate_deactivate_roundtrip():
         yield from client.connect(locations(job))
         yield from client.attach(names(job))
         yield from client.suspend(blocking=True)
-        handles = yield from client.install_probes(
+        handles, failures = yield from client.install_probes(
             [(n, "looper", ENTRY, CallFunc("count")) for n in names(job)],
             activate=False,
         )
+        assert failures == []
         yield from client.resume()
         yield env.timeout(5.0)
         snap1 = len(counts)
@@ -156,12 +157,11 @@ def test_connect_twice_is_idempotent():
 
     def body(client):
         yield from client.connect(locations(job))
-        acks = yield from client.connect(locations(job))
-        return acks
+        return (yield from client.connect(locations(job)))
 
     client, proc = run_tool(env, cluster, job, body)
     job.start()
-    assert env.run(until=proc) == []  # nothing new to connect
+    assert env.run(until=proc) == ([], {})  # nothing new to connect
     env.run()
 
 
@@ -190,9 +190,10 @@ def test_remove_probe_idempotent_via_client():
         yield from client.connect(locations(job))
         yield from client.attach(names(job))
         yield from client.suspend(blocking=True)
-        handles = yield from client.install_probes(
+        handles, failures = yield from client.install_probes(
             [(names(job)[0], "looper", ENTRY, Const(0))]
         )
+        assert failures == []
         first = yield from client.remove_probes(handles)
         second = yield from client.remove_probes(handles)
         yield from client.resume()

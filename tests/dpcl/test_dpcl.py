@@ -2,7 +2,7 @@
 
 
 from repro.cluster import Cluster, POWER3_SP
-from repro.dpcl import DpclClient, DpclError
+from repro.dpcl import DpclClient, DpclError, raise_failures
 from repro.jobs import MpiJob
 from repro.program import ENTRY, CallFunc, Const
 from repro.simt import Environment
@@ -60,7 +60,8 @@ def test_connect_and_attach():
 
     def tool(client):
         yield from client.connect(locations(job))
-        attached = yield from client.attach(process_names(job))
+        attached, failures = yield from client.attach(process_names(job))
+        assert failures == {}
         return attached
 
     _client, proc = run_tool(env, cluster, job, tool)
@@ -97,9 +98,10 @@ def test_install_probe_patches_only_target_rank():
         yield from client.connect(locations(job))
         yield from client.attach(process_names(job))
         yield from client.suspend(blocking=True)
-        handles = yield from client.install_probes(
+        handles, failures = yield from client.install_probes(
             [(target, "work1", ENTRY, Const(0))]
         )
+        assert failures == []
         yield from client.resume()
         return handles
 
@@ -122,9 +124,10 @@ def test_install_and_remove_roundtrip():
         yield from client.connect(locations(job))
         yield from client.attach(names)
         yield from client.suspend(blocking=True)
-        handles = yield from client.install_probes(
+        handles, failures = yield from client.install_probes(
             [(n, "work1", ENTRY, Const(0)) for n in names]
         )
+        assert failures == []
         removed = yield from client.remove_probes(handles)
         yield from client.resume()
         return removed
@@ -296,8 +299,11 @@ def test_install_unknown_function_reports_daemon_error():
     def tool(client):
         yield from client.connect(locations(job))
         yield from client.attach(names)
+        _handles, failures = yield from client.install_probes(
+            [(names[0], "no_such_fn", ENTRY, Const(0))]
+        )
         try:
-            yield from client.install_probes([(names[0], "no_such_fn", ENTRY, Const(0))])
+            raise_failures(failures)
         except DpclError as e:
             return str(e)
 

@@ -11,6 +11,7 @@ from repro.dpcl import (
     DpclError,
     DpclRequestError,
     RequestPolicy,
+    raise_failures,
 )
 from repro.dynprof import run_policy
 from repro.faults import FaultInjector, FaultPlan, FaultSpec, canned_plan
@@ -24,7 +25,7 @@ SPEC = POWER3_SP.with_overrides(net_jitter=0.0)
 POLICY = RequestPolicy(timeout=10.0, max_retries=2, backoff=0.5)
 
 
-def setup_world(n_procs=2, plan=None, seed=13):
+def setup_world(n_procs=2, plan=None, seed=13, start_suspended=False):
     env = Environment()
     cluster = Cluster(env, SPEC, seed=seed)
     FaultInjector.install(plan, cluster)
@@ -39,7 +40,8 @@ def setup_world(n_procs=2, plan=None, seed=13):
         yield from pctx.call("MPI_Finalize")
         return "done"
 
-    job = MpiJob(env, cluster, exe, n_procs, program)
+    job = MpiJob(env, cluster, exe, n_procs, program,
+                 start_suspended=start_suspended)
     return env, cluster, job
 
 
@@ -80,8 +82,9 @@ def test_connect_to_dead_daemon_raises_unreachable():
     caught = {}
 
     def body(client):
+        _acks, failures = yield from client.connect(locations(job))
         try:
-            yield from client.connect(locations(job))
+            raise_failures(failures)
         except DaemonUnreachableError as exc:
             caught["exc"] = exc
         return "out"
@@ -105,7 +108,7 @@ def test_tolerant_connect_degrades_to_failure_map():
     out = {}
 
     def body(client):
-        acks, failures = yield from client.connect(locations(job), tolerant=True)
+        acks, failures = yield from client.connect(locations(job))
         out["acks"] = acks
         out["failures"] = failures
         return "ok"
@@ -130,7 +133,8 @@ def test_daemon_restart_is_survivable_with_retries():
     out = {}
 
     def body(client):
-        acks = yield from client.connect(locations(job))
+        acks, failures = yield from client.connect(locations(job))
+        assert failures == {}
         out["acks"] = acks
         return "ok"
 
@@ -153,10 +157,11 @@ def test_failed_request_error_carries_structured_context():
     def body(client):
         yield from client.connect(locations(job))
         yield from client.attach([t.name for t in job.tasks])
+        _handles, failures = yield from client.install_probes(
+            [(job.tasks[0].name, "no_such_fn", "entry", None)]
+        )
         try:
-            yield from client.install_probes(
-                [(job.tasks[0].name, "no_such_fn", "entry", None)]
-            )
+            raise_failures(failures)
         except DpclRequestError as exc:
             caught["exc"] = exc
         return "ok"
@@ -204,3 +209,111 @@ def test_run_policy_without_faults_has_no_report():
     app = get_app("smg98")
     result = run_policy(app, "Subset", 4, scale=0.02)
     assert result.faults is None
+
+
+def test_raise_failures_prefers_refusal_and_names_every_silent_node():
+    from repro.dpcl import Ack
+
+    silent = Ack(7, 1, ok=False, error="daemon unreachable for ResumeReq",
+                 error_info={"node": 1, "request": "ResumeReq",
+                             "reason": "unreachable", "attempts": 3})
+    refused = Ack(7, 2, ok=False, error="boom",
+                  error_info={"node": 2, "request": "ResumeReq",
+                              "process": "app[9]", "reason": "boom"})
+    raise_failures({})  # nothing failed: nothing raised
+    with pytest.raises(DpclRequestError) as exc:
+        raise_failures({1: silent, 2: refused})
+    assert str(exc.value) == "daemon on node 2: boom"
+    assert (exc.value.node_index, exc.value.request, exc.value.process,
+            exc.value.reason) == (2, "ResumeReq", "app[9]", "boom")
+    with pytest.raises(DaemonUnreachableError) as exc:
+        raise_failures({1: silent})
+    assert (exc.value.nodes, exc.value.request, exc.value.attempts) == (
+        (1,), "ResumeReq", 3)
+    # install_probes' per-probe dicts: one silent node, many probes.
+    probes = [dict(silent.error_info, process=f"app[{i}]", function="f",
+                   error=silent.error) for i in range(3)]
+    with pytest.raises(DaemonUnreachableError) as exc:
+        raise_failures(probes)
+    assert exc.value.nodes == (1,)
+
+
+def test_strict_session_raises_what_a_degraded_one_quarantines():
+    """DynProf settles request failures in one place: a fault-free
+    (strict) session raises the structured error, a degraded one
+    quarantines the ranks on the failed node."""
+    from repro.dpcl import Ack
+    from repro.dynprof import DynProf
+
+    lost = {1: Ack(3, 1, ok=False, error="daemon unreachable for AttachReq",
+                   error_info={"node": 1, "request": "AttachReq",
+                               "reason": "unreachable", "attempts": 3})}
+
+    def tool(plan):
+        env, cluster, job = setup_world(n_procs=16, plan=plan,
+                                        start_suspended=True)
+        return DynProf(env, cluster, job)
+
+    with pytest.raises(DaemonUnreachableError) as exc:
+        tool(None)._settle(lost, "attach failed: {error}")
+    assert exc.value.nodes == (1,) and exc.value.request == "AttachReq"
+    degraded = tool(FaultPlan.of(FaultSpec("daemon_crash", node=1, start=0.0)))
+    degraded._settle(lost, "attach failed: {error}")
+    assert set(degraded.quarantined) == {
+        t.name for t in degraded.job.tasks if t.node.index == 1
+    }
+    assert set(degraded.quarantined.values()) == {
+        "attach failed: daemon unreachable for AttachReq"
+    }
+
+
+def degraded_sweep3d_session(script, crash_start, seed=3):
+    """A 16-rank sweep3d dynprof session whose node-1 daemons crash at
+    ``crash_start`` (simulated seconds) and stay down."""
+    from repro.cluster import get_machine
+    from repro.dynprof import DynProf
+
+    app = get_app("sweep3d")
+    env = Environment()
+    cluster = Cluster(env, get_machine("power3-sp"), seed=seed)
+    FaultInjector.install(
+        FaultPlan.of(FaultSpec("daemon_crash", node=1, start=crash_start)),
+        cluster,
+    )
+    job = MpiJob(env, cluster, app.build_exe(False), 16,
+                 app.make_program(16, 0.02), start_suspended=True)
+    tool = DynProf(env, cluster, job,
+                   file_contents={"t": "\n".join(app.dynamic_targets)})
+    env.run(until=tool.run_script(script))
+    env.run(until=job.completion())
+    return tool
+
+
+def test_degraded_mid_run_remove_skips_quarantined_ranks():
+    """A rank quarantined before attach has no image on the client; the
+    mid-run remove must walk only the ranks the tool still controls."""
+    tool = degraded_sweep3d_session(
+        "insert-file t\nstart\nwait 1\nremove sweep*\nquit\n", crash_start=0.0
+    )
+    assert tool.state == "detached"
+    assert set(tool.quarantined) == {f"sweep3d[{r}]" for r in range(8, 16)}
+    # One entry + one exit probe on `sweep` per controlled rank.
+    assert "removed 16 probes" in tool.output
+    assert all(
+        "sweep" not in functions for functions in tool.probe_inventory().values()
+    )
+
+
+def test_degraded_mid_run_resume_quarantines_and_releases_lost_node():
+    """Node 1's daemons die while a mid-run patch holds the ranks
+    suspended: the resume quarantines its ranks and releases them
+    through the launcher, so the application still finishes."""
+    script = "start\nwait 1\ninsert-file t\nquit\n"
+    clean = degraded_sweep3d_session(script, crash_start=1e9)
+    suspended = [p for p in clean.timefile.phases if p.name == "suspend"][0].end
+    tool = degraded_sweep3d_session(script, crash_start=suspended)
+    assert tool.state == "detached"
+    assert tool.quarantined == {
+        f"sweep3d[{r}]": "daemon unreachable at resume" for r in range(8, 16)
+    }
+    assert all(proc.value is not None for proc in tool.job.procs)
