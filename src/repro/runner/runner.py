@@ -8,8 +8,9 @@ one :class:`PointResult` per distinct point:
    is configured); hits never touch a worker.
 2. **Fan-out** — misses run on an executor backend
    (:mod:`repro.svc.executors`): in-process serial for ``jobs=1``, a
-   ``ProcessPoolExecutor`` with ``jobs`` workers otherwise, or — via
-   ``executor=`` — socket workers on other hosts.  The simulations are
+   ``ProcessPoolExecutor`` with ``jobs`` workers otherwise (one pool
+   for every grid the runner runs, until its backend is closed), or —
+   via ``executor=`` — socket workers on other hosts.  The simulations are
    deterministic, so every path returns bit-identical floats to the
    serial one — that equivalence is the acceptance test of the whole
    subsystem.
@@ -49,7 +50,11 @@ __all__ = ["SweepRunner", "PointResult", "SweepError", "default_jobs"]
 
 
 def default_jobs() -> int:
-    """A worker count matched to the machine (for ``--jobs 0``)."""
+    """A worker count matched to the CPUs this process may run on (for
+    ``--jobs 0``): its affinity mask where the OS has one, else every
+    CPU of the machine."""
+    if hasattr(os, "sched_getaffinity"):
+        return max(1, len(os.sched_getaffinity(0)))
     return max(1, os.cpu_count() or 1)
 
 

@@ -28,8 +28,12 @@ GOLDEN_SHA256 = {
 
 @pytest.mark.parametrize("figure", sorted(GOLDEN_SHA256))
 def test_quick_figure_stdout_matches_pinned_digest(figure, capsys):
-    assert main([figure, "--quick", "--seed", "0", "--no-cache"]) == 0
-    digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
-    assert digest == GOLDEN_SHA256[figure], (
-        f"{figure} --quick output drifted: sha256 {digest} != {GOLDEN_SHA256[figure]}"
-    )
+    # The default fans the points over a process pool; --jobs 1 runs
+    # them in-process. Both must print the pinned bytes.
+    for jobs in ([], ["--jobs", "1"]):
+        assert main([figure, "--quick", "--seed", "0", "--no-cache", *jobs]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+        assert digest == GOLDEN_SHA256[figure], (
+            f"{figure} --quick {' '.join(jobs)} output drifted: "
+            f"sha256 {digest} != {GOLDEN_SHA256[figure]}"
+        )

@@ -2,6 +2,7 @@
 
 import io
 import json
+import os
 
 import pytest
 
@@ -37,6 +38,19 @@ def test_jobs_zero_means_machine_sized_pool():
     assert SweepRunner(jobs=0).jobs == default_jobs() >= 1
     with pytest.raises(ValueError):
         SweepRunner(jobs=-1)
+
+
+def test_default_jobs_honours_cpu_affinity(monkeypatch):
+    # A process pinned to 2 of 64 CPUs forks 2 workers, not 64.
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3, 17},
+                        raising=False)
+    assert default_jobs() == 2
+    # Without an affinity call (macOS, Windows) every CPU counts.
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert default_jobs() == 64
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert default_jobs() == 1
 
 
 # ----------------------------------------------------------- failure semantics
