@@ -86,7 +86,7 @@ import json
 import os
 import re
 import sys
-from typing import Any, Callable, Dict, List, Optional, Union
+from typing import IO, Any, Callable, Dict, List, Optional, Union
 
 from ..apps import ALL_APPS, get_app
 from ..cluster import MACHINES, get_machine
@@ -463,8 +463,10 @@ def _close_runner(runner: SweepRunner) -> None:
 def _open_text_output(path: str, what: str):
     """Open ``path`` for text writing; ``-`` yields stdout (not closed).
 
-    Every subcommand's writable-output option funnels through here so
-    an unwritable path fails with one consistent message::
+    A missing parent directory is created, as ``--trace DIR`` and
+    ``--record DIR`` create theirs.  Every subcommand's writable-output
+    option funnels through here so an unwritable path fails with one
+    consistent message::
 
         repro-experiments: cannot write <what> <path>: <reason>
     """
@@ -472,6 +474,9 @@ def _open_text_output(path: str, what: str):
     if path == "-":
         return contextlib.nullcontext(sys.stdout)
     try:
+        parent = os.path.dirname(path)
+        if parent:
+            os.makedirs(parent, exist_ok=True)
         return open(path, "w", encoding="utf-8")
     except OSError as exc:
         print(f"repro-experiments: cannot write {what} {path}: {exc}",
@@ -510,6 +515,29 @@ def _write_obs_document(
     if not quiet and args.obs != "-":
         print(f"wrote obs metrics to {args.obs}", file=sys.stderr)
     return args.obs
+
+
+def _write_trace(doc: Dict[str, Any], fh: IO[str]) -> None:
+    """Write ``json.dumps(doc)`` plus a newline to ``fh``.
+
+    The C encoder does the work (``json.dump`` never uses it), one
+    top-level member, or one item of a top-level list, at a time, so a
+    multi-megabyte trace document is never held as one string.
+    """
+    fh.write("{")
+    sep = ""
+    for key, value in doc.items():
+        fh.write(f"{sep}{json.dumps(key)}: ")
+        sep = ", "
+        if isinstance(value, list) and value:
+            item_sep = "["
+            for item in value:
+                fh.write(item_sep + json.dumps(item))
+                item_sep = ", "
+            fh.write("]")
+        else:
+            fh.write(json.dumps(value))
+    fh.write("}\n")
 
 
 def _safe_label(label: str) -> str:
@@ -558,8 +586,7 @@ def _write_outputs(
 
     def dump_trace(doc: Any, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=1)
-            fh.write("\n")
+            _write_trace(doc, fh)
 
     def dump_order_log(doc: str, path: str) -> None:
         with open(path, "wb") as fh:
@@ -967,8 +994,7 @@ def trace_main(argv: List[str]) -> int:
 
     if args.out:
         with _open_text_output(args.out, "trace document") as fh:
-            json.dump(doc, fh, indent=1)
-            fh.write("\n")
+            _write_trace(doc, fh)
         if args.out != "-":
             print(f"wrote trace document to {args.out}", file=sys.stderr)
     if args.chrome:

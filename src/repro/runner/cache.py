@@ -197,7 +197,9 @@ class ResultCache(CacheStore):
                                    dir=path.parent)
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(entry, fh)
+                # json.dumps, unlike json.dump, runs the C encoder; the
+                # bytes are the same.
+                fh.write(json.dumps(entry))
             os.replace(tmp, path)
         except BaseException:
             self._unlink(Path(tmp))

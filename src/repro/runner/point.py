@@ -24,7 +24,7 @@ A fourth kind, ``selftest``, exercises the worker machinery itself
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Dict, Optional, Tuple
 
 from ..cluster import POWER3_SP, MachineSpec
@@ -169,8 +169,11 @@ class SweepPoint:
 
         Includes every cost-model constant of the machine, so a point
         run against an ablated :class:`MachineSpec` never aliases the
-        stock one in the cache.
+        stock one in the cache.  Every machine field is an int, float or
+        str, so reading the fields directly gives what
+        ``dataclasses.asdict`` would, without its deep copy.
         """
+        machine = self.machine
         return {
             "kind": self.kind,
             "app": self.app,
@@ -179,7 +182,8 @@ class SweepPoint:
             "seed": self.seed,
             "scale": self.scale,
             "params": dict(self.params),
-            "machine": asdict(self.machine),
+            "machine": {f.name: getattr(machine, f.name)
+                        for f in fields(machine)},
         }
 
     @classmethod

@@ -178,13 +178,16 @@ class SweepRunner:
     def run(self, points: Sequence[SweepPoint]) -> Dict[SweepPoint, PointResult]:
         """Execute a grid; returns one result per *distinct* point."""
         unique = list(dict.fromkeys(points))
+        # Each distinct point is keyed once: the cache probe, the cache
+        # put and the telemetry event all reuse this digest.
+        keys = {p: point_key(p) for p in unique}
         results: Dict[SweepPoint, PointResult] = {}
         corrupt_base = getattr(self.cache, "corrupt_discards", 0)
 
         cached: List[PointResult] = []
         if self.cache is not None:
             for p in unique:
-                entry = self.cache.get(point_key(p))
+                entry = self.cache.get(keys[p])
                 if entry is not None:
                     r = PointResult(p, "ok", payload=entry["payload"],
                                     cached=True, attempts=0)
@@ -195,12 +198,12 @@ class SweepRunner:
             total=len(unique), cached=len(cached), jobs=self.jobs
         )
         for r in cached:
-            self._report(r)
+            self._report(r, keys[r.point])
 
         missing = [p for p in unique if p not in results]
         attachments: Dict[SweepPoint, Dict[str, Any]] = {}
         if missing:
-            self._execute(missing, results, attachments)
+            self._execute(missing, keys, results, attachments)
         # Fold attachments in grid order, not completion order, so the
         # merged documents (key order, float sums) are the same under
         # every executor.
@@ -263,12 +266,13 @@ class SweepRunner:
     def _execute(
         self,
         points: List[SweepPoint],
+        keys: Dict[SweepPoint, str],
         results: Dict[SweepPoint, PointResult],
         attachments: Dict[SweepPoint, Dict[str, Any]],
     ) -> None:
         backend = self._resolve_executor()
         for point, envelope, attempts in backend.run(points, self._exec_spec()):
-            results[point] = self._finish(point, envelope, attempts)
+            results[point] = self._finish(point, keys[point], envelope, attempts)
             if "attachments" in envelope:
                 attachments[point] = envelope["attachments"]
 
@@ -277,6 +281,7 @@ class SweepRunner:
     def _finish(
         self,
         point: SweepPoint,
+        key: str,
         envelope: Dict[str, Any],
         attempts: int,
     ) -> PointResult:
@@ -294,7 +299,7 @@ class SweepRunner:
         if result.ok and self.cache is not None:
             try:
                 self.cache.put(
-                    point_key(point), point, result.payload,
+                    key, point, result.payload,
                     meta={"wall_time": result.wall_time},
                 )
             except OSError as exc:
@@ -308,17 +313,18 @@ class SweepRunner:
                 if self._obs.enabled:
                     self._obs.inc("runner.cache_write_errors")
         docs = envelope.get("attachments") or {}
-        self._report(result, obs_snapshot=docs.get(MetricsCollector.name))
+        self._report(result, key, obs_snapshot=docs.get(MetricsCollector.name))
         return result
 
     def _report(
         self,
         result: PointResult,
+        key: str,
         obs_snapshot: Optional[Dict[str, Any]] = None,
     ) -> None:
         self.telemetry.point_finished(
             label=result.point.label,
-            key=point_key(result.point),
+            key=key,
             status=result.status,
             cached=result.cached,
             wall_time=result.wall_time,

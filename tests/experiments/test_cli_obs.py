@@ -70,13 +70,24 @@ def test_obs_dash_streams_document_to_stdout(capsys):
     assert "wrote obs metrics" not in err
 
 
-def test_unwritable_obs_path_fails_with_consistent_message(capsys):
+def test_unwritable_obs_path_fails_with_consistent_message(tmp_path, capsys):
+    # A missing parent directory is created, so block it with a file.
+    blocker = tmp_path / "not-a-dir"
+    blocker.write_text("file in the way")
+    path = blocker / "obs.json"
     with pytest.raises(SystemExit) as exc:
-        main(SWEEP + ["--obs", "/nonexistent-dir/obs.json"])
+        main(SWEEP + ["--obs", str(path)])
     assert exc.value.code == 1
     err = capsys.readouterr().err
-    assert "repro-experiments: cannot write obs document " \
-        "/nonexistent-dir/obs.json:" in err
+    assert f"repro-experiments: cannot write obs document {path}:" in err
+
+
+def test_obs_path_in_a_missing_directory_is_created(tmp_path):
+    out = tmp_path / "o1"
+    assert main(["fig9", "--quick", "--no-cache", "--jobs", "1",
+                 "--obs", str(out / "obs.json"), "--trace", str(out)]) == 0
+    assert "obs" in json.loads((out / "obs.json").read_text())
+    assert list(out.glob("*.trace.json"))
 
 
 def test_unwritable_trace_dir_fails_with_consistent_message(tmp_path, capsys):

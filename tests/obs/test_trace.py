@@ -362,6 +362,30 @@ def test_cli_trace_dir_writes_schema_valid_documents(tmp_path, capsys):
     validate_chrome_trace(to_chrome_trace(trace_doc))
 
 
+def test_cli_trace_files_are_the_compact_json_of_each_document(
+        tmp_path, capsys, monkeypatch):
+    from repro.experiments import cli
+
+    built = []
+    build = cli._build_runner
+    monkeypatch.setattr(cli, "_build_runner",
+                        lambda *a: built.append(build(*a)) or built[-1])
+    argv = ["fig7b", "--quick", "--jobs", "1", "--no-cache"]
+    assert cli.main(argv + ["--trace", "-"]) == 0
+    lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()
+             if line.startswith('{"label"')]
+    trace_dir = tmp_path / "traces"
+    assert cli.main(argv + ["--trace", str(trace_dir)]) == 0
+    docs = cli._collector(built[-1], TraceCollector).docs
+
+    assert len(lines) == len(docs) == len(list(trace_dir.iterdir())) > 1
+    for line in lines:
+        path = trace_dir / f"{cli._safe_label(line['label'])}.trace.json"
+        text = path.read_text(encoding="utf-8")
+        assert text == json.dumps(line["trace"]) + "\n"
+        assert json.loads(text) == docs[line["label"]]
+
+
 def test_cli_trace_subcommand_prints_summary(tmp_path, capsys):
     from repro.experiments.cli import trace_main
 

@@ -1,5 +1,6 @@
 """Cache-key stability and on-disk cache robustness."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -7,8 +8,9 @@ import sys
 
 import pytest
 
-from repro.cluster import IA32_LINUX, POWER3_SP
+from repro.cluster import IA32_LINUX, MACHINES, POWER3_SP
 from repro.runner import ResultCache, SweepPoint, SweepRunner, point_key
+from repro.runner.cache import build_entry
 
 
 def _cell(**overrides):
@@ -82,6 +84,58 @@ def test_key_distinguishes_confsync_params():
     assert len({point_key(p) for p in (a, b, c)}) == 3
 
 
+# Keys release 1.1.0 wrote its cache entries under.  If one changes,
+# every existing cache silently turns into misses.
+PINNED_KEYS = [
+    (_cell(),
+     "22f70ed92c9da975d3c54f99b5988d7d7f8c6da5b04e2689e1e68d8a0986713d"),
+    (SweepPoint.confsync(8, change=True, stats=True, reps=4,
+                         machine=IA32_LINUX),
+     "035213957ee58eb19412540fb00887d716e05305c7aa73477d44d9efb96a5082"),
+    (_cell(machine=POWER3_SP.with_overrides(vt_active_event_cost=3.2e-6)),
+     "5de34fee0a04ab4724714cf567ccb4b8e1e30370682496c67bcc4eefdf0cc4f8"),
+]
+
+
+@pytest.mark.parametrize("point,digest", PINNED_KEYS,
+                         ids=["power3-policy", "ia32-confsync", "ablated"])
+def test_key_digest_is_pinned(point, digest):
+    assert point_key(point, version="1.1.0") == digest
+
+
+@pytest.mark.parametrize("name", sorted(MACHINES))
+def test_canonical_machine_equals_asdict(name):
+    machine = MACHINES[name]
+    doc = SweepPoint.confsync(2, machine=machine).canonical()["machine"]
+    assert doc == dataclasses.asdict(machine)
+    assert list(doc) == list(dataclasses.asdict(machine))
+
+
+def test_cached_rerun_keys_each_point_once(tmp_path, monkeypatch):
+    """The cache probe, the put and the telemetry event share one key."""
+    import repro.runner.runner as runner_mod
+    import repro.svc.executors as executors_mod
+    from repro.experiments.cli import main
+
+    keyed = []
+
+    def counting_key(point, version=None):
+        keyed.append(point)
+        return point_key(point, version)
+
+    monkeypatch.setattr(runner_mod, "point_key", counting_key)
+    monkeypatch.setattr(executors_mod, "point_key", counting_key)
+    argv = ["fig8", "--quick", "--jobs", "1", "--cache-dir", str(tmp_path)]
+    assert main(argv) == 0
+    distinct = len(ResultCache(tmp_path))
+    # Cold: once per point (a crash retry would key its point again;
+    # none happen here).
+    assert len(keyed) == len(set(keyed)) == distinct
+    keyed.clear()
+    assert main(argv) == 0
+    assert len(keyed) == len(set(keyed)) == distinct
+
+
 # ----------------------------------------------------------- the store
 
 
@@ -96,6 +150,16 @@ def test_cache_round_trip(tmp_path):
     assert entry["point"]["app"] == "smg98"
     assert key in cache and len(cache) == 1
     assert cache.clear() == 1 and len(cache) == 0
+
+
+def test_entry_file_is_the_compact_json_of_the_entry(tmp_path):
+    cache = ResultCache(tmp_path)
+    p = _cell()
+    key = point_key(p)
+    meta = {"wall_time": 0.5}
+    cache.put(key, p, {"time": 1.25}, meta=meta)
+    entry = build_entry(key, p, {"time": 1.25}, meta)
+    assert cache._path(key).read_text(encoding="utf-8") == json.dumps(entry)
 
 
 def test_corrupted_entry_is_a_miss_and_discarded(tmp_path):
