@@ -26,8 +26,6 @@ from __future__ import annotations
 import math
 from typing import Generator, List
 
-import numpy as np
-
 from ..program import ExecutableImage, ProgramContext
 from .base import AppSpec, MPI_SCALING_CPUS, NoiseProfile, grid_dims, neighbors_2d
 
@@ -140,6 +138,8 @@ class _SmgState:
         #: log2(P) extra coarse levels from the growing global problem.
         self.extra_levels = max(0, int(math.ceil(math.log2(n_procs)))) if n_procs > 1 else 0
         self.levels = LOCAL_LEVELS + self.extra_levels
+        import numpy as np
+
         # A real local Poisson problem: -lap(u) = f, u0 = 0.
         rng = np.random.default_rng(1234 + rank)
         self.f = rng.standard_normal((LOCAL_N, LOCAL_N))
@@ -150,6 +150,8 @@ class _SmgState:
 
 def _jacobi_sweeps(state: _SmgState, sweeps: int) -> None:
     """Real numerics: damped-Jacobi smoothing of the local problem."""
+    import numpy as np
+
     u, f = state.u, state.f
     for _ in range(sweeps):
         avg = 0.25 * (
@@ -160,6 +162,8 @@ def _jacobi_sweeps(state: _SmgState, sweeps: int) -> None:
 
 
 def _local_residual(state: _SmgState) -> float:
+    import numpy as np
+
     u, f = state.u, state.f
     lap = (
         np.roll(u, 1, 0) + np.roll(u, -1, 0) + np.roll(u, 1, 1) + np.roll(u, -1, 1)

@@ -17,8 +17,6 @@ from __future__ import annotations
 import math
 from typing import Generator, List
 
-import numpy as np
-
 from ..program import ExecutableImage, ProgramContext
 from .base import AppSpec, MPI_SCALING_CPUS, NoiseProfile, grid_dims, neighbors_2d
 
@@ -104,6 +102,8 @@ class _SppmState:
         self.px, self.py = grid_dims(n_procs)
         self.neighbors = neighbors_2d(rank, self.px, self.py)
         self.steps = max(1, round(STEPS * scale))
+        import numpy as np
+
         # Real 1D conservative gas profile per rank.
         n = 512
         x = np.linspace(0.0, 1.0, n, endpoint=False)
@@ -117,6 +117,8 @@ class _SppmState:
 
 def _advect(state: _SppmState) -> None:
     """First-order conservative upwind advection (mass-preserving)."""
+    import numpy as np
+
     c = state.velocity * state.dt / state.dx
     c = max(0.0, min(c, 0.9))
     flux = state.rho * c
@@ -167,6 +169,8 @@ def _courant(pctx: ProgramContext) -> Generator:
 
 def _bdrys(pctx: ProgramContext) -> Generator:
     """Ghost-zone exchange with large halo payloads + sync growth."""
+    import numpy as np
+
     state: _SppmState = pctx.props["sppm"]
     pctx.charge(0.02)
     if state.n_procs > 1:

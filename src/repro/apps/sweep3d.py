@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from typing import Generator, List, Optional
 
-import numpy as np
-
 from ..program import ExecutableImage, ProgramContext
 from .base import AppSpec, NoiseProfile, grid_dims
 
@@ -98,6 +96,8 @@ class _SweepState:
         self.iterations = max(1, round(ITERATIONS * scale))
         #: Per-rank sweep cost per octant (strong scaling: W / P / 8).
         self.block_cost = TOTAL_WORK / n_procs / (self.iterations * 8) * scale
+        import numpy as np
+
         # Real flux block: attenuated every sweep.
         self.flux = np.full((16, 16), 1.0)
         self.sigma = 0.08
@@ -164,6 +164,8 @@ def _sweep(pctx: ProgramContext, block: int) -> Generator:
     """Sweep one local sub-block: real attenuation + modelled cost."""
     state: _SweepState = pctx.props["sweep"]
     if block == 0:
+        import numpy as np
+
         state.flux *= np.exp(-state.sigma)
     pctx.charge(state.block_cost / NBLOCKS)
     for fn, n, cost in _noise.hot_batches(state.noise_per_octant // NBLOCKS):
@@ -188,6 +190,8 @@ def _octant(pctx: ProgramContext, octant_index: int) -> Generator:
 
 def _flux_err(pctx: ProgramContext) -> Generator:
     """Global convergence check: allreduce of the local flux change."""
+    import numpy as np
+
     state: _SweepState = pctx.props["sweep"]
     state.local_err = float(np.abs(state.flux).mean())
     pctx.charge(1e-4)

@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from typing import Generator, List
 
-import numpy as np
-
 from ..openmp import DynamicSchedule
 from ..program import ExecutableImage, ProgramContext
 from .base import AppSpec, NoiseProfile, OMP_SCALING_CPUS
@@ -99,6 +97,8 @@ def build_exe(instrument_static: bool) -> ExecutableImage:
 
 class _UmtState:
     def __init__(self, n_threads: int, scale: float) -> None:
+        import numpy as np
+
         self.n_threads = n_threads
         self.scale = scale
         self.iterations = max(1, round(ITERATIONS * scale))
@@ -111,6 +111,8 @@ class _UmtState:
 
 def _snswp3d(pctx: ProgramContext, start: int, stop: int) -> Generator:
     """Sweep mesh slabs [start, stop): the heavy kernel."""
+    import numpy as np
+
     state: _UmtState = pctx.props["umt"]
     state.psi[start:stop] *= np.exp(-state.sigma)
     pctx.charge(state.slab_cost * (stop - start))
@@ -134,6 +136,8 @@ def _snmoments(pctx: ProgramContext) -> None:
 
 def make_program(n_threads: int, scale: float = 1.0):
     def program(pctx: ProgramContext) -> Generator:
+        import numpy as np
+
         # The Guide compiler plants VT_init at the start of main.
         yield from pctx.call("VT_init")
         state = _UmtState(n_threads, scale)

@@ -11,13 +11,14 @@ switch; DESIGN.md records this simplification.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, Optional, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, Optional, Tuple
 
 from ..simt import Channel, Environment, RandomStreams
 from .machine import MachineSpec
 from .node import Node
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["Interconnect"]
 

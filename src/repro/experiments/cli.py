@@ -98,6 +98,7 @@ from ..replay.orderlog import OrderLog
 from ..runner import SweepError, SweepPoint, SweepRunner, default_cache_dir
 from ..runner.collect import (Collector, MetricsCollector, OrderCollector,
                              ReplayCollector, SampleCollector, TraceCollector)
+from ..runner.point import check_scale
 from .fig7 import FIG7_PANELS, fig7_shape_report, run_fig7
 from .fig8 import IA32_PROC_COUNTS, IBM_PROC_COUNTS, run_fig8a, run_fig8b, run_fig8c
 from .fig9 import run_fig9
@@ -630,6 +631,15 @@ def _str_list(text: str) -> List[str]:
     return [part for part in text.split(",") if part]
 
 
+def _scale(text: str) -> float:
+    """The argparse type of every ``--scale``: a finite float > 0."""
+    try:
+        return check_scale(float(text))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number > 0, got {text!r}") from None
+
+
 def sweep_main(argv: List[str]) -> int:
     """``repro-experiments sweep`` — run an ad-hoc (app x policy x CPUs)
     grid through the runner and print one row per point."""
@@ -644,7 +654,7 @@ def sweep_main(argv: List[str]) -> int:
                         metavar="P,Q", help=f"policies (default: all of {','.join(POLICIES)})")
     parser.add_argument("--cpus", type=_int_list, default=None, metavar="1,4,16",
                         help="CPU counts (default: each app's own counts)")
-    parser.add_argument("--scale", type=float, default=0.1,
+    parser.add_argument("--scale", type=_scale, default=0.1,
                         help="workload scale factor (default 0.1)")
     parser.add_argument("--seed", type=int, default=0, help="simulation seed")
     parser.add_argument("--machine", choices=sorted(MACHINES), default="power3-sp",
@@ -918,7 +928,7 @@ def trace_main(argv: List[str]) -> int:
                              f"{','.join(POLICIES)}; default Dynamic)")
     parser.add_argument("--cpus", type=int, default=4,
                         help="process count (default 4)")
-    parser.add_argument("--scale", type=float, default=0.1,
+    parser.add_argument("--scale", type=_scale, default=0.1,
                         help="workload scale factor (default 0.1)")
     parser.add_argument("--seed", type=int, default=0, help="simulation seed")
     parser.add_argument("--machine", choices=sorted(MACHINES),
@@ -1032,7 +1042,7 @@ def _add_point_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--cpus", type=int, default=32,
                         help="process count (default 32: spans several "
                              "nodes, so node-level faults bite)")
-    parser.add_argument("--scale", type=float, default=0.02,
+    parser.add_argument("--scale", type=_scale, default=0.02,
                         help="workload scale factor (default 0.02)")
     parser.add_argument("--seed", type=int, default=0, help="simulation seed")
     parser.add_argument("--machine", choices=sorted(MACHINES),
@@ -1267,7 +1277,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument("experiments", nargs="+", choices=EXPERIMENTS,
                         help="which tables/figures to regenerate")
-    parser.add_argument("--scale", type=float, default=0.1,
+    parser.add_argument("--scale", type=_scale, default=0.1,
                         help="workload scale factor (default 0.1; 1.0 "
                              "reproduces paper-magnitude runtimes)")
     parser.add_argument("--seed", type=int, default=0, help="simulation seed")

@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
+import sys
 from typing import Any
-
-import numpy as np
 
 __all__ = ["payload_size"]
 
@@ -16,13 +15,20 @@ def payload_size(obj: Any) -> int:
     8-byte element; containers sum their elements plus a small per-item
     header, mirroring a pickle-based transport like mpi4py's lowercase
     API.
+
+    numpy is looked up, never imported: no array or numpy scalar can
+    exist unless numpy is already loaded.  Its checks come before
+    ``bytes``/``str`` because ``np.bytes_`` and ``np.str_`` subclass
+    both, and count as scalars.
     """
-    if obj is None:
+    if obj is None or isinstance(obj, (bool, int, float, complex)):
         return 8
-    if isinstance(obj, np.ndarray):
-        return int(obj.nbytes)
-    if isinstance(obj, (bool, int, float, complex, np.generic)):
-        return 8
+    np = sys.modules.get("numpy")
+    if np is not None:
+        if isinstance(obj, np.ndarray):
+            return int(obj.nbytes)
+        if isinstance(obj, np.generic):
+            return 8
     if isinstance(obj, bytes):
         return len(obj)
     if isinstance(obj, str):

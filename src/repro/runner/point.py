@@ -24,18 +24,30 @@ A fourth kind, ``selftest``, exercises the worker machinery itself
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from typing import Any, Dict, Optional, Tuple
 
 from ..cluster import POWER3_SP, MachineSpec
 
-__all__ = ["SweepPoint", "POINT_KINDS"]
+__all__ = ["SweepPoint", "POINT_KINDS", "check_scale"]
 
 #: Recognised point kinds (``selftest`` is internal to the runner tests).
 POINT_KINDS = ("policy", "confsync", "instrument", "selftest")
 
 #: Parameter value types that canonicalize losslessly to JSON.
 _PARAM_TYPES = (bool, int, float, str, type(None))
+
+
+def check_scale(scale: float) -> float:
+    """Return ``scale`` if it is finite and greater than 0.
+
+    Anything else (0, a negative number, NaN, infinity) cannot size a
+    workload: it raises :class:`ValueError` before any point runs.
+    """
+    if not (scale > 0 and math.isfinite(scale)):
+        raise ValueError(f"scale must be finite and > 0, got {scale!r}")
+    return scale
 
 
 def _faults_params(faults: Any) -> Tuple[Tuple[str, Any], ...]:
@@ -75,6 +87,7 @@ class SweepPoint:
             raise ValueError(f"unknown point kind {self.kind!r}; known: {POINT_KINDS}")
         if self.procs < 1:
             raise ValueError("procs must be >= 1")
+        check_scale(self.scale)
         for name, value in self.params:
             if not isinstance(value, _PARAM_TYPES):
                 raise TypeError(

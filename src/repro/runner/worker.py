@@ -18,6 +18,10 @@ using the serial path) the timeout is skipped rather than mis-armed.
 The experiment imports are intentionally lazy: ``repro.experiments``
 imports this package for its ``runner=`` plumbing, so module-level
 imports the other way would be circular.
+
+numpy is lazy too: no ``repro`` module imports it at module scope, so
+the CLI and cached regenerations never load it.  :func:`preload` loads
+it before a point's clock starts, and before a pool forks.
 """
 
 from __future__ import annotations
@@ -35,11 +39,21 @@ from ..replay.errors import DivergenceError
 from .collect import Collector
 from .point import SweepPoint
 
-__all__ = ["execute_point", "PointTimeout"]
+__all__ = ["execute_point", "preload", "PointTimeout"]
 
 
 class PointTimeout(Exception):
     """Raised inside a worker when a point exceeds its time budget."""
+
+
+def preload() -> None:
+    """Import what simulated points need but the CLI does not: numpy.
+
+    Called before a point's wall time and ``SIGALRM`` budget start, so
+    a process's first point is not charged the ~50 ms import, and
+    before a process pool forks, so every worker inherits it.
+    """
+    import numpy  # noqa: F401
 
 
 def _point_faults(point: SweepPoint):
@@ -138,6 +152,7 @@ def execute_point(
     whose log departs from the run yields a ``"diverged"`` envelope
     with the structured report under ``"divergence"``.
     """
+    preload()
     start = time.perf_counter()
     use_alarm = (
         timeout is not None

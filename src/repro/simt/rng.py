@@ -12,9 +12,10 @@ root seed, so that
 from __future__ import annotations
 
 import hashlib
-from typing import Dict
+from typing import TYPE_CHECKING, Dict
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["RandomStreams"]
 
@@ -43,6 +44,8 @@ class RandomStreams:
         """Return (creating on first use) the stream called ``name``."""
         gen = self._streams.get(name)
         if gen is None:
+            import numpy as np
+
             gen = np.random.default_rng(_derive_seed(self.seed, name))
             self._streams[name] = gen
         return gen

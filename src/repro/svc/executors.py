@@ -44,7 +44,7 @@ from ..runner.cache import point_key
 from ..runner.collect import Collector, for_point, to_wire
 from ..runner.point import SweepPoint
 from ..runner.retry import RetryPolicy
-from ..runner.worker import execute_point
+from ..runner.worker import execute_point, preload
 from . import wire
 
 __all__ = [
@@ -154,7 +154,9 @@ class ProcessPoolBackend(ExecutorBackend):
 
     Workers fork from the parent when the pool is built, so they do
     not see in-process switches (e.g. :func:`repro.program.set_batching`)
-    flipped afterwards.
+    flipped afterwards.  The parent calls
+    :func:`~repro.runner.worker.preload` first, so each worker inherits
+    numpy instead of importing it.
     """
 
     backend_name = "process"
@@ -171,6 +173,7 @@ class ProcessPoolBackend(ExecutorBackend):
         workers = min(self.jobs, batch_size)
         if self._pool is None or self._workers < workers:
             self.close()
+            preload()
             self._pool = ProcessPoolExecutor(max_workers=workers)
             self._workers = workers
         return self._pool
