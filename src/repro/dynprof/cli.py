@@ -24,6 +24,7 @@ from typing import List, Optional
 from ..apps import ALL_APPS, InputDeck, deck_scale, get_app
 from ..cluster import Cluster, get_machine
 from ..jobs import MpiJob, OmpJob
+from ..runner.point import check_scale
 from ..simt import Environment
 from .tool import DynProf
 
@@ -54,19 +55,26 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
 
+    app = get_app(args.target)
+    try:
+        scale = check_scale(args.scale)
+    except ValueError as exc:
+        parser.error(f"argument --scale: {exc}")
+    n_cpus = args.cpus
+    if args.input:
+        deck = InputDeck.load(args.input)
+        try:
+            scale = check_scale(deck_scale(app, deck, default_scale=scale))
+        except ValueError as exc:
+            parser.error(f"argument --input: {args.input}: {exc}")
+        n_cpus = deck.get_int("ncpus", args.cpus)
+
     if args.stdin == "-":
         script = sys.stdin.read()
     else:
         with open(args.stdin, "r", encoding="utf-8") as fh:
             script = fh.read()
 
-    app = get_app(args.target)
-    scale = args.scale
-    n_cpus = args.cpus
-    if args.input:
-        deck = InputDeck.load(args.input)
-        scale = deck_scale(app, deck, default_scale=args.scale)
-        n_cpus = deck.get_int("ncpus", args.cpus)
     env = Environment()
     cluster = Cluster(env, get_machine(args.machine), seed=args.seed)
     exe = app.build_exe(False)

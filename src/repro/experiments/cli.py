@@ -86,7 +86,7 @@ import json
 import os
 import re
 import sys
-from typing import IO, Any, Callable, Dict, List, Optional, Union
+from typing import Any, Callable, Dict, List, Optional, Union
 
 from ..apps import ALL_APPS, get_app
 from ..cluster import MACHINES, get_machine
@@ -510,35 +510,13 @@ def _write_obs_document(
     sampler = _collector(runner, SampleCollector)
     if sampler is not None and sampler.docs:
         doc["timeseries"] = sampler.docs
+    # One write: json.dump would issue one per token.
+    text = json.dumps(doc, indent=2)
     with _open_text_output(args.obs, "obs document") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
     if not quiet and args.obs != "-":
         print(f"wrote obs metrics to {args.obs}", file=sys.stderr)
     return args.obs
-
-
-def _write_trace(doc: Dict[str, Any], fh: IO[str]) -> None:
-    """Write ``json.dumps(doc)`` plus a newline to ``fh``.
-
-    The C encoder does the work (``json.dump`` never uses it), one
-    top-level member, or one item of a top-level list, at a time, so a
-    multi-megabyte trace document is never held as one string.
-    """
-    fh.write("{")
-    sep = ""
-    for key, value in doc.items():
-        fh.write(f"{sep}{json.dumps(key)}: ")
-        sep = ", "
-        if isinstance(value, list) and value:
-            item_sep = "["
-            for item in value:
-                fh.write(item_sep + json.dumps(item))
-                item_sep = ", "
-            fh.write("]")
-        else:
-            fh.write(json.dumps(value))
-    fh.write("}\n")
 
 
 def _safe_label(label: str) -> str:
@@ -583,11 +561,13 @@ def _write_outputs(
     ``--trace DIR`` gets one ``<label>.trace.json`` per computed point
     (``-`` streams ``{"label": ..., "trace": {...}}`` JSON lines to
     stdout instead) and ``--record DIR`` one ``<label>.order`` each.
+    Both attachments arrive encoded (JSON text, base64 RRLG), so this
+    only writes them out.
     """
 
-    def dump_trace(doc: Any, path: str) -> None:
+    def dump_trace(text: str, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            _write_trace(doc, fh)
+            fh.write(text + "\n")
 
     def dump_order_log(doc: str, path: str) -> None:
         with open(path, "wb") as fh:
@@ -600,8 +580,8 @@ def _write_outputs(
     tracer = _collector(runner, TraceCollector)
     if tracer is not None and args.trace == "-":
         for label in sorted(tracer.docs):
-            sys.stdout.write(json.dumps(
-                {"label": label, "trace": tracer.docs[label]}) + "\n")
+            sys.stdout.write(f'{{"label": {json.dumps(label)}, '
+                             f'"trace": {tracer.docs[label]}}}\n')
         if tracer.docs:
             outputs["traces"] = ["-"]
     elif tracer is not None:
@@ -978,7 +958,8 @@ def trace_main(argv: List[str]) -> int:
               f"{envelope.get('error', envelope['status'])}",
               file=sys.stderr)
         return 1
-    doc = envelope["attachments"][tracer.name]
+    text = envelope["attachments"][tracer.name]
+    doc = json.loads(text)
     elapsed = envelope["payload"].get("time")
 
     if args.vgv or args.vgvz:
@@ -1004,7 +985,7 @@ def trace_main(argv: List[str]) -> int:
 
     if args.out:
         with _open_text_output(args.out, "trace document") as fh:
-            _write_trace(doc, fh)
+            fh.write(text + "\n")
         if args.out != "-":
             print(f"wrote trace document to {args.out}", file=sys.stderr)
     if args.chrome:

@@ -78,7 +78,7 @@ def verify_main(argv: List[str]) -> int:
         doc = {
             "log": args.log,
             "point": point.canonical(),
-            "decisions": len(log.decisions),
+            "decisions": len(log),
             "status": envelope["status"],
             "verified": verified,
         }
@@ -88,7 +88,7 @@ def verify_main(argv: List[str]) -> int:
         return 0 if verified else 1
     if verified:
         print(f"replay verify: {point.label}: OK "
-              f"({len(log.decisions)} decision(s) bit-identical)")
+              f"({len(log)} decision(s) bit-identical)")
         return 0
     print(f"replay verify: {point.label}: {envelope['status'].upper()}")
     if envelope.get("divergence"):

@@ -66,50 +66,63 @@ get = _slot.get
 
 
 class OrderRecorder:
-    """Appends every nondeterminism decision to an order log."""
+    """Appends every nondeterminism decision to an order log.
+
+    Each decision site appends plain values to the log's four columns;
+    no per-decision object is built."""
 
     enabled = True
 
     def __init__(self, meta: Optional[Dict[str, Any]] = None) -> None:
-        self.log = OrderLog(meta=meta)
+        self.log = log = OrderLog(meta=meta)
+        self._channels = log.channels
+        self._keys = log.keys
+        self._values = log.values
+        self._times = log.times
         self._obs = _obs_get()
 
     # -- decision sites -------------------------------------------------------
 
     def on_event(self, event: Any, when: float, priority: int) -> None:
         """The engine drained one (non-cancelled) event."""
-        self.log.decisions.append(
-            Decision(CH_EVENT, _event_key(event), priority, when)
-        )
+        self._channels.append(CH_EVENT)
+        name = getattr(event, "name", None)  # _event_key, inlined
+        self._keys.append(type(event).__name__ if name is None
+                          else "P:" + str(name))
+        self._values.append(priority)
+        self._times.append(when)
 
     def on_deliver(self, src: int, dst: int, tag: int, context: str,
                    position: int, time: float) -> None:
         """An envelope arrived: matched posted recv #position, or -1 =
         filed into the unexpected queue."""
-        self.log.decisions.append(
-            Decision(CH_DELIVER, f"{src}>{dst}:{tag}:{context}", position, time)
-        )
+        self._channels.append(CH_DELIVER)
+        self._keys.append(f"{src}>{dst}:{tag}:{context}")
+        self._values.append(position)
+        self._times.append(time)
 
     def on_match(self, src: int, dst: int, tag: int, context: str,
                  position: int, time: float) -> None:
         """A posted receive matched unexpected-queue envelope #position."""
-        self.log.decisions.append(
-            Decision(CH_MATCH, f"{src}>{dst}:{tag}:{context}", position, time)
-        )
+        self._channels.append(CH_MATCH)
+        self._keys.append(f"{src}>{dst}:{tag}:{context}")
+        self._values.append(position)
+        self._times.append(time)
 
     def on_fault(self, stream: str, draw: float, time: float) -> None:
         """The fault injector drew ``draw`` from named stream ``stream``."""
-        self.log.decisions.append(
-            Decision(CH_FAULT, stream, float_to_bits(draw), time)
-        )
+        self._channels.append(CH_FAULT)
+        self._keys.append(stream)
+        self._values.append(float_to_bits(draw))
+        self._times.append(time)
 
     # -- bookkeeping ----------------------------------------------------------
 
     def flush_obs(self) -> None:
         """Fold the recording counters into the metrics registry once,
         at detach time, so the per-decision path stays allocation-only."""
-        if self._obs.enabled and self.log.decisions:
-            self._obs.inc("replay.recorded_decisions", len(self.log.decisions))
+        if self._obs.enabled and len(self.log):
+            self._obs.inc("replay.recorded_decisions", len(self.log))
             self._obs.inc("replay.recordings")
 
     def snapshot(self) -> str:
@@ -155,13 +168,15 @@ class ReplayController:
     def _check(self, channel: int, key: str, value: int, time: float) -> None:
         if self.failure is not None:
             raise self.failure
-        actual = Decision(channel, key, value, time)
         index = self.cursor
-        if index >= len(self.log.decisions):
-            self._diverge(index, expected=None, actual=actual, time=time)
-        expected = self.log.decisions[index]
-        if expected != actual:
-            self._diverge(index, expected=expected, actual=actual, time=time)
+        log = self.log
+        if index >= len(log):
+            self._diverge(index, expected=None,
+                          actual=Decision(channel, key, value, time), time=time)
+        if ((channel, key, value, time) != (log.channels[index], log.keys[index],
+                                            log.values[index], log.times[index])):
+            self._diverge(index, expected=log.decision(index),
+                          actual=Decision(channel, key, value, time), time=time)
         self.cursor = index + 1
 
     def _diverge(
@@ -193,8 +208,8 @@ class ReplayController:
             # process nobody joined on); a completed run must still
             # surface it rather than count as verified.
             raise self.failure
-        if self.cursor < len(self.log.decisions):
-            pending = self.log.decisions[self.cursor]
+        if self.cursor < len(self.log):
+            pending = self.log.decision(self.cursor)
             self._diverge(self.cursor, expected=pending, actual=None,
                           time=pending.time)
         if self._obs.enabled:

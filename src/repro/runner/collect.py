@@ -28,6 +28,7 @@ what a single point needs (one replay log, not the sweep's).
 from __future__ import annotations
 
 import contextlib
+import json
 from typing import Any, ContextManager, Dict, Iterable, Iterator, List, Optional
 
 from .. import obs
@@ -113,7 +114,12 @@ class MetricsCollector(Collector):
 
 
 class TraceCollector(_PerLabel):
-    """A :mod:`repro.obs.trace` causal trace per point."""
+    """A :mod:`repro.obs.trace` causal trace per point.
+
+    The attachment is the trace document's JSON text (``json.dumps``,
+    default separators), encoded once in the worker that traced the
+    point: the parent writes it out as it is and never holds the
+    document as objects."""
 
     name = "trace"
     rank = 1
@@ -131,9 +137,23 @@ class TraceCollector(_PerLabel):
         return {"detail": self.detail, "capacity": self.capacity,
                 "compact": self.compact}
 
-    def open(self, point: SweepPoint) -> ContextManager[Any]:
-        return obs_trace.tracing(detail=self.detail, capacity=self.capacity,
-                                 compact=self.compact)
+    @contextlib.contextmanager
+    def open(self, point: SweepPoint) -> Iterator[Any]:
+        with obs_trace.tracing(detail=self.detail, capacity=self.capacity,
+                               compact=self.compact) as tracer:
+            yield _JSONText(tracer)
+
+
+class _JSONText:
+    """A sink handle whose snapshot is the sink's document as JSON text."""
+
+    __slots__ = ("sink",)
+
+    def __init__(self, sink: Any) -> None:
+        self.sink = sink
+
+    def snapshot(self) -> str:
+        return json.dumps(self.sink.snapshot(), check_circular=False)
 
 
 class SampleCollector(_PerLabel):

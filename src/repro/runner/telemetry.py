@@ -1,7 +1,9 @@
 """Structured sweep telemetry — JSON lines plus running counters.
 
 One :class:`SweepTelemetry` instance accompanies one
-:meth:`SweepRunner.run <repro.runner.runner.SweepRunner.run>` call.
+:class:`~repro.runner.runner.SweepRunner`; each
+:meth:`SweepRunner.run <repro.runner.runner.SweepRunner.run>` call is
+one sweep.
 Every event is a single JSON object on its own line, written to the
 given stream (e.g. stderr for ``--progress``) and retained in
 ``.events`` for tests and programmatic inspection:
@@ -101,8 +103,17 @@ def read_telemetry(
     return events
 
 
+#: Counters that restart with every sweep; :meth:`SweepTelemetry.summary`
+#: sums them over the sweeps of the runner.
+_SWEEP_COUNTERS = ("total", "done", "cached", "failed", "corrupt_discards")
+
+
 class SweepTelemetry:
-    """Counters + JSON-lines emitter for one sweep."""
+    """Counters + JSON-lines emitter for the sweeps of one runner.
+
+    ``total``, ``done``, ``cached``, ``failed`` and ``corrupt_discards``
+    count the current sweep (what ``point`` and ``sweep_end`` events
+    report); ``retries`` and ``warnings`` count every sweep."""
 
     def __init__(self, stream: Optional[IO[str]] = None) -> None:
         self.stream = stream
@@ -116,6 +127,8 @@ class SweepTelemetry:
         #: Corrupt cache entries discarded during this sweep (set by the
         #: runner from the cache backend's counter before ``sweep_end``).
         self.corrupt_discards = 0
+        #: The per-sweep counters of the sweeps before the current one.
+        self._earlier = dict.fromkeys(_SWEEP_COUNTERS, 0)
         self._t0: Optional[float] = None
         self._seq = 0
 
@@ -134,6 +147,9 @@ class SweepTelemetry:
 
     def sweep_start(self, total: int, cached: int, jobs: int) -> None:
         self._t0 = time.perf_counter()
+        for name in _SWEEP_COUNTERS:
+            self._earlier[name] += getattr(self, name)
+            setattr(self, name, 0)
         self.total = total
         self.emit("sweep_start", total=total, cached=cached, jobs=jobs)
 
@@ -215,17 +231,21 @@ class SweepTelemetry:
 
     @property
     def hit_rate(self) -> float:
-        """Cached points over total points (0.0 when the sweep is empty)."""
+        """Cached points over total points of the current sweep (0.0
+        when it is empty)."""
         return self.cached / self.total if self.total else 0.0
 
     def summary(self) -> Dict[str, Any]:
+        """The counters summed over every sweep so far."""
+        sums = {name: self._earlier[name] + getattr(self, name)
+                for name in _SWEEP_COUNTERS}
         return {
-            "total": self.total,
-            "ok": self.done - self.failed,
-            "cached": self.cached,
-            "failed": self.failed,
+            "total": sums["total"],
+            "ok": sums["done"] - sums["failed"],
+            "cached": sums["cached"],
+            "failed": sums["failed"],
             "retries": self.retries,
             "warnings": self.warnings,
-            "corrupt_discards": self.corrupt_discards,
-            "hit_rate": self.hit_rate,
+            "corrupt_discards": sums["corrupt_discards"],
+            "hit_rate": sums["cached"] / sums["total"] if sums["total"] else 0.0,
         }

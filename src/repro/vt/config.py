@@ -20,7 +20,10 @@ Directives are case-insensitive; symbol globs are case-sensitive.
 from __future__ import annotations
 
 import fnmatch
-from typing import Iterable, List, Set, Tuple
+from typing import TYPE_CHECKING, Iterable, List, Set, Tuple
+
+if TYPE_CHECKING:
+    from ..program.image import ExecutableImage
 
 __all__ = ["VTConfig", "VTConfigError"]
 
@@ -119,6 +122,25 @@ class VTConfig:
     def deactivation_table(self, names: Iterable[str]) -> Set[str]:
         """The table VT builds at init: the set of *deactivated* symbols."""
         return {n for n in names if not self.is_active(n)}
+
+    def deactivated(self, exe: "ExecutableImage") -> Set[str]:
+        """:meth:`deactivation_table` over every symbol of ``exe``.
+
+        Each rule's glob goes through :meth:`ExecutableImage.match
+        <repro.program.image.ExecutableImage.match>`, whose answer every
+        process image of the executable shares: the ranks rebuilding
+        their tables after one confsync epoch resolve each glob once,
+        not once per symbol per rank.  Applying the rules in order makes
+        the last match win, as in :meth:`is_active`; the rules are read
+        on every call, so a config changed in place stays exact.
+        """
+        off = set() if self.default_on else set(exe.symbols)
+        for glob, active in self.rules:
+            if active:
+                off.difference_update(exe.match(glob))
+            else:
+                off.update(exe.match(glob))
+        return off
 
     # -- serialisation (what confsync broadcasts) -----------------------------------
 

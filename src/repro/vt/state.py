@@ -195,10 +195,11 @@ class VTProcessState:
         self._init_time = task.now
 
     def _rebuild_table(self) -> None:
+        functions = self.image.functions
         self._off = {
             fi.fid
-            for fi in self.image.functions.values()
-            if fi.fid is not None and not self.config.is_active(fi.name)
+            for fi in map(functions.get, self.config.deactivated(self.image.exe))
+            if fi is not None and fi.fid is not None
         }
 
     def funcdef(self, task: Task, name: str) -> int:

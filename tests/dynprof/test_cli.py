@@ -46,3 +46,42 @@ def test_cli_ia32_machine(tmp_path):
                "--cpus", "2", "--scale", "0.05", "--machine", "ia32-linux"])
     assert rc == 0
     assert "application main computation" in out.read_text()
+
+
+BAD_SCALES = ["0", "-1", "nan", "inf"]
+
+
+def _no_simulation(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a simulation started despite a bad scale")
+
+    monkeypatch.setattr("repro.dynprof.cli.Environment", refuse)
+
+
+@pytest.mark.parametrize("scale", BAD_SCALES)
+def test_cli_bad_scale_is_a_usage_error(tmp_path, capsys, monkeypatch, scale):
+    script = tmp_path / "s.dp"
+    script.write_text("start\nquit\n")
+    _no_simulation(monkeypatch)
+    with pytest.raises(SystemExit) as exc:
+        main([str(script), "-", "-", "smg98", "--cpus", "2",
+              f"--scale={scale}"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --scale: scale must be finite and > 0" in captured.err
+
+
+@pytest.mark.parametrize("scale", BAD_SCALES)
+def test_cli_bad_input_deck_scale_is_a_usage_error(tmp_path, capsys,
+                                                   monkeypatch, scale):
+    script = tmp_path / "s.dp"
+    script.write_text("start\nquit\n")
+    deck = tmp_path / "smg98.in"
+    deck.write_text(f"scale = {scale}\n")
+    _no_simulation(monkeypatch)
+    with pytest.raises(SystemExit) as exc:
+        main([str(script), "-", "-", "smg98", "--cpus", "2",
+              "--input", str(deck)])
+    assert exc.value.code == 2
+    assert f"argument --input: {deck}:" in capsys.readouterr().err

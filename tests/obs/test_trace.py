@@ -41,6 +41,13 @@ def _traced_policy_run(policy="Dynamic", app="smg98", cpus=2, scale=0.02):
     return envelope
 
 
+def _trace_doc(envelope):
+    """The trace document an envelope carries as JSON text."""
+    text = envelope["attachments"]["trace"]
+    assert isinstance(text, str)
+    return json.loads(text)
+
+
 # ------------------------------------------------------------------ the tracer
 
 
@@ -125,7 +132,7 @@ def test_flow_edges_and_span_nesting_integrity():
     """Property test over a real traced run: every recv-side flow edge
     has exactly one matching send, and per-track spans never partially
     overlap (they nest or are disjoint)."""
-    doc = _traced_policy_run()["attachments"]["trace"]
+    doc = _trace_doc(_traced_policy_run())
     assert doc["dropped_events"] == 0
 
     pairs = flow_pairs(doc)
@@ -156,7 +163,7 @@ def test_flow_edges_and_span_nesting_integrity():
 def test_dropped_events_positive_when_capacity_exceeded():
     point = SweepPoint.policy_cell("smg98", "Full", 2, scale=0.02)
     envelope = execute_point(point, collectors=[TraceCollector(capacity=16)])
-    doc = envelope["attachments"]["trace"]
+    doc = _trace_doc(envelope)
     assert doc["dropped_events"] > 0
     for track in doc["tracks"]:
         assert len(track["events"]) <= 16
@@ -195,7 +202,7 @@ def test_runner_collects_confsync_epoch_events():
     runner = SweepRunner(collectors=[tracer])
     point = SweepPoint.confsync(2, reps=2)
     assert runner.run([point])[point].ok
-    doc = tracer.docs[point.label]
+    doc = json.loads(tracer.docs[point.label])
     names = {
         e["name"] for tr in doc["tracks"] for e in tr["events"]
     }
@@ -206,7 +213,7 @@ def test_runner_collects_confsync_epoch_events():
 
 
 def test_chrome_trace_round_trip_is_schema_valid(tmp_path):
-    doc = _traced_policy_run()["attachments"]["trace"]
+    doc = _trace_doc(_traced_policy_run())
     path = tmp_path / "run.chrome.json"
     write_chrome_trace(doc, str(path))
     loaded = json.loads(path.read_text(encoding="utf-8"))
@@ -235,7 +242,7 @@ def test_chrome_validator_rejects_malformed_documents():
 
 
 def test_svg_timeline_renders_tracks_and_flows():
-    doc = _traced_policy_run()["attachments"]["trace"]
+    doc = _trace_doc(_traced_policy_run())
     svg = trace_to_svg(doc, title="smoke")
     assert svg.startswith("<svg") and svg.endswith("</svg>")
     assert "smoke" in svg
@@ -274,7 +281,7 @@ def test_critical_path_follows_flow_edges_across_tracks():
 
 
 def test_critical_path_on_real_run_spans_multiple_ranks():
-    doc = _traced_policy_run()["attachments"]["trace"]
+    doc = _trace_doc(_traced_policy_run())
     cp = critical_path(doc)
     assert cp["path"] and cp["tracks_visited"] >= 2
     ts = [e["ts"] for e in cp["path"]]
@@ -287,7 +294,7 @@ def test_perturbation_report_fig8_ordering():
     shares = {}
     for policy in ("Full", "Dynamic", "None"):
         env = _traced_policy_run(policy=policy)
-        rep = perturbation_report(env["attachments"]["trace"],
+        rep = perturbation_report(_trace_doc(env),
                                   elapsed=env["payload"]["time"])
         shares[policy] = rep["instrumented_share"]
     assert shares["None"] == 0.0
@@ -297,7 +304,7 @@ def test_perturbation_report_fig8_ordering():
 
 def test_render_trace_summary_sections():
     env = _traced_policy_run()
-    text = render_trace_summary(env["attachments"]["trace"], elapsed=env["payload"]["time"])
+    text = render_trace_summary(_trace_doc(env), elapsed=env["payload"]["time"])
     assert "critical path:" in text
     assert "perturbation attribution" in text
     assert "instrumentation share:" in text
@@ -305,7 +312,7 @@ def test_render_trace_summary_sections():
     from repro.analysis import render_causal_trace_report
 
     assert render_causal_trace_report(
-        env["attachments"]["trace"], elapsed=env["payload"]["time"]
+        _trace_doc(env), elapsed=env["payload"]["time"]
     ) == text
 
 
@@ -383,7 +390,7 @@ def test_cli_trace_files_are_the_compact_json_of_each_document(
         path = trace_dir / f"{cli._safe_label(line['label'])}.trace.json"
         text = path.read_text(encoding="utf-8")
         assert text == json.dumps(line["trace"]) + "\n"
-        assert json.loads(text) == docs[line["label"]]
+        assert text == docs[line["label"]] + "\n"
 
 
 def test_cli_trace_subcommand_prints_summary(tmp_path, capsys):
@@ -494,10 +501,10 @@ def test_real_run_drops_less_with_ring_compaction():
     folding = execute_point(
         point, collectors=[TraceCollector(capacity=256, compact=True)])
     assert plain["status"] == folding["status"] == "ok"
-    d_plain = plain["attachments"]["trace"]["dropped_events"]
-    d_fold = folding["attachments"]["trace"]["dropped_events"]
+    d_plain = _trace_doc(plain)["dropped_events"]
+    d_fold = _trace_doc(folding)["dropped_events"]
     assert d_plain > 0
     assert d_fold < d_plain
-    assert folding["attachments"]["trace"]["folded_events"] > 0
+    assert _trace_doc(folding)["folded_events"] > 0
     # The simulation itself is untouched: identical payloads.
     assert plain["payload"] == folding["payload"]

@@ -1,8 +1,11 @@
-"""The RRLG order-log codec: round trips, truncation, b64, files."""
+"""The RRLG order-log codec: round trips, truncation, b64, files, and
+the bulk encoder against the scalar reference."""
 
 import hashlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.compact.container import DecodeError
 from repro.compact.varint import float_to_bits
@@ -13,6 +16,9 @@ from repro.replay.orderlog import (
     CH_MATCH,
     Decision,
     OrderLog,
+    _bulk_body,
+    _encode,
+    _scalar_body,
 )
 
 
@@ -120,3 +126,104 @@ def test_decision_to_dict_names_channel():
     assert doc["channel_name"] == "fault"
     assert doc["key"] == "loss.0.1"
     assert doc["value"] == 42
+
+
+# -- the bulk encoder against the scalar reference --------------------------------
+
+INT64 = (-(1 << 63), (1 << 63) - 1)
+
+_META = {"label": "prop"}
+#: The meta object's canonical JSON is interned before any key, so a key
+#: equal to it is a reference from its first use.
+_META_TEXT = '{"label":"prop"}'
+
+_times = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([0.0, -0.0, float("nan"), float("inf"), float("-inf"),
+                     5e-324, -5e-324, 2.2250738585072014e-308, 1e308,
+                     -1e308, 1.7976931348623157e308]),
+    # Near-monotonic runs, as a recorded engine makes.
+    st.floats(min_value=0.0, max_value=1e3),
+)
+_keys = st.one_of(
+    st.sampled_from(["P:rank0", "P:rank1", "0>1:7:world", "Timeout",
+                     "loss.0.1", "ключ", "键→", "", _META_TEXT]),
+    st.text(max_size=12),
+)
+_values = st.one_of(
+    st.integers(min_value=-4, max_value=300),
+    st.sampled_from([INT64[0], INT64[1], INT64[0] + 1, INT64[1] - 1, -1, 0]),
+    st.integers(*INT64),
+)
+_decisions = st.lists(
+    st.tuples(st.integers(0, 3), _keys, _values, _times), max_size=60)
+
+
+def _bits(time):
+    return float_to_bits(time)
+
+
+def _leaves_int64(log):
+    """Whether a value or a time delta of ``log`` is outside int64."""
+    def out(n):
+        return not INT64[0] <= n <= INT64[1]
+
+    prev_bits = prev_delta = 0
+    for value, time in zip(log.values, log.times):
+        delta = _bits(time) - prev_bits
+        if out(value) or out(delta) or out(delta - prev_delta):
+            return True
+        prev_bits, prev_delta = _bits(time), delta
+    return False
+
+
+@settings(max_examples=300, deadline=None)
+@given(_decisions)
+def test_bulk_encoder_writes_the_scalar_reference_bytes(decisions):
+    log = OrderLog(meta=dict(_META))
+    for decision in decisions:
+        log.append(*decision)
+    reference = _encode(log, _scalar_body)
+    assert log.to_bytes() == reference
+    try:
+        bulk = _encode(log, _bulk_body)
+    except OverflowError:
+        # Only a log that really leaves int64 takes the scalar path.
+        assert _leaves_int64(log)
+    else:
+        assert bulk == reference
+        assert not _leaves_int64(log)
+    back = OrderLog.from_bytes(reference)
+    assert back.channels == log.channels and back.keys == log.keys
+    assert back.values == log.values
+    assert list(map(_bits, back.times)) == list(map(_bits, log.times))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 3), _keys,
+                          st.integers(min_value=-(1 << 70), max_value=1 << 70),
+                          _times), min_size=1, max_size=20))
+def test_values_beyond_int64_fall_back_to_the_scalar_encoder(decisions):
+    log = OrderLog(meta=dict(_META))
+    for decision in decisions:
+        log.append(*decision)
+    assert log.to_bytes() == _encode(log, _scalar_body)
+
+
+@pytest.mark.parametrize("times", [
+    [0.0, 1e308, 0.0],                 # delta-of-delta wraps
+    [-1e308, 1e308],                   # bit-pattern delta wraps
+    [1.0, float("nan"), -0.0, float("-inf"), 5e-324],
+    [3.0, 2.0, 1.0, 0.5],              # fault draws stamped out of order
+])
+def test_awkward_time_runs_encode_like_the_reference(times):
+    log = OrderLog(meta={})
+    for i, time in enumerate(times):
+        log.append(CH_FAULT, f"s{i % 2}", i, time)
+    assert log.to_bytes() == _encode(log, _scalar_body)
+
+
+def test_empty_log_bulk_and_scalar_agree():
+    log = OrderLog(meta={"label": "empty"})
+    assert log.to_bytes() == _encode(log, _scalar_body) \
+        == _encode(log, _bulk_body)

@@ -130,3 +130,51 @@ def test_reader_accepts_stream_and_path(tmp_path):
     path.write_text(blob)
     assert read_telemetry(str(path)) == from_stream
     assert from_stream == [json.loads(line) for line in lines]
+
+
+# -- several sweeps on one runner -----------------------------------------------
+
+
+def _sweep_ends(events):
+    return [e for e in events if e["event"] == "sweep_end"]
+
+
+def test_each_sweep_counts_only_its_own_points(tmp_path):
+    """``point`` and ``sweep_end`` count the current sweep; the summary
+    sums every sweep of the runner."""
+    grids = [[SweepPoint.selftest(mode="echo", value=i) for i in values]
+             for values in ((0, 1, 2), (3,), (3, 4))]
+    SweepRunner(jobs=1, cache=tmp_path).run(grids[0])
+    runner = SweepRunner(jobs=1, cache=tmp_path)
+    for grid in grids:
+        assert all(r.ok for r in runner.run(grid).values())
+    events = runner.telemetry.events
+    ends = _sweep_ends(events)
+    assert [e["total"] for e in ends] == [3, 1, 2]
+    for end in ends:
+        assert end["ok"] + end["failed"] == end["total"]
+        assert 0.0 <= end["hit_rate"] <= 1.0
+    points = [e for e in events if e["event"] == "point"]
+    assert all(p["done"] <= p["of"] for p in points)
+    summary = runner.telemetry.summary()
+    assert summary["total"] == summary["ok"] == 6
+    assert [e["cached"] for e in ends] == [3, 0, 1]
+    assert summary["cached"] == 4
+    assert summary["hit_rate"] == 4 / 6
+
+
+def test_multi_panel_command_sweeps_stay_consistent(tmp_path, capsys):
+    """``fig8`` runs three sweeps: a warm re-run with ``--progress``
+    must report each one on its own (was: ``ok`` 22 of ``total`` 7)."""
+    from repro.experiments.cli import main
+
+    argv = ["fig8", "--quick", "--jobs", "1", "--cache-dir", str(tmp_path)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert main(argv + ["--progress"]) == 0
+    events = read_telemetry(io.StringIO(capsys.readouterr().err))
+    ends = _sweep_ends(events)
+    assert len(ends) == 3
+    for end in ends:
+        assert end["ok"] + end["failed"] == end["total"]
+        assert end["hit_rate"] <= 1

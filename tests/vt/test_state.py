@@ -282,3 +282,89 @@ def test_flush_to_skips_compression_accounting_without_obs():
     trace = TraceFile("app")
     vt.flush_to(trace)  # no registry installed: must not raise
     assert trace.raw_record_count == 2
+
+
+# -- the deactivation table, shared across ranks -------------------------------
+
+
+def _ranks(exe, n, config):
+    env = Environment()
+    cluster = Cluster(env, SPEC, seed=2)
+    registry = FunctionRegistry()
+    states = []
+    for rank in range(n):
+        task = Task(env, cluster.node(0), f"app[{rank}]", SPEC)
+        image = ProcessImage(env, exe, f"app[{rank}]")
+        vt = VTProcessState(env, SPEC, image, rank, registry, config)
+        vt.initialize(task)
+        states.append(vt)
+    return states
+
+
+def _reference_off(vt):
+    """The table as ``is_active`` defines it, one symbol at a time."""
+    return {fi.fid for fi in vt.image.functions.values()
+            if fi.fid is not None and not vt.config.is_active(fi.name)}
+
+
+SYMBOLS = ["main", "solve", "solve_x", "hypre_a", "hypre_b", "util[1]", "ÿ_x"]
+
+
+@pytest.mark.parametrize("config", [
+    VTConfig.all_on(),
+    VTConfig.all_off(),
+    VTConfig.subset(["solve", "hypre_b"]),
+    VTConfig(rules=[("solve*", False), ("hypre_?", False), ("hypre_a", True),
+                    ("util[[]1]", False)], default_on=True),
+    VTConfig(rules=[("*_x", True), ("nothing*", True)], default_on=False),
+], ids=["all-on", "all-off", "subset", "globs", "default-off"])
+def test_table_matches_is_active_on_every_rank(config):
+    exe = ExecutableImage("app")
+    for name in SYMBOLS:
+        exe.define(name)
+    exe.instrument_statically()
+    for vt in _ranks(exe, 3, config):
+        assert vt._off == _reference_off(vt)
+
+
+def test_each_glob_is_resolved_once_for_all_ranks(monkeypatch):
+    import fnmatch
+
+    calls = []
+    real = fnmatch.fnmatchcase
+    monkeypatch.setattr(fnmatch, "fnmatchcase",
+                        lambda name, pat: calls.append(pat) or real(name, pat))
+    exe = ExecutableImage("app")
+    for name in SYMBOLS:
+        exe.define(name)
+    exe.instrument_statically()
+    config = VTConfig(rules=[("*", False), ("solve*", True), ("main", True)])
+    states = _ranks(exe, 4, config)
+    for vt in states:  # a confsync epoch re-applies it on every rank
+        vt.apply_config(config)
+    # One pass over the symbol table per glob; "main" is an exact name.
+    assert sorted(set(calls)) == ["*", "solve*"]
+    assert len(calls) == 2 * len(SYMBOLS)
+    for vt in states:
+        assert vt._off == _reference_off(vt)
+
+
+def test_table_follows_rules_changed_after_creation():
+    exe = ExecutableImage("app")
+    for name in SYMBOLS:
+        exe.define(name)
+    exe.instrument_statically()
+    config = VTConfig.all_on()
+    states = _ranks(exe, 2, config)
+    assert all(vt._off == set() for vt in states)
+    config.rules.append(("solve*", False))
+    config.default_on = True
+    for vt in states:
+        vt.apply_config(config)
+        assert vt._off == _reference_off(vt) != set()
+    config.rules[-1] = ("hypre_*", False)
+    for vt in states:
+        vt.apply_config(config)
+        assert vt._off == _reference_off(vt)
+        names = {vt.registry.name_of(fid) for fid in vt._off}
+        assert names == {"hypre_a", "hypre_b"}
