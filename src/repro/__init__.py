@@ -18,98 +18,38 @@ Typical entry points::
 See README.md for a walkthrough and DESIGN.md for the architecture.
 """
 
-from .cluster import (
-    IA32_LINUX,
-    POWER3_SP,
-    Cluster,
-    MachineSpec,
-    Node,
-    Placement,
-    Task,
-    get_machine,
-)
-from .dpcl import DaemonHost, DpclClient
-from .dynprof import (
-    POLICIES,
-    DynamicControlMonitor,
-    DynProf,
-    PolicyResult,
-    run_policy,
-)
-from . import obs
-from .jobs import MpiJob, OmpJob, install_omp_symbols
-from .mpi import ANY_SOURCE, ANY_TAG, Communicator, MpiWorld, install_mpi_symbols
-from .obs import MetricsRegistry
-from .openmp import DynamicSchedule, GuidedSchedule, OpenMPRuntime, StaticSchedule
-from .program import ExecutableImage, ProcessImage, ProgramContext
-from .runner import (
-    PointResult,
-    ResultCache,
-    SweepError,
-    SweepPoint,
-    SweepRunner,
-    SweepTelemetry,
-    point_key,
-)
-from .simt import Environment, RandomStreams
-from .vt import TraceFile, VTConfig, VTProcessState, vt_confsync
+from ._lazy import lazy_exports
 
 __version__ = "1.1.0"
 
-__all__ = [
-    "__version__",
+# Each name loads its subpackage on first use: a cached figure
+# regeneration reads the runner and the machine specs, never the
+# simulator below them.
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
     # simulation
-    "Environment",
-    "RandomStreams",
+    ".simt": ("Environment", "RandomStreams"),
     # machine
-    "Cluster",
-    "MachineSpec",
-    "POWER3_SP",
-    "IA32_LINUX",
-    "get_machine",
-    "Node",
-    "Placement",
-    "Task",
+    ".cluster": ("Cluster", "MachineSpec", "POWER3_SP", "IA32_LINUX",
+                 "get_machine", "Node", "Placement", "Task"),
     # program model
-    "ExecutableImage",
-    "ProcessImage",
-    "ProgramContext",
+    ".program": ("ExecutableImage", "ProcessImage", "ProgramContext"),
     # runtimes
-    "MpiWorld",
-    "Communicator",
-    "ANY_SOURCE",
-    "ANY_TAG",
-    "install_mpi_symbols",
-    "OpenMPRuntime",
-    "StaticSchedule",
-    "DynamicSchedule",
-    "GuidedSchedule",
+    ".mpi": ("MpiWorld", "Communicator", "ANY_SOURCE", "ANY_TAG",
+             "install_mpi_symbols"),
+    ".openmp": ("OpenMPRuntime", "StaticSchedule", "DynamicSchedule",
+                "GuidedSchedule"),
     # instrumentation stack
-    "VTConfig",
-    "VTProcessState",
-    "TraceFile",
-    "vt_confsync",
-    "DpclClient",
-    "DaemonHost",
+    ".vt": ("VTConfig", "VTProcessState", "TraceFile", "vt_confsync"),
+    ".dpcl": ("DpclClient", "DaemonHost"),
     # the paper's tools
-    "DynProf",
-    "DynamicControlMonitor",
-    "POLICIES",
-    "PolicyResult",
-    "run_policy",
+    ".dynprof": ("DynProf", "DynamicControlMonitor", "POLICIES",
+                 "PolicyResult", "run_policy"),
     # job assembly
-    "MpiJob",
-    "OmpJob",
-    "install_omp_symbols",
+    ".jobs": ("MpiJob", "OmpJob", "install_omp_symbols"),
     # observability
-    "obs",
-    "MetricsRegistry",
+    ".obs": ("obs", "MetricsRegistry"),
     # sweep engine
-    "SweepRunner",
-    "SweepPoint",
-    "SweepError",
-    "SweepTelemetry",
-    "PointResult",
-    "ResultCache",
-    "point_key",
-]
+    ".runner": ("SweepRunner", "SweepPoint", "SweepError", "SweepTelemetry",
+                "PointResult", "ResultCache", "point_key"),
+})
+__all__.insert(0, "__version__")

@@ -18,9 +18,10 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Callable, Generator, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Generator, List, Sequence, Tuple
 
-from ..program import ExecutableImage, ProgramContext
+if TYPE_CHECKING:  # the program model loads with the first simulation
+    from ..program import ExecutableImage, ProgramContext
 
 __all__ = [
     "AppSpec",

@@ -24,10 +24,12 @@ monotonically cycle over cycle.
 from __future__ import annotations
 
 import math
-from typing import Generator, List
+from typing import TYPE_CHECKING, Generator, List
 
-from ..program import ExecutableImage, ProgramContext
 from .base import AppSpec, MPI_SCALING_CPUS, NoiseProfile, grid_dims, neighbors_2d
+
+if TYPE_CHECKING:  # the program model loads with the first simulation
+    from ..program import ExecutableImage, ProgramContext
 
 __all__ = ["SMG98", "build_exe", "make_program"]
 
@@ -108,6 +110,8 @@ _noise = NoiseProfile(UTIL_FUNCS, hot_count=10, hot_share=0.8, mean_cost=1.15e-6
 
 def build_exe(instrument_static: bool) -> ExecutableImage:
     """Compile Smg98: define all 199 symbols, optionally VT-instrumented."""
+    from ..program import ExecutableImage
+
     exe = ExecutableImage("smg98")
     exe.define("hypre_SMGSolve", body=_smg_solve, module="smg")
     exe.define("hypre_SMGSetup", body=_smg_setup, module="smg")

@@ -15,10 +15,12 @@ sweep; total mass is conserved to machine precision (test invariant).
 from __future__ import annotations
 
 import math
-from typing import Generator, List
+from typing import TYPE_CHECKING, Generator, List
 
-from ..program import ExecutableImage, ProgramContext
 from .base import AppSpec, MPI_SCALING_CPUS, NoiseProfile, grid_dims, neighbors_2d
+
+if TYPE_CHECKING:  # the program model loads with the first simulation
+    from ..program import ExecutableImage, ProgramContext
 
 __all__ = ["SPPM", "build_exe", "make_program"]
 
@@ -77,6 +79,8 @@ _noise = NoiseProfile(
 
 
 def build_exe(instrument_static: bool) -> ExecutableImage:
+    from ..program import ExecutableImage
+
     exe = ExecutableImage("sppm")
     for axis in "xyz":
         exe.define(f"sppm_hydro_{axis}", body=_make_hydro(axis), module="hydro")

@@ -15,10 +15,12 @@ Dynamic run instruments all 21 functions.
 
 from __future__ import annotations
 
-from typing import Generator, List, Optional
+from typing import TYPE_CHECKING, Generator, List, Optional
 
-from ..program import ExecutableImage, ProgramContext
 from .base import AppSpec, NoiseProfile, grid_dims
+
+if TYPE_CHECKING:  # the program model loads with the first simulation
+    from ..program import ExecutableImage, ProgramContext
 
 __all__ = ["SWEEP3D", "build_exe", "make_program"]
 
@@ -70,6 +72,8 @@ _noise = NoiseProfile(
 
 
 def build_exe(instrument_static: bool) -> ExecutableImage:
+    from ..program import ExecutableImage
+
     exe = ExecutableImage("sweep3d")
     exe.define("inner", body=_inner, module="sweep3d")
     exe.define("octant", body=_octant, module="sweep3d")

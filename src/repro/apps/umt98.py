@@ -14,11 +14,12 @@ why dynprof's instrumentation time is flat in Figure 9.
 
 from __future__ import annotations
 
-from typing import Generator, List
+from typing import TYPE_CHECKING, Generator, List
 
-from ..openmp import DynamicSchedule
-from ..program import ExecutableImage, ProgramContext
 from .base import AppSpec, NoiseProfile, OMP_SCALING_CPUS
+
+if TYPE_CHECKING:  # the program model loads with the first simulation
+    from ..program import ExecutableImage, ProgramContext
 
 __all__ = ["UMT98", "build_exe", "make_program"]
 
@@ -83,6 +84,8 @@ _noise = NoiseProfile(
 
 
 def build_exe(instrument_static: bool) -> ExecutableImage:
+    from ..program import ExecutableImage
+
     exe = ExecutableImage("umt98")
     exe.define("snswp3d", body=_snswp3d, module="umt")
     exe.define("snflwxyz", body=_snflwxyz, module="umt")
@@ -135,6 +138,8 @@ def _snmoments(pctx: ProgramContext) -> None:
 
 
 def make_program(n_threads: int, scale: float = 1.0):
+    from ..openmp import DynamicSchedule
+
     def program(pctx: ProgramContext) -> Generator:
         import numpy as np
 

@@ -5,49 +5,27 @@ dynamic control of instrumentation for MPI/OpenMP applications.
 * :mod:`~repro.dynprof.commands` — the Table 1 command language.
 * :mod:`~repro.dynprof.bootstrap` — the Figure 6 MPI_Init/VT_init
   bootstrap snippets.
-* :mod:`~repro.dynprof.policies` — the Table 3 instrumentation policies
-  and the Figure 7 cell runner.
+* :mod:`~repro.dynprof.policyspec` — the Table 3 instrumentation
+  policies as data, and :mod:`~repro.dynprof.policies` — the Figure 7
+  cell runner.
 * :class:`DynamicControlMonitor` — the Figure 2 monitoring tool for
   dynamic control of instrumentation.
+
+Each name loads its module on first use: the policy names come without
+the tool and the simulator under it.
 """
 
-from .bootstrap import (
-    INIT_CALLBACK_TAG,
-    SPIN_VARIABLE,
-    bootstrap_anchor,
-    mpi_init_bootstrap,
-    vt_init_bootstrap,
-)
-from .commands import Command, CommandError, HELP_TEXT, parse_command, parse_script
-from .control import BreakpointVisit, DynamicControlMonitor
-from .ephemeral import EphemeralProfiler, SamplingReport
-from .policies import (POLICIES, PolicyResult, policy_description,
-                       run_policy, run_policy_job)
-from .timefile import Timefile, TimedPhase
-from .tool import DynProf, DynProfError
+from .._lazy import lazy_exports
 
-__all__ = [
-    "DynProf",
-    "DynProfError",
-    "Command",
-    "CommandError",
-    "HELP_TEXT",
-    "parse_command",
-    "parse_script",
-    "Timefile",
-    "TimedPhase",
-    "POLICIES",
-    "PolicyResult",
-    "policy_description",
-    "run_policy",
-    "run_policy_job",
-    "DynamicControlMonitor",
-    "BreakpointVisit",
-    "EphemeralProfiler",
-    "SamplingReport",
-    "mpi_init_bootstrap",
-    "vt_init_bootstrap",
-    "bootstrap_anchor",
-    "SPIN_VARIABLE",
-    "INIT_CALLBACK_TAG",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    ".tool": ("DynProf", "DynProfError"),
+    ".commands": ("Command", "CommandError", "HELP_TEXT", "parse_command",
+                  "parse_script"),
+    ".timefile": ("Timefile", "TimedPhase"),
+    ".policyspec": ("POLICIES", "PolicyResult", "policy_description"),
+    ".policies": ("run_policy", "run_policy_job"),
+    ".control": ("DynamicControlMonitor", "BreakpointVisit"),
+    ".ephemeral": ("EphemeralProfiler", "SamplingReport"),
+    ".bootstrap": ("mpi_init_bootstrap", "vt_init_bootstrap",
+                   "bootstrap_anchor", "SPIN_VARIABLE", "INIT_CALLBACK_TAG"),
+})

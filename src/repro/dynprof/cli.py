@@ -22,6 +22,7 @@ import sys
 from typing import List, Optional
 
 from ..apps import ALL_APPS, InputDeck, deck_scale, get_app
+from ..cliargs import positive_int
 from ..cluster import Cluster, get_machine
 from ..jobs import MpiJob, OmpJob
 from ..runner.point import check_scale
@@ -29,6 +30,12 @@ from ..simt import Environment
 from .tool import DynProf
 
 __all__ = ["main"]
+
+
+def _unreadable(path: str, exc: OSError) -> int:
+    """One error line for an input file that cannot be read; exit 2."""
+    print(f"repro-dynprof: {path}: {exc.strerror or exc}", file=sys.stderr)
+    return 2
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -42,7 +49,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("timefile", help="internal-timings file, or '-' for stdout")
     parser.add_argument("target", choices=sorted(ALL_APPS),
                         help="target application")
-    parser.add_argument("--cpus", type=int, default=4,
+    parser.add_argument("--cpus", type=positive_int, default=4,
                         help="MPI processes / OpenMP threads (default 4)")
     parser.add_argument("--scale", type=float, default=0.1,
                         help="workload scale factor (default 0.1)")
@@ -62,18 +69,27 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error(f"argument --scale: {exc}")
     n_cpus = args.cpus
     if args.input:
-        deck = InputDeck.load(args.input)
+        try:
+            deck = InputDeck.load(args.input)
+        except OSError as exc:
+            return _unreadable(args.input, exc)
         try:
             scale = check_scale(deck_scale(app, deck, default_scale=scale))
         except ValueError as exc:
             parser.error(f"argument --input: {args.input}: {exc}")
         n_cpus = deck.get_int("ncpus", args.cpus)
+        if n_cpus < 1:
+            parser.error(f"argument --input: {args.input}: ncpus must be "
+                         f">= 1, got {n_cpus}")
 
     if args.stdin == "-":
         script = sys.stdin.read()
     else:
-        with open(args.stdin, "r", encoding="utf-8") as fh:
-            script = fh.read()
+        try:
+            with open(args.stdin, "r", encoding="utf-8") as fh:
+                script = fh.read()
+        except OSError as exc:
+            return _unreadable(args.stdin, exc)
 
     env = Environment()
     cluster = Cluster(env, get_machine(args.machine), seed=args.seed)

@@ -9,43 +9,23 @@
 * :func:`render_table1` / 2 / 3 — the paper's tables, generated from
   the live implementation;
 * :mod:`~repro.experiments.cli` — the ``repro-experiments`` entry point.
+
+Each name loads its module on first use.  The figure modules only
+build sweep grids and read payloads back; the simulations their points
+run live in :mod:`~repro.experiments.measure` and
+:mod:`repro.dynprof.policies`.
 """
 
-from .fig7 import FIG7_PANELS, fig7_shape_report, run_fig7
-from .fig8 import (
-    IA32_PROC_COUNTS,
-    IBM_PROC_COUNTS,
-    measure_confsync,
-    run_fig8a,
-    run_fig8b,
-    run_fig8c,
-)
-from .fig9 import measure_create_and_instrument, run_fig9
-from .overhead import OverheadTimeline, run_overhead_timeline
-from .results import FigureResult, Series
-from .tables import render_table1, render_table2, render_table3
-from .tracevol import TraceVolumeRow, render_tracevol, run_tracevol
+from .._lazy import lazy_exports
 
-__all__ = [
-    "FigureResult",
-    "Series",
-    "run_fig7",
-    "fig7_shape_report",
-    "FIG7_PANELS",
-    "measure_confsync",
-    "run_fig8a",
-    "run_fig8b",
-    "run_fig8c",
-    "IBM_PROC_COUNTS",
-    "IA32_PROC_COUNTS",
-    "run_fig9",
-    "measure_create_and_instrument",
-    "render_table1",
-    "render_table2",
-    "render_table3",
-    "run_tracevol",
-    "render_tracevol",
-    "TraceVolumeRow",
-    "run_overhead_timeline",
-    "OverheadTimeline",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    ".results": ("FigureResult", "Series"),
+    ".fig7": ("run_fig7", "fig7_shape_report", "FIG7_PANELS"),
+    ".fig8": ("run_fig8a", "run_fig8b", "run_fig8c", "IBM_PROC_COUNTS",
+              "IA32_PROC_COUNTS"),
+    ".fig9": ("run_fig9",),
+    ".measure": ("measure_confsync", "measure_create_and_instrument"),
+    ".tables": ("render_table1", "render_table2", "render_table3"),
+    ".tracevol": ("run_tracevol", "render_tracevol", "TraceVolumeRow"),
+    ".overhead": ("run_overhead_timeline", "OverheadTimeline"),
+})

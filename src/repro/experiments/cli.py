@@ -86,30 +86,24 @@ import json
 import os
 import re
 import sys
-from typing import Any, Callable, Dict, List, Optional, Union
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Union
 
-from ..apps import ALL_APPS, get_app
+from ..cliargs import positive_int
 from ..cluster import MACHINES, get_machine
-from ..compact.container import from_ascii, to_ascii
-from ..dynprof import POLICIES
-from ..faults import CANNED_PLANS, FaultPlan, canned_plan
 from ..obs.trace import DEFAULT_CAPACITY as DEFAULT_TRACE_CAPACITY
-from ..replay.orderlog import OrderLog
 from ..runner import SweepError, SweepPoint, SweepRunner, default_cache_dir
 from ..runner.collect import (Collector, MetricsCollector, OrderCollector,
                              ReplayCollector, SampleCollector, TraceCollector)
 from ..runner.point import check_scale
-from .fig7 import FIG7_PANELS, fig7_shape_report, run_fig7
-from .fig8 import IA32_PROC_COUNTS, IBM_PROC_COUNTS, run_fig8a, run_fig8b, run_fig8c
-from .fig9 import run_fig9
 from .results import FigureResult
-from .tables import render_table1, render_table2, render_table3
-from .tracevol import (
-    render_compression,
-    render_tracevol,
-    run_tracevol,
-    run_tracevol_compression,
-)
+
+if TYPE_CHECKING:
+    from ..faults import FaultPlan
+
+# The figure modules, the app catalogue, the policy names and the fault
+# plans are imported by the functions that use them: an invocation
+# loads what it runs, and only a simulated point loads the simulator
+# (repro.runner.worker.preload).
 
 __all__ = ["main", "run_experiment", "EXPERIMENTS", "ExperimentOutput"]
 
@@ -155,39 +149,60 @@ def run_experiment(
         faults = None
     out: List[ExperimentOutput] = []
     if name == "table1":
+        from .tables import render_table1
+
         out.append(render_table1())
     elif name == "table2":
+        from .tables import render_table2
+
         out.append(render_table2())
     elif name == "table3":
+        from .tables import render_table3
+
         out.append(render_table3())
-    elif name in FIG7_PANELS:
+    elif name == "fig7":
+        from .fig7 import FIG7_PANELS
+
+        for panel in FIG7_PANELS:
+            out.extend(run_experiment(panel, scale, seed, quick, runner,
+                                      faults))
+    elif name.startswith("fig7") and name in EXPERIMENTS:
+        from ..apps import get_app
+        from .fig7 import FIG7_PANELS, fig7_shape_report, run_fig7
+
         app = get_app(FIG7_PANELS[name])
         cpus = _quick_counts(app.cpu_counts, 16) if quick else None
         fig = run_fig7(app, cpu_counts=cpus, scale=scale, seed=seed,
                        runner=runner, faults=faults)
         out.append(fig)
         out.append("\n".join(fig7_shape_report(fig, app)) + "\n")
-    elif name == "fig7":
-        for panel in ("fig7a", "fig7b", "fig7c", "fig7d"):
-            out.extend(run_experiment(panel, scale, seed, quick, runner,
-                                      faults))
     elif name == "fig8a":
+        from .fig8 import IBM_PROC_COUNTS, run_fig8a
+
         counts = _quick_counts(IBM_PROC_COUNTS, 32) if quick else IBM_PROC_COUNTS
         out.append(run_fig8a(counts, seed=seed, runner=runner))
     elif name == "fig8b":
+        from .fig8 import IBM_PROC_COUNTS, run_fig8b
+
         counts = _quick_counts(IBM_PROC_COUNTS, 32) if quick else IBM_PROC_COUNTS
         out.append(run_fig8b(counts, seed=seed, runner=runner))
     elif name == "fig8c":
+        from .fig8 import IA32_PROC_COUNTS, run_fig8c
+
         counts = _quick_counts(IA32_PROC_COUNTS, 8) if quick else IA32_PROC_COUNTS
         out.append(run_fig8c(counts, seed=seed, runner=runner))
     elif name == "fig8":
         for panel in ("fig8a", "fig8b", "fig8c"):
             out.extend(run_experiment(panel, scale, seed, quick, runner))
     elif name == "fig9":
+        from .fig9 import run_fig9
+
         cpus = (1, 2, 4, 8) if quick else None
         out.append(run_fig9(cpu_counts=cpus, seed=seed, runner=runner,
                             faults=faults))
     elif name == "tracevol":
+        from .tracevol import render_tracevol, run_tracevol
+
         n = 4 if quick else 16
         out.append(render_tracevol(
             run_tracevol(n_cpus=n, scale=scale, seed=seed, runner=runner,
@@ -196,6 +211,8 @@ def run_experiment(
     elif name == "tracevol-compress":
         # In-process only: the compactor needs the postmortem TraceFile
         # itself, which never travels through the cache/worker envelope.
+        from .tracevol import render_compression, run_tracevol_compression
+
         n = 2 if quick else 4
         out.append(render_compression(
             run_tracevol_compression(n_cpus=n, scale=scale, seed=seed)
@@ -314,6 +331,9 @@ def _load_replay_logs(path: str) -> Dict[str, str]:
     of them; returns a ``label -> base64 log`` mapping keyed by each
     log's recorded point label.  Raises ``ValueError`` naming the
     offending file."""
+    from ..compact.container import to_ascii
+    from ..replay.orderlog import OrderLog
+
     if os.path.isdir(path):
         files = [os.path.join(path, entry)
                  for entry in sorted(os.listdir(path))
@@ -449,11 +469,11 @@ def _replay_matched_nothing(args: argparse.Namespace,
 def _close_runner(runner: SweepRunner) -> None:
     """Release service-layer resources the CLI created for this run
     (process pools, socket listeners, sqlite handles, write-behind
-    upload queues)."""
-    from ..svc.executors import ExecutorBackend
-
-    if isinstance(runner.executor, ExecutorBackend):
-        runner.executor.close()
+    upload queues).  The executor is None or a spec string until a
+    grid with cache misses resolves it to a backend."""
+    close = getattr(runner.executor, "close", None)
+    if close is not None:
+        close()
     if runner.cache is not None:
         try:
             runner.cache.close()
@@ -570,6 +590,8 @@ def _write_outputs(
             fh.write(text + "\n")
 
     def dump_order_log(doc: str, path: str) -> None:
+        from ..compact.container import from_ascii
+
         with open(path, "wb") as fh:
             fh.write(from_ascii(doc))
 
@@ -603,8 +625,8 @@ def _write_outputs(
 # -- the `sweep` subcommand -----------------------------------------------------
 
 
-def _int_list(text: str) -> List[int]:
-    return [int(part) for part in text.split(",") if part]
+def _cpu_list(text: str) -> List[int]:
+    return [positive_int(part) for part in text.split(",") if part]
 
 
 def _str_list(text: str) -> List[str]:
@@ -623,6 +645,9 @@ def _scale(text: str) -> float:
 def sweep_main(argv: List[str]) -> int:
     """``repro-experiments sweep`` — run an ad-hoc (app x policy x CPUs)
     grid through the runner and print one row per point."""
+    from ..apps import ALL_APPS, get_app
+    from ..dynprof import POLICIES
+
     parser = argparse.ArgumentParser(
         prog="repro-experiments sweep",
         description="Run an arbitrary (app x policy x CPU-count) grid "
@@ -632,7 +657,7 @@ def sweep_main(argv: List[str]) -> int:
                         metavar="A,B", help=f"applications (default: all of {','.join(ALL_APPS)})")
     parser.add_argument("--policies", type=_str_list, default=list(POLICIES),
                         metavar="P,Q", help=f"policies (default: all of {','.join(POLICIES)})")
-    parser.add_argument("--cpus", type=_int_list, default=None, metavar="1,4,16",
+    parser.add_argument("--cpus", type=_cpu_list, default=None, metavar="1,4,16",
                         help="CPU counts (default: each app's own counts)")
     parser.add_argument("--scale", type=_scale, default=0.1,
                         help="workload scale factor (default 0.1)")
@@ -723,6 +748,8 @@ def sweep_main(argv: List[str]) -> int:
 
 
 def _add_faults_args(parser: argparse.ArgumentParser) -> None:
+    from ..faults import CANNED_PLANS
+
     parser.add_argument("--faults", metavar="FILE", default=None,
                         help="run under the fault-injection plan in FILE "
                              "(JSON, see docs/faults.md); an empty plan "
@@ -737,6 +764,8 @@ def _load_fault_plan(
     args: argparse.Namespace, parser: argparse.ArgumentParser
 ) -> Optional[FaultPlan]:
     """The plan ``--faults``/``--plan`` selected, or None."""
+    from ..faults import FaultPlan, canned_plan
+
     if args.faults and args.plan:
         parser.error("--faults and --plan are mutually exclusive")
     if args.plan:
@@ -890,6 +919,8 @@ def trace_main(argv: List[str]) -> int:
     summary."""
     if argv and argv[0] == "compact":
         return trace_compact_main(argv[1:])
+    from ..apps import ALL_APPS, get_app
+    from ..dynprof import POLICIES
     from ..obs.analysis import render_trace_summary
     from ..obs.export import save_trace_svg, write_chrome_trace
     from ..runner.worker import execute_point
@@ -906,7 +937,7 @@ def trace_main(argv: List[str]) -> int:
     parser.add_argument("--policy", default="Dynamic",
                         help=f"instrumentation policy (one of "
                              f"{','.join(POLICIES)}; default Dynamic)")
-    parser.add_argument("--cpus", type=int, default=4,
+    parser.add_argument("--cpus", type=positive_int, default=4,
                         help="process count (default 4)")
     parser.add_argument("--scale", type=_scale, default=0.1,
                         help="workload scale factor (default 0.1)")
@@ -1010,6 +1041,8 @@ def trace_main(argv: List[str]) -> int:
 
 def _add_point_args(parser: argparse.ArgumentParser) -> None:
     """The one-point options of ``chaos`` and ``replay bisect``."""
+    from ..apps import ALL_APPS
+
     parser.add_argument("--kind", choices=("instrument", "policy"),
                         default="instrument",
                         help="point kind: 'instrument' = a Figure 9 cell "
@@ -1020,7 +1053,7 @@ def _add_point_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--policy", default="Dynamic",
                         help="instrumentation policy for --kind policy "
                              "(default Dynamic)")
-    parser.add_argument("--cpus", type=int, default=32,
+    parser.add_argument("--cpus", type=positive_int, default=32,
                         help="process count (default 32: spans several "
                              "nodes, so node-level faults bite)")
     parser.add_argument("--scale", type=_scale, default=0.02,
@@ -1036,6 +1069,9 @@ def _point_from_args(
     faults: Optional[FaultPlan] = None,
 ) -> SweepPoint:
     """The point :func:`_add_point_args` describes, under ``faults``."""
+    from ..apps import get_app
+    from ..dynprof import POLICIES
+
     try:
         get_app(args.app)
     except KeyError as exc:
@@ -1097,6 +1133,8 @@ def chaos_main(argv: List[str]) -> int:
 
     plan = _load_fault_plan(args, parser)
     if plan is None:
+        from ..faults import canned_plan
+
         plan = canned_plan("daemon-crash-attach")
     point = _point_from_args(args, parser, faults=plan)
 
@@ -1126,6 +1164,8 @@ def chaos_main(argv: List[str]) -> int:
             return 1
 
     if args.record:
+        from ..compact.container import from_ascii
+
         try:
             with open(args.record, "wb") as fh:
                 fh.write(from_ascii(attachments[OrderCollector.name]))

@@ -9,22 +9,20 @@ Three experiments, each data point the average over 16 calls:
     interaction time;
 (c) VT_confsync (no change) on the 16-node IA32 Linux cluster — same
     qualitative behaviour on a different architecture.
+
+Each data point is one ``confsync`` sweep point;
+:func:`repro.experiments.measure.measure_confsync` simulates it.
 """
 
 from __future__ import annotations
 
-from typing import Generator, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
-from ..cluster import Cluster, IA32_LINUX, MachineSpec, POWER3_SP
-from ..jobs import MpiJob
-from ..program import ExecutableImage
+from ..cluster import IA32_LINUX, MachineSpec, POWER3_SP
 from ..runner import SweepPoint, SweepRunner
-from ..simt import Environment
-from ..vt import VTConfig, vt_confsync
 from .results import FigureResult
 
 __all__ = [
-    "measure_confsync",
     "run_fig8a",
     "run_fig8b",
     "run_fig8c",
@@ -39,61 +37,6 @@ IA32_PROC_COUNTS = tuple(range(2, 17))
 
 #: Calls averaged per data point, as in the paper.
 REPS = 16
-
-
-def _confsync_exe(n_funcs: int = 30) -> ExecutableImage:
-    """A small statically instrumented target for the confsync runs."""
-    exe = ExecutableImage("confsync-bench")
-    for i in range(n_funcs):
-        exe.define(f"phase{i:02d}")
-    exe.instrument_statically()
-    return exe
-
-
-def measure_confsync(
-    n_procs: int,
-    machine: MachineSpec = POWER3_SP,
-    change: bool = False,
-    stats: bool = False,
-    reps: int = REPS,
-    seed: int = 0,
-) -> float:
-    """Average VT_confsync cost (max over ranks) for one configuration."""
-    env = Environment()
-    cluster = Cluster(env, machine, seed=seed)
-    exe = _confsync_exe()
-
-    # Alternating configurations so every epoch is a genuine change.
-    configs = [VTConfig.all_off(), VTConfig.all_on()]
-
-    def program(pctx) -> Generator:
-        yield from pctx.call("MPI_Init")
-        vt = pctx.image.vt
-        rank = pctx.mpi.rank
-        if change and rank == 0:
-            state = {"i": 0}
-
-            def hook(_pctx):
-                cfg = configs[state["i"] % 2]
-                state["i"] += 1
-                return cfg
-
-            vt.break_hook = hook
-        comm = pctx.mpi.comm
-        yield from comm.barrier()
-        elapsed = []
-        for _rep in range(reps):
-            t0 = pctx.now
-            yield from vt_confsync(pctx, write_stats=stats)
-            elapsed.append(pctx.now - t0)
-        yield from pctx.call("MPI_Finalize")
-        return sum(elapsed) / len(elapsed)
-
-    job = MpiJob(env, cluster, exe, n_procs, program)
-    job.start()
-    env.run(until=job.completion())
-    env.run()
-    return max(p.value for p in job.procs)
 
 
 def _confsync_series(

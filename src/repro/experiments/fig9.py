@@ -10,93 +10,23 @@ The MPI curves grow with the process count — dynprof must download and
 navigate one program structure, and patch one image, per process — while
 Umt98's curve is flat: all OpenMP threads share a single image
 (Section 5.1).
+
+Each data point is one ``instrument`` sweep point;
+:func:`repro.experiments.measure.measure_create_and_instrument`
+simulates it.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from ..apps import ALL_APPS, AppSpec, get_app
-from ..cluster import Cluster, MachineSpec, POWER3_SP
-from ..dynprof import DynProf
-from ..faults import FaultInjector, FaultPlan
-from ..jobs import MpiJob, OmpJob
+from ..cluster import MachineSpec, POWER3_SP
+from ..faults import FaultPlan
 from ..runner import SweepPoint, SweepRunner
-from ..simt import Environment
 from .results import FigureResult
 
-__all__ = [
-    "measure_create_and_instrument",
-    "measure_create_and_instrument_detail",
-    "run_fig9",
-]
-
-
-def measure_create_and_instrument_detail(
-    app: AppSpec | str,
-    n_cpus: int,
-    machine: MachineSpec = POWER3_SP,
-    scale: float = 0.02,
-    seed: int = 0,
-    faults: Optional[FaultPlan] = None,
-) -> Dict[str, Any]:
-    """One Figure 9 data point, with diagnostics.
-
-    Returns ``{"time": ..., "faults": ...}`` where ``faults`` is the
-    tool's fault report when an injection plan is armed, else None.
-    """
-    app = get_app(app) if isinstance(app, str) else app
-    env = Environment()
-    cluster = Cluster(env, machine, seed=seed)
-    injector = FaultInjector.install(faults, cluster)
-    exe = app.build_exe(False)
-    program = app.make_program(n_cpus, scale)
-    if app.kind == "mpi":
-        job = MpiJob(env, cluster, exe, n_cpus, program, start_suspended=True)
-    else:
-        job = OmpJob(env, cluster, exe, n_cpus, program, start_suspended=True)
-    # Same sampled-telemetry hook as run_policy_job: a no-op (None)
-    # unless obs.timeseries sampling is enabled for this run.
-    from ..dynprof.policies import _probe_stats_provider
-    from ..obs.timeseries import MetricsSampler
-
-    sampler = MetricsSampler.install(env,
-                                     probe_stats=_probe_stats_provider(job))
-    tool = DynProf(
-        env, cluster, job,
-        file_contents={"targets.txt": "\n".join(app.dynamic_targets)},
-    )
-    proc = tool.run_script("insert-file targets.txt\nstart\nquit\n")
-    env.run(until=proc)
-    assert tool.create_and_instrument_time is not None
-    # Let the job drain so the environment ends cleanly.
-    env.run(until=job.completion())
-    if sampler is not None:
-        sampler.stop()
-    env.run()
-    if sampler is not None:
-        sampler.finish()
-    report = tool.fault_report() if injector is not None else None
-    return {"time": tool.create_and_instrument_time, "faults": report}
-
-
-def measure_create_and_instrument(
-    app: AppSpec | str,
-    n_cpus: int,
-    machine: MachineSpec = POWER3_SP,
-    scale: float = 0.02,
-    seed: int = 0,
-    faults: Optional[FaultPlan] = None,
-) -> float:
-    """One Figure 9 data point: dynprof's create+instrument wall time.
-
-    The application's own runtime is irrelevant here, so a tiny
-    ``scale`` keeps the measurement cheap; the instrumentation time
-    itself does not depend on the workload scale.
-    """
-    return measure_create_and_instrument_detail(
-        app, n_cpus, machine=machine, scale=scale, seed=seed, faults=faults,
-    )["time"]
+__all__ = ["run_fig9"]
 
 
 def _fig9_cell_runs(app: AppSpec, n: int) -> bool:

@@ -22,14 +22,10 @@ hardened consumer (DPCL client retries, dynprof quarantine, runner
 retry policy).
 """
 
-from .injector import FaultInjector
-from .plan import CANNED_PLANS, FAULT_KINDS, FaultPlan, FaultSpec, canned_plan
+from .._lazy import lazy_exports
 
-__all__ = [
-    "FaultPlan",
-    "FaultSpec",
-    "FaultInjector",
-    "FAULT_KINDS",
-    "CANNED_PLANS",
-    "canned_plan",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    ".plan": ("FaultPlan", "FaultSpec", "FAULT_KINDS", "CANNED_PLANS",
+              "canned_plan"),
+    ".injector": ("FaultInjector",),
+})

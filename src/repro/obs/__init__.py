@@ -47,25 +47,13 @@ See ``docs/observability.md`` for the metric name catalogue and
 ``docs/tracing.md`` for the trace event model.
 """
 
-from . import prom, timeseries, trace
-from .registry import (
-    Histogram,
-    MetricsRegistry,
-    collecting,
-    get,
-    merge_snapshots,
-)
-from .slot import OFF, Slot
+from .._lazy import lazy_exports
 
-__all__ = [
-    "MetricsRegistry",
-    "Histogram",
-    "OFF",
-    "Slot",
-    "get",
-    "collecting",
-    "merge_snapshots",
-    "trace",
-    "timeseries",
-    "prom",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    ".registry": ("MetricsRegistry", "Histogram", "get", "collecting",
+                  "merge_snapshots"),
+    ".slot": ("OFF", "Slot"),
+    ".trace": ("trace",),
+    ".timeseries": ("timeseries",),
+    ".prom": ("prom",),
+})

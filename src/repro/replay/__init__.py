@@ -13,54 +13,18 @@ On top of that, :func:`~repro.replay.bisect.bisect_plan` delta-debugs
 a failing fault plan to a minimal failing subset.  See
 ``docs/replay.md``.
 
-The bisection driver is exported lazily: it imports the worker, which
-imports this package for its record/replay plumbing.
+Each name loads its module on first use (:mod:`~repro.replay.bisect`
+imports the worker, which imports this package for its record/replay
+plumbing).
 """
 
-from .errors import DivergenceError
-from .hooks import (
-    OrderRecorder,
-    ReplayController,
-    get,
-    recording,
-    replaying,
-)
-from .orderlog import (
-    CH_DELIVER,
-    CH_EVENT,
-    CH_FAULT,
-    CH_MATCH,
-    CHANNEL_NAMES,
-    Decision,
-    OrderLog,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "DivergenceError",
-    "Decision",
-    "OrderLog",
-    "OrderRecorder",
-    "ReplayController",
-    "CHANNEL_NAMES",
-    "CH_EVENT",
-    "CH_DELIVER",
-    "CH_MATCH",
-    "CH_FAULT",
-    "get",
-    "recording",
-    "replaying",
-    "BisectResult",
-    "bisect_plan",
-    "ddmin",
-    "point_with_faults",
-]
-
-_LAZY = {"BisectResult", "bisect_plan", "ddmin", "point_with_faults"}
-
-
-def __getattr__(name):
-    if name in _LAZY:
-        from . import bisect as _bisect
-
-        return getattr(_bisect, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    ".errors": ("DivergenceError",),
+    ".orderlog": ("Decision", "OrderLog", "CHANNEL_NAMES", "CH_EVENT",
+                  "CH_DELIVER", "CH_MATCH", "CH_FAULT"),
+    ".hooks": ("OrderRecorder", "ReplayController", "get", "recording",
+               "replaying"),
+    ".bisect": ("BisectResult", "bisect_plan", "ddmin", "point_with_faults"),
+})

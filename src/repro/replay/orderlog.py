@@ -36,9 +36,10 @@ different run's decisions.
 
 The encoder works a column at a time over int64 numpy arrays (time bit
 patterns, delta-of-delta, zigzag, LEB128 lengths, then one scatter of
-every field into the output); a log whose values or time deltas leave
-int64 falls back to the per-decision :mod:`repro.compact.varint`
-primitives, which define the format.  Both write the same bytes.
+every field into the output); a short log, or one whose values or time
+deltas leave int64, is written by the per-decision
+:mod:`repro.compact.varint` primitives, which define the format.  Both
+write the same bytes.
 """
 
 from __future__ import annotations
@@ -70,6 +71,16 @@ CHANNEL_NAMES = ("event", "deliver", "match", "fault")
 FORMAT_VERSION = 2
 
 _MAGIC = b"RRLG"
+
+#: Below this many decisions the scalar encoder is faster: the bulk one
+#: pays about 0.3 ms of numpy calls per log whatever its length.  On
+#: fig7b's order logs the two cross between 149 decisions (scalar 0.29
+#: ms, bulk 0.38 ms) and 240 (0.57 ms, 0.41 ms); on synthetic logs of
+#: 150-250 decisions they cross near 160-190, within 0.05 ms of each
+#: other there.  200 is a value picked in that range, not a measured
+#: point: any value from 150 to 240 splits fig7b's logs the same way.
+BULK_MIN_DECISIONS = 200
+
 
 class Decision(NamedTuple):
     """One recorded nondeterminism decision."""
@@ -158,7 +169,10 @@ class OrderLog:
     # -- serialisation --------------------------------------------------------
 
     def to_bytes(self) -> bytes:
-        """The sealed RRLG v2 bytes, the columns encoded in bulk."""
+        """The sealed RRLG v2 bytes, the columns encoded in bulk unless
+        the log is short."""
+        if len(self.channels) < BULK_MIN_DECISIONS:
+            return _encode(self, _scalar_body)
         try:
             return _encode(self, _bulk_body)
         except OverflowError:

@@ -23,6 +23,10 @@ Only configuration crosses a process boundary: pickling a collector
 rebuilds it from its params, so sweep-wide results merged so far never
 travel to pool workers, and :func:`for_point` first trims each one to
 what a single point needs (one replay log, not the sweep's).
+
+The metrics, sampling and replay sinks are imported by
+:meth:`Collector.open`, where a point runs: a run served from the cache
+never loads them.
 """
 
 from __future__ import annotations
@@ -31,11 +35,7 @@ import contextlib
 import json
 from typing import Any, ContextManager, Dict, Iterable, Iterator, List, Optional
 
-from .. import obs
-from ..obs import timeseries as obs_timeseries
-from ..obs import trace as obs_trace
-from ..replay import hooks as replay_hooks
-from ..replay.orderlog import OrderLog
+from ..obs.trace import DEFAULT_CAPACITY, tracing
 from .point import SweepPoint
 
 __all__ = [
@@ -104,10 +104,14 @@ class MetricsCollector(Collector):
     rank = 0
 
     def __init__(self) -> None:
-        self.registry = obs.MetricsRegistry()
+        from ..obs import MetricsRegistry
+
+        self.registry = MetricsRegistry()
 
     def open(self, point: SweepPoint) -> ContextManager[Any]:
-        return obs.collecting()
+        from ..obs import collecting
+
+        return collecting()
 
     def merge(self, label: str, doc: Any) -> None:
         self.registry.merge_snapshot(doc)
@@ -125,7 +129,7 @@ class TraceCollector(_PerLabel):
     rank = 1
 
     def __init__(self, detail: str = "fine",
-                 capacity: int = obs_trace.DEFAULT_CAPACITY,
+                 capacity: int = DEFAULT_CAPACITY,
                  compact: bool = False) -> None:
         super().__init__()
         self.detail = detail
@@ -139,8 +143,8 @@ class TraceCollector(_PerLabel):
 
     @contextlib.contextmanager
     def open(self, point: SweepPoint) -> Iterator[Any]:
-        with obs_trace.tracing(detail=self.detail, capacity=self.capacity,
-                               compact=self.compact) as tracer:
+        with tracing(detail=self.detail, capacity=self.capacity,
+                     compact=self.compact) as tracer:
             yield _JSONText(tracer)
 
 
@@ -175,12 +179,14 @@ class SampleCollector(_PerLabel):
 
     @contextlib.contextmanager
     def open(self, point: SweepPoint) -> Iterator[Any]:
+        from ..obs import collecting, get
+        from ..obs.timeseries import sampling
+
         with contextlib.ExitStack() as stack:
-            if not obs.get().enabled:
+            if not get().enabled:
                 # The sampler needs a registry to sample.
-                stack.enter_context(obs.collecting())
-            yield stack.enter_context(
-                obs_timeseries.sampling(interval=self.interval))
+                stack.enter_context(collecting())
+            yield stack.enter_context(sampling(interval=self.interval))
 
 
 class OrderCollector(_PerLabel):
@@ -190,9 +196,11 @@ class OrderCollector(_PerLabel):
     rank = 3
 
     def open(self, point: SweepPoint) -> ContextManager[Any]:
+        from ..replay.hooks import recording
+
         # Deterministic meta only (no wall clocks): recording the same
         # run twice must yield byte-identical logs.
-        return replay_hooks.recording(meta={
+        return recording(meta={
             "format": "repro.replay",
             "point": point.canonical(),
             "label": point.label,
@@ -220,7 +228,10 @@ class ReplayCollector(_PerLabel):
         return None if log is None else ReplayCollector({point.label: log})
 
     def open(self, point: SweepPoint) -> ContextManager[Any]:
-        return replay_hooks.replaying(OrderLog.from_b64(self.logs[point.label]))
+        from ..replay.hooks import replaying
+        from ..replay.orderlog import OrderLog
+
+        return replaying(OrderLog.from_b64(self.logs[point.label]))
 
 
 #: Wire name -> class, for rebuilding collectors from a spec frame.

@@ -15,13 +15,11 @@ tasks on their main thread, so the alarm interrupts even a
 simulation-bound point.  Off the main thread (e.g. a threaded caller
 using the serial path) the timeout is skipped rather than mis-armed.
 
-The experiment imports are intentionally lazy: ``repro.experiments``
-imports this package for its ``runner=`` plumbing, so module-level
-imports the other way would be circular.
-
-numpy is lazy too: no ``repro`` module imports it at module scope, so
-the CLI and cached regenerations never load it.  :func:`preload` loads
-it before a point's clock starts, and before a pool forks.
+The simulator is imported lazily: the CLI and cached regenerations
+import this module but never run a point, so they never load it (nor
+numpy, which no ``repro`` module imports at module scope).
+:func:`preload` loads everything a point runs before the point's clock
+starts, and before a pool forks so every worker inherits it.
 """
 
 from __future__ import annotations
@@ -47,13 +45,19 @@ class PointTimeout(Exception):
 
 
 def preload() -> None:
-    """Import what simulated points need but the CLI does not: numpy.
+    """Import everything a simulated point runs but the CLI does not.
 
-    Called before a point's wall time and ``SIGALRM`` budget start, so
-    a process's first point is not charged the ~50 ms import, and
-    before a process pool forks, so every worker inherits it.
+    That is numpy with ``numpy.random`` (numpy 2 loads it on first
+    use) and the simulations :func:`_dispatch` calls, which bring the
+    simulator and the collectors' sinks with them.  Called before a
+    point's wall time and ``SIGALRM`` budget start, so a process's
+    first point is not charged the imports, and before a process pool
+    forks, so every worker inherits them.
     """
-    import numpy  # noqa: F401
+    import numpy.random  # noqa: F401
+
+    from ..dynprof import policies  # noqa: F401
+    from ..experiments import measure  # noqa: F401
 
 
 def _point_faults(point: SweepPoint):
@@ -70,7 +74,7 @@ def _dispatch(point: SweepPoint) -> Dict[str, Any]:
     """Run the simulation a point describes; returns the raw payload."""
     if point.kind == "policy":
         from ..apps import get_app
-        from ..dynprof import run_policy
+        from ..dynprof.policies import run_policy
 
         result = run_policy(
             get_app(point.app), point.policy, point.procs,
@@ -79,7 +83,7 @@ def _dispatch(point: SweepPoint) -> Dict[str, Any]:
         )
         return asdict(result)
     if point.kind == "confsync":
-        from ..experiments.fig8 import measure_confsync
+        from ..experiments.measure import measure_confsync
 
         elapsed = measure_confsync(
             point.procs, machine=point.machine,
@@ -92,13 +96,13 @@ def _dispatch(point: SweepPoint) -> Dict[str, Any]:
     if point.kind == "instrument":
         plan = _point_faults(point)
         if plan is not None:
-            from ..experiments.fig9 import measure_create_and_instrument_detail
+            from ..experiments.measure import measure_create_and_instrument_detail
 
             return measure_create_and_instrument_detail(
                 point.app, point.procs, point.machine,
                 scale=point.scale, seed=point.seed, faults=plan,
             )
-        from ..experiments.fig9 import measure_create_and_instrument
+        from ..experiments.measure import measure_create_and_instrument
 
         elapsed = measure_create_and_instrument(
             point.app, point.procs, point.machine,

@@ -20,40 +20,19 @@ Every backend produces bit-identical figure output (the envelopes come
 from the same :func:`~repro.runner.worker.execute_point` everywhere);
 CLI-level equivalence tests pin that, the same discipline obs, trace
 and faults established.  See ``docs/service.md``.
+
+Each name loads its module on first use: a run loads the executor and
+the store it uses, never the cache daemon's HTTP server.
 """
 
-from .backends import (
-    CacheBackend,
-    HttpBackend,
-    MemoryBackend,
-    SqliteBackend,
-    make_cache_backend,
-)
-from .executors import (
-    ExecSpec,
-    ExecutorBackend,
-    ProcessPoolBackend,
-    SerialBackend,
-    SocketWorkerBackend,
-    make_executor_backend,
-)
-from .httpcache import CacheDaemon, serve_cache
-from .worker import fetch_stats, run_worker
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CacheBackend",
-    "MemoryBackend",
-    "SqliteBackend",
-    "HttpBackend",
-    "make_cache_backend",
-    "ExecSpec",
-    "ExecutorBackend",
-    "SerialBackend",
-    "ProcessPoolBackend",
-    "SocketWorkerBackend",
-    "make_executor_backend",
-    "CacheDaemon",
-    "serve_cache",
-    "run_worker",
-    "fetch_stats",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    ".backends": ("CacheBackend", "MemoryBackend", "SqliteBackend",
+                  "HttpBackend", "make_cache_backend"),
+    ".executors": ("ExecSpec", "ExecutorBackend", "SerialBackend",
+                   "ProcessPoolBackend", "SocketWorkerBackend",
+                   "make_executor_backend"),
+    ".httpcache": ("CacheDaemon", "serve_cache"),
+    ".worker": ("run_worker", "fetch_stats"),
+})

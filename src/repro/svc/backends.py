@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import json
 import queue
-import sqlite3
 import threading
 import time
 from pathlib import Path
@@ -146,6 +145,8 @@ class SqliteBackend(CacheStore):
     backend_name = "sqlite"
 
     def __init__(self, path: Union[str, Path], timeout: float = 10.0) -> None:
+        import sqlite3  # only this store needs it
+
         super().__init__()
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)

@@ -85,3 +85,26 @@ def test_cli_bad_input_deck_scale_is_a_usage_error(tmp_path, capsys,
               "--input", str(deck)])
     assert exc.value.code == 2
     assert f"argument --input: {deck}:" in capsys.readouterr().err
+
+
+def test_cli_missing_script_is_one_error_line(tmp_path, capsys, monkeypatch):
+    _no_simulation(monkeypatch)
+    missing = tmp_path / "nonexistent.dp"
+    assert main([str(missing), "-", "-", "smg98"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"repro-dynprof: {missing}: No such file or directory"]
+
+
+def test_cli_missing_input_deck_is_one_error_line(tmp_path, capsys,
+                                                  monkeypatch):
+    script = tmp_path / "s.dp"
+    script.write_text("start\nquit\n")
+    _no_simulation(monkeypatch)
+    missing = tmp_path / "nonexistent.in"
+    assert main([str(script), "-", "-", "smg98", "--input", str(missing)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"repro-dynprof: {missing}: No such file or directory"]

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from repro.compact.container import DecodeError
 from repro.compact.varint import float_to_bits
+from repro.replay import orderlog
 from repro.replay.orderlog import (
+    BULK_MIN_DECISIONS,
     CH_DELIVER,
     CH_EVENT,
     CH_FAULT,
@@ -177,14 +179,9 @@ def _leaves_int64(log):
     return False
 
 
-@settings(max_examples=300, deadline=None)
-@given(_decisions)
-def test_bulk_encoder_writes_the_scalar_reference_bytes(decisions):
-    log = OrderLog(meta=dict(_META))
-    for decision in decisions:
-        log.append(*decision)
-    reference = _encode(log, _scalar_body)
-    assert log.to_bytes() == reference
+def _assert_bulk_matches(log, reference):
+    """The bulk encoder writes ``reference`` for ``log``, or refuses
+    it with OverflowError exactly when the log leaves int64."""
     try:
         bulk = _encode(log, _bulk_body)
     except OverflowError:
@@ -193,6 +190,17 @@ def test_bulk_encoder_writes_the_scalar_reference_bytes(decisions):
     else:
         assert bulk == reference
         assert not _leaves_int64(log)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_decisions)
+def test_bulk_encoder_writes_the_scalar_reference_bytes(decisions):
+    log = OrderLog(meta=dict(_META))
+    for decision in decisions:
+        log.append(*decision)
+    reference = _encode(log, _scalar_body)
+    assert log.to_bytes() == reference
+    _assert_bulk_matches(log, reference)
     back = OrderLog.from_bytes(reference)
     assert back.channels == log.channels and back.keys == log.keys
     assert back.values == log.values
@@ -207,7 +215,9 @@ def test_values_beyond_int64_fall_back_to_the_scalar_encoder(decisions):
     log = OrderLog(meta=dict(_META))
     for decision in decisions:
         log.append(*decision)
-    assert log.to_bytes() == _encode(log, _scalar_body)
+    reference = _encode(log, _scalar_body)
+    assert log.to_bytes() == reference
+    _assert_bulk_matches(log, reference)
 
 
 @pytest.mark.parametrize("times", [
@@ -220,10 +230,69 @@ def test_awkward_time_runs_encode_like_the_reference(times):
     log = OrderLog(meta={})
     for i, time in enumerate(times):
         log.append(CH_FAULT, f"s{i % 2}", i, time)
-    assert log.to_bytes() == _encode(log, _scalar_body)
+    reference = _encode(log, _scalar_body)
+    assert log.to_bytes() == reference
+    _assert_bulk_matches(log, reference)
 
 
 def test_empty_log_bulk_and_scalar_agree():
     log = OrderLog(meta={"label": "empty"})
     assert log.to_bytes() == _encode(log, _scalar_body) \
         == _encode(log, _bulk_body)
+
+
+# -- which encoder to_bytes picks ---------------------------------------------------
+
+
+def _engine_log(n):
+    """``n`` decisions shaped like a recorded run: a few dozen interned
+    keys, small values, mostly rising times with out-of-order fault
+    draws."""
+    log = OrderLog(meta={"label": "crossover"})
+    for i in range(n):
+        channel = i % 4
+        time = i * 1e-3 if channel != CH_FAULT else (n - i) * 1e-4
+        log.append(channel, f"k{(i * 7) % 37}", (i % 9) - 1, time)
+    return log
+
+
+def _spy_on_bulk_encoder(monkeypatch):
+    """The lengths of the logs ``to_bytes`` hands the bulk encoder."""
+    calls = []
+
+    def spy(*args):
+        calls.append(len(args[0]))
+        return _bulk_body(*args)
+
+    monkeypatch.setattr(orderlog, "_bulk_body", spy)
+    return calls
+
+
+@pytest.mark.parametrize("n, bulk", [
+    (BULK_MIN_DECISIONS - 1, False),  # just below the crossover
+    (BULK_MIN_DECISIONS, True),       # at it
+    (BULK_MIN_DECISIONS + 1, True),   # just above it
+])
+def test_short_logs_take_the_scalar_encoder_with_the_same_bytes(
+        monkeypatch, n, bulk):
+    log = _engine_log(n)
+    reference = _encode(log, _scalar_body)
+    assert _encode(log, _bulk_body) == reference
+    calls = _spy_on_bulk_encoder(monkeypatch)
+    assert log.to_bytes() == reference
+    assert calls == ([n] if bulk else [])
+    assert OrderLog.from_bytes(reference) == log
+
+
+@pytest.mark.parametrize("value", [INT64[1] + 1, INT64[0] - 1, 1 << 70])
+def test_long_log_beyond_int64_falls_back_to_the_scalar_encoder(
+        monkeypatch, value):
+    log = _engine_log(BULK_MIN_DECISIONS)
+    log.values[BULK_MIN_DECISIONS // 2] = value
+    reference = _encode(log, _scalar_body)
+    with pytest.raises(OverflowError):
+        _encode(log, _bulk_body)
+    calls = _spy_on_bulk_encoder(monkeypatch)
+    assert log.to_bytes() == reference
+    assert calls == [BULK_MIN_DECISIONS]
+    assert OrderLog.from_bytes(reference).values == log.values

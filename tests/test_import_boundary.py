@@ -1,20 +1,42 @@
-"""numpy stays off the CLI's import path and loads before the first point.
+"""Each invocation imports only what it runs.
 
-Every ``repro-experiments`` invocation pays for what ``repro`` imports
-at module scope, and numpy is about two thirds of that.  No cached
-regeneration or table needs it, so it must load only where a point is
-simulated: in :func:`repro.runner.worker.preload`, which
-``execute_point`` and the process pool call.  Each check runs in a
-fresh interpreter, because this one already has numpy loaded.
+A cached regeneration parses its arguments, probes the cache and
+renders: it needs the runner, the machine specs and the figure
+modules, never the simulator (``repro.simt`` and everything built on
+it), numpy, or the service stack's HTTP server and SQLite store.
+Those load where a point is simulated, in
+:func:`repro.runner.worker.preload`, which ``execute_point`` and the
+process pool call before the point's clock starts and before forking.
+
+Each check runs in a fresh interpreter, because this one has already
+loaded everything.
 """
 
+import importlib.util
+import json
 import os
 import subprocess
 import sys
 
 import pytest
 
-SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
+ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
+SRC = os.path.join(ROOT, "src")
+
+
+def _import_cost_check():
+    path = os.path.join(ROOT, "benchmarks", "check_import_cost.py")
+    spec = importlib.util.spec_from_file_location("check_import_cost", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_CHECK = _import_cost_check()
+
+#: Never loaded by a run that simulates nothing: the CLI's forbidden
+#: list in ``benchmarks/check_import_cost.py``.
+SIMULATOR = _CHECK.FORBIDDEN + _CHECK.TARGETS["repro.experiments.cli"]
 
 
 def _run(code):
@@ -27,26 +49,71 @@ def _run(code):
     return proc.stdout.splitlines()[-1]
 
 
-def _numpy_loaded_after(body):
-    return _run(f"import sys\n{body}\nprint('numpy' in sys.modules)")
+def _loaded_after(body):
+    """The modules of :data:`SIMULATOR` loaded after running ``body``."""
+    code = (f"import json, sys\n{body}\n"
+            f"print(json.dumps([m for m in {SIMULATOR!r} if m in sys.modules]))")
+    return json.loads(_run(code))
 
 
-@pytest.mark.parametrize("module", ["repro", "repro.experiments.cli"])
+def _cli(argv):
+    """A body that runs ``repro-experiments argv`` and checks exit 0."""
+    return ("import contextlib, io\n"
+            "from repro.experiments.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert main({argv!r}) == 0\n")
+
+
+# The numpy-named tests predate the simulator moving off the import
+# path; each now checks all of SIMULATOR, numpy included.
+@pytest.mark.parametrize("module", ["repro", "repro.experiments",
+                                    "repro.experiments.cli"])
 def test_import_does_not_load_numpy(module):
-    assert _numpy_loaded_after(f"import {module}") == "False"
+    assert _loaded_after(f"import {module}") == []
 
 
 def test_table_does_not_load_numpy():
-    body = ("from repro.experiments.cli import main\n"
-            "assert main(['table1']) == 0")
-    assert _numpy_loaded_after(body) == "False"
+    assert _loaded_after(_cli(["table1"])) == []
+
+
+def test_help_loads_no_simulator():
+    body = ("import contextlib, io\n"
+            "from repro.experiments.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    try:\n"
+            "        main(['--help'])\n"
+            "    except SystemExit as exc:\n"
+            "        assert exc.code == 0\n")
+    assert _loaded_after(body) == []
 
 
 def test_warm_cache_figure_does_not_load_numpy(tmp_path):
-    body = ("from repro.experiments.cli import main\n"
-            f"assert main(['fig8', '--quick', '--cache-dir', {str(tmp_path)!r}]) == 0")
-    assert _numpy_loaded_after(body) == "True"  # cold: points were simulated
-    assert _numpy_loaded_after(body) == "False"  # warm: every point cached
+    body = _cli(["fig8", "--quick", "--cache-dir", str(tmp_path)])
+    cold = _loaded_after(body)  # points were simulated
+    assert {"numpy", "repro.simt", "repro.vt"} <= set(cold)
+    assert _loaded_after(body) == []  # every point cached
+
+
+@pytest.mark.parametrize("package", ["repro", "repro.experiments"])
+def test_every_public_name_resolves(package):
+    code = (f"import {package} as pkg\n"
+            "missing = [n for n in pkg.__all__ if getattr(pkg, n, None) is None]\n"
+            "assert not missing, missing\n"
+            "assert set(pkg.__all__) <= set(dir(pkg))\n"
+            "print(len(pkg.__all__))")
+    assert int(_run(code)) > 10
+
+
+def test_star_import_and_attribute_access():
+    code = ("from repro import *\n"
+            "import repro\n"
+            "assert DynProf is repro.DynProf and obs is repro.obs\n"
+            "assert repro.obs.trace.DEFAULT_CAPACITY > 0\n"
+            "try:\n"
+            "    repro.no_such_name\n"
+            "except AttributeError as exc:\n"
+            "    print(exc)")
+    assert "has no attribute 'no_such_name'" in _run(code)
 
 
 def test_process_pool_loads_numpy_before_forking():
@@ -54,12 +121,48 @@ def test_process_pool_loads_numpy_before_forking():
             "backend = ProcessPoolBackend(2)\n"
             "backend._pool_for(2)\n"
             "backend.close()")
-    assert _numpy_loaded_after(body) == "True"
+    assert {"numpy", "repro.simt", "repro.vt", "repro.dynprof.tool"} \
+        <= set(_loaded_after(body))
+
+
+FIRST_POINTS = {
+    "confsync": "SweepPoint.confsync(32)",
+    "policy": "SweepPoint.policy_cell('sppm', 'Dynamic', 4, scale=0.02)",
+    "instrument": "SweepPoint.instrument('umt98', 2)",
+}
+
+
+@pytest.mark.parametrize("collectors", ["", "all"])
+@pytest.mark.parametrize("kind", sorted(FIRST_POINTS))
+def test_forked_workers_first_point_imports_nothing(kind, collectors):
+    # numpy 2 loads numpy.random on first use: without the preload a
+    # fresh worker's first jittered point imported it on the clock.
+    code = ("import sys\n"
+            "from repro.runner import SweepPoint\n"
+            "from repro.runner.collect import (MetricsCollector, OrderCollector,\n"
+            "    SampleCollector, TraceCollector)\n"
+            "from repro.runner.worker import execute_point\n"
+            "from repro.svc.executors import ProcessPoolBackend\n"
+            "def first_point(point, collectors):\n"
+            "    before = set(sys.modules)\n"
+            "    envelope = execute_point(point, collectors=collectors)\n"
+            "    assert envelope['status'] == 'ok', envelope\n"
+            "    return sorted(set(sys.modules) - before)\n"
+            "collectors = []\n"
+            f"if {collectors!r}:\n"
+            "    collectors = [MetricsCollector(), TraceCollector(),\n"
+            "                  SampleCollector(0.5), OrderCollector()]\n"
+            "backend = ProcessPoolBackend(1)\n"
+            "pool = backend._pool_for(1)\n"
+            f"future = pool.submit(first_point, {FIRST_POINTS[kind]}, collectors)\n"
+            "print(future.result())\n"
+            "backend.close()")
+    assert _run(code) == "[]"
 
 
 def test_execute_point_loads_numpy_before_the_clock_starts():
-    # An echo point needs no numpy, so only the preload can load it;
-    # the import must land outside the envelope's wall_time.
+    # An echo point needs no simulator, so only the preload can load
+    # it; the imports must land outside the envelope's wall_time.
     body = ("import time\n"
             "from repro.runner import SweepPoint, execute_point\n"
             "point = SweepPoint.selftest('echo', value=1)\n"
@@ -68,4 +171,41 @@ def test_execute_point_loads_numpy_before_the_clock_starts():
             "total = time.perf_counter() - t0\n"
             "assert envelope['status'] == 'ok'\n"
             "assert envelope['wall_time'] < total / 2, (envelope, total)")
-    assert _numpy_loaded_after(body) == "True"
+    assert {"numpy", "repro.simt"} <= set(_loaded_after(body))
+
+
+def test_sqlite_cache_backend_runs_cold_and_warm(tmp_path):
+    db = tmp_path / "cache.db"
+    code = ("import contextlib, io, sys\n"
+            "from repro.experiments.cli import main\n"
+            "outs = []\n"
+            "for _ in range(2):\n"
+            "    buf = io.StringIO()\n"
+            "    with contextlib.redirect_stdout(buf):\n"
+            "        assert main(['fig8c', '--quick', '--jobs', '1',\n"
+            f"                     '--cache-backend', 'sqlite:{db}']) == 0\n"
+            "    outs.append(buf.getvalue())\n"
+            "assert outs[0] == outs[1] and outs[0]\n"
+            "print('sqlite3' in sys.modules)")
+    assert _run(code) == "True"
+
+
+def test_socket_backend_runs_a_grid():
+    code = ("import contextlib, io, socket, sys, threading\n"
+            "from repro.experiments.cli import main\n"
+            "from repro.svc.worker import run_worker\n"
+            "probe = socket.socket()\n"
+            "probe.bind(('127.0.0.1', 0))\n"
+            "port = probe.getsockname()[1]\n"
+            "probe.close()\n"
+            "worker = threading.Thread(target=run_worker, args=('127.0.0.1', port),\n"
+            "    kwargs={'max_points': 2, 'reconnect': True}, daemon=True)\n"
+            "worker.start()\n"
+            "with contextlib.redirect_stdout(io.StringIO()), \\\n"
+            "        contextlib.redirect_stderr(io.StringIO()):\n"
+            "    assert main(['sweep', '--apps', 'sweep3d', '--policies', 'Full',\n"
+            "                 '--cpus', '2,4', '--scale', '0.02', '--no-cache',\n"
+            "                 '--backend', f'socket:127.0.0.1:{port}']) == 0\n"
+            "worker.join(timeout=30)\n"
+            "print(worker.is_alive())")
+    assert _run(code) == "False"
