@@ -17,8 +17,11 @@ EXPERIMENTS.md for the paper-vs-measured comparison.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Dict
+import hashlib
+import json
+from dataclasses import dataclass, fields, replace
+from functools import cached_property
+from typing import Any, Dict
 
 __all__ = ["MachineSpec", "POWER3_SP", "IA32_LINUX", "get_machine", "MACHINES"]
 
@@ -177,6 +180,64 @@ class MachineSpec:
     def with_overrides(self, **kw: float) -> "MachineSpec":
         """A copy of this spec with some constants replaced (for ablations)."""
         return replace(self, **kw)
+
+    # -- canonical forms --------------------------------------------------
+    #
+    # A sweep keys, hashes and labels hundreds of points that share one
+    # spec, so its derived forms are computed once per instance.
+
+    @cached_property
+    def _forms(self) -> "_Forms":
+        return _Forms(self)
+
+    def __hash__(self) -> int:
+        return self._forms.hash
+
+    def __getstate__(self) -> Dict[str, Any]:
+        # The memo holds a str hash, which is salted per interpreter: it
+        # must never travel in a pickle (or a copy), only the fields do,
+        # and the receiving side builds its own memo on first use.
+        state = dict(self.__dict__)
+        state.pop("_forms", None)
+        return state
+
+    def canonical(self) -> Dict[str, Any]:
+        """Every field by name, in declaration order, as a fresh dict
+        (what ``dataclasses.asdict`` gives, without its deep copy)."""
+        return dict(self._forms.fields)
+
+    @property
+    def canonical_json(self) -> str:
+        """:meth:`canonical` as compact, sort-keyed JSON, encoded once."""
+        return self._forms.json
+
+    @property
+    def variant_tag(self) -> str:
+        """``""`` for a spec equal to the preset of its name, else a
+        short digest of its constants that tells it apart (an ablated
+        ``with_overrides`` copy keeps its preset's name)."""
+        preset = MACHINES.get(self.name)
+        if preset is self or (
+            preset is not None and preset._forms.json == self._forms.json
+        ):
+            return ""
+        return self._forms.digest
+
+
+class _Forms:
+    """The derived forms of one :class:`MachineSpec` instance."""
+
+    __slots__ = ("fields", "json", "hash", "digest")
+
+    def __init__(self, spec: MachineSpec) -> None:
+        # Every field is an int, float or str, so reading the fields
+        # directly gives what dataclasses.asdict would.
+        self.fields = {f.name: getattr(spec, f.name) for f in fields(spec)}
+        self.json = json.dumps(self.fields, sort_keys=True,
+                               separators=(",", ":"))
+        # The hash the generated dataclass __hash__ would compute.
+        self.hash = hash(tuple(self.fields.values()))
+        self.digest = hashlib.sha256(self.json.encode("utf-8")).hexdigest()[:8]
 
 
 #: The IBM Power3 clustered SMP of the paper (Section 4.1).

@@ -58,6 +58,11 @@ def default_cache_dir() -> Path:
     return Path.home() / ".cache" / "repro" / "sweep"
 
 
+#: Stands in for the machine block while the rest of a key document is
+#: encoded (see :func:`point_key`).
+_MACHINE_SLOT = '"machine":null'
+
+
 def point_key(point: SweepPoint, version: Optional[str] = None) -> str:
     """Stable SHA-256 key of one sweep point.
 
@@ -65,12 +70,24 @@ def point_key(point: SweepPoint, version: Optional[str] = None) -> str:
     constant of its machine) plus the package version, so results
     survive across processes and runs but never across a cost-model
     ablation or a release that may change the simulation.
+
+    The hashed text is the compact, sort-keyed JSON of ``{"point":
+    point.canonical(), "version": ...}``.  Only the point's own small
+    fields are encoded here; the machine block is the spec's
+    :attr:`~repro.cluster.MachineSpec.canonical_json`, encoded once
+    per spec.  It is spliced in at the first ``"machine":null``: every
+    quote inside a JSON string is escaped, so that text can only be a
+    key, and the only keys encoded before it are ``"point"``, ``"app"``
+    and ``"kind"`` (a ``"machine"`` param sorts after, inside
+    ``"params"``).
     """
-    doc = {
-        "point": point.canonical(),
-        "version": version if version is not None else _package_version(),
-    }
-    blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    head = point.canonical_head()
+    head["machine"] = None
+    blob = json.dumps(
+        {"point": head,
+         "version": version if version is not None else _package_version()},
+        sort_keys=True, separators=(",", ":"),
+    ).replace(_MACHINE_SLOT, '"machine":' + point.machine.canonical_json, 1)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
@@ -172,8 +189,10 @@ class ResultCache(CacheStore):
         """
         path = self._path(key)
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                entry = json.load(fh)
+            # Bytes, not text: json.loads detects UTF-8 itself and the
+            # read skips a text decoder's setup.
+            with open(path, "rb") as fh:
+                entry = json.loads(fh.read())
         except FileNotFoundError:
             self._count("misses")
             return None

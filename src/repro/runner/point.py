@@ -25,7 +25,7 @@ A fourth kind, ``selftest``, exercises the worker machinery itself
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
 from ..cluster import POWER3_SP, MachineSpec
@@ -162,31 +162,31 @@ class SweepPoint:
     @property
     def label(self) -> str:
         """Short human-readable identity, used in telemetry events and
-        to key per-point side documents; names the machine unless it is
-        the default ``power3-sp``, so grids on two machines never clash."""
+        to key per-point side documents.  It names the machine unless it
+        is the default ``power3-sp``, and tags a machine that differs
+        from the preset of its name with a digest of its constants
+        (``power3-sp~1a2b3c4d``), so grids on two machines, or on a
+        preset and its ablation, never clash."""
         parts = [self.kind]
         if self.app:
             parts.append(self.app)
         if self.policy:
             parts.append(self.policy)
-        if self.machine.name != POWER3_SP.name:
-            parts.append(self.machine.name)
+        machine = self.machine
+        tag = machine.variant_tag
+        if tag:
+            parts.append(f"{machine.name}~{tag}")
+        elif machine.name != POWER3_SP.name:
+            parts.append(machine.name)
         flags = ",".join(f"{k}={v}" for k, v in self.params)
         tail = f"@{self.procs}"
         if flags:
             tail += f"[{flags}]"
         return ":".join(parts) + tail
 
-    def canonical(self) -> Dict[str, Any]:
-        """Stable, JSON-safe description of the point.
-
-        Includes every cost-model constant of the machine, so a point
-        run against an ablated :class:`MachineSpec` never aliases the
-        stock one in the cache.  Every machine field is an int, float or
-        str, so reading the fields directly gives what
-        ``dataclasses.asdict`` would, without its deep copy.
-        """
-        machine = self.machine
+    def canonical_head(self) -> Dict[str, Any]:
+        """:meth:`canonical` without its ``machine`` block: the point's
+        own small fields, as a fresh dict."""
         return {
             "kind": self.kind,
             "app": self.app,
@@ -195,9 +195,19 @@ class SweepPoint:
             "seed": self.seed,
             "scale": self.scale,
             "params": dict(self.params),
-            "machine": {f.name: getattr(machine, f.name)
-                        for f in fields(machine)},
         }
+
+    def canonical(self) -> Dict[str, Any]:
+        """Stable, JSON-safe description of the point.
+
+        Includes every cost-model constant of the machine, so a point
+        run against an ablated :class:`MachineSpec` never aliases the
+        stock one in the cache.  Every call returns fresh dicts, so a
+        caller may mutate them.
+        """
+        doc = self.canonical_head()
+        doc["machine"] = self.machine.canonical()
+        return doc
 
     @classmethod
     def from_canonical(cls, doc: Dict[str, Any]) -> "SweepPoint":

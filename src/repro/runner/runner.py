@@ -35,6 +35,7 @@ they are computed once).
 from __future__ import annotations
 
 import os
+import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Any, Dict, List, Optional, Sequence, Union
@@ -177,6 +178,7 @@ class SweepRunner:
 
     def run(self, points: Sequence[SweepPoint]) -> Dict[SweepPoint, PointResult]:
         """Execute a grid; returns one result per *distinct* point."""
+        started = time.perf_counter()
         unique = list(dict.fromkeys(points))
         # Each distinct point is keyed once: the cache probe, the cache
         # put and the telemetry event all reuse this digest.
@@ -195,7 +197,8 @@ class SweepRunner:
                     cached.append(r)
 
         self.telemetry.sweep_start(
-            total=len(unique), cached=len(cached), jobs=self.jobs
+            total=len(unique), cached=len(cached), jobs=self.jobs,
+            started=started,
         )
         for r in cached:
             self._report(r, keys[r.point])

@@ -145,8 +145,13 @@ class SweepTelemetry:
 
     # -- lifecycle ------------------------------------------------------------
 
-    def sweep_start(self, total: int, cached: int, jobs: int) -> None:
-        self._t0 = time.perf_counter()
+    def sweep_start(self, total: int, cached: int, jobs: int,
+                    started: Optional[float] = None) -> None:
+        """Open a sweep.  ``started`` is the ``time.perf_counter()``
+        reading the sweep began at (default: now); ``sweep_end``'s
+        ``wall_time`` counts from it, so a runner that keys and probes
+        the cache before it knows ``cached`` still counts that work."""
+        self._t0 = time.perf_counter() if started is None else started
         for name in _SWEEP_COUNTERS:
             self._earlier[name] += getattr(self, name)
             setattr(self, name, 0)

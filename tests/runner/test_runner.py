@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import time
 
 import pytest
 
@@ -136,6 +137,29 @@ def test_telemetry_json_lines_and_hit_rate(tmp_path):
     assert runner.telemetry.summary()["hit_rate"] == 1.0
 
 
+def test_sweep_wall_time_covers_keying_and_cache_probes(tmp_path):
+    """sweep_end's wall time starts before the runner keys its points
+    and probes the cache, so a fully cached sweep counts its reads."""
+    from repro.runner import ResultCache
+
+    delay = 0.02
+
+    class SlowCache(ResultCache):
+        def get(self, key):
+            time.sleep(delay)
+            return super().get(key)
+
+    points = [SweepPoint.selftest("echo", value=i) for i in range(3)]
+    SweepRunner(jobs=1, cache=ResultCache(tmp_path)).run_grid(points)
+    telemetry = SweepTelemetry()
+    SweepRunner(jobs=1, cache=SlowCache(tmp_path),
+                telemetry=telemetry).run_grid(points)
+    start, end = telemetry.events[0], telemetry.events[-1]
+    assert start["event"] == "sweep_start" and start["cached"] == 3
+    assert end["event"] == "sweep_end" and end["hit_rate"] == 1.0
+    assert end["wall_time"] >= len(points) * delay
+
+
 def test_cached_payloads_equal_computed_payloads(tmp_path):
     points = [SweepPoint.confsync(n, reps=2) for n in (2, 4)]
     fresh = SweepRunner(jobs=1, cache=tmp_path).run_grid(points)
@@ -153,3 +177,26 @@ def test_label_names_the_machine_unless_it_is_the_default():
         "confsync:ia32-linux@4[change=False,reps=16,stats=False]"
     cell = SweepPoint.instrument("sweep3d", 8, machine=IA32_LINUX)
     assert cell.label == "instrument:sweep3d:ia32-linux@8"
+
+
+def test_ablated_machine_points_keep_their_own_side_documents():
+    """An ablated copy keeps its preset's name; its label carries a
+    digest of its constants, so per-label documents never overwrite
+    the preset point's."""
+    from repro.cluster import POWER3_SP
+    from repro.runner.collect import OrderCollector
+
+    ablated = POWER3_SP.with_overrides(net_latency=1e-5)
+    stock = SweepPoint.confsync(2, reps=1)
+    twin = SweepPoint.confsync(2, reps=1, machine=ablated)
+    same = SweepPoint.confsync(2, reps=1,
+                               machine=POWER3_SP.with_overrides())
+    assert same.label == stock.label == "confsync@2[change=False,reps=1,stats=False]"
+    assert twin.label.startswith("confsync:power3-sp~")
+    assert twin.label != stock.label
+
+    logs = OrderCollector()
+    results = SweepRunner(jobs=1, collectors=[logs]).run([stock, twin])
+    assert all(r.ok for r in results.values())
+    assert sorted(logs.docs) == sorted([stock.label, twin.label])
+    assert logs.docs[stock.label] != logs.docs[twin.label]
