@@ -27,7 +27,7 @@ Recording writes two small JSON documents next to this script:
     End-to-end sweep cost — wall time of the quick Figure 7a grid cold
     (every point simulated) and fully cached (every point served from a
     :class:`ResultCache`), plus the resulting speedup.  The cached
-    re-run is the number the service layer exists to protect: a warm
+    re-run is the number the result cache exists to protect: a warm
     regeneration should cost milliseconds.
 
 ``BENCH_trace.json``

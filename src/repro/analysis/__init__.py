@@ -6,10 +6,8 @@ GuideView-style per-function profile (with optional exclusion of
 suspension periods, Section 5.1), and trace-volume reports.
 """
 
-from .msgstats import MessageStats, render_message_matrix
 from .profileview import FunctionProfile, ProfileView
 from .report import (
-    render_causal_trace_report,
     render_obs_report,
     render_profile,
     render_timeline,
@@ -36,9 +34,6 @@ __all__ = [
     "render_profile",
     "render_trace_report",
     "render_obs_report",
-    "render_causal_trace_report",
-    "MessageStats",
-    "render_message_matrix",
     "timeline_to_svg",
     "save_timeline_html",
 ]

@@ -20,7 +20,6 @@ __all__ = [
     "render_profile",
     "render_trace_report",
     "render_obs_report",
-    "render_causal_trace_report",
 ]
 
 
@@ -137,17 +136,3 @@ def render_obs_report(snapshot: Dict[str, Any]) -> str:
             f"[{', '.join(occupied) if occupied else 'empty'}]"
         )
     return "\n".join(lines) + "\n"
-
-
-def render_causal_trace_report(doc: Dict[str, Any],
-                               elapsed: Optional[float] = None) -> str:
-    """Report section for a :meth:`repro.obs.trace.Tracer.snapshot`
-    document: per-track utilization, the critical path through spans and
-    causal flow edges, and the perturbation-attribution breakdown.
-
-    Thin wrapper over :func:`repro.obs.analysis.render_trace_summary`
-    so report consumers get every section from one module.
-    """
-    from ..obs.analysis import render_trace_summary
-
-    return render_trace_summary(doc, elapsed=elapsed)

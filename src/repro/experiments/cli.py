@@ -40,11 +40,9 @@ stay bit-identical with or without any of these).  ``--obs`` and
 The ``obs`` subcommand post-processes a ``--obs`` document:
 ``obs report FILE`` pretty-prints the metrics, sampled series and
 per-probe overhead profile (``--csv``/``--prom`` export CSV and
-Prometheus text exposition); ``obs serve FILE`` exposes the document
-live on HTTP ``/metrics`` + ``/stats`` endpoints.  The
-``overhead-timeline`` experiment plots instrumentation overhead
-versus simulated time for the four ASCI apps under Full vs. Dynamic
-(sampled in-process; not part of ``all``).
+Prometheus text exposition).  The ``overhead-timeline`` experiment
+plots instrumentation overhead versus simulated time for the four ASCI
+apps under Full vs. Dynamic (sampled in-process; not part of ``all``).
 
 The ``trace`` subcommand runs a single (app, policy, CPUs) point with
 tracing on and prints the critical-path / perturbation summary —
@@ -64,18 +62,6 @@ no point fails too.  The ``replay`` subcommand works from logs alone: ``replay
 verify LOG`` re-runs and checks the point a log describes, and
 ``replay bisect`` delta-debugs a failing fault plan to a 1-minimal
 interesting subset.
-
-Where points run and where results live are pluggable through the
-service layer (:mod:`repro.svc`, see ``docs/service.md``): ``--backend
-serial | process[:N] | socket:HOST:PORT`` selects the executor (the
-socket form turns the sweep into a server that ``repro-experiments
-worker --connect HOST:PORT`` processes join and pull points from), and
-``--cache-backend dir:PATH | memory | sqlite:PATH | http://HOST:PORT``
-selects the result store (the HTTP form talks to a standalone
-``repro-experiments serve-cache`` daemon with read-through,
-write-behind and graceful degradation).  Every combination produces
-byte-identical figures; the defaults are a local process pool with one
-worker per CPU and the directory cache.
 """
 
 from __future__ import annotations
@@ -316,14 +302,6 @@ def _add_runner_args(parser: argparse.ArgumentParser) -> None:
                              "not used); divergence fails the point with a "
                              "first-divergence report, and a replay that "
                              "verifies no log fails the run")
-    parser.add_argument("--backend", metavar="SPEC", default=None,
-                        help="executor backend: serial, process[:N], or "
-                             "socket:HOST:PORT (remote `worker` processes "
-                             "pull points); default derives from --jobs")
-    parser.add_argument("--cache-backend", metavar="SPEC", default=None,
-                        help="cache backend: dir:PATH, memory, sqlite:PATH, "
-                             "or http://HOST:PORT (a `serve-cache` daemon); "
-                             "overrides --cache-dir")
 
 
 def _load_replay_logs(path: str) -> Dict[str, str]:
@@ -415,38 +393,15 @@ def _build_runner(
     if args.no_cache or args.replay:
         # A point served from the cache runs nothing to verify.
         cache = None
-    elif args.cache_backend:
-        from ..svc import make_cache_backend
-
-        try:
-            cache = make_cache_backend(args.cache_backend,
-                                       fallback_dir=args.cache_dir)
-        except (ValueError, OSError) as exc:
-            raise SystemExit("repro-experiments: --cache-backend "
-                             f"{args.cache_backend}: {exc}")
     else:
         cache = args.cache_dir or default_cache_dir()
-    runner = SweepRunner(
+    return SweepRunner(
         jobs=_jobs(args),
         cache=cache,
         timeout=args.timeout,
         telemetry=sys.stderr if args.progress else None,
-        executor=args.backend,
         collectors=collectors,
     )
-    if args.backend:
-        # Resolve eagerly: a bad spec should fail before any work runs,
-        # and a socket backend should bind now so `worker --connect`
-        # processes can join before the first grid is dispatched.
-        try:
-            backend = runner._resolve_executor()
-        except ValueError as exc:
-            raise SystemExit(str(exc))
-        if hasattr(backend, "address"):
-            print(f"sweep server listening on {backend.address}; join with: "
-                  f"repro-experiments worker --connect {backend.address}",
-                  file=sys.stderr)
-    return runner
 
 
 def _collector(runner: Optional[SweepRunner], cls: type) -> Any:
@@ -464,21 +419,6 @@ def _replay_matched_nothing(args: argparse.Namespace,
         return False
     _nothing_verified("repro-experiments", args.replay, len(replay.logs))
     return True
-
-
-def _close_runner(runner: SweepRunner) -> None:
-    """Release service-layer resources the CLI created for this run
-    (process pools, socket listeners, sqlite handles, write-behind
-    upload queues).  The executor is None or a spec string until a
-    grid with cache misses resolves it to a backend."""
-    close = getattr(runner.executor, "close", None)
-    if close is not None:
-        close()
-    if runner.cache is not None:
-        try:
-            runner.cache.close()
-        except OSError:
-            pass
 
 
 def _open_text_output(path: str, what: str):
@@ -697,7 +637,7 @@ def sweep_main(argv: List[str]) -> int:
     try:
         results = runner.run(points)
     finally:
-        _close_runner(runner)
+        runner.close()
     ordered = [results[p] for p in points]
 
     outputs = _write_outputs(args, runner, quiet=args.json)
@@ -1280,14 +1220,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         from .obscmd import obs_main
 
         return obs_main(argv[1:])
-    if argv and argv[0] in ("serve-cache", "serve"):
-        from ..svc.httpcache import serve_cache_main
-
-        return serve_cache_main(argv[1:])
-    if argv and argv[0] == "worker":
-        from ..svc.worker import worker_main
-
-        return worker_main(argv[1:])
 
     parser = argparse.ArgumentParser(
         prog="repro-experiments",
@@ -1329,7 +1261,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 return 1
             _render_items(items, args, json_items, csv_chunks)
     finally:
-        _close_runner(runner)
+        runner.close()
     outputs = _write_outputs(args, runner, quiet=args.json)
     if args.json:
         doc = {"results": json_items,

@@ -1,4 +1,4 @@
-"""The ``repro-experiments obs`` subcommand — inspect and serve obs documents.
+"""The ``repro-experiments obs`` subcommand — inspect obs documents.
 
 An *obs document* is the JSON written by ``--obs FILE`` (sweep, figure
 and chaos runs alike): a registry snapshot under ``"obs"``, optionally
@@ -12,10 +12,6 @@ re-running anything:
   in Prometheus text exposition instead, ``--csv`` dumps the sampled
   series in long CSV, ``--json`` re-emits the document with every
   series decoded to plain arrays.  ``FILE`` may be ``-`` for stdin.
-* ``obs serve FILE`` — a small HTTP daemon exposing the document at
-  ``/metrics`` (Prometheus text), ``/stats`` (JSON) and ``/healthz``,
-  so a dashboard can scrape a finished run exactly like it scrapes the
-  live serve-cache daemon.
 """
 
 from __future__ import annotations
@@ -23,8 +19,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, List, Optional
 
 from ..analysis.report import render_obs_report
@@ -32,7 +26,7 @@ from ..obs import prom
 from ..obs.timeseries import decode_series, overhead_series, timeseries_to_csv
 
 __all__ = ["obs_main", "load_obs_document", "render_obs_document",
-           "decode_document", "ObsDocServer", "serve_obs_document"]
+           "decode_document"]
 
 
 def _fail(message: str) -> "SystemExit":
@@ -133,88 +127,13 @@ def decode_document(doc: Dict[str, Any]) -> Dict[str, Any]:
     return out
 
 
-# -- obs serve --------------------------------------------------------------------
-
-
-class _ObsDocHandler(BaseHTTPRequestHandler):
-    server: "ObsDocServer"
-
-    def log_message(self, fmt: str, *args: Any) -> None:  # quiet by default
-        if self.server.verbose:
-            sys.stderr.write("obs-serve: " + fmt % args + "\n")
-
-    def _reply(self, status: int, body: bytes, content_type: str) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def do_GET(self) -> None:  # noqa: N802 (http.server API)
-        path = self.path.split("?", 1)[0]
-        srv = self.server
-        if path == "/metrics":
-            self._reply(200, srv.metrics_text().encode("utf-8"),
-                        prom.CONTENT_TYPE)
-        elif path == "/stats":
-            body = json.dumps(srv.stats(), indent=2).encode("utf-8")
-            self._reply(200, body + b"\n", "application/json")
-        elif path == "/healthz":
-            self._reply(200, b"ok\n", "text/plain; charset=utf-8")
-        else:
-            self._reply(404, b"not found\n", "text/plain; charset=utf-8")
-
-
-class ObsDocServer(ThreadingHTTPServer):
-    """Serves one loaded obs document (read-only, so thread-safe)."""
-
-    daemon_threads = True
-
-    def __init__(self, doc: Dict[str, Any], host: str = "127.0.0.1",
-                 port: int = 0, verbose: bool = False) -> None:
-        super().__init__((host, port), _ObsDocHandler)
-        self.doc = doc
-        self.verbose = verbose
-
-    @property
-    def port(self) -> int:
-        return self.server_address[1]
-
-    def metrics_text(self) -> str:
-        return prom.render_snapshot(self.doc.get("obs", {}))
-
-    def stats(self) -> Dict[str, Any]:
-        timeseries = self.doc.get("timeseries", {})
-        labels = sorted(timeseries) if isinstance(timeseries, dict) else []
-        return {
-            "version": self.doc.get("version"),
-            "telemetry": self.doc.get("telemetry", {}),
-            "labels": labels,
-            "samples": {
-                label: timeseries[label].get("samples", 0) for label in labels
-            },
-        }
-
-
-def serve_obs_document(
-    doc: Dict[str, Any], host: str = "127.0.0.1", port: int = 0
-) -> ObsDocServer:
-    """Start an :class:`ObsDocServer` on a daemon thread; returns it
-    (``.port`` carries the bound port, ``.shutdown()`` stops it)."""
-    server = ObsDocServer(doc, host=host, port=port)
-    thread = threading.Thread(target=server.serve_forever,
-                              name="obs-serve", daemon=True)
-    thread.start()
-    return server
-
-
 # -- CLI --------------------------------------------------------------------------
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-experiments obs",
-        description="Inspect or serve obs metric documents.",
+        description="Inspect obs metric documents.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -229,39 +148,19 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="emit the snapshot in Prometheus text exposition")
     fmt.add_argument("--json", action="store_true",
                      help="re-emit the document with series decoded to arrays")
-
-    serve = sub.add_parser(
-        "serve", help="serve an obs document over HTTP "
-                      "(/metrics, /stats, /healthz)"
-    )
-    serve.add_argument("file", help="obs document path, or - for stdin")
-    serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=int, default=9464)
     return parser
 
 
 def obs_main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     doc = load_obs_document(args.file)
-    if args.command == "report":
-        if args.csv:
-            sys.stdout.write(timeseries_to_csv(doc.get("timeseries", {})))
-        elif args.prom:
-            sys.stdout.write(prom.render_snapshot(doc.get("obs", {})))
-        elif args.json:
-            json.dump(decode_document(doc), sys.stdout, indent=2)
-            sys.stdout.write("\n")
-        else:
-            sys.stdout.write(render_obs_document(doc))
-        return 0
-    # serve
-    server = ObsDocServer(doc, host=args.host, port=args.port, verbose=True)
-    print(f"obs-serve: http://{args.host}:{server.port}/metrics "
-          f"(/stats, /healthz; Ctrl-C to stop)", file=sys.stderr)
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.server_close()
+    if args.csv:
+        sys.stdout.write(timeseries_to_csv(doc.get("timeseries", {})))
+    elif args.prom:
+        sys.stdout.write(prom.render_snapshot(doc.get("obs", {})))
+    elif args.json:
+        json.dump(decode_document(doc), sys.stdout, indent=2)
+        sys.stdout.write("\n")
+    else:
+        sys.stdout.write(render_obs_document(doc))
     return 0

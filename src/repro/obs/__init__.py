@@ -40,8 +40,7 @@ configurable simulated-time interval into bounded, delta-encoded
 per-metric series (``timeseries.sampling()`` / ``--obs-sample SEC`` on
 the CLI), with per-probe overhead attribution for the dynamic
 policies.  :mod:`repro.obs.prom` renders any snapshot in Prometheus
-text exposition format for the svc daemons' live ``/metrics``
-endpoints.
+text exposition format (``obs report --prom``).
 
 See ``docs/observability.md`` for the metric name catalogue and
 ``docs/tracing.md`` for the trace event model.

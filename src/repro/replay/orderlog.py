@@ -200,7 +200,7 @@ class OrderLog:
         return log
 
     def to_b64(self) -> str:
-        """ASCII form for riding JSON worker envelopes and wire frames."""
+        """ASCII form for riding JSON worker envelopes."""
         return to_ascii(self.to_bytes())
 
     @classmethod

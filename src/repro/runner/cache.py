@@ -7,14 +7,13 @@ package version.  :func:`point_key` hashes exactly those inputs
 there is no TTL and no invalidation protocol; changing any input
 changes the key.
 
-Every store holds the same entry document (:func:`build_entry`): the
-key, the point's canonical description (for humans and audit), and the
-result payload.  :class:`ResultCache` keeps them as JSON files under
+Each entry is one document (:func:`build_entry`): the key, the point's
+canonical description (for humans and audit), and the result payload.
+:class:`ResultCache` keeps them as JSON files under
 ``<root>/<key[:2]>/<key>.json``; writes are atomic (temp file +
 ``os.replace``).  A corrupted or mismatched entry is treated as a miss
 and discarded, so a damaged cache degrades to recomputation, never to
-a crash or a wrong result.  :class:`CacheStore` is the base the
-memory, SQLite and HTTP stores of :mod:`repro.svc.backends` share.
+a crash or a wrong result.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ __all__ = [
     "point_key",
     "build_entry",
     "validate_entry",
-    "CacheStore",
     "ResultCache",
     "default_cache_dir",
 ]
@@ -97,7 +95,7 @@ def build_entry(
     payload: Any,
     meta: Optional[Dict[str, Any]] = None,
 ) -> Dict[str, Any]:
-    """The canonical entry document every cache store holds."""
+    """The canonical document a cache entry holds."""
     entry: Dict[str, Any] = {
         "key": key,
         "version": _package_version(),
@@ -118,17 +116,15 @@ def validate_entry(key: str, entry: Any) -> bool:
     )
 
 
-class CacheStore:
-    """What every result store shares: ``put`` over ``put_entry``,
-    containment over ``get``, and hit/miss/corruption counters mirrored
-    into :mod:`repro.obs` as ``svc.cache.<backend>.<event>``.  A store
-    adds ``get``, ``put_entry``, ``discard``, ``__len__`` and ``clear``
-    (the :class:`repro.svc.backends.CacheBackend` protocol)."""
+class ResultCache:
+    """Directory of content-addressed sweep results.
 
-    #: Backend name reported by repr, ``stats()`` and obs counters.
-    backend_name = "?"
+    Hits, misses and corrupt discards are counted here and mirrored into
+    :mod:`repro.obs` as ``svc.cache.directory.<event>``."""
 
-    def __init__(self) -> None:
+    def __init__(self, root: Union[str, Path]) -> None:
+        self.root = Path(root)
+        self._root = os.fspath(self.root)
         self.hits = 0
         self.misses = 0
         #: Corrupt entries turned into misses so far — surfaced via the
@@ -139,46 +135,12 @@ class CacheStore:
         setattr(self, event, getattr(self, event) + 1)
         registry = _obs_get()
         if registry.enabled:
-            registry.inc(f"svc.cache.{self.backend_name}.{event}")
+            registry.inc(f"svc.cache.directory.{event}")
 
-    def put(
-        self,
-        key: str,
-        point: Optional[SweepPoint],
-        payload: Any,
-        meta: Optional[Dict[str, Any]] = None,
-    ) -> None:
-        """Store ``payload`` for ``key``."""
-        self.put_entry(key, build_entry(key, point, payload, meta))
-
-    def __contains__(self, key: str) -> bool:
-        """True only if :meth:`get` would hit (so, like ``get``, it
-        validates and discards a corrupted entry)."""
-        return self.get(key) is not None
-
-    def stats(self) -> Dict[str, Any]:
-        return {
-            "backend": self.backend_name,
-            "hits": self.hits,
-            "misses": self.misses,
-            "corrupt_discards": self.corrupt_discards,
-        }
-
-    def close(self) -> None:  # most stores hold no live resources
-        pass
-
-
-class ResultCache(CacheStore):
-    """Directory of content-addressed sweep results."""
-
-    backend_name = "directory"
-
-    def __init__(self, root: Union[str, Path]) -> None:
-        super().__init__()
-        self.root = Path(root)
-
-    def _path(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.json"
+    def _path(self, key: str) -> str:
+        # One string build per probe: pathlib's joins cost about as much
+        # as keying the point.
+        return f"{self._root}{os.sep}{key[:2]}{os.sep}{key}.json"
 
     def get(self, key: str) -> Optional[Dict[str, Any]]:
         """The stored entry for ``key``, or None on miss *or* corruption.
@@ -206,14 +168,25 @@ class ResultCache(CacheStore):
         self._count("hits")
         return entry
 
+    def put(
+        self,
+        key: str,
+        point: Optional[SweepPoint],
+        payload: Any,
+        meta: Optional[Dict[str, Any]] = None,
+    ) -> None:
+        """Store ``payload`` for ``key``."""
+        self.put_entry(key, build_entry(key, point, payload, meta))
+
     def put_entry(self, key: str, entry: Dict[str, Any]) -> None:
         """Atomically store ``entry`` verbatim (temp file + rename)."""
         if not validate_entry(key, entry):
             raise ValueError(f"malformed cache entry for key {key[:12]}...")
         path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
+        bucket = os.path.dirname(path)
+        os.makedirs(bucket, exist_ok=True)
         fd, tmp = tempfile.mkstemp(prefix=f".{key[:8]}-", suffix=".tmp",
-                                   dir=path.parent)
+                                   dir=bucket)
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
                 # json.dumps, unlike json.dump, runs the C encoder; the
@@ -221,12 +194,17 @@ class ResultCache(CacheStore):
                 fh.write(json.dumps(entry))
             os.replace(tmp, path)
         except BaseException:
-            self._unlink(Path(tmp))
+            self._unlink(tmp)
             raise
+
+    def __contains__(self, key: str) -> bool:
+        """True only if :meth:`get` would hit (so, like ``get``, it
+        validates and discards a corrupted entry)."""
+        return self.get(key) is not None
 
     def discard(self, key: str) -> bool:
         path = self._path(key)
-        existed = path.is_file()
+        existed = os.path.isfile(path)
         self._unlink(path)
         return existed
 
@@ -255,13 +233,13 @@ class ResultCache(CacheStore):
         return n
 
     @staticmethod
-    def _unlink(path: Path) -> None:
+    def _unlink(path: Union[str, Path]) -> None:
         try:
-            path.unlink()
+            os.unlink(path)
         except OSError:
             pass
 
     def __repr__(self) -> str:
         # O(1) on purpose: logging a runner must never walk the cache
         # directory (``len(self)`` scans every entry).
-        return f"<{type(self).__name__} {self.backend_name}:{self.root}>"
+        return f"<{type(self).__name__} directory:{self.root}>"

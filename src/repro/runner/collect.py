@@ -10,8 +10,8 @@ payload.  The protocol has three parts:
   ``snapshot()`` is the attachment;
 * :meth:`Collector.merge` — runner side: folds one point's attachment
   into the collector's sweep-wide result;
-* :attr:`Collector.name` / :attr:`Collector.params` — the JSON form the
-  socket ``spec`` frame carries (:func:`to_wire` / :func:`from_wire`).
+* :attr:`Collector.name` — the attachment's key in the envelope;
+  :attr:`Collector.params` — the constructor arguments a pickle carries.
 
 Sinks are entered in a fixed order (:attr:`Collector.rank`, lowest
 outermost): the metrics registry first, the order recorder and the
@@ -45,10 +45,7 @@ __all__ = [
     "SampleCollector",
     "OrderCollector",
     "ReplayCollector",
-    "COLLECTORS",
     "for_point",
-    "to_wire",
-    "from_wire",
 ]
 
 
@@ -234,31 +231,8 @@ class ReplayCollector(_PerLabel):
         return replaying(OrderLog.from_b64(self.logs[point.label]))
 
 
-#: Wire name -> class, for rebuilding collectors from a spec frame.
-COLLECTORS = {cls.name: cls for cls in (
-    MetricsCollector, TraceCollector, SampleCollector, OrderCollector,
-    ReplayCollector)}
-
-
 def for_point(collectors: Iterable[Collector],
               point: SweepPoint) -> List[Collector]:
     """The collectors that observe ``point``, each trimmed to it."""
     trimmed = (c.for_point(point) for c in collectors)
     return [c for c in trimmed if c is not None]
-
-
-def to_wire(collectors: Iterable[Collector]) -> List[Dict[str, Any]]:
-    """The JSON form of ``collectors`` for a socket spec frame."""
-    return [{"name": c.name, "params": c.params} for c in collectors]
-
-
-def from_wire(docs: Iterable[Dict[str, Any]]) -> List[Collector]:
-    """Rebuild collectors from :func:`to_wire` output; raises
-    ``ValueError`` on a name this build does not know."""
-    collectors = []
-    for doc in docs:
-        cls = COLLECTORS.get(doc.get("name"))
-        if cls is None:
-            raise ValueError(f"unknown collector {doc.get('name')!r}")
-        collectors.append(cls(**doc.get("params", {})))
-    return collectors

@@ -214,8 +214,8 @@ class SweepPoint:
         """Rebuild a point from :meth:`canonical` output.
 
         The round trip is exact — same cache key, same label — which is
-        what lets socket workers on other hosts receive points as JSON
-        and still write into the shared content-addressed cache.
+        what lets ``replay verify`` re-run the point an order log's
+        metadata describes.
         """
         machine = doc["machine"]
         if not isinstance(machine, MachineSpec):

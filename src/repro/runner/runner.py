@@ -9,11 +9,10 @@ one :class:`PointResult` per distinct point:
 2. **Fan-out** — misses run on an executor backend
    (:mod:`repro.svc.executors`): in-process serial for ``jobs=1``, a
    ``ProcessPoolExecutor`` with ``jobs`` workers otherwise (one pool
-   for every grid the runner runs, until its backend is closed), or —
-   via ``executor=`` — socket workers on other hosts.  The simulations are
-   deterministic, so every path returns bit-identical floats to the
-   serial one — that equivalence is the acceptance test of the whole
-   subsystem.
+   for every grid the runner runs, until :meth:`SweepRunner.close`).
+   The simulations are deterministic, so the pool returns
+   bit-identical floats to the serial path — that equivalence is the
+   acceptance test of the whole subsystem.
 3. **Failure containment** — a point that raises or exceeds the
    per-point ``timeout`` becomes a failed :class:`PointResult`; a point
    whose *worker process dies* (``BrokenProcessPool``) is retried once
@@ -126,13 +125,6 @@ class SweepRunner:
     telemetry:
         A :class:`SweepTelemetry`, or a text stream to emit JSON lines
         to, or None for counters-only telemetry.
-    executor:
-        A :class:`repro.svc.executors.ExecutorBackend` or a spec string
-        (``"serial"``, ``"process[:N]"``, ``"socket:HOST:PORT"``).
-        None (the default) derives the historical serial/process-pool
-        behaviour from ``jobs``.  The ``cache`` parameter likewise
-        accepts any :class:`repro.svc.backends.CacheBackend` — memory,
-        sqlite, http — in place of a directory path.
     collectors:
         :class:`~repro.runner.collect.Collector` objects that observe
         every computed point.  Their per-point attachments ride the worker
@@ -153,18 +145,17 @@ class SweepRunner:
         timeout: Optional[float] = None,
         retry: Optional[RetryPolicy] = None,
         telemetry: Union[SweepTelemetry, IO[str], None] = None,
-        executor: Any = None,
         collectors: Sequence[Collector] = (),
     ) -> None:
         if jobs < 0:
             raise ValueError("jobs must be >= 0")
         self.jobs = jobs if jobs > 0 else default_jobs()
-        if cache is not None and isinstance(cache, (str, Path)):
+        if isinstance(cache, (str, Path)):
             cache = ResultCache(cache)
-        # Anything else duck-types as a repro.svc CacheBackend
-        # (get/put); the directory ResultCache is simply one of them.
         self.cache = cache
-        self.executor = executor
+        #: The executor backend, built on the first grid with misses and
+        #: kept, with its pool, until :meth:`close`.
+        self.executor = None
         self.timeout = timeout
         self.retry = retry if retry is not None else RetryPolicy()
         if telemetry is None or isinstance(telemetry, SweepTelemetry):
@@ -236,6 +227,11 @@ class SweepRunner:
             raise SweepError(failures)
         return [results[p].payload for p in points]  # type: ignore[misc]
 
+    def close(self) -> None:
+        """Shut down the executor's worker pool, if one was started."""
+        if self.executor is not None:
+            self.executor.close()
+
     # -- execution paths ------------------------------------------------------
 
     def _exec_spec(self):
@@ -249,15 +245,16 @@ class SweepRunner:
             on_retry=self._on_retry,
         )
 
-    def _resolve_executor(self):
-        """The executor backend this sweep runs on (see
-        :func:`~repro.svc.executors.make_executor_backend`; imported
-        lazily — :mod:`repro.svc` builds on this module)."""
-        from ..svc.executors import make_executor_backend
+    def _backend(self):
+        """The executor backend: serial for ``jobs == 1``, else one
+        process pool (imported lazily — :mod:`repro.svc` builds on this
+        module, and a fully cached run needs neither)."""
+        if self.executor is None:
+            from ..svc.executors import ProcessPoolBackend, SerialBackend
 
-        backend = make_executor_backend(self.executor, jobs=self.jobs)
-        self.executor = backend  # keep the instance (socket listeners etc.)
-        return backend
+            self.executor = (SerialBackend() if self.jobs == 1
+                             else ProcessPoolBackend(self.jobs))
+        return self.executor
 
     def _on_retry(self, label: str, key: str, attempt: int, delay: float) -> None:
         self.telemetry.retry_scheduled(
@@ -273,7 +270,7 @@ class SweepRunner:
         results: Dict[SweepPoint, PointResult],
         attachments: Dict[SweepPoint, Dict[str, Any]],
     ) -> None:
-        backend = self._resolve_executor()
+        backend = self._backend()
         for point, envelope, attempts in backend.run(points, self._exec_spec()):
             results[point] = self._finish(point, keys[point], envelope, attempts)
             if "attachments" in envelope:

@@ -151,72 +151,6 @@ def test_integration_with_dynamic_run():
     assert pv.of("inner").inclusive >= pv.of("sweep").inclusive
 
 
-# ------------------------------------------------------- message statistics
-
-
-def test_message_stats_from_trace():
-    from repro.analysis import MessageStats, render_message_matrix
-    from repro.vt import ThreadTraceBuffer, TraceFile
-
-    trace = TraceFile("msgs")
-    b0 = ThreadTraceBuffer(0, 0)
-    b0.message("send", 1, 0, 1000, 0.1)
-    b0.message("send", 1, 0, 2000, 0.2)
-    b0.message("recv", 1, 1, 500, 0.3)
-    trace.add_buffer(b0)
-    b1 = ThreadTraceBuffer(1, 0)
-    b1.message("recv", 0, 0, 1000, 0.15)
-    b1.message("recv", 0, 0, 2000, 0.25)
-    b1.message("send", 0, 1, 500, 0.28)
-    trace.add_buffer(b1)
-
-    stats = MessageStats(trace)
-    assert stats.total_messages == 3
-    assert stats.total_bytes == 3500
-    assert stats.between(0, 1) == (2, 3000)
-    assert stats.between(1, 0) == (1, 500)
-    assert stats.between(0, 0) == (0, 0)
-    assert stats.sent_by(0) == (2, 3000)
-    assert stats.received_by(0) == (1, 500)
-    assert stats.is_balanced()
-    assert stats.heaviest_pairs(1) == [((0, 1), 3000)]
-    text = render_message_matrix(stats)
-    assert "message matrix" in text and "2.9" in text  # 3000/1024 KB
-
-
-def test_message_stats_unbalanced_truncated_trace():
-    from repro.analysis import MessageStats
-    from repro.vt import ThreadTraceBuffer, TraceFile
-
-    trace = TraceFile("cut")
-    b0 = ThreadTraceBuffer(0, 0)
-    b0.message("send", 1, 0, 100, 0.1)  # never received: in flight
-    trace.add_buffer(b0)
-    assert not MessageStats(trace).is_balanced()
-
-
-def test_message_stats_on_real_run():
-    from repro.analysis import MessageStats
-    from repro.apps import SWEEP3D
-    from repro.cluster import Cluster, POWER3_SP
-    from repro.jobs import MpiJob
-    from repro.simt import Environment
-
-    env = Environment()
-    cluster = Cluster(env, POWER3_SP, seed=3)
-    exe = SWEEP3D.build_exe(True)
-    job = MpiJob(env, cluster, exe, 4, SWEEP3D.make_program(4, 0.05))
-    job.run()
-    env.run()
-    stats = MessageStats(job.trace)
-    # Wavefront traffic exists and every sent message was received.
-    assert stats.total_messages > 0
-    assert stats.is_balanced()
-    # Sweep traffic flows between grid neighbours only (2x2 grid).
-    assert stats.between(0, 3) == (0, 0)
-    assert stats.between(0, 1)[0] > 0
-
-
 # ------------------------------------------------------- SVG export
 
 

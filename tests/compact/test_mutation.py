@@ -1,14 +1,11 @@
 """Seeded mutation tests of the binary decoders.
 
-VGVZ traces, RRLG order logs, time-series snapshots and socket frames
-all come back from disk or the wire.  A damaged copy must fail with its
-decoder's typed error (``DecodeError``, or ``WireError`` for frames) or
-decode to *something*: never escape as another exception type, and
-never hang.  The two sealed container formats promise more: every
-mutant that differs from the original fails.
+VGVZ traces, RRLG order logs and time-series snapshots all come back
+from disk.  A damaged copy must fail with its decoder's typed error
+(``DecodeError``) or decode to *something*: never escape as another
+exception type, and never hang.  The two sealed container formats
+promise more: every mutant that differs from the original fails.
 """
-
-import io
 
 import pytest
 
@@ -19,7 +16,6 @@ from repro.compact.codec import CompactReader, compress_trace_bytes
 from repro.compact.container import DecodeError, from_ascii, to_ascii
 from repro.obs.timeseries import SeriesRing, decode_series
 from repro.replay.orderlog import CH_DELIVER, CH_EVENT, CH_FAULT, OrderLog
-from repro.svc.wire import WireError, read_frame, write_frame
 from repro.vt import ThreadTraceBuffer, TraceFile
 
 
@@ -57,18 +53,9 @@ def _series_doc():
     return ring.to_dict()
 
 
-def _frame_bytes():
-    fh = io.BytesIO()
-    write_frame(fh, {"op": "result", "label": "mutant", "attempt": 1,
-                     "envelope": {"status": "ok", "payload": [1.5, -2, None],
-                                  "attachments": {"order": "UlJMRw=="}}})
-    return fh.getvalue()
-
-
 VGVZ = _vgvz_bytes()
 RRLG = _rrlg_bytes()
 SERIES = _series_doc()
-FRAME = _frame_bytes()
 
 
 def _decode_vgvz(data):
@@ -79,16 +66,11 @@ def _decode_series_t(data):
     decode_series(dict(SERIES, t=to_ascii(data)))
 
 
-def _decode_frame(data):
-    assert isinstance(read_frame(io.BytesIO(data)), dict)
-
-
 #: format -> (original bytes, decoder, its typed error)
 DECODERS = {
     "vgvz": (VGVZ, _decode_vgvz, DecodeError),
     "rrlg": (RRLG, OrderLog.from_bytes, DecodeError),
     "series": (from_ascii(SERIES["t"]), _decode_series_t, DecodeError),
-    "wire": (FRAME, _decode_frame, WireError),
 }
 
 #: (kind, position, parameter); the position wraps modulo the length.
@@ -129,18 +111,6 @@ _BOUNDED = settings(max_examples=500, deadline=1000)
 def test_mutants_raise_value_error_or_decode(fmt, mutations):
     data, decode, error = DECODERS[fmt]
     decode(data)  # the unmutated stream decodes
-    try:
-        decode(mutate(data, mutations))
-    except error:
-        pass
-
-
-@seed(20031)
-@_BOUNDED
-@given(mutations=st.lists(_MUTATION, min_size=1, max_size=3))
-def test_mutated_frames_raise_wire_error_or_decode(mutations):
-    data, decode, error = DECODERS["wire"]
-    decode(data)
     try:
         decode(mutate(data, mutations))
     except error:

@@ -1,9 +1,8 @@
 """CLI surface of the time-series telemetry: --obs-sample, '-' output
 targets, consistent unwritable-path errors, the chaos --obs document,
-and the `obs report` / `obs serve` subcommand."""
+and the `obs report` subcommand."""
 
 import json
-import urllib.request
 
 import pytest
 
@@ -193,33 +192,3 @@ def test_obs_report_rejects_garbage(tmp_path, capsys):
     with pytest.raises(SystemExit):
         main(["obs", "report", str(tmp_path / "missing.json")])
     assert "cannot read obs document" in capsys.readouterr().err
-
-
-# --------------------------------------------------------------- obs serve
-
-
-def test_obs_serve_exposes_metrics_stats_healthz(obs_doc):
-    from tests.obs.test_prom import parse_exposition
-
-    from repro.experiments.obscmd import serve_obs_document
-
-    path, doc = obs_doc
-    server = serve_obs_document(doc, port=0)
-    try:
-        base = f"http://127.0.0.1:{server.port}"
-        with urllib.request.urlopen(f"{base}/metrics", timeout=10) as resp:
-            assert resp.headers["Content-Type"].startswith(
-                "text/plain; version=0.0.4")
-            fams = parse_exposition(resp.read().decode("utf-8"))
-        assert fams["repro_vt_records_total"][1]["repro_vt_records_total"] \
-            == doc["obs"]["counters"]["vt.records"]
-        with urllib.request.urlopen(f"{base}/stats", timeout=10) as resp:
-            stats = json.loads(resp.read())
-        assert stats["labels"] == sorted(doc["timeseries"])
-        with urllib.request.urlopen(f"{base}/healthz", timeout=10) as resp:
-            assert resp.read() == b"ok\n"
-        with pytest.raises(urllib.error.HTTPError):
-            urllib.request.urlopen(f"{base}/nope", timeout=10)
-    finally:
-        server.shutdown()
-        server.server_close()

@@ -2,12 +2,12 @@
 
 ``fig7b --quick --obs F --obs-sample 1.0 --trace D --record D`` writes
 one ``<label>.trace.json`` causal-trace document and one ``<label>.order``
-RRLG order log per point.  Workers encode both (the trace as JSON text,
-the log in bulk from its columns); the parent only writes them out.
-These digests were taken before either encoding moved, so any drift in
-the encoders, in grid-order merging or in the executor shows here.
-They must hold in-process (``--jobs 1``) and on a process pool
-(``--jobs 2``).
+RRLG order log per point, and one merged ``--obs`` document.  Workers
+encode the traces and logs (the trace as JSON text, the log in bulk from
+its columns); the parent only writes them out.  These digests were taken
+before either encoding moved, so any drift in the encoders, in
+grid-order merging or in the executor shows here.  They must hold
+in-process (``--jobs 1``) and on a process pool (``--jobs 2``).
 
 As with ``test_quick_golden.py``: after a pure performance change, fix
 the code, not the digests.
@@ -72,6 +72,10 @@ ARTIFACT_SHA256 = {
     "policy_sppm_Subset_8.trace.json": "74ae47db98b8a4fffcd9d042e8463b96babebd42ac2d0710433cf3528d21ea1b",
 }
 
+#: The merged metrics document (counters, telemetry summary and sampled
+#: series of all 25 points), in grid order whatever the executor.
+OBS_SHA256 = "f0afdb266e22a1d4f1af76a3de5d0396461419f091ad9cf725723f19168171c4"
+
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_fig7b_trace_and_order_files_match_pinned_digests(jobs, tmp_path,
@@ -88,3 +92,5 @@ def test_fig7b_trace_and_order_files_match_pinned_digests(jobs, tmp_path,
     drifted = sorted(name for name, digest in digests.items()
                      if digest != ARTIFACT_SHA256[name])
     assert not drifted, f"--jobs {jobs}: {len(drifted)} file(s) drifted: {drifted}"
+    obs_digest = hashlib.sha256((tmp_path / "obs.json").read_bytes()).hexdigest()
+    assert obs_digest == OBS_SHA256, f"--jobs {jobs}: obs.json drifted"

@@ -7,8 +7,8 @@ Source side: every registry call site (``.inc`` / ``.gauge_set`` /
 with one of the guarded prefixes.  Doc side: every `` `name` `` row of
 the catalogue tables with a guarded prefix.  Dynamic f-string segments
 (``{event}``...) normalise to ``<>`` on both sides, so
-``svc.cache.<backend>.<event>`` in the docs matches
-``svc.cache.{self.backend_name}.{event}`` in the code.
+``svc.cache.directory.<event>`` in the docs matches
+``svc.cache.directory.{event}`` in the code.
 """
 
 import pathlib

@@ -309,12 +309,6 @@ def test_render_trace_summary_sections():
     assert "perturbation attribution" in text
     assert "instrumentation share:" in text
 
-    from repro.analysis import render_causal_trace_report
-
-    assert render_causal_trace_report(
-        _trace_doc(env), elapsed=env["payload"]["time"]
-    ) == text
-
 
 # ------------------------------------------------------- trace-volume model
 

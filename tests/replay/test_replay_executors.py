@@ -1,13 +1,11 @@
-"""Replay verification through every executor backend.
+"""Replay verification through both executors.
 
 Verification is one more collector, so it must behave the same whether
-points run in-process, in a process pool or on a socket worker, and it
-must ship each point only that point's log.
+points run in-process or in a process pool, and it must ship each
+point only that point's log.
 """
 
-import contextlib
 import pickle
-import threading
 
 import pytest
 
@@ -17,7 +15,7 @@ from repro.runner import (
     SweepPoint,
     SweepRunner,
 )
-from repro.svc import ExecSpec, SocketWorkerBackend, run_worker
+from repro.svc import ExecSpec
 
 
 def grid(seed=0):
@@ -32,44 +30,30 @@ def recorded_logs():
     return recorder.docs
 
 
-@contextlib.contextmanager
-def executor(name, n_points):
-    if name != "socket":
-        yield name
-        return
-    backend = SocketWorkerBackend()
-    worker = threading.Thread(
-        target=run_worker, args=(backend.host, backend.port),
-        kwargs={"max_points": n_points}, daemon=True)
-    worker.start()
-    try:
-        yield backend
-    finally:
-        worker.join(timeout=30)
-        backend.close()
-    assert not worker.is_alive()
-
-
-def replay(name, points, logs):
+def replay(jobs, points, logs):
     collector = ReplayCollector(logs)
-    with executor(name, len(points)) as spec:
-        results = SweepRunner(executor=spec, collectors=[collector]).run(points)
+    runner = SweepRunner(jobs=jobs, collectors=[collector])
+    try:
+        results = runner.run(points)
+    finally:
+        runner.close()
     return [results[p] for p in points], collector
 
 
-@pytest.mark.parametrize("name", ["serial", "process:2", "socket"])
-def test_replay_verifies_and_diverges_under_every_executor(name):
+@pytest.mark.parametrize("jobs", [pytest.param(1, id="serial"),
+                                  pytest.param(2, id="process:2")])
+def test_replay_verifies_and_diverges_under_every_executor(jobs):
     logs = recorded_logs()
-    ok, collector = replay(name, grid(), logs)
+    ok, collector = replay(jobs, grid(), logs)
     assert [r.status for r in ok] == ["ok", "ok"]
     assert sorted(collector.docs) == sorted(logs)
     assert all(doc["decisions"] > 0 for doc in collector.docs.values())
 
     # Same labels, different seed: every point must depart from its log,
     # at the same decision as the serial replay reports.
-    bad, _ = replay(name, grid(seed=3), logs)
+    bad, _ = replay(jobs, grid(seed=3), logs)
     assert [r.status for r in bad] == ["diverged", "diverged"]
-    serial, _ = replay("serial", grid(seed=3), logs)
+    serial, _ = replay(1, grid(seed=3), logs)
     assert [r.divergence for r in bad] == [r.divergence for r in serial]
 
 
@@ -84,7 +68,5 @@ def test_each_point_ships_only_its_own_log():
     assert len(many) == 50
     assert (len(pickle.dumps(fifty.worker_args(point)))
             == len(pickle.dumps(one.worker_args(point))))
-    assert fifty.to_wire(point) == one.to_wire(point)
     # A point without a log carries no replay collector at all.
     assert one.worker_args(other)[2] == []
-    assert one.to_wire(other)["collectors"] == []

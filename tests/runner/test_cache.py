@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -159,7 +160,7 @@ def test_entry_file_is_the_compact_json_of_the_entry(tmp_path):
     meta = {"wall_time": 0.5}
     cache.put(key, p, {"time": 1.25}, meta=meta)
     entry = build_entry(key, p, {"time": 1.25}, meta)
-    assert cache._path(key).read_text(encoding="utf-8") == json.dumps(entry)
+    assert Path(cache._path(key)).read_text(encoding="utf-8") == json.dumps(entry)
 
 
 def test_corrupted_entry_is_a_miss_and_discarded(tmp_path):
@@ -167,7 +168,7 @@ def test_corrupted_entry_is_a_miss_and_discarded(tmp_path):
     p = _cell()
     key = point_key(p)
     cache.put(key, p, {"time": 1.0})
-    path = cache._path(key)
+    path = Path(cache._path(key))
     path.write_text("{ not json !!", encoding="utf-8")
     assert cache.get(key) is None
     assert not path.exists()
@@ -178,7 +179,7 @@ def test_entry_with_mismatched_key_is_discarded(tmp_path):
     p = _cell()
     key = point_key(p)
     cache.put(key, p, {"time": 1.0})
-    path = cache._path(key)
+    path = Path(cache._path(key))
     entry = json.loads(path.read_text(encoding="utf-8"))
     entry["key"] = "0" * 64
     path.write_text(json.dumps(entry), encoding="utf-8")
@@ -194,7 +195,7 @@ def test_contains_is_consistent_with_get_on_corruption(tmp_path):
     key = point_key(p)
     cache.put(key, p, {"time": 1.0})
     assert key in cache
-    path = cache._path(key)
+    path = Path(cache._path(key))
     path.write_text("{ not json !!", encoding="utf-8")
     assert key not in cache
     # Containment validates like get: the corrupt file has been discarded.
@@ -209,7 +210,7 @@ def test_tmp_droppings_are_not_entries(tmp_path):
     p = _cell()
     key = point_key(p)
     cache.put(key, p, {"time": 1.0})
-    bucket = cache._path(key).parent
+    bucket = Path(cache._path(key)).parent
     orphan_tmp = bucket / f".{key[:8]}-orphan.tmp"
     orphan_tmp.write_text("partial write", encoding="utf-8")
     hidden_json = bucket / ".hidden.json"
@@ -231,7 +232,7 @@ def test_corrupt_discards_are_counted(tmp_path):
     key = point_key(p)
     cache.put(key, p, {"time": 1.0})
     assert cache.corrupt_discards == 0
-    cache._path(key).write_text("{ not json !!", encoding="utf-8")
+    Path(cache._path(key)).write_text("{ not json !!", encoding="utf-8")
     with obs.collecting() as registry:
         assert cache.get(key) is None
     assert cache.corrupt_discards == 1
@@ -239,9 +240,9 @@ def test_corrupt_discards_are_counted(tmp_path):
 
     # The mismatched-key corruption path counts too.
     cache.put(key, p, {"time": 1.0})
-    entry = json.loads(cache._path(key).read_text(encoding="utf-8"))
+    entry = json.loads(Path(cache._path(key)).read_text(encoding="utf-8"))
     entry["key"] = "0" * 64
-    cache._path(key).write_text(json.dumps(entry), encoding="utf-8")
+    Path(cache._path(key)).write_text(json.dumps(entry), encoding="utf-8")
     assert cache.get(key) is None
     assert cache.corrupt_discards == 2
 
@@ -249,7 +250,7 @@ def test_corrupt_discards_are_counted(tmp_path):
 def test_telemetry_summary_surfaces_corrupt_discards(tmp_path):
     point = SweepPoint.confsync(2, reps=2)
     SweepRunner(cache=tmp_path).run([point])
-    path = ResultCache(tmp_path)._path(point_key(point))
+    path = Path(ResultCache(tmp_path)._path(point_key(point)))
     path.write_bytes(b"\x00\xffgarbage")
 
     runner = SweepRunner(cache=tmp_path)
@@ -285,7 +286,7 @@ def test_runner_recovers_from_corrupted_entry(tmp_path):
     first = SweepRunner(cache=tmp_path).run([point])[point]
     assert first.ok and not first.cached
 
-    path = ResultCache(tmp_path)._path(point_key(point))
+    path = Path(ResultCache(tmp_path)._path(point_key(point)))
     assert path.exists()
     path.write_bytes(b"\x00\xffgarbage")
 

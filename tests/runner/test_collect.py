@@ -13,28 +13,9 @@ from repro.runner import (
     SweepPoint,
     TraceCollector,
 )
-from repro.runner.collect import COLLECTORS, from_wire, to_wire
 from repro.runner.worker import execute_point
 
 POINT = SweepPoint.policy_cell("sweep3d", "Dynamic", 4, scale=0.02)
-
-
-def test_wire_form_round_trips_every_builtin_collector():
-    collectors = [MetricsCollector(), TraceCollector("coarse", 128, True),
-                  SampleCollector(0.25), OrderCollector(),
-                  ReplayCollector({"a@1": "UlJMRw=="})]
-    docs = to_wire(collectors)
-    assert [d["name"] for d in docs] == ["obs", "trace", "timeseries",
-                                         "order_log", "replay"]
-    rebuilt = from_wire(docs)
-    assert [type(c) for c in rebuilt] == [type(c) for c in collectors]
-    assert [c.params for c in rebuilt] == [c.params for c in collectors]
-    assert set(COLLECTORS) == {d["name"] for d in docs}
-
-
-def test_unknown_collector_name_is_rejected():
-    with pytest.raises(ValueError, match="unknown collector"):
-        from_wire([{"name": "host-profile", "params": {}}])
 
 
 def test_sampling_interval_must_be_positive():
@@ -48,6 +29,13 @@ def test_pickling_carries_configuration_not_merged_results():
     clone = pickle.loads(pickle.dumps(tracer))
     assert clone.params == tracer.params
     assert clone.docs == {}
+    # Every built-in collector is rebuilt from its params alone.
+    collectors = [MetricsCollector(), TraceCollector("coarse", 128, True),
+                  SampleCollector(0.25), OrderCollector(),
+                  ReplayCollector({"a@1": "UlJMRw=="})]
+    rebuilt = [pickle.loads(pickle.dumps(c)) for c in collectors]
+    assert [type(c) for c in rebuilt] == [type(c) for c in collectors]
+    assert [c.params for c in rebuilt] == [c.params for c in collectors]
 
 
 def test_entry_order_is_fixed_whatever_the_list_order():

@@ -3,8 +3,7 @@
 A cached regeneration parses its arguments, probes the cache and
 renders: it needs the runner, the machine specs and the figure
 modules, never the simulator (``repro.simt`` and everything built on
-it), numpy, or the service stack's HTTP server and SQLite store.
-Those load where a point is simulated, in
+it) or numpy.  Those load where a point is simulated, in
 :func:`repro.runner.worker.preload`, which ``execute_point`` and the
 process pool call before the point's clock starts and before forking.
 
@@ -172,40 +171,3 @@ def test_execute_point_loads_numpy_before_the_clock_starts():
             "assert envelope['status'] == 'ok'\n"
             "assert envelope['wall_time'] < total / 2, (envelope, total)")
     assert {"numpy", "repro.simt"} <= set(_loaded_after(body))
-
-
-def test_sqlite_cache_backend_runs_cold_and_warm(tmp_path):
-    db = tmp_path / "cache.db"
-    code = ("import contextlib, io, sys\n"
-            "from repro.experiments.cli import main\n"
-            "outs = []\n"
-            "for _ in range(2):\n"
-            "    buf = io.StringIO()\n"
-            "    with contextlib.redirect_stdout(buf):\n"
-            "        assert main(['fig8c', '--quick', '--jobs', '1',\n"
-            f"                     '--cache-backend', 'sqlite:{db}']) == 0\n"
-            "    outs.append(buf.getvalue())\n"
-            "assert outs[0] == outs[1] and outs[0]\n"
-            "print('sqlite3' in sys.modules)")
-    assert _run(code) == "True"
-
-
-def test_socket_backend_runs_a_grid():
-    code = ("import contextlib, io, socket, sys, threading\n"
-            "from repro.experiments.cli import main\n"
-            "from repro.svc.worker import run_worker\n"
-            "probe = socket.socket()\n"
-            "probe.bind(('127.0.0.1', 0))\n"
-            "port = probe.getsockname()[1]\n"
-            "probe.close()\n"
-            "worker = threading.Thread(target=run_worker, args=('127.0.0.1', port),\n"
-            "    kwargs={'max_points': 2, 'reconnect': True}, daemon=True)\n"
-            "worker.start()\n"
-            "with contextlib.redirect_stdout(io.StringIO()), \\\n"
-            "        contextlib.redirect_stderr(io.StringIO()):\n"
-            "    assert main(['sweep', '--apps', 'sweep3d', '--policies', 'Full',\n"
-            "                 '--cpus', '2,4', '--scale', '0.02', '--no-cache',\n"
-            "                 '--backend', f'socket:127.0.0.1:{port}']) == 0\n"
-            "worker.join(timeout=30)\n"
-            "print(worker.is_alive())")
-    assert _run(code) == "False"
