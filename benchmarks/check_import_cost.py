@@ -20,7 +20,10 @@ fresh interpreter and fails if:
 * a module on the **target's own forbidden list** shows up: the CLI
   may not import the simulator (it loads in ``preload`` too), the
   cache daemon's HTTP server or SQLite, none of which a cached
-  regeneration runs;
+  regeneration runs, nor ``dataclasses`` (which loads ``inspect``,
+  ``ast``, ``dis`` and ``tokenize``; the CLI's records are plain
+  classes and the simulator's dataclasses load with it), ``traceback``
+  or ``signal`` (only a failing or time-limited point needs them);
 * the **cumulative import time** exceeds a generous wall-clock budget.
   It is a tripwire for someone adding a heavy module-scope import, not
   a micro-benchmark — hence the slack for slow CI runners.
@@ -40,8 +43,8 @@ FORBIDDEN = ("numpy", "matplotlib", "scipy", "pandas", "PIL")
 
 #: Cumulative import-time budget in milliseconds, per target, counting
 #: the interpreter's own startup imports too.  ``import
-#: repro.experiments.cli`` measures 63-78 ms that way on a 2-core Xeon
-#: container (33-39 ms for the CLI's own subtree); 1500 ms leaves room
+#: repro.experiments.cli`` measures 46-73 ms that way on a 2-core Xeon
+#: container (18-20 ms for the CLI's own subtree); 1500 ms leaves room
 #: for cold filesystem caches and slow shared runners while still
 #: catching a stray matplotlib (~500+ ms on its own).
 DEFAULT_BUDGET_MS = 1500
@@ -54,6 +57,7 @@ TARGETS = {
         "repro.simt", "repro.cluster.topology", "repro.mpi", "repro.openmp",
         "repro.vt", "repro.program", "repro.dpcl", "repro.dynprof.tool",
         "repro.jobs", "repro.svc.httpcache", "http.server", "sqlite3",
+        "dataclasses", "inspect", "traceback", "signal",
     ),
 }
 

@@ -17,8 +17,9 @@ while Dynamic ≈ None (uninstrumented functions cost literally nothing).
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Generator, List, Sequence, Tuple
+
+from .._record import FrozenRecord
 
 if TYPE_CHECKING:  # the program model loads with the first simulation
     from ..program import ExecutableImage, ProgramContext
@@ -38,27 +39,47 @@ MPI_SCALING_CPUS: Tuple[int, ...] = (1, 2, 4, 8, 16, 32, 64)
 OMP_SCALING_CPUS: Tuple[int, ...] = (1, 2, 4, 8)
 
 
-@dataclass(frozen=True)
-class AppSpec:
-    """Static description + factories for one ASCI kernel analog."""
+class AppSpec(FrozenRecord):
+    """Static description + factories for one ASCI kernel analog.
 
-    name: str
-    title: str
-    lang: str                      # Table 2: "MPI/C", "MPI/F77", "OMP/F77"
-    kind: str                      # "mpi" | "omp"
-    description: str
-    functions: Tuple[str, ...]     # full inventory
-    subset: Tuple[str, ...]        # the "important subset"
-    dynamic_targets: Tuple[str, ...]
-    scaling: str                   # "weak" | "strong"
-    cpu_counts: Tuple[int, ...]
-    #: build_exe(instrument_static) -> fresh ExecutableImage
-    build_exe: Callable[[bool], ExecutableImage]
-    #: make_program(n_cpus, scale) -> program(pctx) generator returning
-    #: the rank's main-computation elapsed seconds.
-    make_program: Callable[[int, float], Callable[[ProgramContext], Generator]]
-    #: The paper omitted a Subset line for Sweep3d ("unnecessary").
-    has_subset_policy: bool = True
+    ``lang`` is Table 2's language ("MPI/C", "MPI/F77", "OMP/F77"),
+    ``kind`` is "mpi" or "omp", ``functions`` the full inventory,
+    ``subset`` the "important subset" and ``scaling`` "weak" or
+    "strong".  ``build_exe(instrument_static)`` returns a fresh
+    ExecutableImage; ``make_program(n_cpus, scale)`` returns the
+    program(pctx) generator yielding the rank's main-computation
+    elapsed seconds.  ``has_subset_policy`` is False for Sweep3d, whose
+    Subset line the paper omitted ("unnecessary").
+    """
+
+    _fields = ("name", "title", "lang", "kind", "description", "functions",
+               "subset", "dynamic_targets", "scaling", "cpu_counts",
+               "build_exe", "make_program", "has_subset_policy")
+
+    def __init__(
+        self,
+        name: str,
+        title: str,
+        lang: str,
+        kind: str,
+        description: str,
+        functions: Tuple[str, ...],
+        subset: Tuple[str, ...],
+        dynamic_targets: Tuple[str, ...],
+        scaling: str,
+        cpu_counts: Tuple[int, ...],
+        build_exe: Callable[[bool], ExecutableImage],
+        make_program: Callable[[int, float],
+                               Callable[[ProgramContext], Generator]],
+        has_subset_policy: bool = True,
+    ) -> None:
+        self.__dict__.update(
+            name=name, title=title, lang=lang, kind=kind,
+            description=description, functions=functions, subset=subset,
+            dynamic_targets=dynamic_targets, scaling=scaling,
+            cpu_counts=cpu_counts, build_exe=build_exe,
+            make_program=make_program, has_subset_policy=has_subset_policy,
+        )
 
     @property
     def n_functions(self) -> int:

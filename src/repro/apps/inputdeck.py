@@ -26,9 +26,9 @@ umt98      niter        transport iterations     (paper-scale: 10)
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, Optional, Union
 
+from .._record import Record
 from .base import AppSpec
 
 __all__ = ["InputDeck", "ITERATION_KEYS", "deck_scale"]
@@ -44,11 +44,13 @@ ITERATION_KEYS: Dict[str, tuple] = {
 Value = Union[int, float, str]
 
 
-@dataclass
-class InputDeck:
+class InputDeck(Record):
     """A parsed ``key = value`` input deck."""
 
-    params: Dict[str, Value] = field(default_factory=dict)
+    _fields = ("params",)
+
+    def __init__(self, params: Optional[Dict[str, Value]] = None) -> None:
+        self.params = {} if params is None else params
 
     @classmethod
     def parse(cls, text: str) -> "InputDeck":

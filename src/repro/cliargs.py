@@ -4,8 +4,9 @@
 from __future__ import annotations
 
 import argparse
+import math
 
-__all__ = ["positive_int"]
+__all__ = ["positive_int", "positive_float"]
 
 
 def positive_int(text: str) -> int:
@@ -18,4 +19,18 @@ def positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(
             f"must be an integer >= 1, got {text!r}")
+    return value
+
+
+def positive_float(text: str) -> float:
+    """A scale or a time budget: a finite number > 0.  Anything else (0,
+    a negative number, NaN, infinity) is a usage error (exit 2) before
+    any point runs."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = 0.0
+    if not (value > 0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number > 0, got {text!r}")
     return value

@@ -19,18 +19,21 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from typing import Any, Dict
+
+from .._record import FrozenRecord
 
 __all__ = ["MachineSpec", "POWER3_SP", "IA32_LINUX", "get_machine", "MACHINES"]
 
 
-@dataclass(frozen=True)
-class MachineSpec:
+class MachineSpec(FrozenRecord):
     """Immutable description of a cluster and its cost constants.
 
-    All times are seconds of simulated time; all sizes are bytes.
+    All times are seconds of simulated time; all sizes are bytes.  The
+    annotated class attributes below are the field table: their order
+    is the order of :meth:`canonical` (and so of cache entries), and a
+    field with a value is a constant whose default that value is.
     """
 
     name: str
@@ -167,6 +170,16 @@ class MachineSpec:
     #: Relative magnitude of per-chunk OS noise.
     os_noise: float = 0.0015
 
+    def __init__(self, name: str, n_nodes: int, cores_per_node: int,
+                 cpu_mhz: int, **constants: Any) -> None:
+        for key in constants:
+            if key not in _DEFAULTS:
+                raise TypeError(f"MachineSpec.__init__() got an unexpected "
+                                f"keyword argument {key!r}")
+        self.__dict__.update(_DEFAULTS, name=name, n_nodes=n_nodes,
+                             cores_per_node=cores_per_node, cpu_mhz=cpu_mhz,
+                             **constants)
+
     def total_cores(self) -> int:
         """Total processor count of the machine."""
         return self.n_nodes * self.cores_per_node
@@ -179,7 +192,7 @@ class MachineSpec:
 
     def with_overrides(self, **kw: float) -> "MachineSpec":
         """A copy of this spec with some constants replaced (for ablations)."""
-        return replace(self, **kw)
+        return MachineSpec(**{**self.canonical(), **kw})
 
     # -- canonical forms --------------------------------------------------
     #
@@ -202,8 +215,7 @@ class MachineSpec:
         return state
 
     def canonical(self) -> Dict[str, Any]:
-        """Every field by name, in declaration order, as a fresh dict
-        (what ``dataclasses.asdict`` gives, without its deep copy)."""
+        """Every field by name, in declaration order, as a fresh dict."""
         return dict(self._forms.fields)
 
     @property
@@ -224,18 +236,26 @@ class MachineSpec:
         return self._forms.digest
 
 
+MachineSpec._fields = tuple(MachineSpec.__annotations__)
+#: Each cost constant and its default: the fields with a class value.
+_DEFAULTS: Dict[str, Any] = {
+    name: vars(MachineSpec)[name]
+    for name in MachineSpec._fields if name in vars(MachineSpec)
+}
+
+
 class _Forms:
     """The derived forms of one :class:`MachineSpec` instance."""
 
     __slots__ = ("fields", "json", "hash", "digest")
 
     def __init__(self, spec: MachineSpec) -> None:
-        # Every field is an int, float or str, so reading the fields
-        # directly gives what dataclasses.asdict would.
-        self.fields = {f.name: getattr(spec, f.name) for f in fields(spec)}
+        # Every field is an int, float or str, so the dict is JSON-safe
+        # as it stands.
+        self.fields = {name: getattr(spec, name) for name in spec._fields}
         self.json = json.dumps(self.fields, sort_keys=True,
                                separators=(",", ":"))
-        # The hash the generated dataclass __hash__ would compute.
+        # The hash of the field tuple, as FrozenRecord computes it.
         self.hash = hash(tuple(self.fields.values()))
         self.digest = hashlib.sha256(self.json.encode("utf-8")).hexdigest()[:8]
 

@@ -23,8 +23,9 @@ how the paper's batch-queue experiments were run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional
+
+from .._record import FrozenRecord
 
 __all__ = ["Command", "CommandError", "parse_command", "parse_script", "HELP_TEXT"]
 
@@ -48,14 +49,14 @@ class CommandError(ValueError):
     """Malformed dynprof command."""
 
 
-@dataclass(frozen=True)
-class Command:
-    """One parsed dynprof command."""
+class Command(FrozenRecord):
+    """One parsed dynprof command: its canonical (long-form) verb, its
+    arguments and, for the wait command, the duration in seconds."""
 
-    verb: str                       # canonical verb (long form)
-    args: tuple = ()
-    #: wait duration, for the wait command.
-    seconds: float = 1.0
+    _fields = ("verb", "args", "seconds")
+
+    def __init__(self, verb: str, args: tuple = (), seconds: float = 1.0) -> None:
+        self.__dict__.update(verb=verb, args=args, seconds=seconds)
 
     def __str__(self) -> str:
         parts = [self.verb, *self.args]

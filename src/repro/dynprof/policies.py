@@ -125,7 +125,7 @@ def run_policy_job(
     """Like :func:`run_policy`, but also returns the finished job.
 
     The job exposes artifacts the summary :class:`PolicyResult` cannot
-    carry through the cache (its payload is the JSON ``asdict`` form):
+    carry through the cache (its payload is the JSON ``to_dict`` form):
     most importantly ``job.trace``, the merged postmortem
     :class:`~repro.vt.buffer.TraceFile` the compaction experiments
     compress and cross-check.  Returns ``(result, job)``.

@@ -8,8 +8,9 @@ can list the policies and rebuild cached cells without it;
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
+
+from .._record import Record
 
 __all__ = ["POLICIES", "PolicyResult", "policy_description"]
 
@@ -32,26 +33,49 @@ def policy_description(policy: str) -> str:
     return _DESCRIPTIONS[policy]
 
 
-@dataclass
-class PolicyResult:
-    """One cell of Figure 7 (plus diagnostics)."""
+class PolicyResult(Record):
+    """One cell of Figure 7 (plus diagnostics).
 
-    app: str
-    policy: str
-    n_cpus: int
-    scale: float
-    #: Max over ranks of the main-computation elapsed time (the paper's
-    #: reported program time).
-    time: float
-    per_rank_times: List[float] = field(default_factory=list)
-    trace_records: int = 0
-    trace_bytes: int = 0
-    #: Time dynprof spent creating + instrumenting (Figure 9); None for
-    #: the static policies.
-    instrument_time: Optional[float] = None
-    #: Fault-injection report (injected counts, quarantined ranks,
-    #: coverage); None for fault-free runs.
-    faults: Optional[Dict[str, Any]] = None
+    ``time`` is the max over ranks of the main-computation elapsed time
+    (the paper's reported program time).  ``instrument_time`` is the
+    time dynprof spent creating + instrumenting (Figure 9), None for
+    the static policies; ``faults`` is the fault-injection report
+    (injected counts, quarantined ranks, coverage), None for
+    fault-free runs.
+    """
+
+    _fields = ("app", "policy", "n_cpus", "scale", "time", "per_rank_times",
+               "trace_records", "trace_bytes", "instrument_time", "faults")
+
+    def __init__(
+        self,
+        app: str,
+        policy: str,
+        n_cpus: int,
+        scale: float,
+        time: float,
+        per_rank_times: Optional[List[float]] = None,
+        trace_records: int = 0,
+        trace_bytes: int = 0,
+        instrument_time: Optional[float] = None,
+        faults: Optional[Dict[str, Any]] = None,
+    ) -> None:
+        self.app = app
+        self.policy = policy
+        self.n_cpus = n_cpus
+        self.scale = scale
+        self.time = time
+        self.per_rank_times = [] if per_rank_times is None else per_rank_times
+        self.trace_records = trace_records
+        self.trace_bytes = trace_bytes
+        self.instrument_time = instrument_time
+        self.faults = faults
+
+    def to_dict(self) -> Dict[str, Any]:
+        """Every field by name, in declaration order: the cached payload
+        of a ``policy`` point, which ``PolicyResult(**payload)``
+        rebuilds."""
+        return {name: getattr(self, name) for name in self._fields}
 
     def __repr__(self) -> str:
         return (

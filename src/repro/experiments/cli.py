@@ -74,13 +74,12 @@ import re
 import sys
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Union
 
-from ..cliargs import positive_int
+from ..cliargs import positive_float, positive_int
 from ..cluster import MACHINES, get_machine
 from ..obs.trace import DEFAULT_CAPACITY as DEFAULT_TRACE_CAPACITY
 from ..runner import SweepError, SweepPoint, SweepRunner, default_cache_dir
 from ..runner.collect import (Collector, MetricsCollector, OrderCollector,
                              ReplayCollector, SampleCollector, TraceCollector)
-from ..runner.point import check_scale
 from .results import FigureResult
 
 if TYPE_CHECKING:
@@ -255,7 +254,8 @@ def _add_runner_args(parser: argparse.ArgumentParser) -> None:
                              f"(default {default_cache_dir()})")
     parser.add_argument("--no-cache", action="store_true",
                         help="disable the on-disk result cache")
-    parser.add_argument("--timeout", type=float, default=None, metavar="SEC",
+    parser.add_argument("--timeout", type=positive_float, default=None,
+                        metavar="SEC",
                         help="per-point wall-clock budget in seconds")
     parser.add_argument("--progress", action="store_true",
                         help="stream JSON-lines sweep telemetry to stderr")
@@ -280,7 +280,7 @@ def _add_runner_args(parser: argparse.ArgumentParser) -> None:
                         default="fine",
                         help="trace detail: 'fine' includes per-function "
                              "spans, 'coarse' subsystem events only")
-    parser.add_argument("--trace-capacity", type=int,
+    parser.add_argument("--trace-capacity", type=positive_int,
                         default=DEFAULT_TRACE_CAPACITY, metavar="N",
                         help="per-track trace ring-buffer bound in events "
                              f"(default {DEFAULT_TRACE_CAPACITY}; evictions "
@@ -573,15 +573,6 @@ def _str_list(text: str) -> List[str]:
     return [part for part in text.split(",") if part]
 
 
-def _scale(text: str) -> float:
-    """The argparse type of every ``--scale``: a finite float > 0."""
-    try:
-        return check_scale(float(text))
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"must be a finite number > 0, got {text!r}") from None
-
-
 def sweep_main(argv: List[str]) -> int:
     """``repro-experiments sweep`` — run an ad-hoc (app x policy x CPUs)
     grid through the runner and print one row per point."""
@@ -599,7 +590,7 @@ def sweep_main(argv: List[str]) -> int:
                         metavar="P,Q", help=f"policies (default: all of {','.join(POLICIES)})")
     parser.add_argument("--cpus", type=_cpu_list, default=None, metavar="1,4,16",
                         help="CPU counts (default: each app's own counts)")
-    parser.add_argument("--scale", type=_scale, default=0.1,
+    parser.add_argument("--scale", type=positive_float, default=0.1,
                         help="workload scale factor (default 0.1)")
     parser.add_argument("--seed", type=int, default=0, help="simulation seed")
     parser.add_argument("--machine", choices=sorted(MACHINES), default="power3-sp",
@@ -879,7 +870,7 @@ def trace_main(argv: List[str]) -> int:
                              f"{','.join(POLICIES)}; default Dynamic)")
     parser.add_argument("--cpus", type=positive_int, default=4,
                         help="process count (default 4)")
-    parser.add_argument("--scale", type=_scale, default=0.1,
+    parser.add_argument("--scale", type=positive_float, default=0.1,
                         help="workload scale factor (default 0.1)")
     parser.add_argument("--seed", type=int, default=0, help="simulation seed")
     parser.add_argument("--machine", choices=sorted(MACHINES),
@@ -996,7 +987,7 @@ def _add_point_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--cpus", type=positive_int, default=32,
                         help="process count (default 32: spans several "
                              "nodes, so node-level faults bite)")
-    parser.add_argument("--scale", type=_scale, default=0.02,
+    parser.add_argument("--scale", type=positive_float, default=0.02,
                         help="workload scale factor (default 0.02)")
     parser.add_argument("--seed", type=int, default=0, help="simulation seed")
     parser.add_argument("--machine", choices=sorted(MACHINES),
@@ -1230,7 +1221,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument("experiments", nargs="+", choices=EXPERIMENTS,
                         help="which tables/figures to regenerate")
-    parser.add_argument("--scale", type=_scale, default=0.1,
+    parser.add_argument("--scale", type=positive_float, default=0.1,
                         help="workload scale factor (default 0.1; 1.0 "
                              "reproduces paper-magnitude runtimes)")
     parser.add_argument("--seed", type=int, default=0, help="simulation seed")

@@ -15,6 +15,7 @@ from ..cluster import MachineSpec, POWER3_SP
 from ..dynprof import POLICIES, PolicyResult
 from ..faults import FaultPlan
 from ..runner import SweepPoint, SweepRunner
+from ..runner.runner import run_grid
 from .results import FigureResult
 
 __all__ = ["run_fig7", "fig7_shape_report", "FIG7_PANELS"]
@@ -78,9 +79,7 @@ def run_fig7(
         for policy in policies
         for n in cpus
     ]
-    if runner is None:
-        runner = SweepRunner(jobs=jobs)
-    payloads = iter(runner.run_grid(points))
+    payloads = iter(run_grid(points, runner, jobs))
     for policy in policies:
         values: List[Optional[float]] = []
         for _n in cpus:

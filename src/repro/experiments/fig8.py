@@ -20,6 +20,7 @@ from typing import List, Optional, Sequence
 
 from ..cluster import IA32_LINUX, MachineSpec, POWER3_SP
 from ..runner import SweepPoint, SweepRunner
+from ..runner.runner import run_grid
 from .results import FigureResult
 
 __all__ = [
@@ -54,9 +55,7 @@ def _confsync_series(
         for variant in variants
         for p in proc_counts
     ]
-    if runner is None:
-        runner = SweepRunner(jobs=jobs)
-    payloads = iter(runner.run_grid(points))
+    payloads = iter(run_grid(points, runner, jobs))
     return [
         [next(payloads)["time"] for _p in proc_counts]
         for _variant in variants

@@ -24,6 +24,7 @@ from ..apps import ALL_APPS, AppSpec, get_app
 from ..cluster import MachineSpec, POWER3_SP
 from ..faults import FaultPlan
 from ..runner import SweepPoint, SweepRunner
+from ..runner.runner import run_grid
 from .results import FigureResult
 
 __all__ = ["run_fig9"]
@@ -68,9 +69,7 @@ def run_fig9(
         for n in x
         if _fig9_cell_runs(get_app(name), n)
     ]
-    if runner is None:
-        runner = SweepRunner(jobs=jobs)
-    payloads = iter(runner.run_grid(points))
+    payloads = iter(run_grid(points, runner, jobs))
     for name in app_names:
         app = get_app(name)
         values: List[Optional[float]] = [

@@ -30,6 +30,7 @@ import json
 import sys
 from typing import List, Optional
 
+from ..cliargs import positive_float
 from ..replay.orderlog import OrderLog
 from ..runner.collect import ReplayCollector
 from ..runner.point import SweepPoint
@@ -51,7 +52,8 @@ def verify_main(argv: List[str]) -> int:
     parser.add_argument("log", metavar="LOG",
                         help="a recorded .order file (chaos --record, "
                              "figure/sweep --record DIR)")
-    parser.add_argument("--timeout", type=float, default=None, metavar="SEC",
+    parser.add_argument("--timeout", type=positive_float, default=None,
+                        metavar="SEC",
                         help="wall-clock budget for the re-run")
     parser.add_argument("--json", action="store_true",
                         help="print the verdict as a JSON document")
@@ -115,7 +117,8 @@ def bisect_main(argv: List[str]) -> int:
                              "(default effect)")
     parser.add_argument("--against", metavar="LOG", default=None,
                         help="clean recorded order log for --mode diverge")
-    parser.add_argument("--timeout", type=float, default=None, metavar="SEC",
+    parser.add_argument("--timeout", type=positive_float, default=None,
+                        metavar="SEC",
                         help="wall-clock budget per test run")
     parser.add_argument("--json", action="store_true",
                         help="print the result as a JSON document")

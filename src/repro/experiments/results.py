@@ -8,18 +8,21 @@ same rows/series the paper plots.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
+
+from .._record import Record
 
 __all__ = ["Series", "FigureResult"]
 
 
-@dataclass
-class Series:
+class Series(Record):
     """One line of a figure: a label and y-values over the x-axis."""
 
-    label: str
-    values: List[Optional[float]]
+    _fields = ("label", "values")
+
+    def __init__(self, label: str, values: List[Optional[float]]) -> None:
+        self.label = label
+        self.values = values
 
     def value_at(self, x_axis: Sequence[int], x: int) -> Optional[float]:
         try:
@@ -44,17 +47,29 @@ class Series:
         return cls.from_dict(json.loads(text))
 
 
-@dataclass
-class FigureResult:
+class FigureResult(Record):
     """A reproduced figure: x-axis + series + provenance notes."""
 
-    figure_id: str
-    title: str
-    xlabel: str
-    ylabel: str
-    x: List[int]
-    series: List[Series] = field(default_factory=list)
-    notes: List[str] = field(default_factory=list)
+    _fields = ("figure_id", "title", "xlabel", "ylabel", "x", "series",
+               "notes")
+
+    def __init__(
+        self,
+        figure_id: str,
+        title: str,
+        xlabel: str,
+        ylabel: str,
+        x: List[int],
+        series: Optional[List[Series]] = None,
+        notes: Optional[List[str]] = None,
+    ) -> None:
+        self.figure_id = figure_id
+        self.title = title
+        self.xlabel = xlabel
+        self.ylabel = ylabel
+        self.x = x
+        self.series = [] if series is None else series
+        self.notes = [] if notes is None else notes
 
     def add_series(self, label: str, values: Sequence[Optional[float]]) -> Series:
         if len(values) != len(self.x):

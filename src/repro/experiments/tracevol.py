@@ -14,14 +14,15 @@ and a vanishing fraction of Full's bytes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
+from .._record import Record
 from ..apps import ALL_APPS, get_app
 from ..cluster import MachineSpec, POWER3_SP
 from ..dynprof import POLICIES, PolicyResult
 from ..faults import FaultPlan
 from ..runner import SweepPoint, SweepRunner
+from ..runner.runner import run_grid
 
 __all__ = [
     "TraceVolumeRow",
@@ -37,16 +38,23 @@ __all__ = [
 TRACE_RECORD_BYTES = 24
 
 
-@dataclass
-class TraceVolumeRow:
-    app: str
-    policy: str
-    n_cpus: int
-    time: float
-    records: int
-    mbytes: float
-    #: MB/s per process while the app ran (the paper's 2 MB/s yardstick).
-    rate_mb_s_per_proc: float
+class TraceVolumeRow(Record):
+    """One (app, policy) row; ``rate_mb_s_per_proc`` is the MB/s per
+    process while the app ran (the paper's 2 MB/s yardstick)."""
+
+    _fields = ("app", "policy", "n_cpus", "time", "records", "mbytes",
+               "rate_mb_s_per_proc")
+
+    def __init__(self, app: str, policy: str, n_cpus: int, time: float,
+                 records: int, mbytes: float,
+                 rate_mb_s_per_proc: float) -> None:
+        self.app = app
+        self.policy = policy
+        self.n_cpus = n_cpus
+        self.time = time
+        self.records = records
+        self.mbytes = mbytes
+        self.rate_mb_s_per_proc = rate_mb_s_per_proc
 
 
 def run_tracevol(
@@ -77,10 +85,8 @@ def run_tracevol(
                 app.name, policy, cpus,
                 scale=scale, machine=machine, seed=seed, faults=faults,
             ))
-    if runner is None:
-        runner = SweepRunner(jobs=jobs)
     rows: List[TraceVolumeRow] = []
-    for payload in runner.run_grid(cells):
+    for payload in run_grid(cells, runner, jobs):
         result = PolicyResult(**payload)
         mb = result.trace_bytes / 1e6
         rate = (mb / result.time / result.n_cpus) if result.time > 0 else 0.0

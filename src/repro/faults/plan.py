@@ -48,8 +48,9 @@ Fault kinds
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Any, Dict, Optional, Sequence, Tuple
+
+from .._record import FrozenRecord
 
 __all__ = ["FaultSpec", "FaultPlan", "FAULT_KINDS", "CANNED_PLANS", "canned_plan"]
 
@@ -75,48 +76,56 @@ _KIND_FIELDS = {
 }
 
 
-@dataclass(frozen=True)
-class FaultSpec:
-    """One scheduled fault.  Unused fields stay at their defaults."""
+class FaultSpec(FrozenRecord):
+    """One scheduled fault.  Unused fields stay at their defaults.
 
-    kind: str
-    #: Target node index (daemon_crash, probe_install_fail) or None=any.
-    node: Optional[int] = None
-    #: Target rank (rank_stall, rank_slowdown, vt_write_fail) or None=any.
-    rank: Optional[int] = None
-    #: Window start in simulated seconds.
-    start: float = 0.0
-    #: Window end (exclusive); None = forever.
-    end: Optional[float] = None
-    #: Per-event probability for the probabilistic kinds.
-    probability: float = 1.0
-    #: Compute multiplier for rank_slowdown.
-    factor: float = 1.0
-    #: Mean added delay (seconds) for message_delay.
-    delay: float = 0.0
+    ``node`` targets a node index (daemon_crash, probe_install_fail)
+    and ``rank`` a rank (rank_stall, rank_slowdown, vt_write_fail);
+    None means any.  The window is [``start``, ``end``) in simulated
+    seconds, ``end=None`` meaning forever.  ``probability`` is the
+    per-event probability of the probabilistic kinds, ``factor`` the
+    compute multiplier of rank_slowdown and ``delay`` the mean added
+    delay (seconds) of message_delay.
+    """
 
-    def __post_init__(self) -> None:
-        if self.kind not in FAULT_KINDS:
+    _fields = ("kind", "node", "rank", "start", "end", "probability",
+               "factor", "delay")
+
+    def __init__(
+        self,
+        kind: str,
+        node: Optional[int] = None,
+        rank: Optional[int] = None,
+        start: float = 0.0,
+        end: Optional[float] = None,
+        probability: float = 1.0,
+        factor: float = 1.0,
+        delay: float = 0.0,
+    ) -> None:
+        if kind not in FAULT_KINDS:
             raise ValueError(
-                f"unknown fault kind {self.kind!r}; known: {FAULT_KINDS}"
+                f"unknown fault kind {kind!r}; known: {FAULT_KINDS}"
             )
-        if not 0.0 <= self.probability <= 1.0:
-            raise ValueError(f"probability {self.probability} outside [0, 1]")
-        if self.start < 0.0:
-            raise ValueError(f"negative start {self.start}")
-        if self.end is not None and self.end < self.start:
-            raise ValueError(f"end {self.end} before start {self.start}")
-        if self.factor <= 0.0:
-            raise ValueError(f"non-positive slowdown factor {self.factor}")
-        if self.delay < 0.0:
-            raise ValueError(f"negative delay {self.delay}")
-        if self.kind == "rank_stall":
-            if self.rank is None:
+        if not 0.0 <= probability <= 1.0:
+            raise ValueError(f"probability {probability} outside [0, 1]")
+        if start < 0.0:
+            raise ValueError(f"negative start {start}")
+        if end is not None and end < start:
+            raise ValueError(f"end {end} before start {start}")
+        if factor <= 0.0:
+            raise ValueError(f"non-positive slowdown factor {factor}")
+        if delay < 0.0:
+            raise ValueError(f"negative delay {delay}")
+        if kind == "rank_stall":
+            if rank is None:
                 raise ValueError("rank_stall needs an explicit rank")
-            if self.end is None:
+            if end is None:
                 raise ValueError("rank_stall needs a finite end (resume time)")
-        if self.kind == "daemon_crash" and self.node is None:
+        if kind == "daemon_crash" and node is None:
             raise ValueError("daemon_crash needs an explicit node")
+        self.__dict__.update(kind=kind, node=node, rank=rank, start=start,
+                             end=end, probability=probability, factor=factor,
+                             delay=delay)
 
     def active_at(self, now: float) -> bool:
         """True while ``now`` falls inside this spec's [start, end)."""
@@ -156,13 +165,17 @@ class FaultSpec:
         return cls(**doc)
 
 
-@dataclass(frozen=True)
-class FaultPlan:
-    """An ordered, frozen collection of fault specs."""
+class FaultPlan(FrozenRecord):
+    """An ordered, frozen collection of fault specs.
 
-    specs: Tuple[FaultSpec, ...] = ()
-    #: Free-form provenance note (not part of the canonical identity).
-    note: str = ""
+    ``note`` is a free-form provenance note: it takes part in equality,
+    but not in the canonical identity.
+    """
+
+    _fields = ("specs", "note")
+
+    def __init__(self, specs: Tuple[FaultSpec, ...] = (), note: str = "") -> None:
+        self.__dict__.update(specs=specs, note=note)
 
     @classmethod
     def of(cls, *specs: FaultSpec, note: str = "") -> "FaultPlan":

@@ -31,7 +31,6 @@ Three built-in predicates (``mode``):
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence
@@ -49,7 +48,9 @@ def point_with_faults(point: SweepPoint, plan: Optional[FaultPlan]) -> SweepPoin
     """The same point under a different fault plan (empty/None = clean)."""
     params = tuple((k, v) for k, v in point.params if k != "faults")
     params += _faults_params(plan)
-    return dataclasses.replace(point, params=params)
+    return SweepPoint(point.kind, point.procs, app=point.app,
+                      policy=point.policy, machine=point.machine,
+                      seed=point.seed, scale=point.scale, params=params)
 
 
 @dataclass

@@ -25,9 +25,9 @@ A fourth kind, ``selftest``, exercises the worker machinery itself
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
+from .._record import FrozenRecord
 from ..cluster import POWER3_SP, MachineSpec
 
 __all__ = ["SweepPoint", "POINT_KINDS", "check_scale"]
@@ -67,33 +67,56 @@ def _faults_params(faults: Any) -> Tuple[Tuple[str, Any], ...]:
     return (("faults", faults),)
 
 
-@dataclass(frozen=True)
-class SweepPoint:
-    """One cell of an experiment grid, described but not yet run."""
+class SweepPoint(FrozenRecord):
+    """One cell of an experiment grid, described but not yet run.
 
-    kind: str
-    procs: int
-    app: Optional[str] = None
-    policy: Optional[str] = None
-    machine: MachineSpec = POWER3_SP
-    seed: int = 0
-    scale: float = 1.0
-    #: Extra kind-specific parameters, kept sorted so two points built
-    #: with the same parameters in any order compare (and hash) equal.
-    params: Tuple[Tuple[str, Any], ...] = ()
+    ``params`` holds extra kind-specific parameters, kept sorted so two
+    points built with the same parameters in any order compare (and
+    hash) equal.
+    """
 
-    def __post_init__(self) -> None:
-        if self.kind not in POINT_KINDS:
-            raise ValueError(f"unknown point kind {self.kind!r}; known: {POINT_KINDS}")
-        if self.procs < 1:
+    _fields = ("kind", "procs", "app", "policy", "machine", "seed", "scale",
+               "params")
+
+    def __init__(
+        self,
+        kind: str,
+        procs: int,
+        app: Optional[str] = None,
+        policy: Optional[str] = None,
+        machine: MachineSpec = POWER3_SP,
+        seed: int = 0,
+        scale: float = 1.0,
+        params: Tuple[Tuple[str, Any], ...] = (),
+    ) -> None:
+        if kind not in POINT_KINDS:
+            raise ValueError(f"unknown point kind {kind!r}; known: {POINT_KINDS}")
+        if procs < 1:
             raise ValueError("procs must be >= 1")
-        check_scale(self.scale)
-        for name, value in self.params:
+        check_scale(scale)
+        for name, value in params:
             if not isinstance(value, _PARAM_TYPES):
                 raise TypeError(
                     f"param {name!r} has non-canonicalizable type {type(value).__name__}"
                 )
-        object.__setattr__(self, "params", tuple(sorted(self.params)))
+        self.__dict__.update(kind=kind, procs=procs, app=app, policy=policy,
+                             machine=machine, seed=seed, scale=scale,
+                             params=tuple(sorted(params)))
+
+    def __hash__(self) -> int:
+        # A sweep hashes each point several times (dedup, results, the
+        # cache probe); the fields never change, so hash them once.
+        memo = self.__dict__.get("_hash")
+        if memo is None:
+            memo = self.__dict__["_hash"] = hash(self._values())
+        return memo
+
+    def __getstate__(self) -> Dict[str, Any]:
+        # The memo mixes in salted str hashes: like the machine's, it
+        # never travels in a pickle (or a copy), only the fields do.
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
 
     # -- constructors ---------------------------------------------------------
 

@@ -15,13 +15,13 @@ keeping sweep wall-times (and telemetry) reproducible.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+
+from .._record import FrozenRecord
 
 __all__ = ["RetryPolicy"]
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
+class RetryPolicy(FrozenRecord):
     """How often, and after what delay, a crashed point is re-submitted.
 
     Parameters
@@ -41,18 +41,23 @@ class RetryPolicy:
         without sacrificing reproducibility.
     """
 
-    max_attempts: int = 2
-    backoff: float = 0.0
-    multiplier: float = 2.0
-    jitter: float = 0.0
+    _fields = ("max_attempts", "backoff", "multiplier", "jitter")
 
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
+    def __init__(
+        self,
+        max_attempts: int = 2,
+        backoff: float = 0.0,
+        multiplier: float = 2.0,
+        jitter: float = 0.0,
+    ) -> None:
+        if max_attempts < 1:
             raise ValueError("max_attempts must be >= 1 (1 = never retry)")
-        if self.backoff < 0.0 or self.jitter < 0.0:
+        if backoff < 0.0 or jitter < 0.0:
             raise ValueError("backoff and jitter must be >= 0")
-        if self.multiplier <= 0.0:
+        if multiplier <= 0.0:
             raise ValueError("multiplier must be > 0")
+        self.__dict__.update(max_attempts=max_attempts, backoff=backoff,
+                             multiplier=multiplier, jitter=jitter)
 
     def should_retry(self, attempts: int) -> bool:
         """True if a point that has run ``attempts`` times may run again."""

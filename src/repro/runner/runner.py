@@ -35,10 +35,10 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Any, Dict, List, Optional, Sequence, Union
 
+from .._record import Record
 from ..obs import get as _obs_get
 from .cache import ResultCache, point_key
 from .collect import Collector, MetricsCollector
@@ -46,7 +46,8 @@ from .point import SweepPoint
 from .retry import RetryPolicy
 from .telemetry import SweepTelemetry
 
-__all__ = ["SweepRunner", "PointResult", "SweepError", "default_jobs"]
+__all__ = ["SweepRunner", "PointResult", "SweepError", "default_jobs",
+           "run_grid"]
 
 
 def default_jobs() -> int:
@@ -58,21 +59,37 @@ def default_jobs() -> int:
     return max(1, os.cpu_count() or 1)
 
 
-@dataclass
-class PointResult:
-    """Outcome of one sweep point."""
+class PointResult(Record):
+    """Outcome of one sweep point.
 
-    point: SweepPoint
-    #: "ok" | "error" | "timeout" | "crashed" | "diverged"
-    status: str
-    payload: Optional[Dict[str, Any]] = None
-    cached: bool = False
-    wall_time: float = 0.0
-    attempts: int = 1
-    error: Optional[str] = None
-    #: Structured divergence report (status == "diverged" only): the
-    #: first decision where the run departed from its replay log.
-    divergence: Optional[Dict[str, Any]] = None
+    ``status`` is one of "ok", "error", "timeout", "crashed" and
+    "diverged"; ``divergence`` is the structured report of a
+    "diverged" point: the first decision where the run departed from
+    its replay log.
+    """
+
+    _fields = ("point", "status", "payload", "cached", "wall_time",
+               "attempts", "error", "divergence")
+
+    def __init__(
+        self,
+        point: SweepPoint,
+        status: str,
+        payload: Optional[Dict[str, Any]] = None,
+        cached: bool = False,
+        wall_time: float = 0.0,
+        attempts: int = 1,
+        error: Optional[str] = None,
+        divergence: Optional[Dict[str, Any]] = None,
+    ) -> None:
+        self.point = point
+        self.status = status
+        self.payload = payload
+        self.cached = cached
+        self.wall_time = wall_time
+        self.attempts = attempts
+        self.error = error
+        self.divergence = divergence
 
     @property
     def ok(self) -> bool:
@@ -332,3 +349,20 @@ class SweepRunner:
             attempts=result.attempts,
             obs=obs_snapshot,
         )
+
+
+def run_grid(
+    points: Sequence[SweepPoint],
+    runner: Optional[SweepRunner] = None,
+    jobs: int = 1,
+) -> List[Dict[str, Any]]:
+    """:meth:`SweepRunner.run_grid` on ``runner``; with none, on a runner
+    of ``jobs`` workers built for this grid and closed after it, so a
+    library call leaves no pool workers behind."""
+    if runner is not None:
+        return runner.run_grid(points)
+    own = SweepRunner(jobs=jobs)
+    try:
+        return own.run_grid(points)
+    finally:
+        own.close()

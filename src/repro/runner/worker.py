@@ -19,18 +19,17 @@ The simulator is imported lazily: the CLI and cached regenerations
 import this module but never run a point, so they never load it (nor
 numpy, which no ``repro`` module imports at module scope).
 :func:`preload` loads everything a point runs before the point's clock
-starts, and before a pool forks so every worker inherits it.
+starts, and before a pool forks so every worker inherits it.  Only a
+point with a timeout loads :mod:`signal`, and only a failing one
+:mod:`traceback`.
 """
 
 from __future__ import annotations
 
 import contextlib
 import os
-import signal
 import threading
 import time
-import traceback
-from dataclasses import asdict
 from typing import Any, Dict, Optional, Sequence
 
 from ..replay.errors import DivergenceError
@@ -49,10 +48,10 @@ def preload() -> None:
 
     That is numpy with ``numpy.random`` (numpy 2 loads it on first
     use) and the simulations :func:`_dispatch` calls, which bring the
-    simulator and the collectors' sinks with them.  Called before a
-    point's wall time and ``SIGALRM`` budget start, so a process's
-    first point is not charged the imports, and before a process pool
-    forks, so every worker inherits them.
+    simulator, its :mod:`dataclasses` and the collectors' sinks with
+    them.  Called before a point's wall time and ``SIGALRM`` budget
+    start, so a process's first point is not charged the imports, and
+    before a process pool forks, so every worker inherits them.
     """
     import numpy.random  # noqa: F401
 
@@ -81,7 +80,7 @@ def _dispatch(point: SweepPoint) -> Dict[str, Any]:
             scale=point.scale, machine=point.machine, seed=point.seed,
             faults=_point_faults(point),
         )
-        return asdict(result)
+        return result.to_dict()
     if point.kind == "confsync":
         from ..experiments.measure import measure_confsync
 
@@ -157,12 +156,14 @@ def execute_point(
     with the structured report under ``"divergence"``.
     """
     preload()
-    start = time.perf_counter()
     use_alarm = (
         timeout is not None
         and timeout > 0
         and threading.current_thread() is threading.main_thread()
     )
+    if use_alarm:
+        import signal
+    start = time.perf_counter()
     previous_handler: Any = None
     try:
         if use_alarm:
@@ -197,6 +198,8 @@ def execute_point(
                 "wall_time": time.perf_counter() - start,
             }
         except Exception:
+            import traceback
+
             envelope = {
                 "status": "error",
                 "error": traceback.format_exc(limit=20),

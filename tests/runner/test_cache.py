@@ -1,6 +1,5 @@
 """Cache-key stability and on-disk cache robustness."""
 
-import dataclasses
 import json
 import os
 import subprocess
@@ -104,12 +103,45 @@ def test_key_digest_is_pinned(point, digest):
     assert point_key(point, version="1.1.0") == digest
 
 
+#: MachineSpec's 49 fields in declaration order: the key order of a
+#: point's ``machine`` block, and so of cache entry bytes.
+MACHINE_FIELDS = [
+    "name", "n_nodes", "cores_per_node", "cpu_mhz", "net_latency",
+    "net_bandwidth", "shm_latency", "shm_bandwidth", "net_jitter",
+    "mpi_overhead", "eager_limit", "mpi_init_cost", "vt_active_event_cost",
+    "vt_lookup_cost", "vt_funcdef_cost", "vt_msg_event_cost",
+    "confsync_apply_cost", "confsync_base_cost", "confsync_stage_cost",
+    "stats_per_func_cost", "trace_record_bytes",
+    "vt_flush_threshold_records", "trace_fs_bandwidth", "tramp_base_cost",
+    "tramp_mini_cost", "snippet_op_cost", "dpcl_msg_latency", "dpcl_jitter",
+    "dpcl_connect_cost", "dpcl_attach_cost", "dpcl_parse_image_cost",
+    "dpcl_install_probe_cost", "dpcl_remove_probe_cost",
+    "dpcl_activate_probe_cost", "dpcl_client_per_process_cost",
+    "dpcl_client_per_symbol_cost", "omp_fork_base_cost",
+    "omp_fork_per_thread_cost", "omp_barrier_cost", "omp_chunk_cost",
+    "omp_lock_cost", "poe_job_setup_cost", "poe_spawn_cost",
+    "poe_load_image_cost", "fs_open_cost", "fs_write_bandwidth",
+    "fs_sync_cost", "compute_quantum", "os_noise",
+]
+
+
 @pytest.mark.parametrize("name", sorted(MACHINES))
 def test_canonical_machine_equals_asdict(name):
+    # Named for its first reference, ``dataclasses.asdict``: every
+    # field by name, in declaration order, with the spec's own values.
     machine = MACHINES[name]
     doc = SweepPoint.confsync(2, machine=machine).canonical()["machine"]
-    assert doc == dataclasses.asdict(machine)
-    assert list(doc) == list(dataclasses.asdict(machine))
+    assert list(doc) == MACHINE_FIELDS
+    assert doc == {field: getattr(machine, field) for field in MACHINE_FIELDS}
+    assert all(type(v) in (int, float, str) for v in doc.values())
+
+
+@pytest.mark.parametrize("name", sorted(MACHINES))
+def test_machine_hash_is_the_hash_of_its_field_values(name):
+    spec = MACHINES[name]
+    assert hash(spec) == hash(tuple(spec.canonical().values()))
+    clone = spec.with_overrides()
+    assert clone == spec and clone is not spec and hash(clone) == hash(spec)
 
 
 def test_cached_rerun_keys_each_point_once(tmp_path, monkeypatch):

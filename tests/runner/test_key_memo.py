@@ -3,8 +3,8 @@
 ``point_key`` encodes only a point's own fields and splices in the
 machine's JSON, encoded once per spec.  These tests hold it to the
 reference: the SHA-256 of the whole canonical document, encoded in one
-go, for any point.  The memo holds a salted ``str`` hash, so it must
-never cross a process boundary.
+go, for any point.  The memo, like the point's own hash memo, holds a
+salted ``str`` hash, so it must never cross a process boundary.
 """
 
 import copy
@@ -14,13 +14,12 @@ import os
 import pickle
 import subprocess
 import sys
-from dataclasses import fields
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
-from repro.cluster import IA32_LINUX, MACHINES, POWER3_SP, MachineSpec
+from repro.cluster import IA32_LINUX, MACHINES, POWER3_SP
 from repro.runner import SweepPoint, point_key
 from repro.runner.point import POINT_KINDS
 
@@ -43,7 +42,23 @@ param_values = st.one_of(
     st.none(), st.booleans(), st.integers(), awkward,
     st.floats(allow_nan=False),
 )
-_FLOAT_FIELDS = [f.name for f in fields(MachineSpec) if f.type == "float"]
+#: MachineSpec's float-typed fields, in declaration order.
+_FLOAT_FIELDS = [
+    "net_latency", "net_bandwidth", "shm_latency", "shm_bandwidth",
+    "net_jitter", "mpi_overhead", "mpi_init_cost", "vt_active_event_cost",
+    "vt_lookup_cost", "vt_funcdef_cost", "vt_msg_event_cost",
+    "confsync_apply_cost", "confsync_base_cost", "confsync_stage_cost",
+    "stats_per_func_cost", "trace_fs_bandwidth", "tramp_base_cost",
+    "tramp_mini_cost", "snippet_op_cost", "dpcl_msg_latency", "dpcl_jitter",
+    "dpcl_connect_cost", "dpcl_attach_cost", "dpcl_parse_image_cost",
+    "dpcl_install_probe_cost", "dpcl_remove_probe_cost",
+    "dpcl_activate_probe_cost", "dpcl_client_per_process_cost",
+    "dpcl_client_per_symbol_cost", "omp_fork_base_cost",
+    "omp_fork_per_thread_cost", "omp_barrier_cost", "omp_chunk_cost",
+    "omp_lock_cost", "poe_job_setup_cost", "poe_spawn_cost",
+    "poe_load_image_cost", "fs_open_cost", "fs_write_bandwidth",
+    "fs_sync_cost", "compute_quantum", "os_noise",
+]
 machines = st.one_of(
     st.sampled_from(sorted(MACHINES.values(), key=lambda m: m.name)),
     st.builds(
@@ -119,7 +134,7 @@ print(hash("power3-sp"))
 def test_unpickled_point_hashes_like_a_fresh_one_under_another_hash_seed():
     point = SweepPoint.confsync(
         8, machine=POWER3_SP.with_overrides(net_latency=1e-5))
-    hash(point)  # builds the machine's memo before pickling
+    hash(point)  # builds the point's and the machine's memos before pickling
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
     env["PYTHONPATH"] = os.path.abspath(src) + os.pathsep + env.get(

@@ -6,6 +6,10 @@ modules, never the simulator (``repro.simt`` and everything built on
 it) or numpy.  Those load where a point is simulated, in
 :func:`repro.runner.worker.preload`, which ``execute_point`` and the
 process pool call before the point's clock starts and before forking.
+Nor does it load ``dataclasses`` with ``inspect``, ``ast``, ``dis`` and
+``tokenize``: its records are plain classes, and the simulator's
+dataclasses load with the simulator.  ``traceback`` and ``signal``
+load only for a failing or time-limited point.
 
 Each check runs in a fresh interpreter, because this one has already
 loaded everything.
@@ -37,6 +41,13 @@ _CHECK = _import_cost_check()
 #: list in ``benchmarks/check_import_cost.py``.
 SIMULATOR = _CHECK.FORBIDDEN + _CHECK.TARGETS["repro.experiments.cli"]
 
+#: What ``dataclasses`` and a point's error and timeout handling load.
+STARTUP = ("dataclasses", "inspect", "ast", "dis", "tokenize", "traceback",
+           "signal")
+
+#: Never loaded by a run that simulates nothing.
+NEVER = SIMULATOR + tuple(m for m in STARTUP if m not in SIMULATOR)
+
 
 def _run(code):
     """Run ``code`` in a fresh interpreter; return its last stdout line."""
@@ -49,9 +60,9 @@ def _run(code):
 
 
 def _loaded_after(body):
-    """The modules of :data:`SIMULATOR` loaded after running ``body``."""
+    """The modules of :data:`NEVER` loaded after running ``body``."""
     code = (f"import json, sys\n{body}\n"
-            f"print(json.dumps([m for m in {SIMULATOR!r} if m in sys.modules]))")
+            f"print(json.dumps([m for m in {NEVER!r} if m in sys.modules]))")
     return json.loads(_run(code))
 
 
@@ -89,8 +100,25 @@ def test_help_loads_no_simulator():
 def test_warm_cache_figure_does_not_load_numpy(tmp_path):
     body = _cli(["fig8", "--quick", "--cache-dir", str(tmp_path)])
     cold = _loaded_after(body)  # points were simulated
-    assert {"numpy", "repro.simt", "repro.vt"} <= set(cold)
+    assert {"numpy", "repro.simt", "repro.vt", "dataclasses"} <= set(cold)
     assert _loaded_after(body) == []  # every point cached
+
+
+@pytest.fixture(scope="module")
+def full_cache(tmp_path_factory):
+    """A cache holding every point of ``all --quick``."""
+    cache = str(tmp_path_factory.mktemp("cache"))
+    _run(_cli(["all", "--quick", "--cache-dir", cache]) + "print('filled')")
+    return cache
+
+
+@pytest.mark.parametrize("argv", [
+    ["fig7c", "--quick"], ["fig8", "--quick"], ["fig9", "--quick"],
+    ["tracevol", "--quick"], ["all", "--quick"],
+], ids=lambda argv: argv[0])
+def test_warm_regeneration_loads_no_simulator_and_no_dataclasses(
+        argv, full_cache):
+    assert _loaded_after(_cli([*argv, "--cache-dir", full_cache])) == []
 
 
 @pytest.mark.parametrize("package", ["repro", "repro.experiments"])
