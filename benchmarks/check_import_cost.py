@@ -20,7 +20,8 @@ fresh interpreter and fails if:
 * a module on the **target's own forbidden list** shows up: the CLI
   may not import the simulator (it loads in ``preload`` too), the
   cache daemon's HTTP server or SQLite, none of which a cached
-  regeneration runs, nor ``dataclasses`` (which loads ``inspect``,
+  regeneration runs, nor a figure module (each loads when its
+  experiment id runs), nor ``dataclasses`` (which loads ``inspect``,
   ``ast``, ``dis`` and ``tokenize``; the CLI's records are plain
   classes and the simulator's dataclasses load with it), ``traceback``
   or ``signal`` (only a failing or time-limited point needs them);
@@ -49,6 +50,11 @@ FORBIDDEN = ("numpy", "matplotlib", "scipy", "pandas", "PIL")
 #: catching a stray matplotlib (~500+ ms on its own).
 DEFAULT_BUDGET_MS = 1500
 
+#: The modules behind the experiment ids of the artifact table: one
+#: loads only when an id it serves runs.
+FIGURES = tuple(f"repro.experiments.{name}" for name in (
+    "fig7", "fig8", "fig9", "tracevol", "tables", "overhead"))
+
 #: Target -> the modules (and their submodules) it may not import, on
 #: top of :data:`FORBIDDEN`.
 TARGETS = {
@@ -58,7 +64,7 @@ TARGETS = {
         "repro.vt", "repro.program", "repro.dpcl", "repro.dynprof.tool",
         "repro.jobs", "repro.svc.httpcache", "http.server", "sqlite3",
         "dataclasses", "inspect", "traceback", "signal",
-    ),
+    ) + FIGURES,
 }
 
 

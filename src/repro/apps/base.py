@@ -20,6 +20,7 @@ import hashlib
 from typing import TYPE_CHECKING, Callable, Generator, List, Sequence, Tuple
 
 from .._record import FrozenRecord
+from ..dynprof.policyspec import POLICIES
 
 if TYPE_CHECKING:  # the program model loads with the first simulation
     from ..program import ExecutableImage, ProgramContext
@@ -84,6 +85,16 @@ class AppSpec(FrozenRecord):
     @property
     def n_functions(self) -> int:
         return len(self.functions)
+
+    @property
+    def policies(self) -> Tuple[str, ...]:
+        """The Table 3 policies the paper runs this app under: all of
+        them, but Subset only where it has a Subset version."""
+        return tuple(p for p in POLICIES if p != "Subset" or self.has_subset_policy)
+
+    def clamp_cpus(self, n: int) -> int:
+        """The largest of this app's CPU counts that is at most ``n``."""
+        return max(c for c in self.cpu_counts if c <= n)
 
     def validate(self) -> None:
         fset = set(self.functions)

@@ -22,8 +22,8 @@ import sys
 from typing import List, Optional
 
 from ..apps import ALL_APPS, InputDeck, deck_scale, get_app
-from ..cliargs import positive_int
-from ..cluster import Cluster, get_machine
+from ..cliargs import positive_float, positive_int
+from ..cluster import MACHINES, Cluster, get_machine
 from ..jobs import MpiJob, OmpJob
 from ..runner.point import check_scale
 from ..simt import Environment
@@ -51,22 +51,20 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="target application")
     parser.add_argument("--cpus", type=positive_int, default=4,
                         help="MPI processes / OpenMP threads (default 4)")
-    parser.add_argument("--scale", type=float, default=0.1,
+    parser.add_argument("--scale", type=positive_float, default=0.1,
                         help="workload scale factor (default 0.1)")
     parser.add_argument("--input", metavar="DECK",
                         help="application input deck (key = value; the "
                              "app's native iteration key sets the scale, "
                              "ncpus overrides --cpus)")
-    parser.add_argument("--machine", default="power3-sp",
+    parser.add_argument("--machine", choices=sorted(MACHINES),
+                        default="power3-sp",
                         help="machine preset (default power3-sp)")
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
 
     app = get_app(args.target)
-    try:
-        scale = check_scale(args.scale)
-    except ValueError as exc:
-        parser.error(f"argument --scale: {exc}")
+    scale = args.scale
     n_cpus = args.cpus
     if args.input:
         try:

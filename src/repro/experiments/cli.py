@@ -80,6 +80,7 @@ from ..obs.trace import DEFAULT_CAPACITY as DEFAULT_TRACE_CAPACITY
 from ..runner import SweepError, SweepPoint, SweepRunner, default_cache_dir
 from ..runner.collect import (Collector, MetricsCollector, OrderCollector,
                              ReplayCollector, SampleCollector, TraceCollector)
+from .artifacts import ARTIFACTS
 from .results import FigureResult
 
 if TYPE_CHECKING:
@@ -92,25 +93,12 @@ if TYPE_CHECKING:
 
 __all__ = ["main", "run_experiment", "EXPERIMENTS", "ExperimentOutput"]
 
-EXPERIMENTS = (
-    "table1", "table2", "table3",
-    "fig7a", "fig7b", "fig7c", "fig7d", "fig7",
-    "fig8a", "fig8b", "fig8c", "fig8",
-    "fig9",
-    "tracevol",
-    "tracevol-compress",
-    "overhead-timeline",
-    "all",
-)
+EXPERIMENTS = tuple(ARTIFACTS)
 
 #: What one experiment id produces: rendered text blocks and/or
 #: figure-likes (anything with render/to_csv/to_dict, e.g.
 #: FigureResult or OverheadTimeline).
 ExperimentOutput = Union[str, FigureResult]
-
-
-def _quick_counts(counts, cap):
-    return tuple(c for c in counts if c <= cap)
 
 
 def run_experiment(
@@ -121,106 +109,21 @@ def run_experiment(
     runner: Optional[SweepRunner] = None,
     faults: Optional[FaultPlan] = None,
 ) -> List[ExperimentOutput]:
-    """Run one experiment id; returns text blocks / FigureResults.
+    """Run one experiment id's :data:`~repro.experiments.artifacts.ARTIFACTS`
+    record; returns text blocks / FigureResults.
 
-    ``runner`` (optional) carries the worker pool, result cache and
-    telemetry every figure grid executes through; None runs serially
-    without caching, exactly like a direct ``run_fig*`` call.
-    ``faults`` (optional) arms a deterministic fault-injection plan on
-    the experiments that run full simulations (fig7, fig9, tracevol);
-    an empty plan is equivalent to None and changes nothing.
+    ``runner`` carries the worker pool, result cache and telemetry every
+    grid runs through (None runs in-process without a cache).  An empty
+    ``faults`` plan is equivalent to None and changes nothing.
     """
     if faults is not None and faults.is_empty:
         faults = None
-    out: List[ExperimentOutput] = []
-    if name == "table1":
-        from .tables import render_table1
-
-        out.append(render_table1())
-    elif name == "table2":
-        from .tables import render_table2
-
-        out.append(render_table2())
-    elif name == "table3":
-        from .tables import render_table3
-
-        out.append(render_table3())
-    elif name == "fig7":
-        from .fig7 import FIG7_PANELS
-
-        for panel in FIG7_PANELS:
-            out.extend(run_experiment(panel, scale, seed, quick, runner,
-                                      faults))
-    elif name.startswith("fig7") and name in EXPERIMENTS:
-        from ..apps import get_app
-        from .fig7 import FIG7_PANELS, fig7_shape_report, run_fig7
-
-        app = get_app(FIG7_PANELS[name])
-        cpus = _quick_counts(app.cpu_counts, 16) if quick else None
-        fig = run_fig7(app, cpu_counts=cpus, scale=scale, seed=seed,
-                       runner=runner, faults=faults)
-        out.append(fig)
-        out.append("\n".join(fig7_shape_report(fig, app)) + "\n")
-    elif name == "fig8a":
-        from .fig8 import IBM_PROC_COUNTS, run_fig8a
-
-        counts = _quick_counts(IBM_PROC_COUNTS, 32) if quick else IBM_PROC_COUNTS
-        out.append(run_fig8a(counts, seed=seed, runner=runner))
-    elif name == "fig8b":
-        from .fig8 import IBM_PROC_COUNTS, run_fig8b
-
-        counts = _quick_counts(IBM_PROC_COUNTS, 32) if quick else IBM_PROC_COUNTS
-        out.append(run_fig8b(counts, seed=seed, runner=runner))
-    elif name == "fig8c":
-        from .fig8 import IA32_PROC_COUNTS, run_fig8c
-
-        counts = _quick_counts(IA32_PROC_COUNTS, 8) if quick else IA32_PROC_COUNTS
-        out.append(run_fig8c(counts, seed=seed, runner=runner))
-    elif name == "fig8":
-        for panel in ("fig8a", "fig8b", "fig8c"):
-            out.extend(run_experiment(panel, scale, seed, quick, runner))
-    elif name == "fig9":
-        from .fig9 import run_fig9
-
-        cpus = (1, 2, 4, 8) if quick else None
-        out.append(run_fig9(cpu_counts=cpus, seed=seed, runner=runner,
-                            faults=faults))
-    elif name == "tracevol":
-        from .tracevol import render_tracevol, run_tracevol
-
-        n = 4 if quick else 16
-        out.append(render_tracevol(
-            run_tracevol(n_cpus=n, scale=scale, seed=seed, runner=runner,
-                         faults=faults)
-        ))
-    elif name == "tracevol-compress":
-        # In-process only: the compactor needs the postmortem TraceFile
-        # itself, which never travels through the cache/worker envelope.
-        from .tracevol import render_compression, run_tracevol_compression
-
-        n = 2 if quick else 4
-        out.append(render_compression(
-            run_tracevol_compression(n_cpus=n, scale=scale, seed=seed)
-        ))
-    elif name == "overhead-timeline":
-        # In-process and cache-bypassing, like tracevol-compress: a
-        # cached point carries no sampled series (no simulation ran),
-        # so every cell is executed fresh with the sampler on.
-        from .overhead import run_overhead_timeline
-
-        sampler = _collector(runner, SampleCollector)
-        interval = sampler.interval if sampler is not None else None
-        out.append(run_overhead_timeline(
-            n_cpus=4 if quick else 8, scale=scale, seed=seed,
-            interval=interval,
-        ))
-    elif name == "all":
-        for exp in ("table1", "table2", "table3", "fig7", "fig8", "fig9", "tracevol"):
-            out.extend(run_experiment(exp, scale, seed, quick, runner,
-                                      faults))
-    else:
+    artifact = ARTIFACTS.get(name)
+    if artifact is None:
         raise SystemExit(f"unknown experiment {name!r}; known: {EXPERIMENTS}")
-    return out
+    sampler = _collector(runner, SampleCollector)
+    return artifact.run(runner, scale, seed, quick, faults,
+                        sampler.interval if sampler is not None else None)
 
 
 # -- runner plumbing ------------------------------------------------------------
@@ -265,7 +168,7 @@ def _add_runner_args(parser: argparse.ArgumentParser) -> None:
                              "point and write one merged JSON document to "
                              "FILE ('-' = stdout); figure outputs are "
                              "unaffected")
-    parser.add_argument("--obs-sample", type=float, default=None,
+    parser.add_argument("--obs-sample", type=positive_float, default=None,
                         metavar="SEC",
                         help="sample the metrics registry every SEC "
                              "simulated seconds into per-metric time "
@@ -344,8 +247,6 @@ def _collectors(
 
     Conflicting flags are usage errors; an unreadable replay log raises
     ``ValueError``."""
-    if args.obs_sample is not None and args.obs_sample <= 0:
-        parser.error("--obs-sample must be > 0")
     if args.record and args.replay:
         parser.error("--record and --replay are mutually exclusive")
     collectors: List[Collector] = []
@@ -610,16 +511,14 @@ def sweep_main(argv: List[str]) -> int:
         except KeyError as exc:
             parser.error(str(exc))
         cpus = args.cpus if args.cpus is not None else list(app.cpu_counts)
-        for policy in args.policies:
-            if policy == "Subset" and not app.has_subset_policy:
-                continue
-            for n in cpus:
-                if n > max(app.cpu_counts):
-                    continue
-                points.append(SweepPoint.policy_cell(
-                    app.name, policy, n,
-                    scale=args.scale, machine=machine, seed=args.seed,
-                ))
+        # A name outside Table 3 is kept: its points fail and say why.
+        points += [
+            SweepPoint.policy_cell(app.name, policy, n, scale=args.scale,
+                                   machine=machine, seed=args.seed)
+            for policy in args.policies
+            if policy in app.policies or policy not in POLICIES
+            for n in cpus if n <= max(app.cpu_counts)
+        ]
     if not points:
         print("sweep: empty grid", file=sys.stderr)
         return 2
@@ -878,7 +777,7 @@ def trace_main(argv: List[str]) -> int:
                         help="machine preset (default power3-sp)")
     parser.add_argument("--detail", choices=("fine", "coarse"),
                         default="fine", help="trace detail level")
-    parser.add_argument("--capacity", type=int,
+    parser.add_argument("--capacity", type=positive_int,
                         default=DEFAULT_TRACE_CAPACITY, metavar="N",
                         help="per-track ring-buffer bound "
                              f"(default {DEFAULT_TRACE_CAPACITY})")
@@ -898,20 +797,9 @@ def trace_main(argv: List[str]) -> int:
     parser.add_argument("--vgvz", metavar="FILE", default=None,
                         help="also save the postmortem VT trace in the "
                              "compact VGVZ binary format")
+    parser.set_defaults(kind="policy")
     args = parser.parse_args(argv)
-
-    try:
-        get_app(args.app)
-    except KeyError as exc:
-        parser.error(str(exc))
-    if args.policy not in POLICIES:
-        parser.error(f"unknown policy {args.policy!r}; known: "
-                     f"{','.join(POLICIES)}")
-
-    point = SweepPoint.policy_cell(
-        args.app, args.policy, args.cpus,
-        scale=args.scale, machine=get_machine(args.machine), seed=args.seed,
-    )
+    point = _point_from_args(args, parser)
     tracer = TraceCollector(detail=args.detail, capacity=args.capacity,
                             compact=args.compact)
     envelope = execute_point(point, collectors=[tracer])
@@ -999,7 +887,8 @@ def _point_from_args(
     args: argparse.Namespace, parser: argparse.ArgumentParser,
     faults: Optional[FaultPlan] = None,
 ) -> SweepPoint:
-    """The point :func:`_add_point_args` describes, under ``faults``."""
+    """The point :func:`_add_point_args` (or ``trace``'s options)
+    describes, under ``faults``."""
     from ..apps import get_app
     from ..dynprof import POLICIES
 
@@ -1041,7 +930,7 @@ def chaos_main(argv: List[str]) -> int:
                         help="collect simulator metrics during the run and "
                              "write them as a JSON document to FILE "
                              "('-' = stdout)")
-    parser.add_argument("--obs-sample", type=float, default=None,
+    parser.add_argument("--obs-sample", type=positive_float, default=None,
                         metavar="SEC",
                         help="sample the metrics registry every SEC "
                              "simulated seconds; the series ride the "

@@ -8,14 +8,13 @@ excluded, probe overhead included), exactly as in Section 4.2.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from ..apps import AppSpec, get_app
 from ..cluster import MachineSpec, POWER3_SP
-from ..dynprof import POLICIES, PolicyResult
 from ..faults import FaultPlan
 from ..runner import SweepPoint, SweepRunner
-from ..runner.runner import run_grid
+from .artifacts import Plan, run_plan, upto
 from .results import FigureResult
 
 __all__ = ["run_fig7", "fig7_shape_report", "FIG7_PANELS"]
@@ -35,60 +34,70 @@ def run_fig7(
     scale: float = 0.1,
     machine: MachineSpec = POWER3_SP,
     seed: int = 0,
-    collect: Optional[Dict[str, List[PolicyResult]]] = None,
     runner: Optional[SweepRunner] = None,
-    jobs: int = 1,
     faults: Optional[FaultPlan] = None,
 ) -> FigureResult:
     """Reproduce one Figure 7 panel.
 
     ``scale`` shrinks the workload (fewer cycles/steps); overhead ratios
     are scale-invariant because probe cost and compute are both
-    per-call.  ``collect`` (optional) receives the raw PolicyResults.
+    per-call.
 
-    The (policy x CPU-count) grid executes through a
-    :class:`~repro.runner.SweepRunner` — pass ``runner`` to share a
-    worker pool/cache across figures, or just ``jobs`` to parallelize
-    this panel; the simulation is deterministic, so the result is
-    identical whichever path ran it.
+    The (policy x CPU-count) grid executes through ``runner`` (pass one
+    to share a worker pool and cache across figures; without one it
+    runs in-process); the simulation is deterministic, so the result
+    is identical whichever path ran it.
     """
     app = get_app(app) if isinstance(app, str) else app
     cpus = list(cpu_counts) if cpu_counts is not None else list(app.cpu_counts)
-    panel = {v: k for k, v in FIG7_PANELS.items()}.get(app.name, "fig7")
-    fig = FigureResult(
-        figure_id=panel,
-        title=f"The execution time of instrumented versions of {app.title}",
-        xlabel="CPUs",
-        ylabel="Time (s)",
-        x=cpus,
-    )
-    fig.notes.append(f"workload scale={scale} (times scale ~linearly with it)")
-    fig.notes.append(f"machine={machine.name}, seed={seed}")
-    if not app.has_subset_policy:
-        fig.notes.append(
-            "no Subset version: Full and None are already comparable "
-            "(paper, Section 4.3)"
-        )
+    return run_plan(fig7_plan(app, cpus, scale, machine, seed, faults), runner)
 
-    policies = [p for p in POLICIES
-                if p != "Subset" or app.has_subset_policy]
+
+def fig7_plan(app: AppSpec, cpus: Sequence[int], scale: float,
+              machine: MachineSpec, seed: int,
+              faults: Optional[FaultPlan]) -> Plan:
+    """One panel's (policy x CPU-count) points, policy-major, and the
+    reducer that plots their payloads."""
     points = [
-        SweepPoint.policy_cell(app.name, policy, n,
-                               scale=scale, machine=machine, seed=seed,
-                               faults=faults)
-        for policy in policies
+        SweepPoint.policy_cell(app.name, policy, n, scale=scale,
+                               machine=machine, seed=seed, faults=faults)
+        for policy in app.policies
         for n in cpus
     ]
-    payloads = iter(run_grid(points, runner, jobs))
-    for policy in policies:
-        values: List[Optional[float]] = []
-        for _n in cpus:
-            result = PolicyResult(**next(payloads))
-            values.append(result.time)
-            if collect is not None:
-                collect.setdefault(policy, []).append(result)
-        fig.add_series(policy, values)
-    return fig
+
+    def figure(payloads: List[dict]) -> FigureResult:
+        panel = {v: k for k, v in FIG7_PANELS.items()}.get(app.name, "fig7")
+        fig = FigureResult(
+            panel, f"The execution time of instrumented versions of {app.title}",
+            "CPUs", "Time (s)", list(cpus))
+        fig.notes.append(f"workload scale={scale} (times scale ~linearly with it)")
+        fig.notes.append(f"machine={machine.name}, seed={seed}")
+        if not app.has_subset_policy:
+            fig.notes.append(
+                "no Subset version: Full and None are already comparable "
+                "(paper, Section 4.3)"
+            )
+        payload = iter(payloads)
+        for policy in app.policies:
+            fig.add_series(policy, [next(payload)["time"] for _n in cpus])
+        return fig
+
+    return points, figure
+
+
+def panel_plan(name: str, n_cpus: Optional[int], seed: int, scale: float,
+               faults: Optional[FaultPlan]) -> Plan:
+    """Artifact ``name``'s plan: its app's CPU counts up to ``n_cpus``;
+    it prints the panel and its shape report."""
+    app = get_app(FIG7_PANELS[name])
+    points, figure = fig7_plan(app, upto(app.cpu_counts, n_cpus), scale,
+                               POWER3_SP, seed, faults)
+
+    def outputs(payloads: List[dict]) -> list:
+        fig = figure(payloads)
+        return [fig, "\n".join(fig7_shape_report(fig, app)) + "\n"]
+
+    return points, outputs
 
 
 def fig7_shape_report(fig: FigureResult, app: AppSpec | str) -> List[str]:

@@ -18,9 +18,9 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-from ..cluster import IA32_LINUX, MachineSpec, POWER3_SP
+from ..cluster import IA32_LINUX, POWER3_SP
 from ..runner import SweepPoint, SweepRunner
-from ..runner.runner import run_grid
+from .artifacts import Plan, run_plan, upto
 from .results import FigureResult
 
 __all__ = [
@@ -39,92 +39,66 @@ IA32_PROC_COUNTS = tuple(range(2, 17))
 #: Calls averaged per data point, as in the paper.
 REPS = 16
 
+#: panel -> (title, machine, processor counts, {series: confsync variant}).
+PANELS = {
+    "fig8a": ("Time for VT_confsync on IBM", POWER3_SP, IBM_PROC_COUNTS,
+              {"No Change": {"change": False}, "Changes": {"change": True}}),
+    "fig8b": ("Time to write statistics on IBM", POWER3_SP, IBM_PROC_COUNTS,
+              {"Statistics": {"stats": True}}),
+    "fig8c": ("Time for VT_confsync on IA32", IA32_LINUX, IA32_PROC_COUNTS,
+              {"No Change": {"change": False}}),
+}
 
-def _confsync_series(
-    proc_counts: Sequence[int],
-    machine: MachineSpec,
-    seed: int,
-    runner: Optional[SweepRunner],
-    jobs: int,
-    *variants: dict,
-) -> List[List[float]]:
-    """Run one confsync grid (one sweep point per (variant, procs) cell)
-    through a SweepRunner; returns one value list per variant."""
+
+def fig8_plan(panel: str, proc_counts: Sequence[int], seed: int) -> Plan:
+    """One sweep point per (series, processor count) cell of ``panel``,
+    and the reducer that plots their payloads."""
+    title, machine, _counts, series = PANELS[panel]
     points = [
         SweepPoint.confsync(p, machine=machine, seed=seed, reps=REPS, **variant)
-        for variant in variants
+        for variant in series.values()
         for p in proc_counts
     ]
-    payloads = iter(run_grid(points, runner, jobs))
-    return [
-        [next(payloads)["time"] for _p in proc_counts]
-        for _variant in variants
-    ]
+
+    def figure(payloads: List[dict]) -> FigureResult:
+        fig = FigureResult(panel, title, "Number of Processors", "Time (s)",
+                           list(proc_counts))
+        fig.notes.append(f"each point averages {REPS} calls (as in the paper)")
+        payload = iter(payloads)
+        for label in series:
+            fig.add_series(label, [next(payload)["time"] for _p in proc_counts])
+        return fig
+
+    return points, figure
 
 
 def run_fig8a(
     proc_counts: Sequence[int] = IBM_PROC_COUNTS,
     seed: int = 0,
     runner: Optional[SweepRunner] = None,
-    jobs: int = 1,
 ) -> FigureResult:
     """Time for VT_confsync on the IBM system, no-change vs. changes."""
-    fig = FigureResult(
-        "fig8a",
-        "Time for VT_confsync on IBM",
-        "Number of Processors",
-        "Time (s)",
-        list(proc_counts),
-    )
-    fig.notes.append(f"each point averages {REPS} calls (as in the paper)")
-    no_change, changes = _confsync_series(
-        proc_counts, POWER3_SP, seed, runner, jobs,
-        {"change": False}, {"change": True},
-    )
-    fig.add_series("No Change", no_change)
-    fig.add_series("Changes", changes)
-    return fig
+    return run_plan(fig8_plan("fig8a", proc_counts, seed), runner)
 
 
 def run_fig8b(
     proc_counts: Sequence[int] = IBM_PROC_COUNTS,
     seed: int = 0,
     runner: Optional[SweepRunner] = None,
-    jobs: int = 1,
 ) -> FigureResult:
     """Time to write statistics within VT_confsync on the IBM system."""
-    fig = FigureResult(
-        "fig8b",
-        "Time to write statistics on IBM",
-        "Number of Processors",
-        "Time (s)",
-        list(proc_counts),
-    )
-    fig.notes.append(f"each point averages {REPS} calls (as in the paper)")
-    (stats,) = _confsync_series(
-        proc_counts, POWER3_SP, seed, runner, jobs, {"stats": True},
-    )
-    fig.add_series("Statistics", stats)
-    return fig
+    return run_plan(fig8_plan("fig8b", proc_counts, seed), runner)
 
 
 def run_fig8c(
     proc_counts: Sequence[int] = IA32_PROC_COUNTS,
     seed: int = 0,
     runner: Optional[SweepRunner] = None,
-    jobs: int = 1,
 ) -> FigureResult:
     """Time for VT_confsync on the IA32 Linux cluster (no change)."""
-    fig = FigureResult(
-        "fig8c",
-        "Time for VT_confsync on IA32",
-        "Number of Processors",
-        "Time (s)",
-        list(proc_counts),
-    )
-    fig.notes.append(f"each point averages {REPS} calls (as in the paper)")
-    (no_change,) = _confsync_series(
-        proc_counts, IA32_LINUX, seed, runner, jobs, {"change": False},
-    )
-    fig.add_series("No Change", no_change)
-    return fig
+    return run_plan(fig8_plan("fig8c", proc_counts, seed), runner)
+
+
+def panel_plan(name: str, n_cpus: Optional[int], seed: int) -> Plan:
+    """Artifact ``name``'s plan: its processor counts up to ``n_cpus``."""
+    return fig8_plan(name, upto(PANELS[name][2], n_cpus), seed)

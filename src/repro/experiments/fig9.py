@@ -24,7 +24,7 @@ from ..apps import ALL_APPS, AppSpec, get_app
 from ..cluster import MachineSpec, POWER3_SP
 from ..faults import FaultPlan
 from ..runner import SweepPoint, SweepRunner
-from ..runner.runner import run_grid
+from .artifacts import Plan, run_plan, upto
 from .results import FigureResult
 
 __all__ = ["run_fig9"]
@@ -32,10 +32,7 @@ __all__ = ["run_fig9"]
 
 def _fig9_cell_runs(app: AppSpec, n: int) -> bool:
     """Whether Figure 9 has a data point for (app, n CPUs)."""
-    if not (n in app.cpu_counts
-            or min(app.cpu_counts) <= n <= max(app.cpu_counts)):
-        return False
-    return not (app.kind == "omp" and n > max(app.cpu_counts))
+    return min(app.cpu_counts) <= n <= max(app.cpu_counts)
 
 
 def run_fig9(
@@ -44,40 +41,48 @@ def run_fig9(
     seed: int = 0,
     apps: Optional[Sequence[str]] = None,
     runner: Optional[SweepRunner] = None,
-    jobs: int = 1,
     faults: Optional[FaultPlan] = None,
 ) -> FigureResult:
     """Reproduce Figure 9: one series per application."""
     app_names = list(apps) if apps is not None else list(ALL_APPS)
-    all_cpus = cpu_counts
-    x: List[int] = sorted(
-        set(all_cpus)
-        if all_cpus is not None
-        else {c for name in app_names for c in get_app(name).cpu_counts}
-    )
-    fig = FigureResult(
-        "fig9",
-        "Time to create and instrument",
-        "CPUs",
-        "Time (s)",
-        x,
-    )
+    if cpu_counts is None:
+        cpu_counts = {c for name in app_names for c in get_app(name).cpu_counts}
+    return run_plan(fig9_plan(app_names, sorted(set(cpu_counts)), machine,
+                              seed, faults), runner)
+
+
+def fig9_plan(app_names: Sequence[str], x: Sequence[int], machine: MachineSpec,
+              seed: int, faults: Optional[FaultPlan]) -> Plan:
+    """One ``instrument`` point per (app, CPU count) cell that runs, and
+    the reducer that plots their payloads."""
+    apps = [get_app(name) for name in app_names]
     points = [
-        SweepPoint.instrument(get_app(name).name, n, machine=machine,
-                              seed=seed, faults=faults)
-        for name in app_names
+        SweepPoint.instrument(app.name, n, machine=machine, seed=seed,
+                              faults=faults)
+        for app in apps
         for n in x
-        if _fig9_cell_runs(get_app(name), n)
+        if _fig9_cell_runs(app, n)
     ]
-    payloads = iter(run_grid(points, runner, jobs))
-    for name in app_names:
-        app = get_app(name)
-        values: List[Optional[float]] = [
-            next(payloads)["time"] if _fig9_cell_runs(app, n) else None
-            for n in x
-        ]
-        fig.add_series(app.title, values)
-    fig.notes.append(
-        "Umt98's curve is flat: a single shared OpenMP image to instrument"
-    )
-    return fig
+
+    def figure(payloads: List[dict]) -> FigureResult:
+        fig = FigureResult("fig9", "Time to create and instrument", "CPUs",
+                           "Time (s)", list(x))
+        payload = iter(payloads)
+        for app in apps:
+            fig.add_series(app.title, [
+                next(payload)["time"] if _fig9_cell_runs(app, n) else None
+                for n in x
+            ])
+        fig.notes.append(
+            "Umt98's curve is flat: a single shared OpenMP image to instrument"
+        )
+        return fig
+
+    return points, figure
+
+
+def artifact_plan(n_cpus: Optional[int], seed: int,
+                  faults: Optional[FaultPlan]) -> Plan:
+    """The ``fig9`` artifact: every app's CPU counts up to ``n_cpus``."""
+    x = sorted({c for app in ALL_APPS.values() for c in app.cpu_counts})
+    return fig9_plan(list(ALL_APPS), upto(x, n_cpus), POWER3_SP, seed, faults)

@@ -23,7 +23,7 @@ it.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 from ..apps import get_app
 from ..cluster import MachineSpec, POWER3_SP
@@ -224,9 +224,7 @@ def run_overhead_timeline(
     fig = OverheadTimeline(interval=interval, scale=scale, seed=seed)
     for app_name in apps:
         app = get_app(app_name)
-        cpus = min(n_cpus, max(app.cpu_counts))
-        if cpus not in app.cpu_counts:
-            cpus = max(c for c in app.cpu_counts if c <= cpus)
+        cpus = app.clamp_cpus(n_cpus)
         for policy in policies:
             point = SweepPoint.policy_cell(
                 app.name, policy, cpus,
@@ -256,3 +254,5 @@ def run_overhead_timeline(
                 dropped=dropped,
             )
     return fig
+
+

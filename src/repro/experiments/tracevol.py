@@ -19,10 +19,10 @@ from typing import Any, Dict, List, Optional
 from .._record import Record
 from ..apps import ALL_APPS, get_app
 from ..cluster import MachineSpec, POWER3_SP
-from ..dynprof import POLICIES, PolicyResult
+from ..dynprof import PolicyResult
 from ..faults import FaultPlan
 from ..runner import SweepPoint, SweepRunner
-from ..runner.runner import run_grid
+from .artifacts import Plan, run_plan
 
 __all__ = [
     "TraceVolumeRow",
@@ -64,7 +64,6 @@ def run_tracevol(
     machine: MachineSpec = POWER3_SP,
     seed: int = 0,
     runner: Optional[SweepRunner] = None,
-    jobs: int = 1,
     faults: Optional[FaultPlan] = None,
 ) -> List[TraceVolumeRow]:
     """Measure trace volume per (app, policy) at one CPU count.
@@ -72,30 +71,44 @@ def run_tracevol(
     The cells are the same ``policy`` sweep points Figure 7 runs, so a
     shared cache serves both experiments from one set of simulations.
     """
-    cells = []
-    for name in (apps if apps is not None else list(ALL_APPS)):
-        app = get_app(name)
-        cpus = min(n_cpus, max(app.cpu_counts))
-        if cpus not in app.cpu_counts:
-            cpus = max(c for c in app.cpu_counts if c <= cpus)
-        for policy in POLICIES:
-            if policy == "Subset" and not app.has_subset_policy:
-                continue
-            cells.append(SweepPoint.policy_cell(
-                app.name, policy, cpus,
-                scale=scale, machine=machine, seed=seed, faults=faults,
+    return run_plan(tracevol_plan(apps, n_cpus, scale, machine, seed, faults),
+                    runner)
+
+
+def tracevol_plan(apps: Optional[List[str]], n_cpus: int, scale: float,
+                  machine: MachineSpec, seed: int,
+                  faults: Optional[FaultPlan]) -> Plan:
+    """One ``policy`` point per (app, policy), each app at its largest
+    CPU count up to ``n_cpus``, and the reducer that measures the rows."""
+    points = [
+        SweepPoint.policy_cell(app.name, policy, app.clamp_cpus(n_cpus),
+                               scale=scale, machine=machine, seed=seed,
+                               faults=faults)
+        for app in map(get_app, apps if apps is not None else list(ALL_APPS))
+        for policy in app.policies
+    ]
+
+    def rows(payloads: List[dict]) -> List[TraceVolumeRow]:
+        out: List[TraceVolumeRow] = []
+        for payload in payloads:
+            result = PolicyResult(**payload)
+            mb = result.trace_bytes / 1e6
+            rate = (mb / result.time / result.n_cpus) if result.time > 0 else 0.0
+            out.append(TraceVolumeRow(
+                app=result.app, policy=result.policy, n_cpus=result.n_cpus,
+                time=result.time, records=result.trace_records,
+                mbytes=mb, rate_mb_s_per_proc=rate,
             ))
-    rows: List[TraceVolumeRow] = []
-    for payload in run_grid(cells, runner, jobs):
-        result = PolicyResult(**payload)
-        mb = result.trace_bytes / 1e6
-        rate = (mb / result.time / result.n_cpus) if result.time > 0 else 0.0
-        rows.append(TraceVolumeRow(
-            app=result.app, policy=result.policy, n_cpus=result.n_cpus,
-            time=result.time, records=result.trace_records,
-            mbytes=mb, rate_mb_s_per_proc=rate,
-        ))
-    return rows
+        return out
+
+    return points, rows
+
+
+def artifact_plan(n_cpus: int, seed: int, scale: float,
+                  faults: Optional[FaultPlan]) -> Plan:
+    """The ``tracevol`` artifact: every app at ``n_cpus``, as a table."""
+    points, rows = tracevol_plan(None, n_cpus, scale, POWER3_SP, seed, faults)
+    return points, lambda payloads: render_tracevol(rows(payloads))
 
 
 def render_tracevol(rows: List[TraceVolumeRow]) -> str:

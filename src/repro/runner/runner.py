@@ -46,8 +46,7 @@ from .point import SweepPoint
 from .retry import RetryPolicy
 from .telemetry import SweepTelemetry
 
-__all__ = ["SweepRunner", "PointResult", "SweepError", "default_jobs",
-           "run_grid"]
+__all__ = ["SweepRunner", "PointResult", "SweepError", "default_jobs"]
 
 
 def default_jobs() -> int:
@@ -350,19 +349,3 @@ class SweepRunner:
             obs=obs_snapshot,
         )
 
-
-def run_grid(
-    points: Sequence[SweepPoint],
-    runner: Optional[SweepRunner] = None,
-    jobs: int = 1,
-) -> List[Dict[str, Any]]:
-    """:meth:`SweepRunner.run_grid` on ``runner``; with none, on a runner
-    of ``jobs`` workers built for this grid and closed after it, so a
-    library call leaves no pool workers behind."""
-    if runner is not None:
-        return runner.run_grid(points)
-    own = SweepRunner(jobs=jobs)
-    try:
-        return own.run_grid(points)
-    finally:
-        own.close()

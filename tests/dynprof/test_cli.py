@@ -69,7 +69,8 @@ def test_cli_bad_scale_is_a_usage_error(tmp_path, capsys, monkeypatch, scale):
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "argument --scale: scale must be finite and > 0" in captured.err
+    assert (f"argument --scale: must be a finite number > 0, got {scale!r}"
+            in captured.err)
 
 
 @pytest.mark.parametrize("scale", BAD_SCALES)
@@ -108,3 +109,20 @@ def test_cli_missing_input_deck_is_one_error_line(tmp_path, capsys,
     assert captured.out == ""
     assert captured.err.splitlines() == [
         f"repro-dynprof: {missing}: No such file or directory"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--machine", "foo"],
+    ["--scale", "x"],
+], ids=["unknown-machine", "non-numeric-scale"])
+def test_cli_bad_option_value_is_a_usage_error(tmp_path, capsys, monkeypatch,
+                                               argv):
+    script = tmp_path / "s.dp"
+    script.write_text("start\nquit\n")
+    _no_simulation(monkeypatch)
+    with pytest.raises(SystemExit) as exc:
+        main([str(script), "-", "-", "smg98", "--cpus", "2", *argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {argv[0]}: " in captured.err

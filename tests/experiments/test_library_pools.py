@@ -1,10 +1,9 @@
-"""A library figure call closes the pool it started, and only that one.
+"""A library figure call leaves no pool workers behind.
 
 ``run_fig7``, ``run_fig8a/b/c``, ``run_fig9`` and ``run_tracevol``
-given ``jobs`` and no ``runner`` build a runner for their own grid.
-Its pool workers must be gone when the call returns, not linger until
-the interpreter exits.  A runner the caller passes in stays open, so
-one pool can serve several figures.
+without a ``runner`` run their grid in-process, so no worker is left
+when the call returns.  A runner the caller passes in stays open, so
+one pool can serve several figures; the caller closes it.
 """
 
 import multiprocessing
@@ -30,7 +29,7 @@ CALLS = {
 @pytest.mark.parametrize("name", sorted(CALLS))
 def test_a_call_without_a_runner_leaves_no_workers(name):
     before = set(multiprocessing.active_children())
-    CALLS[name](jobs=2)
+    CALLS[name]()
     assert set(multiprocessing.active_children()) <= before
 
 

@@ -11,11 +11,22 @@ import json
 import pytest
 
 from repro.apps import SMG98, SWEEP3D
+from repro.cluster import POWER3_SP
 from repro.experiments import run_fig7, run_fig8a, run_fig9, run_tracevol
+from repro.experiments.fig7 import fig7_plan
 from repro.runner import SweepRunner
 
 SCALE = 0.02
 SEED = 2
+
+
+def on(jobs, call, *args, **kwargs):
+    """``call(*args, **kwargs)`` on a runner of ``jobs`` workers."""
+    runner = SweepRunner(jobs=jobs)
+    try:
+        return call(*args, runner=runner, **kwargs)
+    finally:
+        runner.close()
 
 
 @pytest.mark.parametrize("app,cpus", [
@@ -23,20 +34,19 @@ SEED = 2
     (SWEEP3D, (2, 4)),
 ])
 def test_fig7_parallel_identical_to_serial(app, cpus):
-    serial = run_fig7(app, cpu_counts=cpus, scale=SCALE, seed=SEED, jobs=1)
-    parallel = run_fig7(app, cpu_counts=cpus, scale=SCALE, seed=SEED, jobs=4)
+    serial = on(1, run_fig7, app, cpu_counts=cpus, scale=SCALE, seed=SEED)
+    parallel = on(4, run_fig7, app, cpu_counts=cpus, scale=SCALE, seed=SEED)
     assert parallel.to_dict() == serial.to_dict()
     assert parallel.render() == serial.render()
     assert parallel.to_csv() == serial.to_csv()
 
 
 def test_fig7_collect_identical_across_paths():
-    serial_raw, parallel_raw = {}, {}
-    run_fig7(SWEEP3D, cpu_counts=(2, 4), scale=SCALE, seed=SEED,
-             collect=serial_raw, jobs=1)
-    run_fig7(SWEEP3D, cpu_counts=(2, 4), scale=SCALE, seed=SEED,
-             collect=parallel_raw, jobs=3)
-    assert serial_raw == parallel_raw
+    # Every payload field of the grid, not just the plotted times.
+    points, _figure = fig7_plan(SWEEP3D, (2, 4), SCALE, POWER3_SP, SEED, None)
+    serial = on(1, lambda runner: runner.run_grid(points))
+    parallel = on(3, lambda runner: runner.run_grid(points))
+    assert serial == parallel
 
 
 def test_fig7_cached_rerun_identical_and_fully_hit(tmp_path):
@@ -51,24 +61,24 @@ def test_fig7_cached_rerun_identical_and_fully_hit(tmp_path):
 
 
 def test_fig8a_parallel_identical_to_serial():
-    serial = run_fig8a(proc_counts=(2, 8), seed=1, jobs=1)
-    parallel = run_fig8a(proc_counts=(2, 8), seed=1, jobs=2)
+    serial = on(1, run_fig8a, proc_counts=(2, 8), seed=1)
+    parallel = on(2, run_fig8a, proc_counts=(2, 8), seed=1)
     assert parallel.to_dict() == serial.to_dict()
 
 
 def test_fig9_parallel_identical_to_serial():
-    serial = run_fig9(cpu_counts=(1, 2), apps=("sweep3d", "umt98"), jobs=1)
-    parallel = run_fig9(cpu_counts=(1, 2), apps=("sweep3d", "umt98"), jobs=2)
+    serial = on(1, run_fig9, cpu_counts=(1, 2), apps=("sweep3d", "umt98"))
+    parallel = on(2, run_fig9, cpu_counts=(1, 2), apps=("sweep3d", "umt98"))
     assert parallel.to_dict() == serial.to_dict()
     # The None placement (no 1-CPU Sweep3d point) survives the fan-out.
     assert parallel.get("Sweep3d").values[0] is None
 
 
 def test_tracevol_parallel_identical_to_serial():
-    serial = run_tracevol(apps=["sweep3d"], n_cpus=4, scale=SCALE, seed=1,
-                          jobs=1)
-    parallel = run_tracevol(apps=["sweep3d"], n_cpus=4, scale=SCALE, seed=1,
-                            jobs=2)
+    serial = on(1, run_tracevol, apps=["sweep3d"], n_cpus=4, scale=SCALE,
+                seed=1)
+    parallel = on(2, run_tracevol, apps=["sweep3d"], n_cpus=4, scale=SCALE,
+                  seed=1)
     assert parallel == serial
 
 

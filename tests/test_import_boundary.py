@@ -11,6 +11,9 @@ Nor does it load ``dataclasses`` with ``inspect``, ``ast``, ``dis`` and
 dataclasses load with the simulator.  ``traceback`` and ``signal``
 load only for a failing or time-limited point.
 
+Nor does ``import repro.experiments.cli`` or ``--help`` load a figure
+module: each loads only when an experiment id it serves runs.
+
 Each check runs in a fresh interpreter, because this one has already
 loaded everything.
 """
@@ -37,9 +40,13 @@ def _import_cost_check():
 
 _CHECK = _import_cost_check()
 
-#: Never loaded by a run that simulates nothing: the CLI's forbidden
-#: list in ``benchmarks/check_import_cost.py``.
-SIMULATOR = _CHECK.FORBIDDEN + _CHECK.TARGETS["repro.experiments.cli"]
+#: The figure modules, which load only when one of their ids runs.
+FIGURES = _CHECK.FIGURES
+
+#: Never loaded by a run that simulates nothing: the rest of the CLI's
+#: forbidden list in ``benchmarks/check_import_cost.py``.
+SIMULATOR = _CHECK.FORBIDDEN + tuple(
+    m for m in _CHECK.TARGETS["repro.experiments.cli"] if m not in FIGURES)
 
 #: What ``dataclasses`` and a point's error and timeout handling load.
 STARTUP = ("dataclasses", "inspect", "ast", "dis", "tokenize", "traceback",
@@ -59,10 +66,11 @@ def _run(code):
     return proc.stdout.splitlines()[-1]
 
 
-def _loaded_after(body):
-    """The modules of :data:`NEVER` loaded after running ``body``."""
+def _loaded_after(body, modules=NEVER):
+    """The ``modules`` (default :data:`NEVER`) loaded after running
+    ``body``."""
     code = (f"import json, sys\n{body}\n"
-            f"print(json.dumps([m for m in {NEVER!r} if m in sys.modules]))")
+            f"print(json.dumps([m for m in {modules!r} if m in sys.modules]))")
     return json.loads(_run(code))
 
 
@@ -79,11 +87,12 @@ def _cli(argv):
 @pytest.mark.parametrize("module", ["repro", "repro.experiments",
                                     "repro.experiments.cli"])
 def test_import_does_not_load_numpy(module):
-    assert _loaded_after(f"import {module}") == []
+    assert _loaded_after(f"import {module}", NEVER + FIGURES) == []
 
 
 def test_table_does_not_load_numpy():
-    assert _loaded_after(_cli(["table1"])) == []
+    assert _loaded_after(_cli(["table1"]), NEVER + FIGURES) == [
+        "repro.experiments.tables"]
 
 
 def test_help_loads_no_simulator():
@@ -94,7 +103,7 @@ def test_help_loads_no_simulator():
             "        main(['--help'])\n"
             "    except SystemExit as exc:\n"
             "        assert exc.code == 0\n")
-    assert _loaded_after(body) == []
+    assert _loaded_after(body, NEVER + FIGURES) == []
 
 
 def test_warm_cache_figure_does_not_load_numpy(tmp_path):
