@@ -1,12 +1,21 @@
-"""argparse types shared by the ``repro-experiments`` and
-``repro-dynprof`` command lines."""
+"""The option table shared by the ``repro-experiments`` and
+``repro-dynprof`` command lines: argparse types and the point group.
+
+An option is declared once, as the keyword arguments of its
+``add_argument`` call keyed by its flag; a command adds the options it
+takes and sets its own defaults, which the help texts read back as
+``%(default)s``.
+"""
 
 from __future__ import annotations
 
 import argparse
 import math
+from typing import Any, Dict
 
-__all__ = ["positive_int", "positive_float"]
+from .cluster import MACHINES
+
+__all__ = ["positive_int", "positive_float", "POINT"]
 
 
 def positive_int(text: str) -> int:
@@ -34,3 +43,25 @@ def positive_float(text: str) -> float:
         raise argparse.ArgumentTypeError(
             f"must be a finite number > 0, got {text!r}")
     return value
+
+
+#: One simulated point: what runs, on how many CPUs of which machine, at
+#: which workload scale and seed.  ``--kind`` only where a command runs
+#: either kind of point.
+POINT: Dict[str, Dict[str, Any]] = {
+    "--kind": dict(choices=("instrument", "policy"), default="instrument",
+                   help="point kind: 'instrument' = a Figure 9 cell, "
+                        "'policy' = a Figure 7 cell (default %(default)s)"),
+    "--app": dict(help="application, a Table 3 kernel "
+                       "(default %(default)s)"),
+    "--policy": dict(default="Dynamic",
+                     help="instrumentation policy (default %(default)s)"),
+    "--cpus": dict(type=positive_int,
+                   help="process count (default %(default)s)"),
+    "--scale": dict(type=positive_float, default=0.1,
+                    help="workload scale factor (default %(default)s)"),
+    "--seed": dict(type=int, default=0,
+                   help="simulation seed (default %(default)s)"),
+    "--machine": dict(choices=sorted(MACHINES), default="power3-sp",
+                      help="machine preset (default %(default)s)"),
+}

@@ -22,14 +22,21 @@ import sys
 from typing import List, Optional
 
 from ..apps import ALL_APPS, InputDeck, deck_scale, get_app
-from ..cliargs import positive_float, positive_int
-from ..cluster import MACHINES, Cluster, get_machine
+from ..cliargs import POINT
+from ..cluster import Cluster, get_machine
 from ..jobs import MpiJob, OmpJob
 from ..runner.point import check_scale
 from ..simt import Environment
 from .tool import DynProf
 
 __all__ = ["main"]
+
+#: The point group (repro.cliargs) and the input deck: every option,
+#: declared once by its flag.
+_OPTIONS = {**POINT, "--input": dict(
+    metavar="DECK", help="application input deck (key = value; the app's "
+                         "native iteration key sets the scale, ncpus "
+                         "overrides --cpus)")}
 
 
 def _unreadable(path: str, exc: OSError) -> int:
@@ -49,18 +56,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("timefile", help="internal-timings file, or '-' for stdout")
     parser.add_argument("target", choices=sorted(ALL_APPS),
                         help="target application")
-    parser.add_argument("--cpus", type=positive_int, default=4,
-                        help="MPI processes / OpenMP threads (default 4)")
-    parser.add_argument("--scale", type=positive_float, default=0.1,
-                        help="workload scale factor (default 0.1)")
-    parser.add_argument("--input", metavar="DECK",
-                        help="application input deck (key = value; the "
-                             "app's native iteration key sets the scale, "
-                             "ncpus overrides --cpus)")
-    parser.add_argument("--machine", choices=sorted(MACHINES),
-                        default="power3-sp",
-                        help="machine preset (default power3-sp)")
-    parser.add_argument("--seed", type=int, default=0)
+    for flag in ("--cpus", "--scale", "--input", "--machine", "--seed"):
+        parser.add_argument(flag, **_OPTIONS[flag])
+    parser.set_defaults(cpus=4)
     args = parser.parse_args(argv)
 
     app = get_app(args.target)
@@ -93,10 +91,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     cluster = Cluster(env, get_machine(args.machine), seed=args.seed)
     exe = app.build_exe(False)
     program = app.make_program(n_cpus, scale)
-    if app.kind == "mpi":
-        job = MpiJob(env, cluster, exe, n_cpus, program, start_suspended=True)
-    else:
-        job = OmpJob(env, cluster, exe, n_cpus, program, start_suspended=True)
+    job_class = MpiJob if app.kind == "mpi" else OmpJob
+    job = job_class(env, cluster, exe, n_cpus, program, start_suspended=True)
 
     tool = DynProf(
         env, cluster, job,
@@ -104,38 +100,32 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     session = tool.run_script(script)
     env.run(until=session)
+    if tool.create_and_instrument_time is None:
+        print(f"repro-dynprof: the command script never runs `start`, so "
+              f"{app.name} never ran", file=sys.stderr)
+        return 2
     if tool.state == "detached" or tool.state == "running":
         env.run(until=job.completion())
     env.run()
 
     body = "\n".join(tool.output) + "\n"
-    if app.kind == "mpi":
-        times = [p.value for p in job.procs]
-    else:
-        times = [job.proc.value]
+    times = [p.value for p in (job.procs if app.kind == "mpi" else [job.proc])]
     body += (
         f"\napplication main computation: max {max(times):.3f}s over "
         f"{len(times)} process(es)\n"
         f"trace: {job.trace.raw_record_count:,} records, "
         f"{job.trace.size_bytes / 1e6:.2f} MB\n"
+        f"time to create and instrument: "
+        f"{tool.create_and_instrument_time:.2f}s\n"
     )
-    if tool.create_and_instrument_time is not None:
-        body += (
-            f"time to create and instrument: "
-            f"{tool.create_and_instrument_time:.2f}s\n"
-        )
 
-    if args.stdout == "-":
-        sys.stdout.write(body)
-    else:
-        with open(args.stdout, "w", encoding="utf-8") as fh:
-            fh.write(body)
-    timetext = tool.timefile.render()
-    if args.timefile == "-":
-        sys.stdout.write(timetext)
-    else:
-        with open(args.timefile, "w", encoding="utf-8") as fh:
-            fh.write(timetext)
+    for path, text in ((args.stdout, body),
+                       (args.timefile, tool.timefile.render())):
+        if path == "-":
+            sys.stdout.write(text)
+        else:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
     return 0
 
 

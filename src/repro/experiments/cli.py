@@ -62,20 +62,26 @@ no point fails too.  The ``replay`` subcommand works from logs alone: ``replay
 verify LOG`` re-runs and checks the point a log describes, and
 ``replay bisect`` delta-debugs a failing fault plan to a 1-minimal
 interesting subset.
+
+Every command is one row of :data:`COMMANDS`, and every option is
+declared once in :data:`OPTIONS`: a row names the options it takes,
+its own defaults and its handler, and an invocation builds only the
+parser of the row it selects.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import os
 import re
 import sys
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Union
+from importlib import import_module
+from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
+                    Sequence, Tuple, Union)
 
-from ..cliargs import positive_float, positive_int
-from ..cluster import MACHINES, get_machine
+from ..cliargs import POINT, positive_float, positive_int
+from ..cluster import get_machine
 from ..obs.trace import DEFAULT_CAPACITY as DEFAULT_TRACE_CAPACITY
 from ..runner import SweepError, SweepPoint, SweepRunner, default_cache_dir
 from ..runner.collect import (Collector, MetricsCollector, OrderCollector,
@@ -145,66 +151,6 @@ def _jobs(args: argparse.Namespace) -> int:
     if args.jobs is not None:
         return args.jobs
     return 1 if _profiled() else 0
-
-
-def _add_runner_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--jobs", type=int, default=None, metavar="N",
-                        help="worker processes for the sweep grids "
-                             "(default 0 = one per CPU; 1 = in-process, "
-                             "also the default under a profiler)")
-    parser.add_argument("--cache-dir", metavar="DIR", default=None,
-                        help="content-addressed result cache location "
-                             f"(default {default_cache_dir()})")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="disable the on-disk result cache")
-    parser.add_argument("--timeout", type=positive_float, default=None,
-                        metavar="SEC",
-                        help="per-point wall-clock budget in seconds")
-    parser.add_argument("--progress", action="store_true",
-                        help="stream JSON-lines sweep telemetry to stderr")
-    parser.add_argument("--obs", metavar="FILE", default=None,
-                        help="collect simulator metrics (events, messages, "
-                             "trace records, probe patches) per computed "
-                             "point and write one merged JSON document to "
-                             "FILE ('-' = stdout); figure outputs are "
-                             "unaffected")
-    parser.add_argument("--obs-sample", type=positive_float, default=None,
-                        metavar="SEC",
-                        help="sample the metrics registry every SEC "
-                             "simulated seconds into per-metric time "
-                             "series (riding the --obs document); figure "
-                             "outputs are unaffected")
-    parser.add_argument("--trace", metavar="DIR", default=None,
-                        help="collect a causal trace per computed point and "
-                             "write one <label>.trace.json each into DIR "
-                             "('-' = JSON lines on stdout); figure outputs "
-                             "are unaffected")
-    parser.add_argument("--trace-detail", choices=("fine", "coarse"),
-                        default="fine",
-                        help="trace detail: 'fine' includes per-function "
-                             "spans, 'coarse' subsystem events only")
-    parser.add_argument("--trace-capacity", type=positive_int,
-                        default=DEFAULT_TRACE_CAPACITY, metavar="N",
-                        help="per-track trace ring-buffer bound in events "
-                             f"(default {DEFAULT_TRACE_CAPACITY}; evictions "
-                             "are counted, not silent)")
-    parser.add_argument("--trace-compact", action="store_true",
-                        help="fold repeated event subsequences when a trace "
-                             "ring fills instead of dropping immediately "
-                             "(repro.compact); figure outputs are "
-                             "unaffected")
-    parser.add_argument("--record", metavar="DIR", default=None,
-                        help="record every computed point's nondeterminism "
-                             "order log and write one <label>.order file "
-                             "each into DIR (repro.replay; figure outputs "
-                             "are unaffected)")
-    parser.add_argument("--replay", metavar="PATH", default=None,
-                        help="re-run points against recorded order logs "
-                             "(PATH: one .order file or a directory of "
-                             "them, matched by point label; the cache is "
-                             "not used); divergence fails the point with a "
-                             "first-divergence report, and a replay that "
-                             "verifies no log fails the run")
 
 
 def _load_replay_logs(path: str) -> Dict[str, str]:
@@ -322,59 +268,55 @@ def _replay_matched_nothing(args: argparse.Namespace,
     return True
 
 
-def _open_text_output(path: str, what: str):
-    """Open ``path`` for text writing; ``-`` yields stdout (not closed).
+# -- output files -----------------------------------------------------------------
 
-    A missing parent directory is created, as ``--trace DIR`` and
-    ``--record DIR`` create theirs.  Every subcommand's writable-output
-    option funnels through here so an unwritable path fails with one
-    consistent message::
+
+def _write_output(path: str, what: str,
+                  data: Union[str, bytes, Callable[[str], Any]],
+                  dash: bool = False) -> Any:
+    """Write ``data`` to ``path``: text, bytes, or a function that writes
+    the file at the path it is given (its result is returned).
+
+    Every option that names an output file writes through here.  A
+    missing parent directory is created, and an unwritable path fails
+    with one line and exit status 1::
 
         repro-experiments: cannot write <what> <path>: <reason>
-    """
 
-    if path == "-":
-        return contextlib.nullcontext(sys.stdout)
+    With ``dash`` (the options whose ``-`` means stdout), ``-`` writes
+    the text to stdout.
+    """
+    if dash and path == "-":
+        sys.stdout.write(data)  # type: ignore[arg-type]
+        return None
     try:
         parent = os.path.dirname(path)
         if parent:
             os.makedirs(parent, exist_ok=True)
-        return open(path, "w", encoding="utf-8")
+        if callable(data):
+            return data(path)
+        binary = isinstance(data, bytes)
+        with open(path, "wb" if binary else "w",
+                  encoding=None if binary else "utf-8") as fh:
+            fh.write(data)
     except OSError as exc:
         print(f"repro-experiments: cannot write {what} {path}: {exc}",
               file=sys.stderr)
         raise SystemExit(1)
 
 
-def _write_obs_document(
-    args: argparse.Namespace, runner: SweepRunner, quiet: bool = False
-) -> Optional[str]:
-    """Emit the single-run metrics document ``--obs FILE`` asked for.
-
-    Returns the path written (for the JSON document's output map);
-    ``quiet`` suppresses the stderr note so ``--json`` runs emit
-    nothing but the document itself.  ``FILE`` may be ``-`` for
-    stdout.  With ``--obs-sample`` the document also carries the
-    per-point sampled series under ``"timeseries"``.
-    """
-    metrics = _collector(runner, MetricsCollector)
-    if metrics is None:
-        return None
-
+def _write_obs(args: argparse.Namespace, quiet: bool, **fields: Any) -> str:
+    """Write the metrics document ``--obs FILE`` asked for: the version,
+    then each of ``fields`` that is not None.  Returns the path, for the
+    JSON document's output map; ``quiet`` (``--json`` runs) suppresses
+    the stderr note.  ``FILE`` may be ``-`` for stdout."""
     from .. import __version__
 
-    doc = {
-        "version": __version__,
-        "obs": metrics.registry.snapshot(),
-        "telemetry": runner.telemetry.summary(),
-    }
-    sampler = _collector(runner, SampleCollector)
-    if sampler is not None and sampler.docs:
-        doc["timeseries"] = sampler.docs
+    doc = {"version": __version__,
+           **{key: value for key, value in fields.items() if value is not None}}
     # One write: json.dump would issue one per token.
-    text = json.dumps(doc, indent=2)
-    with _open_text_output(args.obs, "obs document") as fh:
-        fh.write(text + "\n")
+    _write_output(args.obs, "obs document", json.dumps(doc, indent=2) + "\n",
+                  dash=True)
     if not quiet and args.obs != "-":
         print(f"wrote obs metrics to {args.obs}", file=sys.stderr)
     return args.obs
@@ -387,26 +329,17 @@ def _safe_label(label: str) -> str:
 
 def _write_label_files(
     directory: str, docs: Dict[str, Any], suffix: str, what: str,
-    note: str, dump: Callable[[Any, str], None], quiet: bool,
+    note: str, encode: Callable[[Any], Union[str, bytes]], quiet: bool,
 ) -> List[str]:
     """Write one ``<label><suffix>`` file per document into
-    ``directory`` (``dump(doc, path)`` writes one); returns the paths
+    ``directory`` (``encode(doc)`` is its content); returns the paths
     written."""
-    try:
-        os.makedirs(directory, exist_ok=True)
-    except OSError as exc:
-        print(f"repro-experiments: cannot write {what}s {directory}: {exc}",
-              file=sys.stderr)
-        raise SystemExit(1)
+    _write_output(directory, what + "s",
+                  lambda path: os.makedirs(path, exist_ok=True))
     paths: List[str] = []
     for label in sorted(docs):
         path = os.path.join(directory, f"{_safe_label(label)}{suffix}")
-        try:
-            dump(docs[label], path)
-        except OSError as exc:
-            print(f"repro-experiments: cannot write {what} {path}: {exc}",
-                  file=sys.stderr)
-            raise SystemExit(1)
+        _write_output(path, what, encode(docs[label]))
         paths.append(path)
     if not quiet:
         print(f"wrote {len(paths)} {note} to {directory}", file=sys.stderr)
@@ -425,21 +358,18 @@ def _write_outputs(
     Both attachments arrive encoded (JSON text, base64 RRLG), so this
     only writes them out.
     """
-
-    def dump_trace(text: str, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-
-    def dump_order_log(doc: str, path: str) -> None:
-        from ..compact.container import from_ascii
-
-        with open(path, "wb") as fh:
-            fh.write(from_ascii(doc))
+    from ..compact.container import from_ascii
 
     outputs: Dict[str, Any] = {}
-    obs_path = _write_obs_document(args, runner, quiet=quiet)
-    if obs_path:
-        outputs["obs"] = obs_path
+    metrics = _collector(runner, MetricsCollector)
+    if metrics is not None:
+        # With --obs-sample the document carries each point's series.
+        sampler = _collector(runner, SampleCollector)
+        outputs["obs"] = _write_obs(
+            args, quiet, obs=metrics.registry.snapshot(),
+            telemetry=runner.telemetry.summary(),
+            timeseries=sampler.docs if sampler is not None and sampler.docs
+            else None)
     tracer = _collector(runner, TraceCollector)
     if tracer is not None and args.trace == "-":
         for label in sorted(tracer.docs):
@@ -450,20 +380,149 @@ def _write_outputs(
     elif tracer is not None:
         paths = _write_label_files(
             args.trace, tracer.docs, ".trace.json", "trace document",
-            "trace(s)", dump_trace, quiet)
+            "trace(s)", lambda text: text + "\n", quiet)
         if paths:
             outputs["traces"] = paths
     recorder = _collector(runner, OrderCollector)
     if recorder is not None:
         paths = _write_label_files(
             args.record, recorder.docs, ".order", "order log",
-            "order log(s)", dump_order_log, quiet)
+            "order log(s)", from_ascii, quiet)
         if paths:
             outputs["order_logs"] = paths
     return outputs
 
 
-# -- the `sweep` subcommand -----------------------------------------------------
+def _print_document(key: str, items: List[Any], runner: SweepRunner,
+                    outputs: Dict[str, Any]) -> None:
+    """A grid command's ``--json`` document: its items under ``key``,
+    the runner's telemetry and the side files written."""
+    doc = {key: items, "telemetry": runner.telemetry.summary()}
+    if outputs:
+        doc["outputs"] = outputs
+    print(json.dumps(doc, indent=2))
+
+
+# -- fault plans and single points ------------------------------------------------
+
+
+def _load_fault_plan(
+    args: argparse.Namespace, parser: argparse.ArgumentParser
+) -> Optional[FaultPlan]:
+    """The plan ``--faults``/``--plan`` selected, or None."""
+    from ..faults import FaultPlan, canned_plan
+
+    if args.faults and args.plan:
+        parser.error("--faults and --plan are mutually exclusive")
+    if args.plan:
+        return canned_plan(args.plan)
+    if args.faults:
+        try:
+            return FaultPlan.from_file(args.faults)
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            parser.error(f"--faults {args.faults}: {exc}")
+    return None
+
+
+def _point(
+    args: argparse.Namespace, parser: argparse.ArgumentParser,
+    faults: Optional[FaultPlan] = None,
+) -> SweepPoint:
+    """The point the point options describe, under ``faults``: the one
+    point of ``trace``, ``chaos`` and ``replay bisect``."""
+    from ..apps import get_app
+    from ..dynprof import POLICIES
+
+    try:
+        get_app(args.app)
+    except KeyError as exc:
+        parser.error(str(exc))
+    if args.policy not in POLICIES:
+        parser.error(f"unknown policy {args.policy!r}; known: "
+                     f"{','.join(POLICIES)}")
+    common = dict(scale=args.scale, machine=get_machine(args.machine),
+                  seed=args.seed, faults=faults)
+    if args.kind == "policy":
+        return SweepPoint.policy_cell(args.app, args.policy, args.cpus,
+                                      **common)
+    return SweepPoint.instrument(args.app, args.cpus, **common)
+
+
+def _run_point(command: str, point: SweepPoint, collectors: List[Collector],
+               runs: int = 1, replay: Optional[str] = None
+               ) -> Optional[List[Dict[str, Any]]]:
+    """Run ``point`` in-process ``runs`` times, without the cache; the
+    envelopes, or None once the first run that failed is reported on
+    stderr (a divergence from the ``--replay`` log, or an error)."""
+    from ..runner.worker import execute_point
+
+    envelopes = [execute_point(point, collectors=collectors)
+                 for _ in range(runs)]
+    for envelope in envelopes:
+        if envelope["status"] == "diverged":
+            print(f"{command}: {point.label}: DIVERGED from {replay}",
+                  file=sys.stderr)
+            _print_divergence(envelope["divergence"], file=sys.stderr)
+            return None
+        if envelope["status"] != "ok":
+            print(f"repro-experiments {command}: {point.label}: "
+                  f"{envelope.get('error', envelope['status'])}",
+                  file=sys.stderr)
+            return None
+    return envelopes
+
+
+# -- command handlers: each takes the parsed arguments and its parser -------------
+
+
+def _render_items(
+    items: List[ExperimentOutput],
+    args: argparse.Namespace,
+    json_items: List[dict],
+    csv_chunks: List[str],
+) -> None:
+    for item in items:
+        if isinstance(item, str):
+            if args.json:
+                json_items.append({"type": "text", "text": item})
+            else:
+                print(item)
+        else:
+            # Anything figure-like: FigureResult, OverheadTimeline, …
+            # — the render/to_csv/to_dict trio is the contract.
+            csv_chunks.append(item.to_csv())
+            if args.json:
+                json_items.append({"type": "figure", **item.to_dict()})
+            else:
+                print(item.render())
+
+
+def _figures(args: argparse.Namespace,
+             parser: argparse.ArgumentParser) -> int:
+    """The experiment ids: regenerate tables and figures."""
+    fault_plan = _load_fault_plan(args, parser)
+    runner = _build_runner(args, parser)
+    json_items: List[dict] = []
+    csv_chunks: List[str] = []
+    try:
+        for name in args.experiments:
+            try:
+                items = run_experiment(name, args.scale, args.seed, args.quick,
+                                       runner=runner, faults=fault_plan)
+            except SweepError as exc:
+                print(f"repro-experiments: {name}: {exc}", file=sys.stderr)
+                return 1
+            _render_items(items, args, json_items, csv_chunks)
+    finally:
+        runner.close()
+    outputs = _write_outputs(args, runner, quiet=args.json)
+    if args.json:
+        _print_document("results", json_items, runner, outputs)
+    if args.csv and csv_chunks:
+        _write_output(args.csv, "CSV", "\n".join(csv_chunks))
+        if not args.json:
+            print(f"wrote CSV to {args.csv}", file=sys.stderr)
+    return 1 if _replay_matched_nothing(args, runner) else 0
 
 
 def _cpu_list(text: str) -> List[int]:
@@ -474,34 +533,11 @@ def _str_list(text: str) -> List[str]:
     return [part for part in text.split(",") if part]
 
 
-def sweep_main(argv: List[str]) -> int:
-    """``repro-experiments sweep`` — run an ad-hoc (app x policy x CPUs)
-    grid through the runner and print one row per point."""
-    from ..apps import ALL_APPS, get_app
+def _sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    """``sweep``: run an ad-hoc (app x policy x CPUs) grid through the
+    runner and print one row per point."""
+    from ..apps import get_app
     from ..dynprof import POLICIES
-
-    parser = argparse.ArgumentParser(
-        prog="repro-experiments sweep",
-        description="Run an arbitrary (app x policy x CPU-count) grid "
-                    "through the parallel sweep runner.",
-    )
-    parser.add_argument("--apps", type=_str_list, default=list(ALL_APPS),
-                        metavar="A,B", help=f"applications (default: all of {','.join(ALL_APPS)})")
-    parser.add_argument("--policies", type=_str_list, default=list(POLICIES),
-                        metavar="P,Q", help=f"policies (default: all of {','.join(POLICIES)})")
-    parser.add_argument("--cpus", type=_cpu_list, default=None, metavar="1,4,16",
-                        help="CPU counts (default: each app's own counts)")
-    parser.add_argument("--scale", type=positive_float, default=0.1,
-                        help="workload scale factor (default 0.1)")
-    parser.add_argument("--seed", type=int, default=0, help="simulation seed")
-    parser.add_argument("--machine", choices=sorted(MACHINES), default="power3-sp",
-                        help="machine preset (default power3-sp)")
-    parser.add_argument("--json", action="store_true",
-                        help="print results as a JSON document")
-    _add_runner_args(parser)
-    args = parser.parse_args(argv)
-    if args.jobs is not None and args.jobs < 0:
-        parser.error("--jobs must be >= 0")
 
     machine = get_machine(args.machine)
     points: List[SweepPoint] = []
@@ -540,23 +576,11 @@ def sweep_main(argv: List[str]) -> int:
                   file=sys.stderr)
 
     if args.json:
-        doc = {
-            "sweep": [
-                {
-                    "app": r.point.app,
-                    "policy": r.point.policy,
-                    "cpus": r.point.procs,
-                    "status": r.status,
-                    "cached": r.cached,
-                    "payload": r.payload,
-                }
-                for r in ordered
-            ],
-            "telemetry": runner.telemetry.summary(),
-        }
-        if outputs:
-            doc["outputs"] = outputs
-        print(json.dumps(doc, indent=2))
+        _print_document("sweep", [
+            {"app": r.point.app, "policy": r.point.policy,
+             "cpus": r.point.procs, "status": r.status, "cached": r.cached,
+             "payload": r.payload}
+            for r in ordered], runner, outputs)
     else:
         print(f"{'app':<9s} {'policy':<9s} {'cpus':>4s} {'status':>8s} "
               f"{'cached':>6s} {'time(s)':>10s}")
@@ -574,43 +598,6 @@ def sweep_main(argv: List[str]) -> int:
     return 0 if all(r.ok for r in ordered) else 1
 
 
-# -- fault plans ----------------------------------------------------------------
-
-
-def _add_faults_args(parser: argparse.ArgumentParser) -> None:
-    from ..faults import CANNED_PLANS
-
-    parser.add_argument("--faults", metavar="FILE", default=None,
-                        help="run under the fault-injection plan in FILE "
-                             "(JSON, see docs/faults.md); an empty plan "
-                             "changes nothing")
-    parser.add_argument("--plan", metavar="NAME", default=None,
-                        choices=sorted(CANNED_PLANS),
-                        help="run under a canned fault plan "
-                             f"(one of {','.join(sorted(CANNED_PLANS))})")
-
-
-def _load_fault_plan(
-    args: argparse.Namespace, parser: argparse.ArgumentParser
-) -> Optional[FaultPlan]:
-    """The plan ``--faults``/``--plan`` selected, or None."""
-    from ..faults import FaultPlan, canned_plan
-
-    if args.faults and args.plan:
-        parser.error("--faults and --plan are mutually exclusive")
-    if args.plan:
-        return canned_plan(args.plan)
-    if args.faults:
-        try:
-            return FaultPlan.from_file(args.faults)
-        except (OSError, ValueError, KeyError, TypeError) as exc:
-            parser.error(f"--faults {args.faults}: {exc}")
-    return None
-
-
-# -- the `trace compact` subcommand ---------------------------------------------
-
-
 def _compact_inputs(paths: List[str], suffixes: tuple) -> List[str]:
     """Expand files/directories into trace files with given suffixes."""
     found: List[str] = []
@@ -624,43 +611,16 @@ def _compact_inputs(paths: List[str], suffixes: tuple) -> List[str]:
     return found
 
 
-def trace_compact_main(argv: List[str]) -> int:
-    """``repro-experiments trace compact`` — compress, decompress or
-    inspect on-disk trace files (VGVTRACE text <-> VGVZ binary)."""
-
+def _trace_compact(args: argparse.Namespace,
+                   parser: argparse.ArgumentParser) -> int:
+    """``trace compact``: compress, decompress or inspect on-disk trace
+    files (VGVTRACE text <-> VGVZ binary)."""
     from ..compact.codec import CompactReader, compress_trace_bytes
     from ..vt import load_trace, save_trace, save_trace_compact
 
-    parser = argparse.ArgumentParser(
-        prog="repro-experiments trace compact",
-        description="Streaming trace compaction: convert VGVTRACE text "
-                    "files (save_trace) to/from the compact VGVZ binary "
-                    "format, or report compression statistics.  The "
-                    "round trip is lossless, record for record.",
-    )
-    parser.add_argument("action", choices=("compress", "decompress", "stats"),
-                        help="compress text->VGVZ, decompress VGVZ->text, "
-                             "or report per-file compaction statistics")
-    parser.add_argument("paths", nargs="+", metavar="PATH",
-                        help="trace files, or directories to scan "
-                             "(*.vgv/*.trace for compress, *.vgvz for "
-                             "decompress, both for stats)")
-    parser.add_argument("--out-dir", metavar="DIR", default=None,
-                        help="write outputs here instead of next to inputs")
-    parser.add_argument("--no-suppress", action="store_true",
-                        help="disable repeat suppression (keep only the "
-                             "delta/varint framing) when compressing")
-    parser.add_argument("--json", action="store_true",
-                        help="print one JSON document instead of a table")
-    args = parser.parse_args(argv)
-
     text_suffixes = (".vgv", ".trace", ".txt")
-    if args.action == "compress":
-        suffixes: tuple = text_suffixes
-    elif args.action == "decompress":
-        suffixes = (".vgvz",)
-    else:
-        suffixes = text_suffixes + (".vgvz",)
+    suffixes = {"compress": text_suffixes, "decompress": (".vgvz",)}.get(
+        args.action, text_suffixes + (".vgvz",))
     inputs = _compact_inputs(args.paths, suffixes)
     if not inputs:
         print("trace compact: no trace files found", file=sys.stderr)
@@ -679,48 +639,38 @@ def trace_compact_main(argv: List[str]) -> int:
 
     rows: List[dict] = []
     for src in inputs:
+        row: Dict[str, Any] = {"file": src}
         try:
-            if args.action == "compress":
-                trace = load_trace(src)
-                dst = _out_path(src, ".vgvz")
-                stats = save_trace_compact(trace, dst,
-                                           suppress=not args.no_suppress)
-                row = {"file": src, "out": dst, **stats.to_dict(),
-                       "text_bytes": os.path.getsize(src)}
-            elif args.action == "decompress":
-                reader = CompactReader.from_file(src)
-                trace = reader.read_trace()
-                dst = _out_path(src, ".vgv")
-                save_trace(trace, dst)
-                row = {"file": src, "out": dst,
-                       "raw_records": trace.raw_record_count,
-                       "model_bytes": trace.size_bytes,
-                       "compact_bytes": os.path.getsize(src)}
+            if args.action == "decompress" or (
+                    args.action == "stats" and src.endswith(".vgvz")):
+                trace = CompactReader.from_file(src).read_trace()
+                compact_size = os.path.getsize(src)
             else:
-                if src.endswith(".vgvz"):
-                    reader = CompactReader.from_file(src)
-                    trace = reader.read_trace()
-                    compact_size = os.path.getsize(src)
-                else:
-                    trace = load_trace(src)
-                    data, _stats = compress_trace_bytes(
-                        trace, suppress=not args.no_suppress)
-                    compact_size = len(data)
-                model = trace.size_bytes
-                row = {
-                    "file": src,
-                    "raw_records": trace.raw_record_count,
-                    "model_bytes": model,
-                    "compact_bytes": compact_size,
-                    "bytes_per_record": round(
-                        compact_size / trace.raw_record_count, 3
-                    ) if trace.raw_record_count else 0.0,
-                    "ratio": round(model / compact_size, 2)
-                    if compact_size else 0.0,
-                }
+                trace = load_trace(src)
+            if args.action == "compress":
+                row["out"] = _out_path(src, ".vgvz")
+                stats = save_trace_compact(trace, row["out"],
+                                           suppress=not args.no_suppress)
+                row.update(stats.to_dict(), text_bytes=os.path.getsize(src))
+            elif args.action == "decompress":
+                row["out"] = _out_path(src, ".vgv")
+                save_trace(trace, row["out"])
+            elif not src.endswith(".vgvz"):
+                data, _stats = compress_trace_bytes(
+                    trace, suppress=not args.no_suppress)
+                compact_size = len(data)
         except (OSError, ValueError) as exc:
             print(f"trace compact: {src}: {exc}", file=sys.stderr)
             return 1
+        if args.action != "compress":
+            records, model = trace.raw_record_count, trace.size_bytes
+            row.update(raw_records=records, model_bytes=model,
+                       compact_bytes=compact_size)
+        if args.action == "stats":
+            row["bytes_per_record"] = (round(compact_size / records, 3)
+                                       if records else 0.0)
+            row["ratio"] = round(model / compact_size, 2) if compact_size \
+                else 0.0
         rows.append(row)
 
     if args.json:
@@ -740,81 +690,26 @@ def trace_compact_main(argv: List[str]) -> int:
     return 0
 
 
-# -- the `trace` subcommand -----------------------------------------------------
-
-
-def trace_main(argv: List[str]) -> int:
-    """``repro-experiments trace`` — run one (app, policy, CPUs) point
-    with causal tracing on and print its critical-path / perturbation
-    summary."""
-    if argv and argv[0] == "compact":
-        return trace_compact_main(argv[1:])
-    from ..apps import ALL_APPS, get_app
-    from ..dynprof import POLICIES
+def _trace(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    """``trace``: run one (app, policy, CPUs) point with causal tracing
+    on and print its critical-path / perturbation summary."""
     from ..obs.analysis import render_trace_summary
     from ..obs.export import save_trace_svg, write_chrome_trace
-    from ..runner.worker import execute_point
 
-    parser = argparse.ArgumentParser(
-        prog="repro-experiments trace",
-        description="Trace one simulated run: per-track utilization, the "
-                    "critical path through spans and causal flow edges, "
-                    "and the instrumentation-perturbation breakdown.",
-    )
-    parser.add_argument("--app", default="smg98",
-                        help=f"application (one of {','.join(ALL_APPS)}; "
-                             "default smg98)")
-    parser.add_argument("--policy", default="Dynamic",
-                        help=f"instrumentation policy (one of "
-                             f"{','.join(POLICIES)}; default Dynamic)")
-    parser.add_argument("--cpus", type=positive_int, default=4,
-                        help="process count (default 4)")
-    parser.add_argument("--scale", type=positive_float, default=0.1,
-                        help="workload scale factor (default 0.1)")
-    parser.add_argument("--seed", type=int, default=0, help="simulation seed")
-    parser.add_argument("--machine", choices=sorted(MACHINES),
-                        default="power3-sp",
-                        help="machine preset (default power3-sp)")
-    parser.add_argument("--detail", choices=("fine", "coarse"),
-                        default="fine", help="trace detail level")
-    parser.add_argument("--capacity", type=positive_int,
-                        default=DEFAULT_TRACE_CAPACITY, metavar="N",
-                        help="per-track ring-buffer bound "
-                             f"(default {DEFAULT_TRACE_CAPACITY})")
-    parser.add_argument("--compact", action="store_true",
-                        help="fold repeated event subsequences when a ring "
-                             "fills instead of dropping immediately")
-    parser.add_argument("--out", metavar="FILE", default=None,
-                        help="also write the raw trace document (JSON)")
-    parser.add_argument("--chrome", metavar="FILE", default=None,
-                        help="also export Chrome trace-event JSON "
-                             "(chrome://tracing / Perfetto)")
-    parser.add_argument("--svg", metavar="FILE", default=None,
-                        help="also render a static SVG timeline")
-    parser.add_argument("--vgv", metavar="FILE", default=None,
-                        help="also save the postmortem VT trace as a "
-                             "VGVTRACE text file (see `trace compact`)")
-    parser.add_argument("--vgvz", metavar="FILE", default=None,
-                        help="also save the postmortem VT trace in the "
-                             "compact VGVZ binary format")
-    parser.set_defaults(kind="policy")
-    args = parser.parse_args(argv)
-    point = _point_from_args(args, parser)
+    point = _point(args, parser)
     tracer = TraceCollector(detail=args.detail, capacity=args.capacity,
                             compact=args.compact)
-    envelope = execute_point(point, collectors=[tracer])
-    if envelope["status"] != "ok":
-        print(f"repro-experiments trace: {point.label}: "
-              f"{envelope.get('error', envelope['status'])}",
-              file=sys.stderr)
+    envelopes = _run_point("trace", point, [tracer])
+    if envelopes is None:
         return 1
-    text = envelope["attachments"][tracer.name]
+    text = envelopes[0]["attachments"][tracer.name]
     doc = json.loads(text)
-    elapsed = envelope["payload"].get("time")
+    elapsed = envelopes[0]["payload"].get("time")
 
     if args.vgv or args.vgvz:
         # The postmortem VT TraceFile never travels through the worker
         # envelope, so re-run the (deterministic) point in-process.
+        from ..apps import get_app
         from ..dynprof import run_policy_job
         from ..vt import save_trace, save_trace_compact
 
@@ -824,26 +719,30 @@ def trace_main(argv: List[str]) -> int:
             seed=args.seed,
         )
         if args.vgv:
-            save_trace(job.trace, args.vgv)
+            _write_output(args.vgv, "VGVTRACE text",
+                          lambda path: save_trace(job.trace, path))
             print(f"wrote VGVTRACE text to {args.vgv}", file=sys.stderr)
         if args.vgvz:
-            stats = save_trace_compact(job.trace, args.vgvz)
+            stats = _write_output(
+                args.vgvz, "VGVZ trace",
+                lambda path: save_trace_compact(job.trace, path))
             print(f"wrote VGVZ trace to {args.vgvz} "
                   f"({stats.raw_records:,} records, "
                   f"{stats.compact_bytes:,} B, x{stats.ratio:.1f} vs the "
                   f"volume model)", file=sys.stderr)
 
     if args.out:
-        with _open_text_output(args.out, "trace document") as fh:
-            fh.write(text + "\n")
+        _write_output(args.out, "trace document", text + "\n", dash=True)
         if args.out != "-":
             print(f"wrote trace document to {args.out}", file=sys.stderr)
     if args.chrome:
-        write_chrome_trace(doc, args.chrome)
+        _write_output(args.chrome, "Chrome trace",
+                      lambda path: write_chrome_trace(doc, path))
         print(f"wrote Chrome trace to {args.chrome}", file=sys.stderr)
     if args.svg:
-        save_trace_svg(doc, args.svg,
-                       title=f"{args.app} {args.policy} @{args.cpus}")
+        title = f"{args.app} {args.policy} @{args.cpus}"
+        _write_output(args.svg, "SVG timeline",
+                      lambda path: save_trace_svg(doc, path, title=title))
         print(f"wrote SVG timeline to {args.svg}", file=sys.stderr)
 
     folded = doc.get("folded_events", 0)
@@ -855,96 +754,10 @@ def trace_main(argv: List[str]) -> int:
     return 0
 
 
-# -- the `chaos` subcommand -----------------------------------------------------
-
-
-def _add_point_args(parser: argparse.ArgumentParser) -> None:
-    """The one-point options of ``chaos`` and ``replay bisect``."""
-    from ..apps import ALL_APPS
-
-    parser.add_argument("--kind", choices=("instrument", "policy"),
-                        default="instrument",
-                        help="point kind: 'instrument' = a Figure 9 cell "
-                             "(default), 'policy' = a Figure 7 cell")
-    parser.add_argument("--app", default="sweep3d",
-                        help=f"application (one of {','.join(ALL_APPS)}; "
-                             "default sweep3d)")
-    parser.add_argument("--policy", default="Dynamic",
-                        help="instrumentation policy for --kind policy "
-                             "(default Dynamic)")
-    parser.add_argument("--cpus", type=positive_int, default=32,
-                        help="process count (default 32: spans several "
-                             "nodes, so node-level faults bite)")
-    parser.add_argument("--scale", type=positive_float, default=0.02,
-                        help="workload scale factor (default 0.02)")
-    parser.add_argument("--seed", type=int, default=0, help="simulation seed")
-    parser.add_argument("--machine", choices=sorted(MACHINES),
-                        default="power3-sp",
-                        help="machine preset (default power3-sp)")
-
-
-def _point_from_args(
-    args: argparse.Namespace, parser: argparse.ArgumentParser,
-    faults: Optional[FaultPlan] = None,
-) -> SweepPoint:
-    """The point :func:`_add_point_args` (or ``trace``'s options)
-    describes, under ``faults``."""
-    from ..apps import get_app
-    from ..dynprof import POLICIES
-
-    try:
-        get_app(args.app)
-    except KeyError as exc:
-        parser.error(str(exc))
-    if args.policy not in POLICIES:
-        parser.error(f"unknown policy {args.policy!r}; known: "
-                     f"{','.join(POLICIES)}")
-    common = dict(scale=args.scale, machine=get_machine(args.machine),
-                  seed=args.seed, faults=faults)
-    if args.kind == "policy":
-        return SweepPoint.policy_cell(args.app, args.policy, args.cpus,
-                                      **common)
-    return SweepPoint.instrument(args.app, args.cpus, **common)
-
-
-def chaos_main(argv: List[str]) -> int:
-    """``repro-experiments chaos`` — run one simulated point under a
-    fault-injection plan and report the recovery outcome (quarantined
-    ranks, coverage, injected-fault counts)."""
-    from ..runner.worker import execute_point
-
-    parser = argparse.ArgumentParser(
-        prog="repro-experiments chaos",
-        description="Run one (app, policy/instrument, CPUs) point under "
-                    "a deterministic fault-injection plan; the tool "
-                    "degrades gracefully (quarantine + partial coverage) "
-                    "instead of failing.",
-    )
-    _add_point_args(parser)
-    parser.add_argument("--check-determinism", action="store_true",
-                        help="run the point twice and fail unless both "
-                             "payloads are bit-identical")
-    parser.add_argument("--json", action="store_true",
-                        help="print the payload as a JSON document")
-    parser.add_argument("--obs", metavar="FILE", default=None,
-                        help="collect simulator metrics during the run and "
-                             "write them as a JSON document to FILE "
-                             "('-' = stdout)")
-    parser.add_argument("--obs-sample", type=positive_float, default=None,
-                        metavar="SEC",
-                        help="sample the metrics registry every SEC "
-                             "simulated seconds; the series ride the "
-                             "--obs document")
-    parser.add_argument("--record", metavar="FILE", default=None,
-                        help="record the run's nondeterminism order log to "
-                             "FILE (replay it later with `replay verify` "
-                             "or --replay)")
-    parser.add_argument("--replay", metavar="FILE", default=None,
-                        help="verify the run against a recorded order log; "
-                             "divergence fails with a first-divergence "
-                             "report")
-    _add_faults_args(parser)
-    args = parser.parse_args(argv)
+def _chaos(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    """``chaos``: run one simulated point under a fault-injection plan
+    and report the recovery outcome (quarantined ranks, coverage,
+    injected-fault counts)."""
     try:
         collectors = _collectors(args, parser)
     except ValueError as exc:
@@ -956,7 +769,7 @@ def chaos_main(argv: List[str]) -> int:
         from ..faults import canned_plan
 
         plan = canned_plan("daemon-crash-attach")
-    point = _point_from_args(args, parser, faults=plan)
+    point = _point(args, parser, faults=plan)
 
     replay = next((c for c in collectors if isinstance(c, ReplayCollector)),
                   None)
@@ -966,33 +779,18 @@ def chaos_main(argv: List[str]) -> int:
 
     # No cache: the whole purpose is to exercise the recovery paths,
     # and --check-determinism needs two real executions.
-    runs = 2 if args.check_determinism else 1
-    envelopes = [
-        execute_point(point, collectors=collectors) for _ in range(runs)
-    ]
+    envelopes = _run_point("chaos", point, collectors,
+                           runs=2 if args.check_determinism else 1,
+                           replay=args.replay)
+    if envelopes is None:
+        return 1
     attachments = envelopes[0].get("attachments", {})
-    for envelope in envelopes:
-        if envelope["status"] == "diverged":
-            print(f"chaos: {point.label}: DIVERGED from {args.replay}",
-                  file=sys.stderr)
-            _print_divergence(envelope["divergence"], file=sys.stderr)
-            return 1
-        if envelope["status"] != "ok":
-            print(f"repro-experiments chaos: {point.label}: "
-                  f"{envelope.get('error', envelope['status'])}",
-                  file=sys.stderr)
-            return 1
 
     if args.record:
         from ..compact.container import from_ascii
 
-        try:
-            with open(args.record, "wb") as fh:
-                fh.write(from_ascii(attachments[OrderCollector.name]))
-        except OSError as exc:
-            print(f"repro-experiments chaos: cannot write order log "
-                  f"{args.record}: {exc}", file=sys.stderr)
-            return 1
+        _write_output(args.record, "order log",
+                      from_ascii(attachments[OrderCollector.name]))
         if not args.json:
             print(f"wrote order log to {args.record}", file=sys.stderr)
 
@@ -1006,21 +804,10 @@ def chaos_main(argv: List[str]) -> int:
             return 1
 
     if args.obs:
-        from .. import __version__
-
-        obs_doc = {
-            "version": __version__,
-            "point": point.canonical(),
-            "obs": attachments.get(MetricsCollector.name, {}),
-        }
-        if attachments.get(SampleCollector.name):
-            obs_doc["timeseries"] = {
-                point.label: attachments[SampleCollector.name]}
-        with _open_text_output(args.obs, "obs document") as fh:
-            json.dump(obs_doc, fh, indent=2)
-            fh.write("\n")
-        if not args.json and args.obs != "-":
-            print(f"wrote obs metrics to {args.obs}", file=sys.stderr)
+        samples = attachments.get(SampleCollector.name)
+        _write_obs(args, args.json, point=point.canonical(),
+                   obs=attachments.get(MetricsCollector.name, {}),
+                   timeseries={point.label: samples} if samples else None)
 
     payload = payloads[0]
     report = payload.get("faults") or {}
@@ -1059,102 +846,316 @@ def chaos_main(argv: List[str]) -> int:
     return 0
 
 
-def _render_items(
-    items: List[ExperimentOutput],
-    args: argparse.Namespace,
-    json_items: List[dict],
-    csv_chunks: List[str],
-) -> None:
-    for item in items:
-        if isinstance(item, str):
-            if args.json:
-                json_items.append({"type": "text", "text": item})
-            else:
-                print(item)
-        else:
-            # Anything figure-like: FigureResult, OverheadTimeline, …
-            # — the render/to_csv/to_dict trio is the contract.
-            csv_chunks.append(item.to_csv())
-            if args.json:
-                json_items.append({"type": "figure", **item.to_dict()})
-            else:
-                print(item.render())
+# -- the option table and the command table ----------------------------------------
 
 
-# -- entry point ----------------------------------------------------------------
+class _Late:
+    """``then(module.name)``, ``module`` relative to this package: a table
+    value imported only when a parser is built or a handler runs."""
+
+    def __init__(self, module: str, name: str,
+                 then: Callable[[Any], Any] = lambda value: value) -> None:
+        self.module, self.name, self.then = module, name, then
+
+    def get(self) -> Any:
+        return self.then(getattr(import_module(self.module, __package__),
+                                 self.name))
+
+
+def _now(value: Any) -> Any:
+    return value.get() if isinstance(value, _Late) else value
+
+
+#: Worker pool, cache, time budget and telemetry of the grid commands.
+RUNNER: Dict[str, Dict[str, Any]] = {
+    "--jobs": dict(type=int, metavar="N",
+                   help="worker processes for the sweep grids "
+                        "(default 0 = one per CPU; 1 = in-process, also "
+                        "the default under a profiler)"),
+    "--cache-dir": dict(metavar="DIR",
+                        help="content-addressed result cache location "
+                             "(default $REPRO_CACHE_DIR, else "
+                             "~/.cache/repro/sweep)"),
+    "--no-cache": dict(action="store_true",
+                       help="disable the on-disk result cache"),
+    "--timeout": dict(type=positive_float, metavar="SEC",
+                      help="wall-clock budget per point run, in seconds"),
+    "--progress": dict(action="store_true",
+                       help="stream JSON-lines sweep telemetry to stderr"),
+}
+
+#: The causal tracer's settings: ``trace`` takes them as they are, the
+#: grid commands as ``--trace-detail``, ``--trace-capacity`` and
+#: ``--trace-compact``.
+TRACER: Dict[str, Dict[str, Any]] = {
+    "--detail": dict(choices=("fine", "coarse"), default="fine",
+                     help="trace detail: 'fine' includes per-function "
+                          "spans, 'coarse' subsystem events only "
+                          "(default %(default)s)"),
+    "--capacity": dict(type=positive_int, default=DEFAULT_TRACE_CAPACITY,
+                       metavar="N",
+                       help="per-track trace ring-buffer bound in events "
+                            "(default %(default)s; evictions are counted, "
+                            "not silent)"),
+    "--compact": dict(action="store_true",
+                      help="fold repeated event subsequences when a trace "
+                           "ring fills instead of dropping immediately "
+                           "(repro.compact)"),
+}
+
+#: What a run collects besides its outputs (metrics, sampled series,
+#: traces, order logs) or verifies against (recorded logs); figure
+#: outputs are the same with or without them.
+COLLECTORS: Dict[str, Dict[str, Any]] = {
+    "--obs": dict(metavar="FILE",
+                  help="collect simulator metrics (events, messages, "
+                       "trace records, probe patches) per computed point "
+                       "and write one merged JSON document to FILE "
+                       "('-' = stdout)"),
+    "--obs-sample": dict(type=positive_float, metavar="SEC",
+                         help="sample the metrics registry every SEC "
+                              "simulated seconds into per-metric time "
+                              "series (riding the --obs document)"),
+    "--trace": dict(metavar="DIR",
+                    help="collect a causal trace per computed point and "
+                         "write one <label>.trace.json each into DIR "
+                         "('-' = JSON lines on stdout)"),
+    **{"--trace-" + flag[2:]: kwargs for flag, kwargs in TRACER.items()},
+    "--record": dict(metavar="DIR",
+                     help="record every computed point's nondeterminism "
+                          "order log and write one <label>.order file "
+                          "each into DIR (repro.replay)"),
+    "--replay": dict(metavar="PATH",
+                     help="re-run points against recorded order logs "
+                          "(PATH: one .order file or a directory of them, "
+                          "matched by point label; the cache is not "
+                          "used); divergence fails the point with a "
+                          "first-divergence report, and a replay that "
+                          "verifies no log fails the run"),
+}
+
+#: Fault injection (docs/faults.md).
+FAULTS: Dict[str, Dict[str, Any]] = {
+    "--faults": dict(metavar="FILE",
+                     help="run under the fault-injection plan in FILE "
+                          "(JSON, see docs/faults.md); an empty plan "
+                          "changes nothing"),
+    "--plan": dict(metavar="NAME",
+                   choices=_Late("..faults", "CANNED_PLANS", sorted),
+                   help="run under a canned fault plan (one of "
+                        "%(choices)s)"),
+}
+
+#: Machine-readable output.
+OUTPUT: Dict[str, Dict[str, Any]] = {
+    "--json": dict(action="store_true",
+                   help="print the result as one JSON document on stdout "
+                        "instead of text"),
+    "--csv": dict(metavar="FILE", help="also dump figure data as CSV to FILE"),
+}
+
+#: Every shared option, declared once by its flag.
+OPTIONS: Dict[str, Dict[str, Any]] = {
+    **POINT, **RUNNER, **TRACER, **COLLECTORS, **FAULTS, **OUTPUT}
+
+#: An option only one command takes: its flag and ``add_argument``
+#: keyword arguments, given in the command's row.
+Own = Tuple[str, Dict[str, Any]]
+
+Handler = Callable[[argparse.Namespace, argparse.ArgumentParser], int]
+
+
+class Command:
+    """One row of :data:`COMMANDS`.
+
+    ``name`` is the words that select the command (empty for the
+    experiment ids); ``options`` its arguments in order, each a flag of
+    :data:`OPTIONS` or an :data:`Own` declaration; ``defaults`` its own
+    defaults (``set_defaults``); ``handler(args, parser)`` its exit
+    status.  ``own`` replaces an option's metavar and help for this
+    command, and the options named in ``exclusive`` exclude each other.
+    """
+
+    __slots__ = ("words", "handler", "description", "options", "defaults",
+                 "own", "exclusive")
+
+    def __init__(self, name: str, handler: Union[Handler, _Late],
+                 description: str, options: Sequence[Union[str, Own]],
+                 own: Optional[Dict[str, Dict[str, str]]] = None,
+                 exclusive: Tuple[str, ...] = (), **defaults: Any) -> None:
+        self.words = name.split()
+        self.handler, self.description = handler, description
+        self.options, self.defaults = options, defaults
+        self.own, self.exclusive = own or {}, exclusive
+
+    def parser(self) -> argparse.ArgumentParser:
+        parser = argparse.ArgumentParser(
+            prog=" ".join(["repro-experiments", *self.words]),
+            description=self.description,
+            epilog=None if self.words else _COMMANDS_EPILOG)
+        group = parser.add_mutually_exclusive_group() if self.exclusive \
+            else None
+        for item in self.options:
+            flag, kwargs = (item, OPTIONS[item]) if isinstance(item, str) \
+                else item
+            kwargs = {key: _now(value) for key, value in
+                      {**kwargs, **self.own.get(flag, {})}.items()}
+            target = group if flag in self.exclusive else parser
+            target.add_argument(flag, **kwargs)  # type: ignore[union-attr]
+        parser.set_defaults(**{k: _now(v) for k, v in self.defaults.items()})
+        return parser
+
+
+_POINT = tuple(POINT)
+_GRID_SIDES = (*RUNNER, *COLLECTORS)
+_ONE_POINT = dict(app="sweep3d", cpus=32, scale=0.02)
+
+COMMANDS: Tuple[Command, ...] = (
+    Command("", _figures,
+            "Regenerate the tables and figures of 'Dynamic Instrumentation "
+            "of Large-Scale MPI and OpenMP Applications' (IPPS 2003).",
+            (("experiments", dict(nargs="+", choices=EXPERIMENTS,
+                                  help="which tables/figures to "
+                                       "regenerate")),
+             "--scale", "--seed",
+             ("--quick", dict(action="store_true",
+                              help="cap process counts for a fast smoke "
+                                   "run")),
+             "--csv", "--json", *_GRID_SIDES, *FAULTS)),
+    Command("sweep", _sweep,
+            "Run an arbitrary (app x policy x CPU-count) grid through the "
+            "parallel sweep runner.",
+            (("--apps", dict(type=_str_list, metavar="A,B",
+                             help="applications (default: all)")),
+             ("--policies", dict(type=_str_list, metavar="P,Q",
+                                 help="policies (default: all)")),
+             ("--cpus", dict(type=_cpu_list, metavar="1,4,16",
+                             help="CPU counts (default: each app's own "
+                                  "counts)")),
+             "--scale", "--seed", "--machine", "--json", *_GRID_SIDES),
+            apps=_Late("..apps", "ALL_APPS", list),
+            policies=_Late("..dynprof", "POLICIES", list)),
+    Command("trace", _trace,
+            "Trace one simulated run: per-track utilization, the critical "
+            "path through spans and causal flow edges, and the "
+            "instrumentation-perturbation breakdown.",
+            (*_POINT[1:], *TRACER,
+             *((flag, dict(metavar="FILE", help="also write " + what))
+               for flag, what in (
+                   ("--out", "the raw trace document (JSON; '-' = stdout)"),
+                   ("--chrome", "Chrome trace-event JSON (chrome://tracing "
+                                "/ Perfetto)"),
+                   ("--svg", "a static SVG timeline"),
+                   ("--vgv", "the postmortem VT trace as VGVTRACE text "
+                             "(see `trace compact`)"),
+                   ("--vgvz", "the postmortem VT trace in the compact VGVZ "
+                              "binary format")))),
+            kind="policy", app="smg98", cpus=4),
+    Command("trace compact", _trace_compact,
+            "Streaming trace compaction: convert VGVTRACE text files "
+            "(save_trace) to/from the compact VGVZ binary format, or "
+            "report compression statistics.  The round trip is lossless, "
+            "record for record.",
+            (("action", dict(choices=("compress", "decompress", "stats"),
+                             help="compress text->VGVZ, decompress "
+                                  "VGVZ->text, or report per-file "
+                                  "compaction statistics")),
+             ("paths", dict(nargs="+", metavar="PATH",
+                            help="trace files, or directories to scan "
+                                 "(*.vgv/*.trace for compress, *.vgvz for "
+                                 "decompress, both for stats)")),
+             ("--out-dir", dict(metavar="DIR",
+                                help="write outputs here instead of next "
+                                     "to inputs")),
+             ("--no-suppress", dict(action="store_true",
+                                    help="disable repeat suppression (keep "
+                                         "only the delta/varint framing) "
+                                         "when compressing")),
+             "--json")),
+    Command("chaos", _chaos,
+            "Run one (app, policy/instrument, CPUs) point under a "
+            "deterministic fault-injection plan (default "
+            "daemon-crash-attach); the tool degrades gracefully "
+            "(quarantine + partial coverage) instead of failing.",
+            (*_POINT,
+             ("--check-determinism", dict(action="store_true",
+                                          help="run the point twice and "
+                                               "fail unless both payloads "
+                                               "are bit-identical")),
+             "--json", "--obs", "--obs-sample", "--record", "--replay",
+             *FAULTS),
+            own={"--record": dict(metavar="FILE",
+                                  help="record the run's nondeterminism "
+                                       "order log to FILE (replay it later "
+                                       "with `replay verify` or --replay)"),
+                 "--replay": dict(metavar="FILE",
+                                  help="verify the run against the order "
+                                       "log in FILE; divergence fails with "
+                                       "a first-divergence report")},
+            **_ONE_POINT),
+    Command("replay verify", _Late(".replaycmd", "verify"),
+            "Re-run the point a recorded order log describes and verify "
+            "every nondeterminism decision against the recording; exits 1 "
+            "at the first divergence.",
+            (("log", dict(metavar="LOG",
+                          help="a recorded .order file (chaos --record, "
+                               "figure/sweep --record DIR)")),
+             "--timeout", "--json")),
+    Command("replay bisect", _Late(".replaycmd", "bisect"),
+            "Delta-debug a fault plan (ddmin) down to a 1-minimal sub-plan "
+            "that stays interesting: changes the payload (--mode effect), "
+            "breaks the run (--mode fail), or diverges from a clean "
+            "recording (--mode diverge --against LOG).",
+            (*_POINT,
+             ("--mode", dict(choices=("effect", "fail", "diverge"),
+                             default="effect",
+                             help="what makes a sub-plan interesting "
+                                  "(default %(default)s)")),
+             ("--against", dict(metavar="LOG",
+                                help="clean recorded order log for --mode "
+                                     "diverge")),
+             "--timeout", "--json", *FAULTS),
+            **_ONE_POINT),
+    Command("obs report", _Late(".obscmd", "report"),
+            "Render an obs metric document (written by --obs) as text, "
+            "CSV, Prometheus text exposition or JSON.",
+            (("file", dict(help="obs document path, or - for stdin")),
+             ("--csv", dict(action="store_true",
+                            help="emit the sampled series as long-format "
+                                 "CSV")),
+             ("--prom", dict(action="store_true",
+                             help="emit the snapshot in Prometheus text "
+                                  "exposition")),
+             "--json"),
+            exclusive=("--csv", "--prom", "--json")),
+)
+
+_COMMANDS_EPILOG = (
+    "Other commands: "
+    + ", ".join(" ".join(c.words) for c in COMMANDS if c.words)
+    + "; `repro-experiments <command> --help` describes each.")
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and argv[0] == "sweep":
-        return sweep_main(argv[1:])
-    if argv and argv[0] == "trace":
-        return trace_main(argv[1:])
-    if argv and argv[0] == "chaos":
-        return chaos_main(argv[1:])
-    if argv and argv[0] == "replay":
-        from .replaycmd import replay_main
-
-        return replay_main(argv[1:])
-    if argv and argv[0] == "obs":
-        from .obscmd import obs_main
-
-        return obs_main(argv[1:])
-
-    parser = argparse.ArgumentParser(
-        prog="repro-experiments",
-        description="Regenerate the tables and figures of 'Dynamic "
-                    "Instrumentation of Large-Scale MPI and OpenMP "
-                    "Applications' (IPPS 2003).  Use the `sweep` "
-                    "subcommand for ad-hoc grids.",
-    )
-    parser.add_argument("experiments", nargs="+", choices=EXPERIMENTS,
-                        help="which tables/figures to regenerate")
-    parser.add_argument("--scale", type=positive_float, default=0.1,
-                        help="workload scale factor (default 0.1; 1.0 "
-                             "reproduces paper-magnitude runtimes)")
-    parser.add_argument("--seed", type=int, default=0, help="simulation seed")
-    parser.add_argument("--quick", action="store_true",
-                        help="cap process counts for a fast smoke run")
-    parser.add_argument("--csv", metavar="FILE",
-                        help="also dump figure data as CSV to FILE")
-    parser.add_argument("--json", action="store_true",
-                        help="print results as one JSON document on stdout "
-                             "instead of rendered text")
-    _add_runner_args(parser)
-    _add_faults_args(parser)
-    args = parser.parse_args(argv)
-    if args.jobs is not None and args.jobs < 0:
+    # The row with the most leading words of argv; the experiment ids'
+    # row takes every other command line.
+    command = max((c for c in COMMANDS if argv[:len(c.words)] == c.words),
+                  key=lambda c: len(c.words))
+    if not command.words and argv and any(
+            c.words[:1] == argv[:1] for c in COMMANDS):
+        # A command word without one of its subcommands.
+        group = argparse.ArgumentParser(prog=f"repro-experiments {argv[0]}")
+        words = group.add_subparsers(dest="command", required=True)
+        for c in COMMANDS:
+            if c.words[:1] == argv[:1]:
+                words.add_parser(c.words[1], help=c.description)
+        group.parse_args(argv[1:2])
+    parser = command.parser()
+    args = parser.parse_args(argv[len(command.words):])
+    if getattr(args, "jobs", None) is not None and args.jobs < 0:
         parser.error("--jobs must be >= 0")
-    fault_plan = _load_fault_plan(args, parser)
-
-    runner = _build_runner(args, parser)
-    json_items: List[dict] = []
-    csv_chunks: List[str] = []
-    try:
-        for name in args.experiments:
-            try:
-                items = run_experiment(name, args.scale, args.seed, args.quick,
-                                       runner=runner, faults=fault_plan)
-            except SweepError as exc:
-                print(f"repro-experiments: {name}: {exc}", file=sys.stderr)
-                return 1
-            _render_items(items, args, json_items, csv_chunks)
-    finally:
-        runner.close()
-    outputs = _write_outputs(args, runner, quiet=args.json)
-    if args.json:
-        doc = {"results": json_items,
-               "telemetry": runner.telemetry.summary()}
-        if outputs:
-            doc["outputs"] = outputs
-        print(json.dumps(doc, indent=2))
-    if args.csv and csv_chunks:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(csv_chunks))
-        if not args.json:
-            print(f"wrote CSV to {args.csv}", file=sys.stderr)
-    return 1 if _replay_matched_nothing(args, runner) else 0
+    return _now(command.handler)(args, parser)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -19,13 +19,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from ..analysis.report import render_obs_report
 from ..obs import prom
 from ..obs.timeseries import decode_series, overhead_series, timeseries_to_csv
 
-__all__ = ["obs_main", "load_obs_document", "render_obs_document",
+__all__ = ["report", "load_obs_document", "render_obs_document",
            "decode_document"]
 
 
@@ -130,37 +130,17 @@ def decode_document(doc: Dict[str, Any]) -> Dict[str, Any]:
 # -- CLI --------------------------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro-experiments obs",
-        description="Inspect obs metric documents.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    report = sub.add_parser(
-        "report", help="render an obs document (text/CSV/Prometheus/JSON)"
-    )
-    report.add_argument("file", help="obs document path, or - for stdin")
-    fmt = report.add_mutually_exclusive_group()
-    fmt.add_argument("--csv", action="store_true",
-                     help="emit the sampled series as long-format CSV")
-    fmt.add_argument("--prom", action="store_true",
-                     help="emit the snapshot in Prometheus text exposition")
-    fmt.add_argument("--json", action="store_true",
-                     help="re-emit the document with series decoded to arrays")
-    return parser
-
-
-def obs_main(argv: Optional[List[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
+def report(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    """``repro-experiments obs report``: one obs document as text,
+    ``--csv``, ``--prom`` or ``--json``."""
     doc = load_obs_document(args.file)
     if args.csv:
-        sys.stdout.write(timeseries_to_csv(doc.get("timeseries", {})))
+        text = timeseries_to_csv(doc.get("timeseries", {}))
     elif args.prom:
-        sys.stdout.write(prom.render_snapshot(doc.get("obs", {})))
+        text = prom.render_snapshot(doc.get("obs", {}))
     elif args.json:
-        json.dump(decode_document(doc), sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        text = json.dumps(decode_document(doc), indent=2) + "\n"
     else:
-        sys.stdout.write(render_obs_document(doc))
+        text = render_obs_document(doc)
+    sys.stdout.write(text)
     return 0

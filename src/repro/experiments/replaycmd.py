@@ -28,36 +28,22 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional
+from typing import Optional
 
-from ..cliargs import positive_float
 from ..replay.orderlog import OrderLog
 from ..runner.collect import ReplayCollector
 from ..runner.point import SweepPoint
 from ..runner.worker import execute_point
-from .cli import (_add_faults_args, _add_point_args, _load_fault_plan,
-                  _point_from_args, _print_divergence)
+from .cli import _load_fault_plan, _point, _print_divergence
 
-__all__ = ["replay_main", "verify_main", "bisect_main"]
+__all__ = ["verify", "bisect"]
 
 
-def verify_main(argv: List[str]) -> int:
-    """``repro-experiments replay verify`` — replay a recorded order log."""
-    parser = argparse.ArgumentParser(
-        prog="repro-experiments replay verify",
-        description="Re-run the point a recorded order log describes and "
-                    "verify every nondeterminism decision against the "
-                    "recording; exits 1 at the first divergence.",
-    )
-    parser.add_argument("log", metavar="LOG",
-                        help="a recorded .order file (chaos --record, "
-                             "figure/sweep --record DIR)")
-    parser.add_argument("--timeout", type=positive_float, default=None,
-                        metavar="SEC",
-                        help="wall-clock budget for the re-run")
-    parser.add_argument("--json", action="store_true",
-                        help="print the verdict as a JSON document")
-    args = parser.parse_args(argv)
+def verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    """``repro-experiments replay verify`` — replay a recorded order log.
+
+    The run's status is the verdict: a failed run is reported on
+    stdout (or in the JSON document), not as an error line."""
     try:
         log = OrderLog.load(args.log)
     except (OSError, ValueError) as exc:
@@ -100,34 +86,11 @@ def verify_main(argv: List[str]) -> int:
     return 1
 
 
-def bisect_main(argv: List[str]) -> int:
+def bisect(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     """``repro-experiments replay bisect`` — minimize a fault plan."""
-    parser = argparse.ArgumentParser(
-        prog="repro-experiments replay bisect",
-        description="Delta-debug a fault plan (ddmin) down to a 1-minimal "
-                    "sub-plan that stays interesting: changes the payload "
-                    "(--mode effect), breaks the run (--mode fail), or "
-                    "diverges from a clean recording (--mode diverge "
-                    "--against LOG).",
-    )
-    _add_point_args(parser)
-    parser.add_argument("--mode", choices=("effect", "fail", "diverge"),
-                        default="effect",
-                        help="what makes a sub-plan interesting "
-                             "(default effect)")
-    parser.add_argument("--against", metavar="LOG", default=None,
-                        help="clean recorded order log for --mode diverge")
-    parser.add_argument("--timeout", type=positive_float, default=None,
-                        metavar="SEC",
-                        help="wall-clock budget per test run")
-    parser.add_argument("--json", action="store_true",
-                        help="print the result as a JSON document")
-    _add_faults_args(parser)
-    args = parser.parse_args(argv)
-
     from ..replay import bisect_plan
 
-    point = _point_from_args(args, parser)
+    point = _point(args, parser)
     plan = _load_fault_plan(args, parser)
     if plan is None:
         parser.error("replay bisect needs a plan: --faults FILE or --plan NAME")
@@ -163,20 +126,3 @@ def bisect_main(argv: List[str]) -> int:
     for i, spec in enumerate(result.minimal.specs):
         print(f"  [{i}] {json.dumps(spec.to_dict(), sort_keys=True)}")
     return 0
-
-
-def replay_main(argv: List[str]) -> int:
-    """``repro-experiments replay`` — dispatch verify/bisect."""
-    if argv and argv[0] == "verify":
-        return verify_main(argv[1:])
-    if argv and argv[0] == "bisect":
-        return bisect_main(argv[1:])
-    print("usage: repro-experiments replay {verify LOG | bisect ...}\n"
-          "  verify  re-run a recorded order log and check every decision\n"
-          "  bisect  delta-debug a fault plan to a 1-minimal subset",
-          file=sys.stderr)
-    return 2
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(replay_main(sys.argv[1:]))

@@ -126,3 +126,20 @@ def test_cli_bad_option_value_is_a_usage_error(tmp_path, capsys, monkeypatch,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"argument {argv[0]}: " in captured.err
+
+
+@pytest.mark.parametrize("text", ["", "insert sweep\n", "quit\nstart\n"],
+                         ids=["empty", "no-start", "start-after-quit"])
+def test_cli_script_that_never_starts_is_one_error_line(tmp_path, capsys,
+                                                        text):
+    script = tmp_path / "s.dp"
+    script.write_text(text)
+    out = tmp_path / "out.txt"
+    assert main([str(script), str(out), "-", "sweep3d", "--cpus", "2",
+                 "--scale", "0.02"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "repro-dynprof: the command script never runs `start`, so sweep3d "
+        "never ran"]
+    assert not out.exists()

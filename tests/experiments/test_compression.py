@@ -150,11 +150,11 @@ def test_cli_trace_compact_error_codes(tmp_path, capsys):
 
 
 def test_cli_trace_subcommand_compact_and_vgvz(tmp_path, capsys):
-    from repro.experiments.cli import trace_main
+    from repro.experiments.cli import main
     from repro.vt import load_trace_compact
 
     vgvz = tmp_path / "run.vgvz"
-    rc = trace_main([
+    rc = main(["trace",
         "--app", "smg98", "--policy", "Full", "--cpus", "2",
         "--scale", "0.02", "--capacity", "256", "--compact",
         "--vgvz", str(vgvz),

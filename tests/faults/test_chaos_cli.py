@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from repro.experiments.cli import chaos_main, main
+from repro.experiments.cli import main
 
 ARGS = ["--cpus", "16", "--scale", "0.02"]
 
@@ -32,7 +32,7 @@ KIND_ARGS = {"instrument": [], "policy": ["--cpus", "16", "--scale", "0.05"]}
 
 
 def test_chaos_defaults_to_canned_crash_plan(capsys):
-    assert chaos_main(list(ARGS)) == 0
+    assert main(["chaos", *ARGS]) == 0
     out = capsys.readouterr().out
     assert "daemon-crash-attach" in out
     assert "quarantined ranks: [8, 9, 10, 11, 12, 13, 14, 15]" in out
@@ -41,13 +41,13 @@ def test_chaos_defaults_to_canned_crash_plan(capsys):
 
 
 def test_chaos_check_determinism(capsys):
-    assert chaos_main(list(ARGS) + ["--check-determinism"]) == 0
+    assert main(["chaos", *ARGS, "--check-determinism"]) == 0
     out = capsys.readouterr().out
     assert "determinism: OK" in out
 
 
 def test_chaos_json_document(capsys):
-    assert chaos_main(list(ARGS) + ["--json"]) == 0
+    assert main(["chaos", *ARGS, "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert set(doc) == {"point", "plan", "payload"}
     report = doc["payload"]["faults"]
@@ -56,8 +56,8 @@ def test_chaos_json_document(capsys):
 
 
 def test_chaos_named_plan_and_policy_kind(capsys):
-    rc = chaos_main(list(ARGS) + ["--kind", "policy", "--plan", "flaky-network",
-                                  "--json"])
+    rc = main(["chaos", *ARGS, "--kind", "policy", "--plan", "flaky-network",
+               "--json"])
     assert rc == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["point"]["kind"] == "policy"
@@ -67,7 +67,7 @@ def test_chaos_rejects_faults_plus_plan(tmp_path, capsys):
     path = tmp_path / "p.json"
     path.write_text('{"faults": []}')
     with pytest.raises(SystemExit) as exc:
-        chaos_main(["--faults", str(path), "--plan", "flaky-network"])
+        main(["chaos", "--faults", str(path), "--plan", "flaky-network"])
     assert exc.value.code == 2
     assert "mutually exclusive" in capsys.readouterr().err
 
@@ -76,7 +76,7 @@ def test_chaos_rejects_bad_plan_file(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text('{"faults": [{"kind": "nope"}]}')
     with pytest.raises(SystemExit) as exc:
-        chaos_main(["--faults", str(path)])
+        main(["chaos", "--faults", str(path)])
     assert exc.value.code == 2
     assert "--faults" in capsys.readouterr().err
 
@@ -101,6 +101,6 @@ def test_empty_fault_plan_is_bit_identical_on_figures(tmp_path, capsys):
 @pytest.mark.parametrize("plan,kind", sorted(CHAOS_DIGESTS))
 def test_chaos_json_digest_is_pinned(plan, kind, capsys):
     argv = ["--json", "--plan", plan, "--kind", kind] + KIND_ARGS[kind]
-    assert chaos_main(argv) == 0
+    assert main(["chaos", *argv]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == CHAOS_DIGESTS[plan, kind]

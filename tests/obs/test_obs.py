@@ -289,10 +289,10 @@ def test_fig7_bit_identical_with_obs_and_counters_cover_subsystems():
 
 
 def test_cli_obs_flag_writes_metrics_document(tmp_path, capsys):
-    from repro.experiments.cli import sweep_main
+    from repro.experiments.cli import main
 
     out = tmp_path / "metrics.json"
-    rc = sweep_main([
+    rc = main(["sweep",
         "--apps", "smg98", "--policies", "None", "--cpus", "2",
         "--scale", "0.02", "--no-cache", "--obs", str(out),
     ])

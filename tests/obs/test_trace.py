@@ -328,22 +328,22 @@ def test_tracer_volume_matches_analytic_model_on_two_apps():
 
 
 def test_cli_outputs_bit_identical_with_and_without_trace(tmp_path, capsys):
-    from repro.experiments.cli import sweep_main
+    from repro.experiments.cli import main
 
     argv = ["--apps", "smg98", "--policies", "Dynamic", "--cpus", "2",
             "--scale", "0.02", "--no-cache"]
-    assert sweep_main(list(argv)) == 0
+    assert main(["sweep", *argv]) == 0
     plain = capsys.readouterr().out
-    assert sweep_main(argv + ["--trace", str(tmp_path)]) == 0
+    assert main(["sweep", *argv, "--trace", str(tmp_path)]) == 0
     traced = capsys.readouterr().out
     assert plain == traced
 
 
 def test_cli_trace_dir_writes_schema_valid_documents(tmp_path, capsys):
-    from repro.experiments.cli import sweep_main
+    from repro.experiments.cli import main
 
     trace_dir = tmp_path / "traces"
-    rc = sweep_main([
+    rc = main(["sweep",
         "--apps", "smg98", "--policies", "Dynamic", "--cpus", "2",
         "--scale", "0.02", "--no-cache", "--json",
         "--trace", str(trace_dir),
@@ -388,11 +388,11 @@ def test_cli_trace_files_are_the_compact_json_of_each_document(
 
 
 def test_cli_trace_subcommand_prints_summary(tmp_path, capsys):
-    from repro.experiments.cli import trace_main
+    from repro.experiments.cli import main
 
     chrome = tmp_path / "t.chrome.json"
     svg = tmp_path / "t.svg"
-    rc = trace_main([
+    rc = main(["trace",
         "--app", "smg98", "--policy", "Dynamic", "--cpus", "2",
         "--scale", "0.02", "--chrome", str(chrome), "--svg", str(svg),
     ])

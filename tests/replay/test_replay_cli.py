@@ -7,7 +7,7 @@ import zlib
 import pytest
 
 from repro.compact.varint import encode_uvarint, zigzag
-from repro.experiments.cli import chaos_main, main, sweep_main
+from repro.experiments.cli import main
 from repro.replay.orderlog import CH_EVENT, OrderLog
 
 from .test_orderlog import V1_LOG
@@ -17,7 +17,7 @@ ARGS = ["--cpus", "16", "--scale", "0.02"]
 
 def record_chaos(tmp_path, seed=0):
     path = str(tmp_path / "run.order")
-    rc = chaos_main([*ARGS, "--seed", str(seed), "--record", path])
+    rc = main(["chaos", *ARGS, "--seed", str(seed), "--record", path])
     assert rc == 0
     assert os.path.exists(path)
     return path
@@ -29,7 +29,7 @@ def record_chaos(tmp_path, seed=0):
 def test_chaos_record_then_replay_roundtrip(tmp_path, capsys):
     path = record_chaos(tmp_path)
     assert "wrote order log" in capsys.readouterr().err
-    rc = chaos_main([*ARGS, "--replay", path])
+    rc = main(["chaos", *ARGS, "--replay", path])
     assert rc == 0
     assert "replay: OK (bit-identical to" in capsys.readouterr().out
 
@@ -37,14 +37,14 @@ def test_chaos_record_then_replay_roundtrip(tmp_path, capsys):
 def test_chaos_record_replay_mutually_exclusive(tmp_path):
     path = str(tmp_path / "run.order")
     with pytest.raises(SystemExit) as err:
-        chaos_main([*ARGS, "--record", path, "--replay", path])
+        main(["chaos", *ARGS, "--record", path, "--replay", path])
     assert err.value.code == 2
 
 
 def test_chaos_replay_perturbed_run_diverges(tmp_path, capsys):
     path = record_chaos(tmp_path, seed=0)
     capsys.readouterr()
-    rc = chaos_main([*ARGS, "--seed", "3", "--replay", path])
+    rc = main(["chaos", *ARGS, "--seed", "3", "--replay", path])
     assert rc == 1
     captured = capsys.readouterr()
     assert "DIVERGED" in captured.err
@@ -52,11 +52,11 @@ def test_chaos_replay_perturbed_run_diverges(tmp_path, capsys):
 
 
 def test_chaos_recording_leaves_payload_identical(tmp_path, capsys):
-    rc = chaos_main([*ARGS, "--json"])
+    rc = main(["chaos", *ARGS, "--json"])
     assert rc == 0
     plain = json.loads(capsys.readouterr().out)
-    rc = chaos_main([*ARGS, "--json", "--record",
-                     str(tmp_path / "run.order")])
+    rc = main(["chaos", *ARGS, "--json", "--record",
+               str(tmp_path / "run.order")])
     assert rc == 0
     recorded = json.loads(capsys.readouterr().out)
     assert recorded == plain
@@ -109,7 +109,9 @@ def test_replay_verify_rejects_garbage(tmp_path, capsys):
 
 
 def test_replay_unknown_subcommand(capsys):
-    assert main(["replay", "bogus"]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["replay", "bogus"])
+    assert exc.value.code == 2
     assert "usage:" in capsys.readouterr().err
 
 
@@ -178,23 +180,23 @@ SWEEP = ["--apps", "sweep3d", "--policies", "Dynamic", "--cpus", "4",
 
 def test_sweep_record_then_replay(tmp_path, capsys):
     logs = str(tmp_path / "logs")
-    rc = sweep_main([*SWEEP, "--record", logs])
+    rc = main(["sweep", *SWEEP, "--record", logs])
     assert rc == 0
     doc = json.loads(capsys.readouterr().out)
     paths = doc["outputs"]["order_logs"]
     assert len(paths) == 1 and paths[0].endswith(".order")
     assert os.path.exists(paths[0])
-    rc = sweep_main([*SWEEP, "--replay", logs])
+    rc = main(["sweep", *SWEEP, "--replay", logs])
     assert rc == 0
     replayed = json.loads(capsys.readouterr().out)
     assert replayed["sweep"][0]["status"] == "ok"
 
 
 def test_sweep_recording_leaves_results_identical(tmp_path, capsys):
-    rc = sweep_main(list(SWEEP))
+    rc = main(["sweep", *SWEEP])
     assert rc == 0
     plain = json.loads(capsys.readouterr().out)
-    rc = sweep_main([*SWEEP, "--record", str(tmp_path / "logs")])
+    rc = main(["sweep", *SWEEP, "--record", str(tmp_path / "logs")])
     assert rc == 0
     recorded = json.loads(capsys.readouterr().out)
     # Identical modulo the extra outputs section listing the log files.
@@ -203,10 +205,10 @@ def test_sweep_recording_leaves_results_identical(tmp_path, capsys):
 
 def test_sweep_replay_perturbed_seed_diverges(tmp_path, capsys):
     logs = str(tmp_path / "logs")
-    assert sweep_main([*SWEEP, "--record", logs]) == 0
+    assert main(["sweep", *SWEEP, "--record", logs]) == 0
     capsys.readouterr()
     # Same labels, different seed: every verified point must diverge.
-    rc = sweep_main([*SWEEP, "--seed", "3", "--replay", logs])
+    rc = main(["sweep", *SWEEP, "--seed", "3", "--replay", logs])
     assert rc == 1
     captured = capsys.readouterr()
     assert "diverged from its replay log at decision #" in captured.err
@@ -216,22 +218,22 @@ def test_sweep_replay_perturbed_seed_diverges(tmp_path, capsys):
 
 def test_sweep_record_replay_mutually_exclusive(tmp_path):
     with pytest.raises(SystemExit):
-        sweep_main([*SWEEP, "--record", str(tmp_path / "a"),
-                    "--replay", str(tmp_path / "b")])
+        main(["sweep", *SWEEP, "--record", str(tmp_path / "a"),
+              "--replay", str(tmp_path / "b")])
 
 
 def test_load_replay_logs_rejects_empty_dir(tmp_path):
     empty = tmp_path / "empty"
     empty.mkdir()
     with pytest.raises(SystemExit, match="no .order files"):
-        sweep_main([*SWEEP, "--replay", str(empty)])
+        main(["sweep", *SWEEP, "--replay", str(empty)])
 
 
 def test_load_replay_logs_rejects_corrupt_file(tmp_path):
     bad = tmp_path / "bad.order"
     bad.write_bytes(b"RRLG but not really")
     with pytest.raises(SystemExit, match="order.log"):
-        sweep_main([*SWEEP, "--replay", str(bad)])
+        main(["sweep", *SWEEP, "--replay", str(bad)])
 
 
 def test_corrupt_timestamp_is_a_one_line_error(tmp_path, capsys):
@@ -253,8 +255,8 @@ def test_corrupt_timestamp_is_a_one_line_error(tmp_path, capsys):
     assert err.startswith("repro-experiments replay: ")
     assert "corrupt timestamp" in err and "Traceback" not in err
     with pytest.raises(SystemExit, match="corrupt timestamp"):
-        sweep_main([*SWEEP, "--replay", str(bad)])
-    assert chaos_main([*ARGS, "--replay", str(bad)]) == 1
+        main(["sweep", *SWEEP, "--replay", str(bad)])
+    assert main(["chaos", *ARGS, "--replay", str(bad)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("repro-experiments chaos: --replay ")
     assert "corrupt timestamp" in err and "Traceback" not in err
@@ -286,9 +288,9 @@ def test_bad_log_is_a_one_line_error_on_every_surface(tmp_path, capsys, kind):
     assert captured.err.startswith("repro-experiments replay: ")
     assert captured.err.count("\n") == 1
     with pytest.raises(SystemExit, match="--replay .*bad.order: ") as exc:
-        sweep_main([*SWEEP, "--replay", str(bad)])
+        main(["sweep", *SWEEP, "--replay", str(bad)])
     assert "\n" not in str(exc.value)
-    assert chaos_main([*ARGS, "--replay", str(bad)]) == 1
+    assert main(["chaos", *ARGS, "--replay", str(bad)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("repro-experiments chaos: --replay ")
     assert err.count("\n") == 1
@@ -311,10 +313,10 @@ def test_replay_never_reads_the_cache(tmp_path, capsys):
     logs = str(tmp_path / "logs")
     cache = ["--cache-dir", str(tmp_path / "cache")]
     plain = [a for a in SWEEP if a != "--no-cache"]
-    assert sweep_main([*SWEEP, "--seed", "3", "--record", logs]) == 0
-    assert sweep_main([*plain, *cache]) == 0  # warm the cache at seed 0
+    assert main(["sweep", *SWEEP, "--seed", "3", "--record", logs]) == 0
+    assert main(["sweep", *plain, *cache]) == 0  # warm the cache at seed 0
     capsys.readouterr()
-    assert sweep_main([*plain, *cache, "--replay", logs]) == 1
+    assert main(["sweep", *plain, *cache, "--replay", logs]) == 1
     doc = json.loads(capsys.readouterr().out)
     assert doc["sweep"][0]["status"] == "diverged"
     assert doc["sweep"][0]["cached"] is False
@@ -322,11 +324,11 @@ def test_replay_never_reads_the_cache(tmp_path, capsys):
 
 def test_replay_that_matches_no_point_fails(tmp_path, capsys):
     logs = str(tmp_path / "logs")
-    assert sweep_main([*SWEEP, "--record", logs]) == 0
+    assert main(["sweep", *SWEEP, "--record", logs]) == 0
     capsys.readouterr()
     other = [*SWEEP[:SWEEP.index("--cpus") + 1], "2",
              *SWEEP[SWEEP.index("--cpus") + 2:]]
-    assert sweep_main([*other, "--replay", logs]) == 1
+    assert main(["sweep", *other, "--replay", logs]) == 1
     captured = capsys.readouterr()
     assert json.loads(captured.out)["sweep"][0]["status"] == "ok"
     assert "1 loaded log(s)" in captured.err
@@ -336,8 +338,8 @@ def test_replay_that_matches_no_point_fails(tmp_path, capsys):
 def test_chaos_replay_of_another_points_log_fails(tmp_path, capsys):
     path = record_chaos(tmp_path)
     capsys.readouterr()
-    assert chaos_main(["--cpus", "8", "--scale", "0.02",
-                       "--replay", path]) == 1
+    assert main(["chaos", "--cpus", "8", "--scale", "0.02",
+                 "--replay", path]) == 1
     err = capsys.readouterr().err
     assert err.startswith("repro-experiments chaos: --replay ")
     assert "1 loaded log(s)" in err

@@ -50,8 +50,12 @@ def test_fig7_collect_identical_across_paths():
 
 
 def test_fig7_cached_rerun_identical_and_fully_hit(tmp_path):
-    first = run_fig7(SMG98, cpu_counts=(1, 4), scale=SCALE, seed=SEED,
-                     runner=SweepRunner(jobs=4, cache=tmp_path))
+    runner = SweepRunner(jobs=4, cache=tmp_path)
+    try:
+        first = run_fig7(SMG98, cpu_counts=(1, 4), scale=SCALE, seed=SEED,
+                         runner=runner)
+    finally:
+        runner.close()
     rerun_runner = SweepRunner(jobs=1, cache=tmp_path)
     second = run_fig7(SMG98, cpu_counts=(1, 4), scale=SCALE, seed=SEED,
                       runner=rerun_runner)
