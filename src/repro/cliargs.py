@@ -4,18 +4,38 @@
 An option is declared once, as the keyword arguments of its
 ``add_argument`` call keyed by its flag; a command adds the options it
 takes and sets its own defaults, which the help texts read back as
-``%(default)s``.
+``%(default)s``.  Both command lines build their parsers with
+:func:`help_formatter`.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-from typing import Any, Dict
+from typing import Any, Callable, Dict
 
 from .cluster import MACHINES
 
-__all__ = ["positive_int", "positive_float", "POINT"]
+__all__ = ["positive_int", "positive_float", "help_formatter", "POINT"]
+
+
+def help_formatter() -> Callable[..., argparse.HelpFormatter]:
+    """A ``formatter_class`` for one parser that probes the terminal once.
+
+    argparse builds a :class:`~argparse.HelpFormatter` for every
+    ``add_argument`` call, and each one asks
+    :func:`shutil.get_terminal_size` for the width.  This resolves the
+    width the same way (columns less 2) when the parser is built and
+    hands it to every formatter, so the help text is byte-identical.
+    """
+    import shutil  # as argparse does: only once a parser is built
+
+    width = shutil.get_terminal_size().columns - 2
+
+    def formatter(prog: str) -> argparse.HelpFormatter:
+        return argparse.HelpFormatter(prog, width=width)
+
+    return formatter
 
 
 def positive_int(text: str) -> int:

@@ -22,11 +22,12 @@ import sys
 from typing import List, Optional
 
 from ..apps import ALL_APPS, InputDeck, deck_scale, get_app
-from ..cliargs import POINT
+from ..cliargs import POINT, help_formatter
 from ..cluster import Cluster, get_machine
 from ..jobs import MpiJob, OmpJob
 from ..runner.point import check_scale
 from ..simt import Environment
+from .commands import CommandError, parse_script
 from .tool import DynProf
 
 __all__ = ["main"]
@@ -50,6 +51,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         prog="repro-dynprof",
         description="dynprof: dynamically instrument a (simulated) MPI/OpenMP "
                     "application.",
+        formatter_class=help_formatter(),
     )
     parser.add_argument("stdin", help="command script file, or '-' for stdin")
     parser.add_argument("stdout", help="tool output file, or '-' for stdout")
@@ -86,6 +88,11 @@ def main(argv: Optional[List[str]] = None) -> int:
                 script = fh.read()
         except OSError as exc:
             return _unreadable(args.stdin, exc)
+    try:
+        commands = parse_script(script)
+    except CommandError as exc:
+        print(f"repro-dynprof: {exc}", file=sys.stderr)
+        return 2
 
     env = Environment()
     cluster = Cluster(env, get_machine(args.machine), seed=args.seed)
@@ -98,7 +105,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         env, cluster, job,
         file_contents={"@targets": "\n".join(app.dynamic_targets)},
     )
-    session = tool.run_script(script)
+    session = tool.run_commands(commands)
     env.run(until=session)
     if tool.create_and_instrument_time is None:
         print(f"repro-dynprof: the command script never runs `start`, so "

@@ -80,7 +80,7 @@ from importlib import import_module
 from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
                     Sequence, Tuple, Union)
 
-from ..cliargs import POINT, positive_float, positive_int
+from ..cliargs import POINT, help_formatter, positive_float, positive_int
 from ..cluster import get_machine
 from ..obs.trace import DEFAULT_CAPACITY as DEFAULT_TRACE_CAPACITY
 from ..runner import SweepError, SweepPoint, SweepRunner, default_cache_dir
@@ -992,7 +992,8 @@ class Command:
         parser = argparse.ArgumentParser(
             prog=" ".join(["repro-experiments", *self.words]),
             description=self.description,
-            epilog=None if self.words else _COMMANDS_EPILOG)
+            epilog=None if self.words else _COMMANDS_EPILOG,
+            formatter_class=help_formatter())
         group = parser.add_mutually_exclusive_group() if self.exclusive \
             else None
         for item in self.options:
@@ -1145,11 +1146,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     if not command.words and argv and any(
             c.words[:1] == argv[:1] for c in COMMANDS):
         # A command word without one of its subcommands.
-        group = argparse.ArgumentParser(prog=f"repro-experiments {argv[0]}")
+        formatter = help_formatter()
+        group = argparse.ArgumentParser(prog=f"repro-experiments {argv[0]}",
+                                        formatter_class=formatter)
         words = group.add_subparsers(dest="command", required=True)
         for c in COMMANDS:
             if c.words[:1] == argv[:1]:
-                words.add_parser(c.words[1], help=c.description)
+                words.add_parser(c.words[1], help=c.description,
+                                 formatter_class=formatter)
         group.parse_args(argv[1:2])
     parser = command.parser()
     args = parser.parse_args(argv[len(command.words):])

@@ -7,8 +7,10 @@ package version.  :func:`point_key` hashes exactly those inputs
 there is no TTL and no invalidation protocol; changing any input
 changes the key.
 
-Each entry is one document (:func:`build_entry`): the key, the point's
-canonical description (for humans and audit), and the result payload.
+Each entry is one document (:func:`build_entry`): the key, a short
+description of the point (for humans and audit: its own fields and its
+machine's name, not the machine's constants, which only the key needs),
+and the result payload.
 :class:`ResultCache` keeps them as JSON files under
 ``<root>/<key[:2]>/<key>.json``; writes are atomic (temp file +
 ``os.replace``).  A corrupted or mismatched entry is treated as a miss
@@ -95,11 +97,24 @@ def build_entry(
     payload: Any,
     meta: Optional[Dict[str, Any]] = None,
 ) -> Dict[str, Any]:
-    """The canonical document a cache entry holds."""
+    """The document a cache entry holds.
+
+    The point is its :meth:`~SweepPoint.canonical_head` and its
+    machine's name (with ``variant_tag`` for an ablated spec), not the
+    machine's constants: the key already hashes them.  Only ``key`` and
+    ``payload`` are read back, so entries holding the whole
+    :meth:`~SweepPoint.canonical` document hit as well.
+    """
+    doc = None
+    if point is not None:
+        doc = point.canonical_head()
+        doc["machine"] = point.machine.name
+        if point.machine.variant_tag:
+            doc["variant_tag"] = point.machine.variant_tag
     entry: Dict[str, Any] = {
         "key": key,
         "version": _package_version(),
-        "point": point.canonical() if point is not None else None,
+        "point": doc,
         "payload": payload,
     }
     if meta:

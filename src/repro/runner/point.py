@@ -112,10 +112,12 @@ class SweepPoint(FrozenRecord):
         return memo
 
     def __getstate__(self) -> Dict[str, Any]:
-        # The memo mixes in salted str hashes: like the machine's, it
-        # never travels in a pickle (or a copy), only the fields do.
+        # The hash memo mixes in salted str hashes: like the machine's,
+        # it never travels in a pickle (or a copy), only the fields do;
+        # nor does the label memo, which the receiver rebuilds.
         state = dict(self.__dict__)
         state.pop("_hash", None)
+        state.pop("_label", None)
         return state
 
     # -- constructors ---------------------------------------------------------
@@ -189,7 +191,14 @@ class SweepPoint(FrozenRecord):
         is the default ``power3-sp``, and tags a machine that differs
         from the preset of its name with a digest of its constants
         (``power3-sp~1a2b3c4d``), so grids on two machines, or on a
-        preset and its ablation, never clash."""
+        preset and its ablation, never clash.  Built once per point,
+        like its hash."""
+        memo = self.__dict__.get("_label")
+        if memo is None:
+            memo = self.__dict__["_label"] = self._build_label()
+        return memo
+
+    def _build_label(self) -> str:
         parts = [self.kind]
         if self.app:
             parts.append(self.app)

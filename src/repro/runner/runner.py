@@ -36,11 +36,11 @@ from __future__ import annotations
 import os
 import time
 from pathlib import Path
-from typing import IO, Any, Dict, List, Optional, Sequence, Union
+from typing import IO, Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from .._record import Record
 from ..obs import get as _obs_get
-from .cache import ResultCache, point_key
+from .cache import ResultCache, _package_version, point_key
 from .collect import Collector, MetricsCollector
 from .point import SweepPoint
 from .retry import RetryPolicy
@@ -185,63 +185,62 @@ class SweepRunner:
 
     def run(self, points: Sequence[SweepPoint]) -> Dict[SweepPoint, PointResult]:
         """Execute a grid; returns one result per *distinct* point."""
-        started = time.perf_counter()
-        unique = list(dict.fromkeys(points))
-        # Each distinct point is keyed once: the cache probe, the cache
-        # put and the telemetry event all reuse this digest.
-        keys = {p: point_key(p) for p in unique}
-        results: Dict[SweepPoint, PointResult] = {}
-        corrupt_base = getattr(self.cache, "corrupt_discards", 0)
-
-        cached: List[PointResult] = []
-        if self.cache is not None:
-            for p in unique:
-                entry = self.cache.get(keys[p])
-                if entry is not None:
-                    r = PointResult(p, "ok", payload=entry["payload"],
-                                    cached=True, attempts=0)
-                    results[p] = r
-                    cached.append(r)
-
-        self.telemetry.sweep_start(
-            total=len(unique), cached=len(cached), jobs=self.jobs,
-            started=started,
-        )
-        for r in cached:
-            self._report(r, keys[r.point])
-
-        missing = [p for p in unique if p not in results]
-        attachments: Dict[SweepPoint, Dict[str, Any]] = {}
-        if missing:
-            self._execute(missing, keys, results, attachments)
-        # Fold attachments in grid order, not completion order, so the
-        # merged documents (key order, float sums) are the same under
-        # every executor.
-        for p in unique:
-            docs = attachments.get(p)
-            if docs:
-                for collector in self.collectors:
-                    doc = docs.get(collector.name)
-                    if doc:
-                        collector.merge(p.label, doc)
-        self.telemetry.corrupt_discards = (
-            getattr(self.cache, "corrupt_discards", 0) - corrupt_base
-        )
-        self.telemetry.sweep_end()
-        return results
+        unique, _, results = self._run(points)
+        return dict(zip(unique, results))
 
     def run_grid(self, points: Sequence[SweepPoint]) -> List[Dict[str, Any]]:
         """Strict run: every point must succeed.
 
         Returns payloads aligned with ``points`` (duplicates share one
-        execution); raises :class:`SweepError` listing the failures
-        otherwise.
+        execution); raises :class:`SweepError` listing the failures, in
+        the order of the distinct points of ``points``, otherwise.
         """
-        results = self.run(points)
-        failures = [r for r in results.values() if not r.ok]
+        _, order, results = self._run(points)
+        failures = [r for r in results if not r.ok]
         if failures:
             raise SweepError(failures)
-        return [results[p].payload for p in points]  # type: ignore[misc]
+        return [results[i].payload for i in order]  # type: ignore[misc]
+
+    def _run(
+        self, points: Sequence[SweepPoint]
+    ) -> Tuple[List[SweepPoint], List[int], List[PointResult]]:
+        """The distinct points of ``points`` in grid order, the index
+        of each grid point among them, and their results in order."""
+        started = time.perf_counter()
+        index: Dict[SweepPoint, int] = {}
+        order = [index.setdefault(p, len(index)) for p in points]
+        unique = list(index)
+        # Each distinct point is keyed once, against one read of the
+        # package version: the cache probe, the cache put and the
+        # telemetry event all reuse its digest.
+        version = _package_version()
+        keys = [point_key(p, version) for p in unique]
+        results: List[Optional[PointResult]] = [None] * len(unique)
+        corrupt_base = getattr(self.cache, "corrupt_discards", 0)
+
+        cached: List[int] = []
+        if self.cache is not None:
+            for i, key in enumerate(keys):
+                entry = self.cache.get(key)
+                if entry is not None:
+                    results[i] = PointResult(unique[i], "ok",
+                                             payload=entry["payload"],
+                                             cached=True, attempts=0)
+                    cached.append(i)
+
+        self.telemetry.sweep_start(
+            total=len(unique), cached=len(cached), jobs=self.jobs,
+            started=started,
+        )
+        for i in cached:
+            self._report(results[i], keys[i])  # type: ignore[arg-type]
+
+        self._execute(unique, keys, results)
+        self.telemetry.corrupt_discards = (
+            getattr(self.cache, "corrupt_discards", 0) - corrupt_base
+        )
+        self.telemetry.sweep_end()
+        return unique, order, results  # type: ignore[return-value]
 
     def close(self) -> None:
         """Shut down the executor's worker pool, if one was started."""
@@ -281,16 +280,29 @@ class SweepRunner:
 
     def _execute(
         self,
-        points: List[SweepPoint],
-        keys: Dict[SweepPoint, str],
-        results: Dict[SweepPoint, PointResult],
-        attachments: Dict[SweepPoint, Dict[str, Any]],
+        unique: List[SweepPoint],
+        keys: List[str],
+        results: List[Optional[PointResult]],
     ) -> None:
-        backend = self._backend()
-        for point, envelope, attempts in backend.run(points, self._exec_spec()):
-            results[point] = self._finish(point, keys[point], envelope, attempts)
+        """Run the points without a result and fill theirs in."""
+        slot = {unique[i]: i for i, r in enumerate(results) if r is None}
+        if not slot:
+            return
+        attachments: Dict[int, Dict[str, Any]] = {}
+        for point, envelope, attempts in self._backend().run(
+                list(slot), self._exec_spec()):
+            i = slot[point]
+            results[i] = self._finish(point, keys[i], envelope, attempts)
             if "attachments" in envelope:
-                attachments[point] = envelope["attachments"]
+                attachments[i] = envelope["attachments"]
+        # Fold attachments in grid order, not completion order, so the
+        # merged documents (key order, float sums) are the same under
+        # every executor.
+        for i in sorted(attachments):
+            for collector in self.collectors:
+                doc = attachments[i].get(collector.name)
+                if doc:
+                    collector.merge(unique[i].label, doc)
 
     # -- bookkeeping ----------------------------------------------------------
 

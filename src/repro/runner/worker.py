@@ -165,6 +165,7 @@ def execute_point(
         import signal
     start = time.perf_counter()
     previous_handler: Any = None
+    succeeded = False
     try:
         if use_alarm:
             def _on_alarm(signum: int, frame: Any) -> None:
@@ -184,6 +185,7 @@ def execute_point(
                 "payload": payload,
                 "wall_time": time.perf_counter() - start,
             }
+            succeeded = True
         except PointTimeout:
             envelope = {
                 "status": "timeout",
@@ -215,3 +217,12 @@ def execute_point(
         if use_alarm:
             signal.setitimer(signal.ITIMER_REAL, 0.0)
             signal.signal(signal.SIGALRM, previous_handler)
+            if not succeeded:
+                # A point that timed out, diverged or raised abandons a
+                # suspended simulation whose generators sit in reference
+                # cycles.  Close them now, with the alarm disarmed: left
+                # to the cyclic GC, their cleanup may run under the next
+                # point's alarm, which then fires inside it.
+                import gc
+
+                gc.collect()

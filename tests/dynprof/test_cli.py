@@ -1,5 +1,7 @@
 """Tests for the repro-dynprof command line."""
 
+import io
+
 import pytest
 
 from repro.dynprof.cli import main
@@ -143,3 +145,18 @@ def test_cli_script_that_never_starts_is_one_error_line(tmp_path, capsys,
         "repro-dynprof: the command script never runs `start`, so sweep3d "
         "never ran"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("text,error", [
+    ("bogus\n", "line 1: unknown command 'bogus' (try 'help')"),
+    ("start\nwait soon\n", "line 2: bad wait duration 'soon'"),
+], ids=["unknown-command", "bad-argument"])
+def test_cli_malformed_script_is_one_error_line(tmp_path, capsys, monkeypatch,
+                                                text, error):
+    # Rejected before anything is simulated.
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    _no_simulation(monkeypatch)
+    assert main(["-", "-", "-", "smg98"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"repro-dynprof: {error}"]

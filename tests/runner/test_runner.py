@@ -78,6 +78,92 @@ def test_per_point_timeout(jobs):
     assert "budget" in result.error
 
 
+def test_sweep_error_lists_failures_in_grid_order():
+    # The slow failure comes first in the grid but finishes last on the
+    # pool; the error names the failures in grid order all the same.
+    slow = SweepPoint.selftest("sleep", seconds=30.0)
+    fast = SweepPoint.selftest("raise")
+    good = SweepPoint.selftest("echo", value=1)
+    with pytest.raises(SweepError) as exc:
+        SweepRunner(jobs=2, timeout=0.5).run_grid([good, slow, fast])
+    assert [r.point for r in exc.value.failures] == [slow, fast]
+    message = str(exc.value)
+    assert message.index("sleep") < message.index("raise")
+    assert message.endswith(f"first error: {slow.label}: exceeded 0.5s budget")
+
+
+def _fail_mid_simulation(monkeypatch, make_exc):
+    """Make the 200th compute charge of any task raise ``make_exc()``."""
+    from repro.cluster.task import Task
+
+    charge = Task.charge
+    calls = [0]
+
+    def failing_charge(self, dt):
+        calls[0] += 1
+        if calls[0] == 200:
+            raise make_exc()
+        charge(self, dt)
+
+    monkeypatch.setattr(Task, "charge", failing_charge)
+
+
+@pytest.mark.parametrize("outcome", ["timeout", "error", "diverged"])
+def test_failed_simulation_is_collected_before_the_point_returns(
+        monkeypatch, outcome):
+    # Left to the cyclic GC, the abandoned simulation's generators would
+    # be closed later, possibly under the next point's armed alarm.
+    import gc
+    import types
+
+    from repro.replay.errors import DivergenceError
+    from repro.runner.worker import execute_point, preload
+
+    preload()
+    timeout = 0.05
+    if outcome == "error":
+        _fail_mid_simulation(monkeypatch,
+                             lambda: RuntimeError("mid-simulation"))
+        timeout = 60.0
+    elif outcome == "diverged":
+        _fail_mid_simulation(
+            monkeypatch, lambda: DivergenceError(0, "event", 0.0, None, None))
+        timeout = 60.0
+    point = SweepPoint.policy_cell("sweep3d", "Full", 16, scale=1.0)
+    gc.collect()
+    gc.disable()
+    try:
+        envelope = execute_point(point, timeout=timeout)
+        abandoned = [
+            obj for obj in gc.get_objects()
+            if isinstance(obj, types.GeneratorType)
+            and obj.gi_code.co_name == "_run"
+            and obj.gi_code.co_filename.endswith(os.path.join("cluster",
+                                                              "task.py"))
+        ]
+    finally:
+        gc.enable()
+    assert envelope["status"] == outcome
+    assert abandoned == []
+
+
+def test_in_process_timeouts_print_no_ignored_exception():
+    # A subprocess: pytest would catch an "Exception ignored" itself.
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    out = subprocess.run(
+        [sys.executable, "-m", "repro.experiments.cli", "fig7a", "--quick",
+         "--jobs", "1", "--no-cache", "--scale", "1.0", "--timeout", "0.05"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert out.returncode == 1
+    assert "[timeout]" in out.stderr
+    assert "Exception ignored" not in out.stderr
+
+
 def test_worker_crash_is_retried_once_then_succeeds(tmp_path):
     marker = tmp_path / "crashed-once"
     point = SweepPoint.selftest("crash_once", marker=str(marker))

@@ -272,3 +272,21 @@ def test_help_exits_zero_and_loads_no_simulator(command):
                           text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == []
+
+
+@pytest.mark.parametrize("columns", [None, "60"], ids=["terminal", "cols-60"])
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_help_text_is_argparse_default_formatting(command, columns,
+                                                  monkeypatch):
+    # The parsers resolve the terminal width once per build; the text
+    # must be what a plain argparse.HelpFormatter, which probes the
+    # terminal for every formatter it builds, gives.
+    if columns is None:
+        monkeypatch.delenv("COLUMNS", raising=False)
+    else:
+        monkeypatch.setenv("COLUMNS", columns)
+    text = _parser_of(command, monkeypatch).format_help()
+    for module in (cli, dynprof_cli):
+        monkeypatch.setattr(module, "help_formatter",
+                            lambda: argparse.HelpFormatter)
+    assert text == _parser_of(command, monkeypatch).format_help()
