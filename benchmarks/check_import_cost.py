@@ -17,7 +17,10 @@ fresh interpreter and fails if:
   shows up in the import graph.  numpy loads only where a point is
   simulated (``repro.runner.worker.preload``), and the plotting and
   analysis libraries only inside the figure-rendering functions;
-* a module on the **target's own forbidden list** shows up: the CLI
+* a module on the **target's own forbidden list** shows up: the
+  simulator core may not import an observation sink (replay, compact,
+  the metrics registry, the tracer, the time-series recorder), which it
+  reaches only through the instrumentation tap; the CLI
   may not import the simulator (it loads in ``preload`` too), the
   cache daemon's HTTP server or SQLite, none of which a cached
   regeneration runs, nor a figure module (each loads when its
@@ -58,7 +61,10 @@ FIGURES = tuple(f"repro.experiments.{name}" for name in (
 #: Target -> the modules (and their submodules) it may not import, on
 #: top of :data:`FORBIDDEN`.
 TARGETS = {
-    "repro.simt": (),
+    # The simulator core reaches observation through the one tap; the
+    # sinks load only where a collector installs them.
+    "repro.simt": ("repro.replay", "repro.compact", "repro.obs.registry",
+                   "repro.obs.trace", "repro.obs.timeseries"),
     "repro.experiments.cli": (
         "repro.simt", "repro.cluster.topology", "repro.mpi", "repro.openmp",
         "repro.vt", "repro.program", "repro.dpcl", "repro.dynprof.tool",

@@ -34,7 +34,7 @@ from typing import (
 )
 
 from ..cluster import Cluster, Node
-from ..obs import get as _obs_get
+from ..obs.tap import get as _tap_get
 from ..simt import AnyOf, Channel, Environment
 from .daemon import CommDaemon, DaemonHost, SuperDaemon, _dpcl_delay
 from .messages import (
@@ -224,7 +224,7 @@ class DpclClient:
         self.stale_acks = 0
         #: Resend waves performed across all requests.
         self.retries = 0
-        self._obs = _obs_get()
+        self._tap = _tap_get()
 
     # -- low-level plumbing ------------------------------------------------------
 
@@ -294,8 +294,8 @@ class DpclClient:
             while pending:
                 msg = yield from self._get_with_timeout(self.policy.timeout)
                 if msg is _TIMED_OUT:
-                    if self._obs.enabled:
-                        self._obs.inc("dpcl.timeouts")
+                    if self._tap.enabled:
+                        self._tap.inc("dpcl.timeouts")
                     break
                 if isinstance(msg, CallbackMsg):
                     self._callbacks.put(msg)
@@ -328,12 +328,12 @@ class DpclClient:
                         error_info={"node": idx, "request": request,
                                     "reason": UNREACHABLE, "attempts": attempt},
                     )
-                if self._obs.enabled:
-                    self._obs.inc("dpcl.unreachable", len(pending))
+                if self._tap.enabled:
+                    self._tap.inc("dpcl.unreachable", len(pending))
                 return acks, failures
             self.retries += 1
-            if self._obs.enabled:
-                self._obs.inc("dpcl.retries")
+            if self._tap.enabled:
+                self._tap.inc("dpcl.retries")
             if backoff > 0.0:
                 yield self.env.timeout(backoff)
             backoff *= self.policy.backoff_multiplier
@@ -376,8 +376,8 @@ class DpclClient:
 
     def _note_stale_ack(self) -> None:
         self.stale_acks += 1
-        if self._obs.enabled:
-            self._obs.inc("dpcl.stale_acks")
+        if self._tap.enabled:
+            self._tap.inc("dpcl.stale_acks")
 
     # -- connection management ------------------------------------------------------
 
@@ -633,8 +633,8 @@ class DpclClient:
             else:
                 msg = yield from self._get_with_timeout(timeout)
                 if msg is _TIMED_OUT:
-                    if self._obs.enabled:
-                        self._obs.inc("dpcl.timeouts")
+                    if self._tap.enabled:
+                        self._tap.inc("dpcl.timeouts")
                     return got
             if isinstance(msg, Ack):
                 self._note_stale_ack()

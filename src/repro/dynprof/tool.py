@@ -31,8 +31,7 @@ from ..cluster import Cluster, Task
 from ..dpcl import DpclClient, DpclError, RequestPolicy, raise_failures
 from ..dpcl.client import Failures
 from ..jobs import MpiJob, OmpJob
-from ..obs import get as _obs_get
-from ..obs.trace import TOOL_PID, get as _trace_get
+from ..obs.tap import get as _tap_get
 from ..program import ENTRY, EXIT, ProbeHandle
 from ..simt import Environment, Process
 from ..vt import BEGIN, END, VTProbeSnippet
@@ -123,10 +122,9 @@ class DynProf:
         self._handles: Dict[Tuple[str, str], List[ProbeHandle]] = {}
         self.state = "created"
         self._file_contents = dict(file_contents or {})
-        self._obs = _obs_get()
-        self._trace = _trace_get()
-        if self._trace.enabled:
-            self._trace.track(TOOL_PID, 0, "dynprof")
+        self._tap = _tap_get()
+        if self._tap.enabled:
+            self._tap.dynprof_session()
         #: Seconds from session start until the app entered main
         #: computation (Figure 9's "time to create and instrument").
         self.create_and_instrument_time: Optional[float] = None
@@ -155,8 +153,8 @@ class DynProf:
             return
         self.quarantined[name] = reason
         self._emit(f"quarantined {name}: {reason}")
-        if self._obs.enabled:
-            self._obs.inc("dynprof.quarantined_ranks")
+        if self._tap.enabled:
+            self._tap.inc("dynprof.quarantined_ranks")
 
     def _quarantine_node(self, node_index: int, reason: str) -> None:
         for task in self.job.tasks:
@@ -409,15 +407,12 @@ class DynProf:
             yield from self._resume_controllable()
             done.succeed()
         tf.end("safe-point-patch", self._now())
-        if self._obs.enabled:
-            self._obs.inc("dynprof.safe_point_patches")
-            self._obs.span("dynprof.patch", self._now() - t_patch0)
-        if self._trace.enabled:
-            self._trace.complete(
-                TOOL_PID, 0, "safe-point patch", "dynprof.patch",
+        if self._tap.enabled:
+            self._tap.dynprof_patch(
+                "dynprof.safe_point_patches", "safe-point patch",
                 t_patch0, self._now(),
-                args={"insert": len(insert), "remove": len(remove),
-                      "safe_point": t_hit},
+                {"insert": len(insert), "remove": len(remove),
+                 "safe_point": t_hit},
             )
         self._emit(f"patched at safe point t={t_hit:.3f}s")
         return t_hit
@@ -589,31 +584,10 @@ class DynProf:
                     for f in failures[:4]
                 )
             )
-            if self._obs.enabled:
-                self._obs.inc("dynprof.probe_install_failures", len(failures))
-        if self._obs.enabled:
-            self._obs.inc("dynprof.probe_inserts", len(handles))
-        if self._trace.enabled:
-            # One fan-out flow: the tool's install action is the cause of
-            # the patched code appearing in every target process.
-            per_proc: Dict[str, int] = {}
-            for pname, _fname, _where, _snippet in probes:
-                per_proc[pname] = per_proc.get(pname, 0) + 1
-            flow = self._trace.new_flow()
-            self._trace.flow_start(
-                TOOL_PID, 0, flow, "probe.insert", "dynprof", t_install0,
-                args={"probes": len(handles), "globs": list(names)},
-            )
-            for index, pname in enumerate(self.process_names):
-                if pname in per_proc:
-                    self._trace.flow_end(
-                        index, 0, flow, "probe.patched", "dynprof",
-                        self._now(), args={"probes": per_proc[pname]},
-                    )
-            self._trace.instant(
-                TOOL_PID, 0, "probe.insert", "dynprof", self._now(),
-                args={"probes": len(handles)},
-            )
+        if self._tap.enabled:
+            self._tap.dynprof_insert(names, len(handles), len(failures),
+                                     probes, self.process_names,
+                                     t_install0, self._now())
         self._emit(f"installed {len(handles)} probes")
 
     def _remove_from_all(self, names: Sequence[str]) -> Generator:
@@ -628,13 +602,8 @@ class DynProf:
         if not handles:
             return
         n = yield from self.client.remove_probes(handles)
-        if self._obs.enabled:
-            self._obs.inc("dynprof.probe_removes", n)
-        if self._trace.enabled:
-            self._trace.instant(
-                TOOL_PID, 0, "probe.remove", "dynprof",
-                self._now(), args={"probes": n},
-            )
+        if self._tap.enabled:
+            self._tap.dynprof_remove(n, self._now())
         self._emit(f"removed {n} probes")
 
     def _resume_controllable(self) -> Generator:
@@ -675,14 +644,11 @@ class DynProf:
             tf.begin("resume", self._now())
             yield from self._resume_controllable()
             tf.end("resume", self._now())
-            if self._obs.enabled:
-                self._obs.inc("dynprof.suspend_patches")
-                self._obs.span("dynprof.patch", self._now() - t_patch0)
-            if self._trace.enabled:
-                self._trace.complete(
-                    TOOL_PID, 0, "suspend-patch-resume", "dynprof.patch",
+            if self._tap.enabled:
+                self._tap.dynprof_patch(
+                    "dynprof.suspend_patches", "suspend-patch-resume",
                     t_patch0, self._now(),
-                    args={"insert": len(install), "remove": len(remove)},
+                    {"insert": len(install), "remove": len(remove)},
                 )
 
     # -- introspection --------------------------------------------------------------------

@@ -19,9 +19,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..analysis.report import render_obs_report
+from ..compact.container import DecodeError
 from ..obs import prom
 from ..obs.timeseries import decode_series, overhead_series, timeseries_to_csv
 
@@ -49,7 +50,65 @@ def load_obs_document(path: str) -> Dict[str, Any]:
     if not isinstance(doc, dict) or "obs" not in doc:
         raise _fail(f"obs document {path} has no 'obs' snapshot "
                     f"(was it written by --obs?)")
+    problem = _shape_problem(doc)
+    if problem is not None:
+        raise _fail(f"obs document {path} is malformed: {problem}")
     return doc
+
+
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _rows(value: Any, fields: Tuple[str, ...]) -> bool:
+    """Whether ``value`` maps names to objects whose ``fields`` are numbers."""
+    return isinstance(value, dict) and all(
+        isinstance(row, dict) and all(_is_number(row.get(f)) for f in fields)
+        for row in value.values())
+
+
+def _shape_problem(doc: Dict[str, Any]) -> Optional[str]:
+    """What keeps ``doc`` from being reported, or None.
+
+    Checks every field the report modes read, and decodes every sampled
+    series, so a damaged document fails here as one line."""
+    snap = doc["obs"]
+    if not isinstance(snap, dict):
+        return "'obs' is not an object"
+    for section in ("counters", "gauges"):
+        values = snap.get(section, {})
+        if not (isinstance(values, dict) and all(map(_is_number, values.values()))):
+            return f"obs.{section} is not an object of numbers"
+    if not _rows(snap.get("spans", {}), ("count", "total", "max")):
+        return "obs.spans is not an object of {count, total, max} numbers"
+    hists = snap.get("histograms", {})
+    if not _rows(hists, ("count", "total")) or not all(
+            isinstance(h.get(k), list) and all(map(_is_number, h[k]))
+            for h in hists.values() for k in ("edges", "counts")):
+        return "obs.histograms is not an object of histograms"
+    if not isinstance(doc.get("telemetry", {}), dict):
+        return "'telemetry' is not an object"
+    timeseries = doc.get("timeseries", {})
+    if not isinstance(timeseries, dict):
+        return "'timeseries' is not an object"
+    for label, ts in timeseries.items():
+        where = f"timeseries[{label!r}]"
+        if not (isinstance(ts, dict) and _is_number(ts.get("samples", 0))
+                and _is_number(ts.get("interval", 0))):
+            return f"{where} is not a series document"
+        if not _rows(ts.get("probes", {}), ("count", "time", "overhead")):
+            return f"{where}.probes is not an object of probe rows"
+        series = ts.get("series", {})
+        if not _rows(series, ("dropped", "total")):
+            return f"{where}.series is not an object of series"
+        for name, sdoc in series.items():
+            if not isinstance(sdoc.get("n"), int):
+                return f"series {name!r} of {label!r} has no sample count 'n'"
+            try:
+                decode_series(sdoc)
+            except DecodeError as exc:
+                return f"series {name!r} of {label!r} does not decode: {exc}"
+    return None
 
 
 def render_obs_document(doc: Dict[str, Any]) -> str:

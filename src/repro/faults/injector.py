@@ -23,8 +23,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, Generator, Optional, Tuple
 
-from ..obs import get as _obs_get
-from ..replay.hooks import get as _replay_get
+from ..obs.tap import get as _tap_get
 from .plan import FaultPlan
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -42,8 +41,7 @@ class FaultInjector:
         self.env = cluster.env
         #: All draws live under the cluster's "faults" namespace.
         self.rng = cluster.rng.child("faults")
-        self._obs = _obs_get()
-        self._replay = _replay_get()
+        self._tap = _tap_get()
         #: Injected-fault tally by kind (always kept, obs on or off).
         self.counts: Dict[str, int] = {}
         self._crash_specs = plan.by_kind("daemon_crash")
@@ -73,24 +71,23 @@ class FaultInjector:
 
     def _count(self, kind: str, n: int = 1) -> None:
         self.counts[kind] = self.counts.get(kind, 0) + n
-        if self._obs.enabled:
-            self._obs.inc("faults.injected", n)
-            self._obs.inc(f"faults.{kind}", n)
+        if self._tap.enabled:
+            self._tap.fault_injected(kind, n)
 
     # -- recorded draws -------------------------------------------------------
 
     def _draw(self, stream: str) -> float:
         """One uniform [0, 1) draw from a named stream, order-logged."""
         value = float(self.rng.get(stream).random())
-        if self._replay.enabled:
-            self._replay.on_fault(stream, value, self.env.now)
+        if self._tap.enabled:
+            self._tap.fault_draw(stream, value, self.env.now)
         return value
 
     def _draw_exponential(self, stream: str, mean: float) -> float:
         """One exponential draw from a named stream, order-logged."""
         value = float(self.rng.get(stream).exponential(mean))
-        if self._replay.enabled:
-            self._replay.on_fault(stream, value, self.env.now)
+        if self._tap.enabled:
+            self._tap.fault_draw(stream, value, self.env.now)
         return value
 
     def summary(self) -> Dict[str, int]:
@@ -205,8 +202,8 @@ class FaultInjector:
             for spec in specs:
                 if spec.active_at(now):
                     value = float(stream.random())
-                    if self._replay.enabled:
-                        self._replay.on_fault(stream_name, value, now)
+                    if self._tap.enabled:
+                        self._tap.fault_draw(stream_name, value, now)
                     if value < spec.probability:
                         self._count("vt_write_fail")
                         return True

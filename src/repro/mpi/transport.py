@@ -18,16 +18,11 @@ from collections import deque
 from typing import Deque, Dict, List, Optional, Tuple
 
 from ..cluster import Cluster, Node
-from ..obs import get as _obs_get
-from ..obs.trace import get as _trace_get
-from ..replay.hooks import get as _replay_get
+from ..obs.tap import get as _tap_get
 from ..simt import Environment, Event, Timeout
 from .messages import Envelope
 
 __all__ = ["Mailbox", "Transport"]
-
-#: Histogram bucket upper bounds for on-wire message sizes (bytes).
-MSG_SIZE_EDGES = (64, 256, 1024, 4096, 16384, 65536, 262144, 1048576, 4194304)
 
 
 class Mailbox:
@@ -39,9 +34,7 @@ class Mailbox:
         self._unexpected: Deque[Envelope] = deque()
         #: Receives waiting for a match: (source, tag, context, event).
         self._posted: Deque[Tuple[int, int, str, Event]] = deque()
-        self._obs = _obs_get()
-        self._trace = _trace_get()
-        self._replay = _replay_get()
+        self._tap = _tap_get()
 
     @property
     def unexpected_count(self) -> int:
@@ -54,36 +47,17 @@ class Mailbox:
     def deliver(self, envelope: Envelope) -> None:
         """An envelope has arrived on the wire."""
         envelope.arrived_at = self.env.now
-        if envelope.flow is not None and self._trace.enabled:
-            # Close the causal edge the sender opened: this delivery
-            # could not have happened before that send.
-            self._trace.flow_end(
-                self.rank, 0, envelope.flow, "mpi.deliver", "mpi",
-                self.env.now,
-                args={"src": envelope.src, "tag": envelope.tag,
-                      "bytes": envelope.size},
-            )
         for position, (source, tag, context, event) in enumerate(self._posted):
             if envelope.matches(source, tag, context):
                 del self._posted[position]
                 event.succeed(envelope)
-                if self._obs.enabled:
-                    self._obs.inc("mpi.matched_posted")
-                if self._replay.enabled:
-                    self._replay.on_deliver(
-                        envelope.src, self.rank, envelope.tag,
-                        envelope.context, position, self.env.now,
-                    )
-                return
-        self._unexpected.append(envelope)
-        if self._obs.enabled:
-            self._obs.gauge_max("mpi.unexpected_hwm", len(self._unexpected))
-        if self._replay.enabled:
-            # -1 = filed as unexpected (no posted receive matched).
-            self._replay.on_deliver(
-                envelope.src, self.rank, envelope.tag, envelope.context,
-                -1, self.env.now,
-            )
+                break
+        else:
+            self._unexpected.append(envelope)
+            position = -1  # filed as unexpected: no posted receive matched
+        if self._tap.enabled:
+            self._tap.mpi_deliver(envelope, self.rank, position,
+                                  len(self._unexpected))
 
     def post_recv(self, source: int, tag: int, context: str) -> Event:
         """Post a receive; the event triggers with the matched envelope."""
@@ -92,13 +66,9 @@ class Mailbox:
             if envelope.matches(source, tag, context):
                 del self._unexpected[position]
                 event.succeed(envelope)
-                if self._obs.enabled:
-                    self._obs.inc("mpi.matched_unexpected")
-                if self._replay.enabled:
-                    self._replay.on_match(
-                        envelope.src, self.rank, envelope.tag,
-                        envelope.context, position, self.env.now,
-                    )
+                if self._tap.enabled:
+                    self._tap.mpi_match(envelope, self.rank, position,
+                                        self.env.now)
                 return event
         self._posted.append((source, tag, context, event))
         return event
@@ -130,8 +100,8 @@ class Mailbox:
         for position, posted in enumerate(self._posted):
             if posted[3] is event:
                 del self._posted[position]
-                if self._obs.enabled:
-                    self._obs.inc("mpi.cancelled_recvs")
+                if self._tap.enabled:
+                    self._tap.inc("mpi.cancelled_recvs")
                 return True
         if event.triggered and not event.processed:
             envelope = event._value
@@ -144,8 +114,8 @@ class Mailbox:
                         break
                 else:
                     self._unexpected.append(envelope)
-                if self._obs.enabled:
-                    self._obs.inc("mpi.cancelled_recvs")
+                if self._tap.enabled:
+                    self._tap.inc("mpi.cancelled_recvs")
                 return True
         return False
 
@@ -167,8 +137,7 @@ class Transport:
         #: Diagnostics.
         self.eager_sends = 0
         self.rendezvous_sends = 0
-        self._obs = _obs_get()
-        self._trace = _trace_get()
+        self._tap = _tap_get()
 
     # -- send paths --------------------------------------------------------------
 
@@ -216,36 +185,9 @@ class Transport:
             at = prev
         self._last_arrival[key] = at
         delay = at - now
-        if self._obs.enabled or self._trace.enabled:
-            self._observe(envelope, wire_bytes, delay, clamped)
+        if self._tap.enabled:
+            self._tap.mpi_send(envelope, wire_bytes, delay, clamped)
         Timeout(self.env, delay, envelope).callbacks.append(self.mailboxes[dst].arrive)
-
-    def _observe(self, envelope: Envelope, wire_bytes: int, delay: float, clamped: bool) -> None:
-        """Metrics and the causal-trace send edge of one launched message."""
-        size = envelope.size
-        obs = self._obs
-        if obs.enabled:
-            if envelope.rendezvous:
-                # 64 B of RTS control traffic now; the payload bytes are
-                # committed to the wire as part of the same send.
-                obs.inc("mpi.rendezvous_sends")
-                obs.inc("mpi.wire_bytes", wire_bytes + size)
-            else:
-                obs.inc("mpi.eager_sends")
-                obs.inc("mpi.wire_bytes", size)
-            obs.observe("mpi.msg_bytes", size, MSG_SIZE_EDGES)
-            if clamped:
-                obs.inc("mpi.clamp_activations")
-            obs.span("mpi.wire", delay)
-        trace = self._trace
-        if trace.enabled:
-            envelope.flow = trace.new_flow()
-            trace.flow_start(
-                envelope.src, 0, envelope.flow, "mpi.send", "mpi", self.env.now,
-                args={"dst": envelope.dst, "tag": envelope.tag, "bytes": size,
-                      "proto": "rendezvous" if envelope.rendezvous else "eager",
-                      "ctx": envelope.context},
-            )
 
     def payload_transfer_time(self, src: int, dst: int, size: int) -> float:
         """Bulk-transfer time of a rendezvous payload."""

@@ -5,9 +5,9 @@ cheap and toggleable at runtime; the same constraint applies to
 observing this simulator.  ``repro.obs`` is a process-local metrics
 registry (counters, gauges, fixed-bucket histograms) plus lightweight
 span tracing of simulator phases (MPI wire time, VT buffer flushes,
-dynprof patch windows).  When observation is off — the default — the
-current sink is the shared :data:`OFF` object (see :mod:`repro.obs.slot`)
-and every instrumented hot path pays exactly one attribute check.
+dynprof patch windows), both fed by the one :mod:`repro.obs.tap`.
+When observation is off — the default — the tap is the shared
+:data:`OFF` object and every hook site pays exactly one attribute check.
 
 Enabling is explicit, scoped and capture-at-construction::
 
@@ -26,7 +26,7 @@ outputs are bit-identical with it on or off (pinned by tests).
 
 :mod:`repro.obs.trace` is the causal sibling of the metrics registry:
 per-(rank, thread) event tracks with spans, instants and flow edges in
-bounded ring buffers, behind the same install-slot/``OFF`` discipline
+bounded ring buffers, installed into the same tap
 (``trace.tracing()`` / a ``TraceCollector`` on the runner / the CLI's
 ``--trace DIR``).  :mod:`repro.obs.export` turns a trace document into
 Chrome trace-event JSON (Perfetto-loadable) or a static SVG timeline;
@@ -51,7 +51,7 @@ from .._lazy import lazy_exports
 __all__, __getattr__, __dir__ = lazy_exports(globals(), {
     ".registry": ("MetricsRegistry", "Histogram", "get", "collecting",
                   "merge_snapshots"),
-    ".slot": ("OFF", "Slot"),
+    ".tap": ("OFF", "Tap"),
     ".trace": ("trace",),
     ".timeseries": ("timeseries",),
     ".prom": ("prom",),

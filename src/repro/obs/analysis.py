@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
-from .trace import TOOL_PID
+from .tap import TOOL_PID
 
 __all__ = [
     "flow_pairs",

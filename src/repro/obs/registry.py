@@ -15,10 +15,8 @@ Every instrument lives in one :class:`MetricsRegistry`:
 
 The registry never touches the simulation: it charges no cost, draws no
 randomness, and schedules no events, so figures are bit-identical with
-observation on or off.  When observation is off :func:`get` returns
-the shared :data:`~repro.obs.slot.OFF` sink, whose ``enabled`` attribute
-is False — hot paths guard every instrument behind that single
-attribute check and otherwise pay nothing.
+observation on or off.  The simulator reports into it through the
+events of the :class:`~repro.obs.tap.Tap` it is installed in.
 """
 
 from __future__ import annotations
@@ -26,7 +24,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Any, ContextManager, Dict, List, Optional, Sequence, Tuple, Union
 
-from .slot import Slot
+from . import tap as _tap
 
 __all__ = [
     "MetricsRegistry",
@@ -76,7 +74,7 @@ class MetricsRegistry:
     __slots__ = ("enabled", "counters", "gauges", "histograms", "spans")
 
     def __init__(self) -> None:
-        #: Hot paths test exactly this attribute before instrumenting.
+        #: The tap tests exactly this attribute before instrumenting.
         self.enabled = True
         self.counters: Dict[str, Union[int, float]] = {}
         self.gauges: Dict[str, float] = {}
@@ -198,24 +196,19 @@ class MetricsRegistry:
         )
 
 
-_slot = Slot()
-
-#: The current process-local registry (:data:`~repro.obs.slot.OFF` when
-#: observation is off).
-get = _slot.get
+def get() -> Any:
+    """The current tap's registry (:data:`~repro.obs.tap.OFF` when
+    observation is off)."""
+    return _tap.get().obs
 
 
 def collecting(
     registry: Optional[MetricsRegistry] = None,
 ) -> ContextManager[MetricsRegistry]:
-    """Run a block with a (fresh by default) registry installed.
-
-    Only objects *constructed inside* the block observe into it: hot-path
-    components capture the registry once at construction time.  Restores
-    whatever was active before on exit, so a worker process can observe
-    one sweep point without leaking state into the next.
-    """
-    return _slot.installed(registry if registry is not None else MetricsRegistry())
+    """Install a (fresh by default) registry in the tap for a block; only
+    objects *constructed inside* it observe into it (see
+    :meth:`~repro.obs.tap.Slot.installed`)."""
+    return _tap.installed("obs", registry if registry is not None else MetricsRegistry())
 
 
 def merge_snapshots(snapshots: Sequence[Dict[str, Any]]) -> Dict[str, Any]:

@@ -21,9 +21,9 @@ Samples are delta-encoded with the :mod:`repro.compact` varint codecs
 framing), so a long run's series stays small and every float
 round-trips bit-for-bit through :func:`decode_series`.
 
-The lifecycle discipline is identical to the registry and the tracer:
-the current recorder is the shared :data:`~repro.obs.slot.OFF` sink
-until a block enters :func:`sampling`, and
+The recorder is one sink of the current :class:`~repro.obs.tap.Tap`,
+the shared :data:`~repro.obs.tap.OFF` until a block enters
+:func:`sampling`, and
 :meth:`MetricsSampler.install` returns None — scheduling *nothing* —
 when sampling is off.  That is a stronger guarantee than the
 registry's: the sampler is the one observation layer that *does*
@@ -37,12 +37,14 @@ sampler's own wakeups.
 
 from __future__ import annotations
 
-from typing import (Any, Callable, ContextManager, Dict, Iterable, Iterator,
+import contextlib
+from typing import (Any, Callable, Dict, Iterable, Iterator,
                     List, Optional, Tuple)
 
 from ..compact.container import DecodeError, from_ascii, to_ascii
 from ..compact.varint import DeltaDecoder, DeltaEncoder
-from .slot import Slot
+from . import tap as _tap
+from .registry import collecting
 
 __all__ = [
     "SeriesRing",
@@ -198,36 +200,35 @@ class TimeSeriesRecorder:
                 f"{len(self.series)} series, {self.samples} samples>")
 
 
-_slot = Slot()
+def get() -> Any:
+    """The current tap's recorder (:data:`~repro.obs.tap.OFF` when
+    sampling is off)."""
+    return _tap.get().series
 
-#: The current process-local recorder (:data:`~repro.obs.slot.OFF` when
-#: sampling is off).
-get = _slot.get
 
-
+@contextlib.contextmanager
 def sampling(
     recorder: Optional[TimeSeriesRecorder] = None,
     interval: float = DEFAULT_INTERVAL,
     capacity: int = DEFAULT_SERIES_CAPACITY,
-) -> ContextManager[TimeSeriesRecorder]:
-    """Run a block with a (fresh by default) recorder installed.
-
-    Like the registry, capture is at construction time: only samplers
-    installed *inside* the block record into it.  Restores whatever was
-    active before on exit, so a worker process can sample one sweep
-    point without leaking state into the next.
-    """
+) -> Iterator[TimeSeriesRecorder]:
+    """Install a (fresh by default) recorder in the tap for a block; only
+    samplers installed *inside* it record into it.  A sampler samples
+    the registry, so a block without a live one gets a private one."""
     if recorder is None:
         recorder = TimeSeriesRecorder(interval=interval, capacity=capacity)
-    return _slot.installed(recorder)
+    with contextlib.ExitStack() as stack:
+        if not _tap.get().obs.enabled:
+            stack.enter_context(collecting())
+        yield stack.enter_context(_tap.installed("series", recorder))
 
 
 class MetricsSampler:
     """A simt process that samples a registry into a recorder.
 
-    Construct (or :meth:`install`) it *after* the simulation's
+    :meth:`install` it *after* the simulation's
     :class:`~repro.simt.Environment` exists and *before* the run
-    starts; it captures the current recorder and registry, schedules a
+    starts; it captures the current tap's registry, schedules a
     wakeup every ``recorder.interval`` simulated seconds, and diffs
     cumulative instruments into windowed samples.  ``probe_stats``, if
     given, is called at every tick and must return an iterable of
@@ -255,17 +256,13 @@ class MetricsSampler:
     def __init__(
         self,
         env: Any,
-        recorder: Optional[Any] = None,
-        registry: Optional[Any] = None,
+        recorder: TimeSeriesRecorder,
         probe_stats: Optional[Callable[[], Iterable[ProbeRow]]] = None,
     ) -> None:
-        from . import registry as _registry
-
         self.env = env
-        self.recorder = recorder if recorder is not None else get()
-        self.registry = registry if registry is not None else _registry.get()
+        self.recorder = recorder
+        self.registry = _tap.get().obs
         self.probe_stats = probe_stats
-        self.enabled = bool(self.recorder.enabled)
         self._stopped = False
         self._finished = False
         self._pending: Any = None
@@ -273,8 +270,7 @@ class MetricsSampler:
         self._prev_gauges: Dict[str, float] = {}
         self._prev_spans: Dict[str, Tuple[float, float]] = {}
         self._prev_probes: Dict[str, float] = {}
-        if self.enabled:
-            self.process = env.process(self._run(), name="obs.sampler")
+        self.process = env.process(self._run(), name="obs.sampler")
 
     @classmethod
     def install(
@@ -289,9 +285,7 @@ class MetricsSampler:
         the one a sampler-free build runs.
         """
         recorder = get()
-        if not recorder.enabled:
-            return None
-        return cls(env, recorder=recorder, probe_stats=probe_stats)
+        return cls(env, recorder, probe_stats) if recorder.enabled else None
 
     # -- the process -----------------------------------------------------------
 
@@ -315,7 +309,7 @@ class MetricsSampler:
 
     def finish(self) -> None:
         """Take the terminal sample (idempotent; call after the drain)."""
-        if self._finished or not self.enabled:
+        if self._finished:
             return
         self._finished = True
         self._stopped = True
@@ -366,12 +360,11 @@ class MetricsSampler:
                     "overhead": overhead,
                 }
         rec.samples += 1
-        if reg.enabled:
-            # Meta-observability: the sampler's own tick count, visible
-            # in the very registry it samples (the next window sees it
-            # as a one-event delta — honest, and a useful liveness
-            # signal in the exported series).
-            reg.inc("obs.sampler_ticks")
+        # Meta-observability: the sampler's own tick count, visible in
+        # the very registry it samples (the next window sees it as a
+        # one-event delta — honest, and a useful liveness signal in the
+        # exported series).
+        reg.inc("obs.sampler_ticks")
 
 
 # -- document helpers ------------------------------------------------------------

@@ -20,14 +20,13 @@ live under.  Aggregates that must survive eviction (per-category span
 totals, raw-record counts for the trace-volume model) are kept in
 drop-immune side tables (:attr:`Tracer.totals`, :attr:`Tracer.counts`).
 
-The lifecycle discipline is identical to the metrics registry: the
-current tracer is the shared :data:`~repro.obs.slot.OFF` sink until a
-block enters :func:`tracing`; instrumented components capture the
-tracer **once at construction** and guard every emission behind the
-single ``tracer.enabled`` attribute check, so with tracing off the
-whole layer costs one attribute load per hot-path visit and the
-simulation itself is never perturbed — no costs, no RNG draws, no
-events; figure outputs are bit-identical either way.
+The tracer is one sink of the current :class:`~repro.obs.tap.Tap`,
+the shared :data:`~repro.obs.tap.OFF` until a block enters
+:func:`tracing`.  Instrumented components capture the tap **once at
+construction**; the tap's events emit into the tracer, so with tracing
+off a hook site costs its one ``tap.enabled`` check and the simulation
+itself is never perturbed — no costs, no RNG draws, no events; figure
+outputs are bit-identical either way.
 
 The ``detail`` knob selects between ``"fine"`` (everything, including
 per-function spans from the VT probe path) and ``"coarse"``
@@ -40,13 +39,12 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, ContextManager, Deque, Dict, List, Optional, Tuple, Union
 
-from .slot import Slot
+from . import tap as _tap
 
 __all__ = [
     "Tracer",
     "TraceEvent",
     "TrackBuffer",
-    "TOOL_PID",
     "DEFAULT_CAPACITY",
     "get",
     "tracing",
@@ -54,10 +52,6 @@ __all__ = [
 
 #: Default per-track ring-buffer capacity (events).
 DEFAULT_CAPACITY = 65536
-
-#: Reserved pid for the monitoring tool's own track (dynprof sessions);
-#: rank tracks use their MPI rank / process index as pid.
-TOOL_PID = 1_000_000
 
 #: Event phases stored in the ring (mnemonic, JSON-stable):
 #: "span" complete span, "inst" instant, "fs" flow start, "ff" flow end.
@@ -245,7 +239,7 @@ class Tracer:
             raise ValueError(f"detail must be 'fine' or 'coarse': {detail!r}")
         if capacity < 1:
             raise ValueError(f"tracer capacity must be >= 1, got {capacity}")
-        #: Hot paths test exactly this attribute before emitting.
+        #: The tap tests exactly this attribute before emitting.
         self.enabled = True
         self.detail = detail
         #: Pre-resolved detail flag so per-function sites pay one load.
@@ -401,24 +395,18 @@ class Tracer:
         )
 
 
-_slot = Slot()
-
-#: The current process-local tracer (:data:`~repro.obs.slot.OFF` when
-#: tracing is off).
-get = _slot.get
+def get() -> Any:
+    """The current tap's tracer (:data:`~repro.obs.tap.OFF` when tracing
+    is off)."""
+    return _tap.get().trace
 
 
 def tracing(tracer: Optional[Tracer] = None, *,
             capacity: int = DEFAULT_CAPACITY,
             detail: str = "fine",
             compact: bool = False) -> ContextManager[Tracer]:
-    """Run a block with a (fresh by default) tracer installed.
-
-    As with the metrics registry, only objects *constructed inside* the
-    block emit into it.  Restores whatever was active before on exit,
-    so a worker process can trace one sweep point without leaking state
-    into the next.
-    """
+    """Install a (fresh by default) tracer in the tap for a block; only
+    objects *constructed inside* it emit into it."""
     if tracer is None:
         tracer = Tracer(capacity=capacity, detail=detail, compact=compact)
-    return _slot.installed(tracer)
+    return _tap.installed("trace", tracer)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from itertools import count
 from typing import TYPE_CHECKING, Generator, List, Optional
 
-from ..obs.trace import get as _trace_get
+from ..obs.tap import get as _tap_get
 from .snippet import Snippet, _run
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -63,11 +63,11 @@ class ProbeHandle:
 class BaseTrampoline:
     """The per-probe-point trampoline holding a chain of minis."""
 
-    __slots__ = ("minis", "_trace")
+    __slots__ = ("minis", "_tap")
 
     def __init__(self) -> None:
         self.minis: List[MiniTrampoline] = []
-        self._trace = _trace_get()
+        self._tap = _tap_get()
 
     @property
     def has_active(self) -> bool:
@@ -106,11 +106,10 @@ class BaseTrampoline:
             pctx.task.charge(spec.tramp_mini_cost)
             overhead += spec.tramp_mini_cost
             yield from _run(mini.snippet, pctx)
-        if self._trace.enabled:
-            # Trampoline mechanics only (jump/save/restore/minis); the
-            # snippet's own work is attributed by the VT probe path.
-            self._trace.count("tramp.firings")
-            self._trace.count("tramp.time", overhead)
+        if self._tap.enabled:
+            # Trampoline mechanics only; the snippet's own work is
+            # attributed by the VT probe path.
+            self._tap.tramp_fired(overhead)
 
     def batch_cost(self, pctx: "ProgramContext") -> Optional[float]:
         """Per-firing cost if every active snippet is batchable, else None.

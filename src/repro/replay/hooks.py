@@ -1,11 +1,10 @@
-"""Recorder/controller hooks — the replay twin of :mod:`repro.obs`.
+"""Recorder/controller sinks — the replay side of the instrumentation tap.
 
-The engine, the MPI mailboxes and the fault injector each capture the
-current replay sink at construction (``self._replay = get()``) and
-consult only its ``enabled`` flag on the hot path, exactly like the
-metrics registry: with nothing installed they hold the shared
-:data:`~repro.obs.slot.OFF` sink and a recorded-off run pays one
-attribute read per decision site.  Figure outputs are byte-identical
+The engine, the MPI mailboxes and the fault injector report each
+decision through an event of the :class:`~repro.obs.tap.Tap` they
+captured at construction, which hands it to the installed sink
+(``Environment.run`` looks the sink up once per call).  A recorded-off
+run pays one attribute read per decision site.  Figure outputs are byte-identical
 with recording on or off — the recorder only observes.
 
 Two sinks exist:
@@ -28,8 +27,7 @@ import contextlib
 from typing import Any, Dict, Iterator, Optional
 
 from ..compact.varint import float_to_bits
-from ..obs import get as _obs_get
-from ..obs.slot import Slot
+from ..obs import tap as _tap
 from .errors import DivergenceError
 from .orderlog import (
     CH_DELIVER,
@@ -58,11 +56,10 @@ def _event_key(event: Any) -> str:
     return type(event).__name__
 
 
-_slot = Slot()
-
-#: The currently installed replay sink (:data:`~repro.obs.slot.OFF` when
-#: neither recording nor replaying).
-get = _slot.get
+def get() -> Any:
+    """The current tap's replay sink (:data:`~repro.obs.tap.OFF` when
+    neither recording nor replaying)."""
+    return _tap.get().replay
 
 
 class OrderRecorder:
@@ -79,7 +76,7 @@ class OrderRecorder:
         self._keys = log.keys
         self._values = log.values
         self._times = log.times
-        self._obs = _obs_get()
+        self._obs = _tap.get().obs
 
     # -- decision sites -------------------------------------------------------
 
@@ -145,7 +142,7 @@ class ReplayController:
         #: error inside a simulated process and keep draining events, so
         #: later checks re-raise this same report rather than a new one.
         self.failure: Optional[DivergenceError] = None
-        self._obs = _obs_get()
+        self._obs = _tap.get().obs
 
     # -- decision sites (mirror OrderRecorder) --------------------------------
 
@@ -229,10 +226,10 @@ def recording(meta: Optional[Dict[str, Any]] = None) -> Iterator[OrderRecorder]:
     """Record every decision made while the context is active.
 
     Must wrap the *construction* of the simulation objects, which
-    capture the sink once (the obs discipline)."""
+    capture the tap once."""
     recorder = OrderRecorder(meta=meta)
     try:
-        with _slot.installed(recorder):
+        with _tap.installed("replay", recorder):
             yield recorder
     finally:
         recorder.flush_obs()
@@ -244,7 +241,7 @@ def replaying(log: OrderLog) -> Iterator[ReplayController]:
     :class:`DivergenceError` at the first divergent decision, including
     a clean run that ends with recorded decisions still pending."""
     controller = ReplayController(log)
-    with _slot.installed(controller):
+    with _tap.installed("replay", controller):
         yield controller
     # Reached only when no exception is in flight: enforce full
     # consumption (raises).

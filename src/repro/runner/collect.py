@@ -174,16 +174,10 @@ class SampleCollector(_PerLabel):
     def params(self) -> Dict[str, Any]:
         return {"interval": self.interval}
 
-    @contextlib.contextmanager
-    def open(self, point: SweepPoint) -> Iterator[Any]:
-        from ..obs import collecting, get
+    def open(self, point: SweepPoint) -> ContextManager[Any]:
         from ..obs.timeseries import sampling
 
-        with contextlib.ExitStack() as stack:
-            if not get().enabled:
-                # The sampler needs a registry to sample.
-                stack.enter_context(collecting())
-            yield stack.enter_context(sampling(interval=self.interval))
+        return sampling(interval=self.interval)
 
 
 class OrderCollector(_PerLabel):

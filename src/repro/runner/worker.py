@@ -47,16 +47,19 @@ def preload() -> None:
     """Import everything a simulated point runs but the CLI does not.
 
     That is numpy with ``numpy.random`` (numpy 2 loads it on first
-    use) and the simulations :func:`_dispatch` calls, which bring the
-    simulator, its :mod:`dataclasses` and the collectors' sinks with
-    them.  Called before a point's wall time and ``SIGALRM`` budget
-    start, so a process's first point is not charged the imports, and
-    before a process pool forks, so every worker inherits them.
+    use), the simulations :func:`_dispatch` calls, which bring the
+    simulator and its :mod:`dataclasses` with them, and the sinks the
+    collectors install into the simulator's tap.  Called before a
+    point's wall time and ``SIGALRM`` budget start, so a process's first
+    point is not charged the imports, and before a process pool forks,
+    so every worker inherits them.
     """
     import numpy.random  # noqa: F401
 
     from ..dynprof import policies  # noqa: F401
     from ..experiments import measure  # noqa: F401
+    from ..obs import registry, timeseries, trace  # noqa: F401
+    from ..replay import hooks  # noqa: F401
 
 
 def _point_faults(point: SweepPoint):

@@ -31,9 +31,7 @@ from collections import deque
 from heapq import heappop, heappush
 from typing import Any, Deque, Dict, Optional, Tuple
 
-from ..obs import get as _obs_get
-from ..obs.trace import get as _trace_get
-from ..replay.hooks import get as _replay_get
+from ..obs.tap import get as _tap_get
 from .errors import SimtError, StopSimulation
 from .events import NORMAL, PENDING, Event, Process, ProcessGenerator, Timeout
 
@@ -84,9 +82,7 @@ class Environment:
         self.events_processed = 0
         #: Events withdrawn via :meth:`cancel` (diagnostics).
         self.events_cancelled = 0
-        self._obs = _obs_get()
-        self._trace = _trace_get()
-        self._replay = _replay_get()
+        self._tap = _tap_get()
 
     # -- clock ------------------------------------------------------------
 
@@ -143,8 +139,8 @@ class Environment:
         event._cancelled = True
         self._live -= 1
         self.events_cancelled += 1
-        if self._obs.enabled:
-            self._obs.inc("simt.cancelled")
+        if self._tap.enabled:
+            self._tap.inc("simt.cancelled")
         return True
 
     def peek(self) -> float:
@@ -184,15 +180,6 @@ class Environment:
 
     def step(self) -> None:
         """Process exactly one event (advancing the clock to it)."""
-        if self._obs.enabled and self._live:
-            # The queue only ever shrinks inside step(), so its depth at
-            # the top of a step is exactly the running high-water mark.
-            self._obs.inc("simt.events")
-            self._obs.gauge_max("simt.queue_depth_hwm", self._live)
-        if self._trace.enabled and self._live:
-            # Drop-immune kernel-event count: lets a trace document be
-            # sanity-checked against the engine's own bookkeeping.
-            self._trace.count("simt.events")
         key, event = self._pop()
         when = key[0]
         if when < self._now:  # pragma: no cover - guarded by schedule()
@@ -200,8 +187,10 @@ class Environment:
         self._now = when
         self._live -= 1
         self.events_processed += 1
-        if self._replay.enabled:
-            self._replay.on_event(event, when, key[1])
+        if self._tap.enabled:
+            # The queue only ever shrinks inside step(), so its depth at
+            # the top of a step is exactly the running high-water mark.
+            self._tap.engine_step(event, when, key[1], self._live + 1)
         callbacks, event.callbacks = event.callbacks, None
         if callbacks:
             for callback in callbacks:
@@ -249,17 +238,14 @@ class Environment:
                 )
 
         # The hot loop.  Equivalent to ``while queue: step()`` but with
-        # the per-event costs hoisted: observation/tracing enablement is
-        # captured once per run() call, whole same-key buckets drain
-        # without re-consulting the heap, and per-event counters
-        # accumulate in locals that are flushed when the run ends.
+        # the per-event costs hoisted: the replay sink is looked up once
+        # per run() call, whole same-key buckets drain without
+        # re-consulting the heap, and per-event counters accumulate in
+        # locals that the tap receives when the run ends.
         buckets = self._buckets
         keyheap = self._keyheap
-        obs = self._obs
-        trace = self._trace
-        rep = self._replay
-        obs_on = obs.enabled
-        trace_on = trace.enabled
+        tap = self._tap
+        rep = tap.replay
         rep_on = rep.enabled
         total = 0
         hwm = 0
@@ -323,11 +309,8 @@ class Environment:
             finally:
                 if total:
                     self.events_processed += total
-                    if obs_on:
-                        obs.inc("simt.events", total)
-                        obs.gauge_max("simt.queue_depth_hwm", hwm)
-                    if trace_on:
-                        trace.count("simt.events", total)
+                    if tap.enabled:
+                        tap.engine_events(total, hwm)
         except StopSimulation as stop:
             return stop.reason
 

@@ -21,13 +21,7 @@ from .records import (
     MsgRecord,
     TraceRecord,
 )
-from .state import (
-    FunctionRegistry,
-    FunctionStats,
-    VTProcessState,
-    compact_accounting,
-    set_compact_accounting,
-)
+from .state import FunctionRegistry, FunctionStats, VTProcessState
 from .tracefile_io import (
     load_trace,
     load_trace_compact,
@@ -53,8 +47,6 @@ __all__ = [
     "save_trace_compact",
     "load_trace_compact",
     "DEFAULT_RECORD_BYTES",
-    "set_compact_accounting",
-    "compact_accounting",
     "TraceRecord",
     "EnterRecord",
     "LeaveRecord",

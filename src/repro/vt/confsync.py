@@ -19,8 +19,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Generator, Optional
 
-from ..obs import get as _obs_get
-from ..obs.trace import get as _trace_get
 from .config import VTConfig
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -60,7 +58,6 @@ def vt_confsync(pctx: "ProgramContext", write_stats: Optional[bool] = None) -> G
     if rank is None:
         raise RuntimeError("vt_confsync called outside an MPI program")
     task = pctx.task
-    tracer = _trace_get()
     t_enter = task.now
 
     # Entering the sync point: epoch check bookkeeping, plus the config
@@ -88,20 +85,9 @@ def vt_confsync(pctx: "ProgramContext", write_stats: Optional[bool] = None) -> G
 
     # Close the epoch: no rank proceeds until all have the new table.
     yield from rank.comm.barrier()
-    obs = _obs_get()
-    if obs.enabled:
-        obs.inc("vt.confsync_epochs")
-        if do_stats:
-            obs.inc("vt.confsync_stats_writes")
-    if tracer.enabled:
-        # One span per rank covering the whole epoch; cross-rank
-        # causality (the config broadcast, the closing barrier) is
-        # carried by the transport-level flow edges underneath.
-        tracer.complete(
-            rank.rank, 0, "VT_confsync", "vt.confsync", t_enter, task.now,
-            args={"epoch": vt.epoch, "changed": applied is not None,
-                  "stats": bool(do_stats)},
-        )
+    if vt._tap.enabled:
+        vt._tap.vt_confsync(rank.rank, t_enter, task.now, vt.epoch,
+                            applied is not None, bool(do_stats))
     return applied
 
 

@@ -16,12 +16,10 @@ Dynamic separation of Figure 7:
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, Tuple
 
 from ..cluster import MachineSpec, Task
-from ..obs import get as _obs_get
-from ..obs.trace import get as _trace_get
+from ..obs.tap import get as _tap_get
 from ..simt import Environment
 from .buffer import ThreadTraceBuffer, TraceFile
 from .config import VTConfig
@@ -29,39 +27,7 @@ from .config import VTConfig
 if TYPE_CHECKING:  # pragma: no cover
     from ..program import FunctionInstance, ProcessImage, ProgramContext
 
-__all__ = [
-    "FunctionRegistry",
-    "VTProcessState",
-    "FunctionStats",
-    "set_compact_accounting",
-    "compact_accounting",
-]
-
-#: When True (and an obs registry is live), ``flush_to`` also encodes
-#: every buffer through the VGVZ codec and mirrors the result as the
-#: ``vt.trace_compact_bytes`` counter.  The encode is a real O(records)
-#: pass over the whole postmortem trace, far above the registry's
-#: few-dict-ops-per-site budget, so it is opt-in — the cheap analytic
-#: ``vt.trace_raw_bytes`` counter is mirrored unconditionally.
-_COMPACT_ACCOUNTING = False
-
-
-def set_compact_accounting(enabled: bool) -> bool:
-    """Turn flush-time VGVZ size mirroring on or off; returns the previous state."""
-    global _COMPACT_ACCOUNTING
-    previous = _COMPACT_ACCOUNTING
-    _COMPACT_ACCOUNTING = bool(enabled)
-    return previous
-
-
-@contextmanager
-def compact_accounting() -> Iterator[None]:
-    """Run a block with ``vt.trace_compact_bytes`` mirroring enabled."""
-    previous = set_compact_accounting(True)
-    try:
-        yield
-    finally:
-        set_compact_accounting(previous)
+__all__ = ["FunctionRegistry", "VTProcessState", "FunctionStats"]
 
 
 class FunctionRegistry:
@@ -164,8 +130,7 @@ class VTProcessState:
         self._active_cost = spec.vt_active_event_cost
         self._lookup_cost = spec.vt_lookup_cost
         self._flush_threshold = spec.vt_flush_threshold_records
-        self._obs = _obs_get()
-        self._trace = _trace_get()
+        self._tap = _tap_get()
 
         image.vt = self
         # Expose the library to dynamically inserted snippets.
@@ -225,14 +190,9 @@ class VTProcessState:
         self.config = config
         self._rebuild_table()
         self.epoch += 1
-        if self._obs.enabled:
-            self._obs.inc("vt.reconfigurations")
-        if self._trace.enabled:
-            self._trace.instant(
-                self.process_index, 0, "vt.epoch", "vt.confsync",
-                task.now if task is not None else self.env.now,
-                args={"epoch": self.epoch},
-            )
+        if self._tap.enabled:
+            self._tap.vt_epoch(self.process_index, self.epoch,
+                               task.now if task is not None else self.env.now)
         if task is not None:
             task.charge(self.spec.confsync_apply_cost)
 
@@ -254,16 +214,12 @@ class VTProcessState:
             # memory profile (stats) is unaffected — only trace volume
             # is lost, which is how VT treats unwritable buffer pages.
             self.write_drops += k
-            if self._obs.enabled:
-                self._obs.inc("vt.write_drops", k)
+            if self._tap.enabled:
+                self._tap.inc("vt.write_drops", k)
             return
         self._unflushed_records += k
-        if self._obs.enabled:
-            self._obs.inc("vt.records", k)
-        if self._trace.enabled:
-            # Drop-immune raw-record count: the tracer-side input of the
-            # trace-volume model (records x trace_record_bytes).
-            self._trace.count("vt.records", k)
+        if self._tap.enabled:
+            self._tap.vt_records(k)
         if self._unflushed_records >= self._flush_threshold:
             self._flush_records(task)
 
@@ -278,18 +234,11 @@ class VTProcessState:
         )
         task.charge(dt)
         self.flush_time_total += dt
-        if self._obs.enabled:
-            self._obs.inc("vt.flushes")
-            self._obs.inc("vt.flush_bytes", n * self.spec.trace_record_bytes)
-            self._obs.span("vt.flush", dt)
-        if self._trace.enabled:
+        if self._tap.enabled:
             buf = self._buffers.get(task)
-            self._trace.complete(
-                self.process_index, buf.thread if buf is not None else 0,
-                "vt.flush", "vt.flush", t0, t0 + dt,
-                args={"records": n,
-                      "bytes": n * self.spec.trace_record_bytes},
-            )
+            self._tap.vt_flush(self.process_index,
+                               buf.thread if buf is not None else 0, t0, dt,
+                               n, n * self.spec.trace_record_bytes)
 
     # -- buffers -----------------------------------------------------------------
 
@@ -311,22 +260,19 @@ class VTProcessState:
         """VT_begin, from a static probe or a dynamic trampoline snippet."""
         fid = fi.fid
         task = pctx.task
-        trace = self._trace
+        tap = self._tap
         if fid is None or not self.initialized or fid in self._off:
             task.charge(self._lookup_cost)
-            if trace.enabled:
-                trace.count("vt.probe_events")
-                trace.count("vt.probe_time", self._lookup_cost)
+            if tap.enabled:
+                tap.vt_probe(self._lookup_cost)
             return
         task.charge(self._active_cost)
         # Inlined single-record fast path of _account_records: this and
         # probe_end are the two hottest calls in a profiled run.
         if self.write_fault is None:
             self._unflushed_records += 1
-            if self._obs.enabled:
-                self._obs.inc("vt.records")
-            if trace.enabled:
-                trace.count("vt.records")
+            if tap.enabled:
+                tap.vt_records(1)
             if self._unflushed_records >= self._flush_threshold:
                 self._flush_records(task)
         else:
@@ -337,31 +283,25 @@ class VTProcessState:
         t = task.now
         buf.enter(fid, t)
         self._stacks[task].append((fid, t))
-        if trace.enabled:
-            trace.count("vt.probe_events")
-            trace.count("vt.probe_time", self._active_cost)
-            if trace.fine:
-                trace.begin(self.process_index, buf.thread,
-                            self.registry.name_of(fid), "app", t)
+        if tap.enabled:
+            tap.vt_begin(self.process_index, buf.thread, fi.name, t,
+                         self._active_cost)
 
     def probe_end(self, pctx: "ProgramContext", fi: "FunctionInstance") -> None:
         """VT_end, the matching exit event."""
         fid = fi.fid
         task = pctx.task
-        trace = self._trace
+        tap = self._tap
         if fid is None or not self.initialized or fid in self._off:
             task.charge(self._lookup_cost)
-            if trace.enabled:
-                trace.count("vt.probe_events")
-                trace.count("vt.probe_time", self._lookup_cost)
+            if tap.enabled:
+                tap.vt_probe(self._lookup_cost)
             return
         task.charge(self._active_cost)
         if self.write_fault is None:
             self._unflushed_records += 1
-            if self._obs.enabled:
-                self._obs.inc("vt.records")
-            if trace.enabled:
-                trace.count("vt.records")
+            if tap.enabled:
+                tap.vt_records(1)
             if self._unflushed_records >= self._flush_threshold:
                 self._flush_records(task)
         else:
@@ -371,11 +311,8 @@ class VTProcessState:
             buf = self.buffer_for(task, pctx.thread_id)
         t = task.now
         buf.leave(fid, t)
-        if trace.enabled:
-            trace.count("vt.probe_events")
-            trace.count("vt.probe_time", self._active_cost)
-            if trace.fine:
-                trace.end(self.process_index, buf.thread, t)
+        if tap.enabled:
+            tap.vt_end(self.process_index, buf.thread, t, self._active_cost)
         stack = self._stacks[task]
         # Pop the matching begin (tolerate asymmetric instrumentation).
         while stack:
@@ -423,20 +360,11 @@ class VTProcessState:
             st = self.stats[fid] = FunctionStats()
         st.count += n
         st.inclusive_time += n * duration
-        trace = self._trace
-        if trace.enabled:
-            trace.count("vt.probe_events", 2 * n)
-            trace.count("vt.probe_time", 2 * n * self._active_cost)
-            if trace.fine:
-                # One aggregate span stands for the whole batch; the ring
-                # would otherwise drown in per-iteration pairs.
-                trace.complete(
-                    self.process_index, buf.thread,
-                    f"{self.registry.name_of(fid)} x{n}", "app.batch",
-                    first_begin,
-                    first_begin + (n - 1) * period + duration,
-                    args={"n": n},
-                )
+        if self._tap.enabled:
+            self._tap.vt_batch(self.process_index, buf.thread, fi.name, n,
+                               first_begin,
+                               first_begin + (n - 1) * period + duration,
+                               self._active_cost)
 
     def batch_mark(
         self,
@@ -531,30 +459,10 @@ class VTProcessState:
         for task, buf in self._buffers.items():
             for start, end in task.suspensions:
                 buf.marker("suspended", start, end)
-                # Trace only mid-run suspensions (patch windows): stops
-                # that ended before VT_init are spawn/instrument setup,
-                # which the paper's reported time already excludes.
-                if self._trace.enabled and (
-                    self._init_time is None or end > self._init_time
-                ):
-                    self._trace.complete(
-                        self.process_index, buf.thread,
-                        "suspended", "suspended",
-                        max(start, self._init_time or start), end,
-                    )
-        for buf in self._buffers.values():
             trace.add_buffer(buf)
-        if self._obs.enabled:
-            # Per-rank trace-volume observability.  The analytic raw
-            # size is an O(1) memoized count; the VGVZ compact size is
-            # a full codec pass over the buffer, so it stays behind the
-            # explicit ``set_compact_accounting`` knob to keep plain
-            # obs-enabled runs at dict-op cost (the engine benchmark
-            # cell runs under a live registry and gates this).
-            for buf in self._buffers.values():
-                self._obs.inc("vt.trace_raw_bytes", buf.raw_bytes)
-                if _COMPACT_ACCOUNTING:
-                    self._obs.inc("vt.trace_compact_bytes", buf.compact_bytes)
+            if self._tap.enabled:
+                self._tap.vt_written(self.process_index, buf, task.suspensions,
+                                     self._init_time)
 
     # -- runtime-registry entry points (for snippets that call by name) -------------------
 

@@ -192,3 +192,44 @@ def test_obs_report_rejects_garbage(tmp_path, capsys):
     with pytest.raises(SystemExit):
         main(["obs", "report", str(tmp_path / "missing.json")])
     assert "cannot read obs document" in capsys.readouterr().err
+
+
+def _first_series(doc):
+    (ts,) = doc["timeseries"].values()
+    return ts, ts["series"][sorted(ts["series"])[0]]
+
+
+def _bad_blob(doc):
+    _first_series(doc)[1]["t"] = "!!"
+
+
+def _no_count(doc):
+    del _first_series(doc)[1]["n"]
+
+
+def _series_list(doc):
+    ts, _ = _first_series(doc)
+    ts["series"] = list(ts["series"])
+
+
+def _text_counter(doc):
+    doc["obs"]["counters"]["vt.records"] = "x"
+
+
+@pytest.mark.parametrize("mode", [[], ["--json"], ["--csv"], ["--prom"]],
+                         ids=["text", "json", "csv", "prom"])
+@pytest.mark.parametrize("damage", [_bad_blob, _no_count, _series_list,
+                                    _text_counter],
+                         ids=lambda f: f.__name__.lstrip("_"))
+def test_obs_report_rejects_a_malformed_document_in_one_line(
+        obs_doc, capsys, damage, mode):
+    path, doc = obs_doc
+    damage(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SystemExit) as exc:
+        main(["obs", "report", str(path), *mode])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith(f"repro-experiments: obs document {path} is malformed: ")

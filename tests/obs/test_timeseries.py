@@ -120,6 +120,19 @@ def test_sampling_context_restores_previous_recorder():
     assert timeseries.get() is OFF
 
 
+def test_sampling_alone_samples_a_private_registry():
+    # The sampler samples the registry; without a live one the sampled
+    # run used to crash on the switched-off sink.
+    from repro.apps import get_app
+    from repro.dynprof.policies import run_policy
+
+    with timeseries.sampling(interval=0.5) as rec:
+        run_policy(get_app("sweep3d"), "Full", 2, scale=0.02)
+    assert rec.samples > 0
+    assert "counter:simt.events" in rec.series
+    assert obs.get() is OFF and timeseries.get() is OFF
+
+
 def test_install_returns_none_and_schedules_nothing_when_disabled():
     env = Environment()
     assert MetricsSampler.install(env) is None

@@ -130,6 +130,16 @@ def test_warm_regeneration_loads_no_simulator_and_no_dataclasses(
     assert _loaded_after(_cli([*argv, "--cache-dir", full_cache])) == []
 
 
+def test_simulator_core_loads_no_observation_sink():
+    # Hook sites reach the sinks through the tap; a collector loads them.
+    sinks = _CHECK.TARGETS["repro.simt"]
+    assert sinks
+    code = ("import json, sys\nimport repro.simt\n"
+            "print(json.dumps(sorted(m for m in sys.modules\n"
+            f"    if any(m == s or m.startswith(s + '.') for s in {sinks!r}))))")
+    assert json.loads(_run(code)) == []
+
+
 @pytest.mark.parametrize("package", ["repro", "repro.experiments"])
 def test_every_public_name_resolves(package):
     code = (f"import {package} as pkg\n"

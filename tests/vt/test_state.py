@@ -226,32 +226,10 @@ def test_stats_payload_scales_with_functions():
     assert vt.stats_payload_bytes() > empty
 
 
-def test_flush_to_mirrors_compression_obs_counters():
-    from repro import obs
-    from repro.vt.state import compact_accounting
-
-    with obs.collecting() as registry, compact_accounting():
-        env, task, pctx, vt, _ = make_world()
-        vt.initialize(task)
-        fi = pctx.image.func("fn0")
-        for _ in range(50):
-            vt.probe_begin(pctx, fi)
-            vt.probe_end(pctx, fi)
-        trace = TraceFile("app")
-        vt.flush_to(trace)
-        counters = registry.snapshot()["counters"]
-    raw = counters["vt.trace_raw_bytes"]
-    compact = counters["vt.trace_compact_bytes"]
-    assert raw == trace.size_bytes
-    assert 0 < compact < raw  # the repetitive stream compresses
-
-
 def test_flush_to_mirrors_only_raw_bytes_by_default():
     # The VGVZ encode is an O(records) pass, far above the registry's
-    # dict-op budget, so plain obs-enabled runs get only the analytic
-    # counter unless ``set_compact_accounting`` opts in.
+    # dict-op budget, so obs-enabled runs get only the analytic counter.
     from repro import obs
-    from repro.vt.state import set_compact_accounting
 
     with obs.collecting() as registry:
         env, task, pctx, vt, _ = make_world()
@@ -264,13 +242,6 @@ def test_flush_to_mirrors_only_raw_bytes_by_default():
         counters = registry.snapshot()["counters"]
     assert counters["vt.trace_raw_bytes"] == trace.size_bytes
     assert "vt.trace_compact_bytes" not in counters
-
-
-def test_set_compact_accounting_returns_previous_state():
-    from repro.vt.state import set_compact_accounting
-
-    assert set_compact_accounting(True) is False
-    assert set_compact_accounting(False) is True
 
 
 def test_flush_to_skips_compression_accounting_without_obs():
